@@ -23,7 +23,6 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
-    Symbol,
 )
 from psrelief.engine import FiringPlan, RunReport, applicable_rules, apply_step, run, select_firing
 from psrelief.relief import (
@@ -45,7 +44,6 @@ from psrelief.builder import BuildParams, GeneratedSystem, build, decode_output,
 __all__ = [
     "Multiset",
     "Polarization",
-    "Symbol",
     "Rule",
     "RuleKind",
     "PSystemDef",

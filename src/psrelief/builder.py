@@ -24,6 +24,9 @@ sequence 0.1/2^w.
 Rule family ids follow a stage.index catalog ("1.6", "2.24", ...); every
 family is instantiated for all applicable (k, l) indices and recorded in
 ``GeneratedSystem.rule_index`` so audits can confirm full coverage.
+``GeneratedSystem.stage_of`` records the stage each rule belongs to; the
+step-size counter and the cleanup rules run alongside the stages and belong
+to none.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ import numpy as np
 from psrelief.multiset import Multiset
 from psrelief.psystem import Configuration, Polarization, PSystemDef, Rule, RuleKind
 from psrelief.relief import FixedPointConstants, ReliefInstance, _exact, fixed_point_constants, validate
+
+INIT_STAGE = "initialization"
+UPDATE_STAGE = "update"
+COMPARE_STAGE = "comparison"
 
 N = Polarization.NEUTRAL
 POS = Polarization.POSITIVE
@@ -72,14 +79,11 @@ class GeneratedSystem:
     definition: PSystemDef
     symbol_index: dict[tuple, str]
     rule_index: dict[str, list[str]]
-    family_of: dict[str, str]
+    stage_of: dict[str, str | None]
     constants: FixedPointConstants
     m: int
     n: int
     p: int
-
-    def family_rules(self, family: str) -> list[str]:
-        return self.rule_index[family]
 
 
 def encode_scalar(x: float, p: int) -> int:
@@ -93,8 +97,10 @@ class _Emitter:
     def __init__(self):
         self.rules: list[Rule] = []
         self.rule_index: dict[str, list[str]] = {}
-        self.family_of: dict[str, str] = {}
+        self.stage_of: dict[str, str | None] = {}
         self.priorities: list[tuple[str, str]] = []
+        #: stage recorded for the rules emitted next
+        self.stage: str | None = None
 
     def rule(
         self,
@@ -122,7 +128,7 @@ class _Emitter:
             )
         )
         self.rule_index.setdefault(family, []).append(rid)
-        self.family_of[rid] = family
+        self.stage_of[rid] = self.stage
         return rid
 
     def prio(self, hi: str, lo: str) -> None:
@@ -133,13 +139,10 @@ def build(params: BuildParams) -> GeneratedSystem:
     params.validate()
     inst, p = params.instance, params.p
     m, n, P = inst.m, inst.n, 10**p
-    cons = fixed_point_constants(inst, p)
-    for k in range(m):
-        if cons.den[k] == 0:
-            raise BuildError(
-                f"beta[{k}]={inst.beta[k]} floors to zero at p={p}; "
-                f"need p >= {_min_precision(inst.beta[k])}"
-            )
+    try:
+        cons = fixed_point_constants(inst, p)
+    except ValueError as exc:
+        raise BuildError(str(exc)) from exc
 
     ks = range(1, m + 1)
     ls = range(1, n + 1)
@@ -182,6 +185,7 @@ def build(params: BuildParams) -> GeneratedSystem:
     kl = [(k, l) for k in ks for l in ls]
 
     # ---- stage 1: seeding -------------------------------------------------
+    e.stage = INIT_STAGE
     for k, l in kl:
         e.rule("1.1", f"k{k}_l{l}", RuleKind.SEND_OUT, "INIT",
                {sym("x", k, l): 1},
@@ -262,6 +266,7 @@ def build(params: BuildParams) -> GeneratedSystem:
                {sym("la2", l): 1}, {sym("p"): 1}, NEG, NEG)
 
     # ---- stage 2: flow update chain in Q ----------------------------------
+    e.stage = UPDATE_STAGE
     for k, l in kl:
         i, j = k - 1, l - 1
         q = q_lab[(k, l)]
@@ -362,7 +367,8 @@ def build(params: BuildParams) -> GeneratedSystem:
         lamb_block(lamb2[l], ("2.58", "2.59", "2.60", "2.61", "2.62", "2.63", "2.64", "2.65", "2.66", "2.67"),
                    f"l{l}", sym("yla2_8", l), sym("yla2_9", l), sym("lao2", l))
 
-    # ---- stage 2: step-size counter ----------------------------------------
+    # ---- stage 2: step-size counter (runs alongside the stages) -----------
+    e.stage = None
     e.rule("2.68", "", RuleKind.EVOLUTION, "INIT",
            {sym("count", 0): 1024}, {sym("u", 0): 1, sym("s"): 1}, N)
     couriers: dict[str, int] = {}
@@ -399,6 +405,7 @@ def build(params: BuildParams) -> GeneratedSystem:
                {sym("u", i): 1, sym("max", i - 1): 1}, {sym("max", i): 1}, N)
 
     # ---- stage 3: comparison ------------------------------------------------
+    e.stage = COMPARE_STAGE
     r3_1 = e.rule("3.1", "", RuleKind.SEND_IN, "COMP", {sym("y10"): m * n}, {sym("y11"): 1}, N, NEG)
     gate_rules = []
     for k, l in kl:
@@ -469,7 +476,8 @@ def build(params: BuildParams) -> GeneratedSystem:
     for rid in restock:
         e.prio(rid, r3_26)
 
-    # ---- stage 4: cleanup ----------------------------------------------------
+    # ---- stage 4: cleanup (runs alongside the stages) ----------------------
+    e.stage = None
     polcode = {N: "0", POS: "p", NEG: "m"}
     for lab in parent:
         for pol in (N, POS, NEG):
@@ -492,19 +500,12 @@ def build(params: BuildParams) -> GeneratedSystem:
         definition=definition,
         symbol_index=sym_index,
         rule_index=e.rule_index,
-        family_of=e.family_of,
+        stage_of=e.stage_of,
         constants=cons,
         m=m,
         n=n,
         p=p,
     )
-
-
-def _min_precision(beta: float) -> int:
-    p = 1
-    while math.floor(_exact(beta) * 10**p) < 1:
-        p += 1
-    return p
 
 
 def decode_output(config: Configuration, gen: GeneratedSystem, p: int | None = None) -> np.ndarray:

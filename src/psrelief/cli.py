@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("build", help="emit the generated system as .psys")
-    _add_common(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--emit", required=True, help="output .psys path")
     p.set_defaults(fn=cmd_build)
@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("trace", help="engine run with observer dump")
-    _add_common(p, instance_required=False)
+    p.add_argument("--instance", help="instance JSON file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--psys", help="trace a .psys system instead of a built instance")
     p.add_argument("--max-steps", type=int, default=10_000, dest="max_steps")

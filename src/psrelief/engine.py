@@ -66,13 +66,6 @@ class FiringPlan:
     def count(self, rule_id: str) -> int:
         return self.counts.get(rule_id, 0)
 
-    def by_membrane(self, definition: PSystemDef) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for rid, cnt in self.counts.items():
-            rule = definition.rule_by_id(rid)
-            out.setdefault(rule.membrane, {})[rid] = cnt
-        return out
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 

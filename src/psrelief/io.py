@@ -43,10 +43,6 @@ def load_instance(path: str | Path) -> ReliefInstance:
         raise InputError(f"{path}:1:1: malformed instance: {exc}") from exc
 
 
-def save_instance(inst: ReliefInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(inst.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def format_matrix_csv(matrix: np.ndarray, header_comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append("k,l,value")
@@ -55,10 +51,6 @@ def format_matrix_csv(matrix: np.ndarray, header_comments: list[str] | None = No
         for l in range(n):
             lines.append(f"{k + 1},{l + 1},{float(matrix[k][l])!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_matrix_csv(matrix: np.ndarray, path: str | Path, header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(format_matrix_csv(matrix, header_comments), encoding="utf-8")
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:

@@ -87,9 +87,6 @@ class Multiset:
     def sorted_items(self) -> list[tuple[str, int]]:
         return sorted(self._counts.items())
 
-    def symbols(self) -> set[str]:
-        return set(self._counts)
-
     def total(self) -> int:
         return sum(self._counts.values())
 

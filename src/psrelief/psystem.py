@@ -53,16 +53,6 @@ class RuleKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Symbol:
-    id: str
-    display_name: str = ""
-
-    def __post_init__(self):
-        if not self.display_name:
-            object.__setattr__(self, "display_name", self.id)
-
-
-@dataclass(frozen=True)
 class Rule:
     """One rewriting rule attached to membrane ``membrane``.
 
@@ -89,16 +79,13 @@ class Rule:
     def changes_polarization(self) -> bool:
         return self.kind is not RuleKind.EVOLUTION and self.beta is not self.alpha
 
-    def used_symbols(self) -> set[str]:
-        return self.lhs.symbols() | self.rhs.symbols() | self.rhs_aux.symbols()
-
 
 ENVIRONMENT_LABEL = "environment"
 
 
 @dataclass
 class PSystemDef:
-    """Static system description: tree, alphabet, initial contents, rules.
+    """Static system description: tree, initial contents, rules.
 
     ``rules`` is the global declaration sequence; declaration order is
     semantically relevant (it breaks ties in the deterministic selection
@@ -111,14 +98,6 @@ class PSystemDef:
     rules: list[Rule]
     priorities: list[tuple[str, str]] = field(default_factory=list)
     output: str = ENVIRONMENT_LABEL
-    alphabet: dict[str, Symbol] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.alphabet:
-            self.alphabet = {
-                sym: Symbol(sym)
-                for sym in sorted(self.collect_symbols())
-            }
 
     # -- structure -------------------------------------------------------
 
@@ -133,9 +112,6 @@ class PSystemDef:
             raise DefinitionError(f"expected exactly one root membrane, found {roots}")
         return roots[0]
 
-    def children(self, label: str) -> list[str]:
-        return [lab for lab, par in self.parent.items() if par == label]
-
     def rules_of(self, label: str) -> list[Rule]:
         return [r for r in self.rules if r.membrane == label]
 
@@ -144,14 +120,6 @@ class PSystemDef:
             if r.id == rule_id:
                 return r
         raise KeyError(rule_id)
-
-    def collect_symbols(self) -> set[str]:
-        syms: set[str] = set()
-        for ms in self.initial.values():
-            syms |= ms.symbols()
-        for r in self.rules:
-            syms |= r.used_symbols()
-        return syms
 
     # -- validation ------------------------------------------------------
 
@@ -204,10 +172,6 @@ class PSystemDef:
             if hi == lo:
                 out.append(f"priority pair relates rule {hi!r} to itself")
         out.extend(self._priority_cycles())
-        registered = set(self.alphabet)
-        missing = self.collect_symbols() - registered
-        if missing:
-            out.append(f"symbols not registered in the alphabet: {sorted(missing)}")
         return out
 
     def _priority_cycles(self) -> list[str]:

@@ -36,8 +36,10 @@ projection is pairwise cancellation with surplus deletion.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -116,8 +118,9 @@ def validate(inst: ReliefInstance) -> list[str]:
     """All invariant violations of the instance (empty list means valid)."""
     out: list[str] = []
     m, n = inst.m, inst.n
-    if m < 1 or n < 1:
-        out.append(f"m and n must be at least 1, got m={m} n={n}")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+               for v in (m, n)):
+        out.append(f"m and n must be integers >= 1, got m={m!r} n={n!r}")
         return out
     shapes = {
         "s": (inst.s, (m,)), "d_lo": (inst.d_lo, (n,)), "d_hi": (inst.d_hi, (n,)),
@@ -128,6 +131,8 @@ def validate(inst: ReliefInstance) -> list[str]:
     for name, (arr, want) in shapes.items():
         if arr.shape != want:
             out.append(f"{name} has shape {arr.shape}, expected {want}")
+        elif not np.all(np.isfinite(arr)):
+            out.append(f"{name} entries must be finite")
     if out:
         return out
     if np.any(inst.s < 0):
@@ -231,8 +236,10 @@ def visibility_term(inst: ReliefInstance, q: np.ndarray, k: int, l: int) -> floa
 
 
 def _gradient_pack(inst: ReliefInstance, state: SolverState, variant: str):
-    """Parenthesized drift of each update family, before scaling by a_t."""
+    """Parenthesized drift of each update family, before scaling by a_t, and
+    the number of visibility derivatives capped at an empty column."""
     q = state.q
+    cols = q.sum(axis=0)
     g = (
         inst.omega[:, None] * inst.gamma / inst.beta[:, None]
         - (2.0 * inst.cost_a**2 * q + 2.0 * inst.cost_a * inst.cost_b) / inst.beta[:, None]
@@ -242,14 +249,27 @@ def _gradient_pack(inst: ReliefInstance, state: SolverState, variant: str):
     )
     capped = 0
     if variant == FULL:
-        cols = q.sum(axis=0)
         safe = np.where(cols > 0.0, cols, VISIBILITY_FLOOR)
         capped = int(np.count_nonzero(cols <= 0.0))
         g = g + (inst.vis_k / (2.0 * np.sqrt(safe)))[None, :]
     dl = -inst.s + q.sum(axis=1)
-    d1 = -q.sum(axis=0) + inst.d_lo
-    d2 = -inst.d_hi + q.sum(axis=0)
+    d1 = -cols + inst.d_lo
+    d2 = -inst.d_hi + cols
     return g, dl, d1, d2, capped
+
+
+def _projected_step(state: SolverState, inst: ReliefInstance, variant: str) -> tuple[SolverState, int]:
+    """One projected step and the visibility caps hit on the time-t state."""
+    a = step_size(state.t)
+    g, dl, d1, d2, capped = _gradient_pack(inst, state, variant)
+    nxt = SolverState(
+        q=np.maximum(0.0, state.q + a * g),
+        lam=np.maximum(0.0, state.lam + a * dl),
+        lam1=np.maximum(0.0, state.lam1 + a * d1),
+        lam2=np.maximum(0.0, state.lam2 + a * d2),
+        t=state.t + 1,
+    )
+    return nxt, capped
 
 
 def euler_step(state: SolverState, inst: ReliefInstance, variant: str = SIMPLIFIED) -> SolverState:
@@ -257,15 +277,7 @@ def euler_step(state: SolverState, inst: ReliefInstance, variant: str = SIMPLIFI
     result is independent of evaluation order."""
     if variant not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown variant {variant!r}")
-    a = step_size(state.t)
-    g, dl, d1, d2, _ = _gradient_pack(inst, state, variant)
-    return SolverState(
-        q=np.maximum(0.0, state.q + a * g),
-        lam=np.maximum(0.0, state.lam + a * dl),
-        lam1=np.maximum(0.0, state.lam1 + a * d1),
-        lam2=np.maximum(0.0, state.lam2 + a * d2),
-        t=state.t + 1,
-    )
+    return _projected_step(state, inst, variant)[0]
 
 
 def objective(inst: ReliefInstance, q: np.ndarray, variant: str = SIMPLIFIED) -> float:
@@ -318,6 +330,12 @@ def fixed_point_constants(inst: ReliefInstance, p: int) -> FixedPointConstants:
     k1 = [[math.floor(2 * P * ca[k][l] * cb[k][l] / be[k]) for l in range(inst.n)] for k in range(inst.m)]
     slope = [[math.floor(2 * P * ca[k][l] ** 2) for l in range(inst.n)] for k in range(inst.m)]
     den = [math.floor(P * be[k]) for k in range(inst.m)]
+    for k, d in enumerate(den):
+        if d == 0:
+            raise ValueError(
+                f"beta[{k}]={inst.beta[k]} floors to zero at p={p}; "
+                f"need p >= {_min_precision(be[k])}"
+            )
     half = [math.ceil(P * be[k] / 2) for k in range(inst.m)]
     supply = [math.floor(_exact(x) * P) for x in inst.s]
     dlo = [math.floor(_exact(x) * P) for x in inst.d_lo]
@@ -328,6 +346,13 @@ def fixed_point_constants(inst: ReliefInstance, p: int) -> FixedPointConstants:
     )
 
 
+def _min_precision(beta: Fraction) -> int:
+    p = 1
+    while math.floor(beta * 10**p) < 1:
+        p += 1
+    return p
+
+
 def div_round_half(raw: int, den: int, half: int) -> int:
     """floor(raw/den), plus one when the remainder reaches the half mark."""
     if den <= 0:
@@ -336,10 +361,9 @@ def div_round_half(raw: int, den: int, half: int) -> int:
 
 
 def scaled_emission(magnitude: int, w: int) -> int:
-    """Apply the step factor a_t = 0.1/2^w to a count: w floor-halvings, then
-    division by ten rounding half up."""
-    for _ in range(w):
-        magnitude //= 2
+    """Apply the step factor a_t = 0.1/2^w to a count: w floor-halvings (one
+    right shift), then division by ten rounding half up."""
+    magnitude >>= w
     return magnitude // 10 + (1 if magnitude % 10 >= 5 else 0)
 
 
@@ -419,6 +443,24 @@ def quantized_euler_step(
     return QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1, p=p)
 
 
+def _quantized_states(
+    inst: ReliefInstance, p: int, max_iter: int
+) -> Iterator[tuple[QuantizedState, bool]]:
+    """The all-ones state, then each iterate paired with whether its q counts
+    equal its predecessor's (the halting condition of the membrane system).
+    Stops after the first such iterate or after max_iter iterates."""
+    constants = fixed_point_constants(inst, p)
+    state = QuantizedState.initial(inst, p)
+    yield state, False
+    for _ in range(max_iter):
+        nxt = quantized_euler_step(state, inst, p, constants)
+        halted = nxt.q == state.q
+        yield nxt, halted
+        if halted:
+            return
+        state = nxt
+
+
 def quantized_trajectory(
     inst: ReliefInstance, p: int, max_iter: int
 ) -> tuple[list[list[list[int]]], bool]:
@@ -426,18 +468,10 @@ def quantized_trajectory(
     exact q equality between consecutive iterations (the halting condition of
     the membrane system) or at max_iter.  Returns (trajectory, converged);
     the trajectory includes the initial counts."""
-    constants = fixed_point_constants(inst, p)
-    state = QuantizedState.initial(inst, p)
-    traj = [[row[:] for row in state.q]]
+    traj: list[list[list[int]]] = []
     converged = False
-    for _ in range(max_iter):
-        nxt = quantized_euler_step(state, inst, p, constants)
-        traj.append([row[:] for row in nxt.q])
-        if nxt.q == state.q:
-            converged = True
-            state = nxt
-            break
-        state = nxt
+    for state, converged in _quantized_states(inst, p, max_iter):
+        traj.append(state.q)
     return traj, converged
 
 
@@ -511,25 +545,15 @@ def solve(
     if variant == QUANTIZED:
         if p is None:
             raise ValueError("quantized variant needs a precision exponent p")
-        constants = fixed_point_constants(inst, p)
-        state = QuantizedState.initial(inst, p)
-        converged = False
-        iterations = 0
-        for _ in range(max_iter):
-            nxt = quantized_euler_step(state, inst, p, constants)
-            iterations += 1
-            if nxt.q == state.q:
-                state = nxt
-                converged = True
-                break
-            state = nxt
+        # keep only the last state: the trajectory is never held in memory
+        state, converged = deque(_quantized_states(inst, p, max_iter), maxlen=1)[0]
         P = 10**p
         report = EquilibriumReport(
-            q_star=np.array([[c / P for c in row] for row in state.q]),
+            q_star=state.q_matrix(),
             lam=np.array([c / P for c in state.lam]),
             lam1=np.array([c / P for c in state.lam1]),
             lam2=np.array([c / P for c in state.lam2]),
-            iterations=iterations,
+            iterations=state.t,
             converged=converged,
             variant=QUANTIZED,
             tol=1.0 / P,
@@ -540,9 +564,8 @@ def solve(
         converged = False
         caps = 0
         for _ in range(max_iter):
-            _, _, _, _, capped = _gradient_pack(inst, state, variant)
+            nxt, capped = _projected_step(state, inst, variant)
             caps += capped
-            nxt = euler_step(state, inst, variant)
             delta = float(np.max(np.abs(nxt.q - state.q)))
             state = nxt
             if delta < tol:

@@ -16,18 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO
 
-from psrelief.builder import GeneratedSystem
+from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem
 from psrelief.engine import FiringPlan, RunReport, run
 from psrelief.psystem import Configuration, PSystemDef
 
-INIT_STAGE = "initialization"
-UPDATE_STAGE = "update"
-COMPARE_STAGE = "comparison"
-
-#: Families that run asynchronously to the three stages (step-size counter
-#: plumbing and cleanup); they never define the stage of a step.
-_UNSTAGED = {"2.68", "2.69", "2.70", "2.71", "2.72", "2.73", "2.74",
-             "2.75", "2.76", "2.77", "2.78", "4.1"}
+_STAGE_RANK = {INIT_STAGE: 0, UPDATE_STAGE: 1, COMPARE_STAGE: 2}
 
 
 class TraceWriter:
@@ -91,18 +84,12 @@ class _Recorder:
         self.profiles: list[IterationProfile] = []
         self.last_config: Configuration | None = None
         self._current = IterationProfile(index=0)
-        self._stage_rank = {INIT_STAGE: 0, UPDATE_STAGE: 1, COMPARE_STAGE: 2}
 
     def _step_stage(self, plan: FiringPlan) -> str | None:
-        best = None
-        for rid in plan.counts:
-            family = self.gen.family_of[rid]
-            if family in _UNSTAGED:
-                continue
-            stage = {"1": INIT_STAGE, "2": UPDATE_STAGE, "3": COMPARE_STAGE}[family.split(".")[0]]
-            if best is None or self._stage_rank[stage] < self._stage_rank[best]:
-                best = stage
-        return best
+        """Earliest stage among the fired rules; rules that belong to no
+        stage (counter plumbing, cleanup) never define the stage of a step."""
+        stages = (self.gen.stage_of[rid] for rid in plan.counts)
+        return min((s for s in stages if s is not None), key=_STAGE_RANK.__getitem__, default=None)
 
     def _read_init_counts(self, config: Configuration) -> list[list[int]]:
         init = config.contents["INIT"]

@@ -7,7 +7,10 @@ import pytest
 
 from psrelief import dsl
 from psrelief.builder import (
+    COMPARE_STAGE,
     COUNTER_DEPTH,
+    INIT_STAGE,
+    UPDATE_STAGE,
     BuildError,
     BuildParams,
     DecodeError,
@@ -95,6 +98,17 @@ class TestStructure:
         # no rules outside the catalog, ids unique
         all_ids = [rid for ids in gen.rule_index.values() for rid in ids]
         assert len(all_ids) == len(set(all_ids)) == len(gen.definition.rules)
+
+    def test_stage_of_follows_family_catalog(self):
+        # the step-size counter (2.68-2.78) and cleanup (4.1) run alongside
+        # the three stages; every other family belongs to its id's stage
+        unstaged = {f"2.{i}" for i in range(68, 79)} | {"4.1"}
+        by_prefix = {"1": INIT_STAGE, "2": UPDATE_STAGE, "3": COMPARE_STAGE}
+        gen = build(BuildParams(instance=small_instance(2, 2), p=2))
+        for fam, ids in gen.rule_index.items():
+            want = None if fam in unstaged else by_prefix[fam.split(".")[0]]
+            assert {gen.stage_of[rid] for rid in ids} == {want}, fam
+        assert gen.stage_of.keys() == {r.id for r in gen.definition.rules}
 
     def test_priority_pair_count(self):
         for m, n in ((1, 1), (2, 2)):

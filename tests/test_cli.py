@@ -80,6 +80,12 @@ class TestBuild:
         parsed = dsl.parse(out.read_text())
         assert parsed.ok
 
+    def test_ignored_solver_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--instance", DERIVED, "--p", "2",
+                  "--emit", str(tmp_path / "system.psys"), "--tol", "1"])
+        assert exc.value.code == 2
+
 
 class TestCompare:
     def test_case_study_statistics(self, tmp_path):

@@ -31,11 +31,6 @@ def test_three_polarizations_exist():
         Polarization.parse("x")
 
 
-def test_alphabet_collected_from_rules_and_initial():
-    d = single_membrane_example()
-    assert set(d.alphabet) == {"a", "b", "c", "d", "e"}
-
-
 def test_unknown_rule_membrane_rejected():
     d = PSystemDef(parent={"1": None}, initial={},
                    rules=[evolution("r", "ghost", ms(a=1), ms(b=1))])

@@ -20,6 +20,7 @@ from psrelief.relief import (
     objective,
     quantized_euler_step,
     quantized_halvings,
+    quantized_trajectory,
     scaled_emission,
     schedule_exponent,
     solve,
@@ -108,6 +109,19 @@ class TestValidate:
                               cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
         msgs = validate(inst)
         assert len(msgs) >= 3
+
+    def test_non_finite_entries_rejected(self):
+        inst = ReliefInstance(m=1, n=1, s=[float("inf")], d_lo=[0.0], d_hi=[1.0],
+                              gamma=[[float("nan")]], omega=[1.0], beta=[1.0],
+                              cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
+        assert validate(inst) == ["s entries must be finite", "gamma entries must be finite"]
+
+    @pytest.mark.parametrize("m", [True, 1.0, "1", 0])
+    def test_sizes_must_be_positive_integers(self, m):
+        inst = ReliefInstance(m=m, n=1, s=[1.0], d_lo=[0.0], d_hi=[1.0],
+                              gamma=[[1.0]], omega=[1.0], beta=[1.0],
+                              cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
+        assert validate(inst) == [f"m and n must be integers >= 1, got m={m!r} n=1"]
 
 
 class TestSchedule:
@@ -342,6 +356,33 @@ class TestSolve:
                               cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
         with pytest.raises(ValueError, match="infeasible"):
             solve(inst, SIMPLIFIED)
+
+    def test_visibility_caps_counted_on_the_state_each_step_reads(self):
+        # q reaches 0 at iteration 4; the step from that state is the only one
+        # whose visibility derivative is capped, and the next step converges
+        inst = ReliefInstance(m=1, n=1, s=[5.0], d_lo=[0.0], d_hi=[5.0],
+                              gamma=[[0.1]], omega=[1.0], beta=[1.0],
+                              cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1e-4])
+        report = solve(inst, FULL, tol=1e-5)
+        assert report.converged and report.iterations == 5
+        assert report.q_star[0][0] == 0.0
+        assert report.visibility_cap_events == 1
+
+    @pytest.mark.parametrize("max_iter, halts", [(200, True), (10, False)])
+    def test_quantized_solve_matches_trajectory(self, max_iter, halts):
+        inst = derived_1x1()
+        traj, converged = quantized_trajectory(inst, 3, max_iter)
+        report = solve(inst, QUANTIZED, max_iter=max_iter, p=3)
+        assert converged is halts and report.converged is halts
+        assert report.iterations == len(traj) - 1 == (25 if halts else max_iter)
+        assert report.q_star.tolist() == [[c / 1000 for c in row] for row in traj[-1]]
+
+    def test_beta_below_precision_rejected_like_the_builder(self):
+        inst = ReliefInstance(m=1, n=1, s=[1.0], d_lo=[0.0], d_hi=[1.0],
+                              gamma=[[1.0]], omega=[1.0], beta=[0.05],
+                              cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
+        with pytest.raises(ValueError, match=r"^beta\[0\]=0.05 floors to zero at p=1; need p >= 2$"):
+            solve(inst, QUANTIZED, p=1)
 
     def test_max_iter_reached_reports_partial(self):
         report = solve(derived_1x1(), SIMPLIFIED, tol=1e-12, max_iter=5)
