@@ -29,14 +29,30 @@ relation, tie-broken by declaration order, firing each rule to maximality on
 the remaining objects.  The seeded-random policy draws a random linear
 extension of the priority relation instead, which reproducibly explores the
 alternative maximal plans of confluent systems.
+
+Selection cost
+--------------
+
+A rule whose guard or left-hand side fails on the snapshot cannot fire later
+in the step: guards read the snapshot, and the pools the plan draws on only
+shrink.  Compiling a definition lists its rules per membrane and guard
+polarization.  Each step starts from the lists of every membrane's current
+polarization, keeps the rules whose left-hand side the snapshot covers, and
+puts these candidates in the step's order, deterministic or seeded-random.
+The greedy passes then walk only the candidates, in the order a walk over
+all rules would meet them, so the plan is the same.  A candidate leaves the
+passes once it fires, once its pool runs dry or once a pending polarization
+rules it out; priority-blocked candidates stay.  A step costs the rules whose
+guard passes plus the candidates, not all rules.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
@@ -95,43 +111,60 @@ Observer = Callable[[int, FiringPlan, Configuration], None]
 
 
 class _CRule:
-    __slots__ = ("rule", "index", "consume", "lhs", "charging", "higher")
+    __slots__ = ("rule", "index", "consume", "lhs", "charging", "higher", "rank", "effects")
 
-    def __init__(self, rule: Rule, index: int, consume: str):
+    def __init__(self, rule: Rule, index: int, parent: str | None):
         self.rule = rule
         self.index = index
-        self.consume = consume  # region whose objects the rule consumes
-        self.lhs = tuple(rule.lhs.items())
+        self.lhs = rule.lhs.counts().items()  # (symbol, need) pairs
         self.charging = rule.changes_polarization
-        self.higher: list["_CRule"] = []
+        self.higher: list["_CRule"] | tuple[()] = ()  # a list only where priorities exist
+        h = rule.membrane
+        outer = ENVIRONMENT_LABEL if parent is None else parent
+        if rule.kind is RuleKind.EVOLUTION:
+            self.consume = h  # region whose objects the rule consumes
+            primary, secondary = h, None  # evolution rules carry no outer products
+        elif rule.kind is RuleKind.SEND_OUT:
+            self.consume = h
+            primary, secondary = outer, h
+        else:
+            assert parent is not None  # skin send-in rejected by validation
+            self.consume = parent
+            primary, secondary = h, outer
+        # (destination region, products) pairs; empty products are left out
+        rhs, aux = rule.rhs.counts(), rule.rhs_aux.counts()
+        self.effects = ((primary, rhs),) if rhs else ()
+        if aux:
+            self.effects += ((secondary, aux),)
+        # self.rank: position in the deterministic order, set by _Compiled
+
+
+_rank = operator.attrgetter("rank")
 
 
 class _Compiled:
     def __init__(self, definition: PSystemDef):
         definition.validate()
-        self.definition = definition
-        self.skin = definition.skin
-        self.crules: list[_CRule] = []
-        by_id: dict[str, _CRule] = {}
-        for i, rule in enumerate(definition.rules):
-            if rule.kind is RuleKind.SEND_IN:
-                consume = definition.parent[rule.membrane]
-                assert consume is not None  # skin send-in rejected by validation
-            else:
-                consume = rule.membrane
-            cr = _CRule(rule, i, consume)
-            self.crules.append(cr)
-            by_id[rule.id] = cr
-        self.by_id = by_id
-        for hi, lo in definition.priorities:
-            by_id[lo].higher.append(by_id[hi])
+        self.crules = [
+            _CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)
+        ]
+        self.by_id = by_id = {cr.rule.id: cr for cr in self.crules}
         # successors for topological orderings
-        self.successors: dict[int, list[int]] = {cr.index: [] for cr in self.crules}
+        self.successors: dict[int, list[int]] = {}
         self.n_preds: list[int] = [0] * len(self.crules)
         for hi, lo in definition.priorities:
-            self.successors[by_id[hi].index].append(by_id[lo].index)
-            self.n_preds[by_id[lo].index] += 1
+            higher, lower = by_id[hi], by_id[lo]
+            if not lower.higher:
+                lower.higher = []
+            lower.higher.append(higher)
+            self.successors.setdefault(higher.index, []).append(lower.index)
+            self.n_preds[lower.index] += 1
         self.deterministic_order = self._linear_extension(rng=None)
+        # rules per (membrane, guard polarization), in deterministic order
+        self.groups: dict[tuple[str, Polarization], list[_CRule]] = {}
+        for rank, cr in enumerate(self.deterministic_order):
+            cr.rank = rank
+            self.groups.setdefault((cr.rule.membrane, cr.rule.alpha), []).append(cr)
 
     def _linear_extension(self, rng: random.Random | None) -> list[_CRule]:
         n_preds = list(self.n_preds)
@@ -142,7 +175,7 @@ class _Compiled:
             while ready:
                 i = heapq.heappop(ready)
                 order.append(self.crules[i])
-                for j in self.successors[i]:
+                for j in self.successors.get(i, ()):
                     n_preds[j] -= 1
                     if n_preds[j] == 0:
                         heapq.heappush(ready, j)
@@ -152,7 +185,7 @@ class _Compiled:
                 i = ready.pop(rng.randrange(len(ready)))
                 order.append(self.crules[i])
                 fresh = []
-                for j in self.successors[i]:
+                for j in self.successors.get(i, ()):
                     n_preds[j] -= 1
                     if n_preds[j] == 0:
                         fresh.append(j)
@@ -166,7 +199,7 @@ def _guard_passes(cr: _CRule, config: Configuration) -> bool:
     return config.polarizations[cr.rule.membrane] is cr.rule.alpha
 
 
-def _max_applications(lhs: tuple[tuple[str, int], ...], pool: dict[str, int]) -> int:
+def _max_applications(lhs: Iterable[tuple[str, int]], pool: dict[str, int]) -> int:
     k = None
     for sym, need in lhs:
         have = pool.get(sym, 0)
@@ -178,12 +211,30 @@ def _max_applications(lhs: tuple[tuple[str, int], ...], pool: dict[str, int]) ->
 
 
 def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> FiringPlan:
+    # Candidates: rules whose guard and left-hand side pass on the snapshot
+    # (see "Selection cost" above).
+    contents = config.contents
+    candidates: list[_CRule] = []
+    for label, pol in config.polarizations.items():
+        for cr in compiled.groups.get((label, pol), ()):
+            have = contents[cr.consume].counts()
+            for sym, need in cr.lhs:
+                if have.get(sym, 0) < need:
+                    break
+            else:
+                candidates.append(cr)
+    if order is compiled.deterministic_order:
+        candidates.sort(key=_rank)
+    else:
+        position = {cr: i for i, cr in enumerate(order)}
+        candidates.sort(key=position.__getitem__)
+
     pools: dict[str, dict[str, int]] = {}
 
     def pool(label: str) -> dict[str, int]:
         p = pools.get(label)
         if p is None:
-            p = dict(config.region(label).counts())
+            p = dict(contents[label].counts())
             pools[label] = p
         return p
 
@@ -192,14 +243,16 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
 
     # Greedy to a fixed point: a later consumption can strip a higher-priority
     # rule of its resources and thereby unblock a lower one, so passes repeat
-    # until nothing new fires.
+    # until nothing new fires.  A rule leaves the list once it fires (it took
+    # all it could), once it has nothing left to consume, or once a pending
+    # polarization rules it out; none of these can be undone within the step.
+    # Only priority-blocked rules stay for the next pass.
     progress = True
     while progress:
         progress = False
-        for cr in order:
+        blocked_rules: list[_CRule] = []
+        for cr in candidates:
             rule = cr.rule
-            if not _guard_passes(cr, config):
-                continue
             if cr.charging:
                 pend = pending_beta.get(rule.membrane)
                 if pend is not None and pend is not rule.beta:
@@ -214,13 +267,15 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
                     blocked = True
                     break
             if blocked:
+                blocked_rules.append(cr)
                 continue
             for sym, need in cr.lhs:
                 p[sym] -= need * k
-            fired[rule.id] = fired.get(rule.id, 0) + k
+            fired[rule.id] = k
             if cr.charging:
                 pending_beta[rule.membrane] = rule.beta
             progress = True
+        candidates = blocked_rules
     return FiringPlan(counts=fired)
 
 
@@ -271,7 +326,6 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
 
 
 def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Configuration:
-    definition = compiled.definition
     new_contents = dict(config.contents)
     new_env = config.environment
     touched: set[str] = set()
@@ -298,24 +352,16 @@ def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Conf
             raise EngineError(f"plan has non-positive count for {rid!r}")
         rule = cr.rule
         try:
+            region = region_for_write(cr.consume)
             for sym, need in cr.lhs:
-                region_for_write(cr.consume).remove(sym, need * count)
+                region.remove(sym, need * count)
         except Exception as exc:
             raise EngineError(f"infeasible plan at rule {rid!r}: {exc}") from exc
+        for dest, products in cr.effects:
+            region = region_for_write(dest)
+            for sym, cnt in products.items():
+                region.add(sym, cnt * count)
         h = rule.membrane
-        parent = definition.parent[h]
-        outer = ENVIRONMENT_LABEL if parent is None else parent
-        if rule.kind is RuleKind.EVOLUTION:
-            dest_primary, dest_aux = h, None
-        elif rule.kind is RuleKind.SEND_OUT:
-            dest_primary, dest_aux = outer, h
-        else:
-            dest_primary, dest_aux = h, outer
-        for sym, cnt in rule.rhs.items():
-            region_for_write(dest_primary).add(sym, cnt * count)
-        if rule.rhs_aux and dest_aux is not None:
-            for sym, cnt in rule.rhs_aux.items():
-                region_for_write(dest_aux).add(sym, cnt * count)
         if cr.charging:
             prev = changed_to.get(h)
             if prev is not None and prev is not rule.beta:

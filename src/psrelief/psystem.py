@@ -175,27 +175,36 @@ class PSystemDef:
         return out
 
     def _priority_cycles(self) -> list[str]:
+        """One message naming a cycle of the priority relation, if it has one.
+
+        Kahn's algorithm strips every rule that is not on a cycle or
+        downstream of one; each rule left over has a predecessor that is also
+        left over, so walking predecessors from any of them must revisit a
+        rule, and the walk from that rule back to itself is a cycle.
+        """
         succ: dict[str, list[str]] = {}
+        n_preds: dict[str, int] = {}
         for hi, lo in self.priorities:
             succ.setdefault(hi, []).append(lo)
-        state: dict[str, int] = {}
-        cyclic: list[str] = []
-
-        def visit(node: str, stack: list[str]) -> None:
-            state[node] = 1
-            for nxt in succ.get(node, ()):
-                if state.get(nxt, 0) == 1:
-                    cyclic.append(
-                        "priority relation is cyclic: " + " > ".join(stack + [node, nxt])
-                    )
-                elif state.get(nxt, 0) == 0:
-                    visit(nxt, stack + [node])
-            state[node] = 2
-
-        for node in succ:
-            if state.get(node, 0) == 0:
-                visit(node, [])
-        return cyclic
+            n_preds[lo] = n_preds.get(lo, 0) + 1
+        ready = [node for node in succ if node not in n_preds]
+        while ready:
+            for nxt in succ.get(ready.pop(), ()):
+                n_preds[nxt] -= 1
+                if n_preds[nxt] == 0:
+                    ready.append(nxt)
+        left = {node for node, count in n_preds.items() if count}
+        if not left:
+            return []
+        preds: dict[str, str] = {lo: hi for hi, lo in self.priorities if hi in left and lo in left}
+        node = next(iter(preds))
+        walk: dict[str, int] = {}
+        while node not in walk:
+            walk[node] = len(walk)
+            node = preds[node]
+        cycle = list(walk)[walk[node]:]
+        cycle.reverse()
+        return ["priority relation is cyclic: " + " > ".join(cycle + [cycle[0]])]
 
     def validate(self) -> None:
         probs = self.problems()

@@ -1,11 +1,14 @@
-"""Shared test utilities: tiny system constructors and the exhaustive
-firing-plan enumerator used as an independent oracle for selection semantics."""
+"""Shared test utilities: tiny system constructors, the exhaustive
+firing-plan enumerator used as an independent oracle for selection semantics,
+and a reference selector that walks every rule on every greedy pass."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
+from psrelief.engine import FiringPlan
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
     Configuration,
@@ -251,3 +254,123 @@ def random_small_system(rng: random.Random) -> PSystemDef:
         priorities=priorities,
         output=rng.choice(labels + ["environment"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference selector: every greedy pass walks every rule
+# ---------------------------------------------------------------------------
+
+
+def _reference_order(definition: PSystemDef, rng: random.Random | None) -> list[int]:
+    """Linear extension of the priority relation, as the engine draws it:
+    smallest declaration index first, or a seeded random pick among the
+    ready rules."""
+    index = {r.id: i for i, r in enumerate(definition.rules)}
+    successors: dict[int, list[int]] = {i: [] for i in range(len(definition.rules))}
+    n_preds = [0] * len(definition.rules)
+    for hi, lo in definition.priorities:
+        successors[index[hi]].append(index[lo])
+        n_preds[index[lo]] += 1
+    order: list[int] = []
+    if rng is None:
+        ready = [i for i in range(len(n_preds)) if n_preds[i] == 0]
+        heapq.heapify(ready)
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            for j in successors[i]:
+                n_preds[j] -= 1
+                if n_preds[j] == 0:
+                    heapq.heappush(ready, j)
+    else:
+        ready = sorted(i for i in range(len(n_preds)) if n_preds[i] == 0)
+        while ready:
+            i = ready.pop(rng.randrange(len(ready)))
+            order.append(i)
+            fresh = []
+            for j in successors[i]:
+                n_preds[j] -= 1
+                if n_preds[j] == 0:
+                    fresh.append(j)
+            ready.extend(sorted(fresh))
+    return order
+
+
+class _RefRule:
+    def __init__(self, definition: PSystemDef, rule: Rule):
+        self.rule = rule
+        self.consume = _consume_label(definition, rule)
+        self.lhs = tuple(rule.lhs.items())
+        self.charging = rule.changes_polarization
+        self.higher: list["_RefRule"] = []
+
+
+def _guard_passes(cr: _RefRule, config: Configuration) -> bool:
+    return config.polarizations[cr.rule.membrane] is cr.rule.alpha
+
+
+def _max_applications(lhs, pool: dict[str, int]) -> int:
+    k = None
+    for sym, need in lhs:
+        have = pool.get(sym, 0)
+        avail = have // need
+        if avail == 0:
+            return 0
+        k = avail if k is None else min(k, avail)
+    return k or 0
+
+
+def reference_select(definition: PSystemDef, config: Configuration,
+                     policy: str = "deterministic", seed: int = 0) -> FiringPlan:
+    """The engine's greedy fixed point without candidate lists: every pass
+    walks the whole order, and a rule is skipped afresh on every pass when its
+    guard or left-hand side fails.  ``select_firing`` must return the same
+    plan for the same arguments."""
+    crules = [_RefRule(definition, r) for r in definition.rules]
+    by_id = {cr.rule.id: cr for cr in crules}
+    for hi, lo in definition.priorities:
+        by_id[lo].higher.append(by_id[hi])
+    rng = None if policy == "deterministic" else random.Random(seed)
+    order = [crules[i] for i in _reference_order(definition, rng)]
+
+    pools: dict[str, dict[str, int]] = {}
+
+    def pool(label: str) -> dict[str, int]:
+        p = pools.get(label)
+        if p is None:
+            p = dict(config.region(label).counts())
+            pools[label] = p
+        return p
+
+    fired: dict[str, int] = {}
+    pending_beta: dict[str, Polarization] = {}
+
+    progress = True
+    while progress:
+        progress = False
+        for cr in order:
+            rule = cr.rule
+            if not _guard_passes(cr, config):
+                continue
+            if cr.charging:
+                pend = pending_beta.get(rule.membrane)
+                if pend is not None and pend is not rule.beta:
+                    continue
+            p = pool(cr.consume)
+            k = _max_applications(cr.lhs, p)
+            if k == 0:
+                continue
+            blocked = False
+            for hi in cr.higher:
+                if _guard_passes(hi, config) and _max_applications(hi.lhs, pool(hi.consume)) > 0:
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            for sym, need in cr.lhs:
+                p[sym] -= need * k
+            fired[rule.id] = fired.get(rule.id, 0) + k
+            if cr.charging:
+                pending_beta[rule.membrane] = rule.beta
+            progress = True
+    return FiringPlan(counts=fired)

@@ -123,6 +123,18 @@ class TestTrace:
             "step=1 membrane=1 rule=r3 count=1",
         ]
 
+    def test_long_priority_chain_validates_and_runs(self, tmp_path):
+        n = 5000
+        psys = tmp_path / "chain.psys"
+        psys.write_text("\n".join(
+            ["membrane 1", "init 1: a^2"]
+            + [f"rule r{i}: [a -> b]'0 @ 1" for i in range(n)]
+            + [f"prio r{i} > r{i + 1}" for i in range(n - 1)]
+        ) + "\n")
+        out = tmp_path / "trace.txt"
+        assert main(["trace", "--psys", str(psys), "--max-steps", "1", "--out", str(out)]) == 1
+        assert out.read_text() == "step=1 membrane=1 rule=r0 count=2\n"
+
     def test_trace_requires_some_input(self, capsys):
         assert main(["trace"]) == 2
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from psrelief import dsl
 from psrelief.engine import run
 from psrelief.multiset import Multiset
-from psrelief.psystem import Polarization, RuleKind
+from psrelief.psystem import Polarization, PSystemDef, Rule, RuleKind
 
 from helpers import ms, random_small_system, single_membrane_example
 
@@ -157,3 +159,94 @@ class TestSerialize:
             assert back.definition.structurally_equal(d)
             assert dsl.serialize(back.definition) == text
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: round trip of drawn systems, diagnostics for damaged text
+# ---------------------------------------------------------------------------
+
+LABELS = ["s", "m1", "m_2", "Inner", "7"]
+SYMBOLS = ["a", "b", "x_1", "Y"]
+MULTISETS = st.dictionaries(st.sampled_from(SYMBOLS), st.integers(1, 12), max_size=3).map(Multiset)
+NONEMPTY = st.dictionaries(st.sampled_from(SYMBOLS), st.integers(1, 12), min_size=1, max_size=3).map(Multiset)
+POLARIZATIONS = st.sampled_from(list(Polarization))
+
+
+@st.composite
+def systems(draw) -> PSystemDef:
+    """Valid definitions: a membrane tree, rules of every kind and
+    polarization pair, priorities that follow declaration order."""
+    labels = draw(st.permutations(LABELS))[: draw(st.integers(1, len(LABELS)))]
+    parent = {labels[0]: None}
+    for i, lab in enumerate(labels[1:], start=1):
+        parent[lab] = draw(st.sampled_from(labels[:i]))
+    ids = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+                        max_size=6, unique=True))
+    rules = []
+    for rid in ids:
+        membrane = draw(st.sampled_from(labels))
+        kinds = [RuleKind.EVOLUTION, RuleKind.SEND_OUT]
+        if parent[membrane] is not None:
+            kinds.append(RuleKind.SEND_IN)
+        kind = draw(st.sampled_from(kinds))
+        alpha = draw(POLARIZATIONS)
+        evolution = kind is RuleKind.EVOLUTION
+        rules.append(Rule(
+            id=rid, kind=kind, membrane=membrane, lhs=draw(NONEMPTY), rhs=draw(MULTISETS),
+            alpha=alpha, beta=alpha if evolution else draw(POLARIZATIONS),
+            rhs_aux=Multiset() if evolution else draw(MULTISETS),
+        ))
+    pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    priorities = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    initial = {lab: draw(MULTISETS) for lab in labels if draw(st.booleans())}
+    output = draw(st.sampled_from(labels + ["environment"]))
+    return PSystemDef(parent=parent, initial=initial, rules=rules,
+                      priorities=priorities, output=output)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=systems())
+def test_round_trip_of_drawn_systems(d):
+    assert d.problems() == []
+    text = dsl.serialize(d)
+    back = dsl.parse(text)
+    assert back.ok, [str(x) for x in back.diagnostics] + [text]
+    assert back.definition.structurally_equal(d)
+    assert dsl.serialize(back.definition) == text
+
+
+DAMAGE = st.lists(
+    st.sampled_from(list("[]'0+-^:@>#\n \tab1_") + ["\x85", "é", "->", "^0", "prio", "rule", "in", "membrane"]),
+    min_size=1, max_size=4,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=systems(), data=st.data())
+def test_damaged_text_fails_only_with_positioned_diagnostics(d, data):
+    text = dsl.serialize(d)
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = text.splitlines(keepends=True)
+        how = data.draw(st.sampled_from(["cut", "insert", "drop_line", "swap_lines"]))
+        at = data.draw(st.integers(0, len(text)))
+        if how == "cut":
+            text = text[:at] + text[at + data.draw(st.integers(1, 8)):]
+        elif how == "insert":
+            text = text[:at] + data.draw(DAMAGE) + text[at:]
+        elif len(lines) > 1:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            j = data.draw(st.integers(0, len(lines) - 1))
+            if how == "drop_line":
+                del lines[i]
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+    res = dsl.parse(text)
+    if res.ok:
+        back = dsl.parse(dsl.serialize(res.definition))
+        assert back.ok and back.definition.structurally_equal(res.definition)
+    else:
+        assert res.diagnostics
+        assert any(diag.severity == "error" for diag in res.diagnostics)
+        for diag in res.diagnostics:
+            assert diag.line >= 1 and diag.column >= 1, str(diag)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from psrelief.builder import BuildParams, build
 from psrelief.engine import (
     SEEDED_RANDOM,
     EngineError,
@@ -17,6 +18,7 @@ from psrelief.engine import (
 )
 from psrelief.multiset import Multiset
 from psrelief.psystem import Configuration, DefinitionError, Polarization, PSystemDef
+from psrelief.trace import run_generated
 
 from helpers import (
     M,
@@ -27,10 +29,12 @@ from helpers import (
     ms,
     plan_is_maximal,
     random_small_system,
+    reference_select,
     send_in,
     send_out,
     single_membrane_example,
 )
+from test_relief import katrina_shaped
 
 
 class TestApplicable:
@@ -357,3 +361,61 @@ class TestProperties:
             assert plan_is_maximal(d, cfg, dict(plan.counts))
             checked += 1
         assert checked >= 100
+
+
+class TestReferenceSelector:
+    """``select_firing`` walks candidate lists; ``reference_select`` walks
+    every rule on every pass.  Their plans must be equal, for the
+    deterministic policy and for seeded-random orders."""
+
+    POLICIES = [("deterministic", 0)] + [(SEEDED_RANDOM, seed) for seed in range(5)]
+
+    def _assert_same_plans(self, d, cfg):
+        for policy, seed in self.POLICIES:
+            assert select_firing(d, cfg, policy=policy, seed=seed) == \
+                reference_select(d, cfg, policy=policy, seed=seed), (policy, seed)
+
+    def test_lower_rule_unblocked_by_a_later_consumption(self):
+        # r1 cannot fire (r0's pending charge is +) yet holds r2 back while
+        # an object a is left; r3, later in the order, takes that a, so r2
+        # fires on the second pass.
+        d = PSystemDef(
+            parent={"s": None, "c": "s"},
+            initial={"c": ms(x=1, a=1, b=1)},
+            rules=[
+                send_out("r0", "c", ms(x=1), ms(), alpha=N, beta=P),
+                send_out("r1", "c", ms(a=1), ms(), alpha=N, beta=M),
+                evolution("r2", "c", ms(b=1), ms(z=1)),
+                evolution("r3", "c", ms(a=1), ms(y=1)),
+            ],
+            priorities=[("r1", "r2")],
+        )
+        cfg = Configuration.initial(d)
+        assert select_firing(d, cfg) == FiringPlan(counts={"r0": 1, "r2": 1, "r3": 1})
+        self._assert_same_plans(d, cfg)
+
+    def test_random_small_systems(self):
+        rng = random.Random(5150)
+        checked = 0
+        while checked < 200:
+            d = random_small_system(rng)
+            if d.problems():
+                continue
+            cfg = Configuration.initial(d)
+            for _ in range(3):
+                self._assert_same_plans(d, cfg)
+                checked += 1
+                plan = select_firing(d, cfg)
+                if not plan:
+                    break
+                cfg = apply_step(d, cfg, plan)
+
+    def test_generated_4x4_run(self):
+        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3))
+        samples = []
+        run_generated(gen, max_iterations=5,
+                      extra_observer=lambda step, plan, cfg: samples.append(cfg))
+        picked = [Configuration.initial(gen.definition)] + samples[3::9]
+        assert len(picked) >= 10
+        for cfg in picked:
+            self._assert_same_plans(gen.definition, cfg)

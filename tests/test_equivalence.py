@@ -10,7 +10,7 @@ from psrelief.builder import BuildParams, build, decode_output
 from psrelief.relief import QUANTIZED, quantized_trajectory, solve
 from psrelief.trace import run_generated
 
-from test_relief import derived_1x1, random_instance
+from test_relief import derived_1x1, katrina_shaped, random_instance
 
 
 class TestTrajectoryEquivalence:
@@ -32,6 +32,14 @@ class TestTrajectoryEquivalence:
             res = run_generated(gen, max_iterations=120)
             assert res.q_trajectory == oracle
             assert res.halted == conv
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_katrina_shaped_4x4_exact(self, p):
+        inst = katrina_shaped(random.Random(1), 4, 4)
+        oracle, _ = quantized_trajectory(inst, p=p, max_iter=30)
+        res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=30)
+        assert len(oracle) == 31
+        assert res.q_trajectory == oracle
 
     def test_halting_iff_oracle_convergence(self):
         rng = random.Random(99)

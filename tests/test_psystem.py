@@ -66,6 +66,31 @@ def test_priority_cycle_detected():
     assert any("cyclic" in p for p in d.problems())
 
 
+def test_priority_cycle_message_walks_one_cycle():
+    d = PSystemDef(
+        parent={"1": None}, initial={},
+        rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(3)],
+        priorities=[("r0", "r1"), ("r1", "r2"), ("r2", "r1")],
+    )
+    assert d.problems() == ["priority relation is cyclic: r1 > r2 > r1"]
+
+
+def test_long_priority_cycle_named_without_recursion():
+    n = 5000
+    pairs = [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
+    d = PSystemDef(
+        parent={"1": None}, initial={},
+        rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(n)],
+        priorities=pairs,
+    )
+    (problem,) = d.problems()
+    prefix = "priority relation is cyclic: "
+    assert problem.startswith(prefix)
+    names = problem[len(prefix):].split(" > ")
+    assert len(names) == n + 1 and names[0] == names[-1]
+    assert set(zip(names, names[1:])) == set(pairs)
+
+
 def test_two_roots_rejected():
     d = PSystemDef(parent={"1": None, "2": None}, initial={}, rules=[])
     assert any("root" in p for p in d.problems())
