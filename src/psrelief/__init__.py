@@ -24,7 +24,7 @@ from psrelief.psystem import (
     Rule,
     RuleKind,
 )
-from psrelief.engine import FiringPlan, RunReport, applicable_rules, apply_step, run, select_firing
+from psrelief.engine import FiringPlan, RunReport, applicable_rules, apply_step, run, select_firing, steps
 from psrelief.relief import (
     EquilibriumReport,
     QuantizedState,
@@ -37,7 +37,6 @@ from psrelief.relief import (
     stationarity_residual,
     step_size,
     validate,
-    visibility_term,
 )
 from psrelief.builder import BuildParams, GeneratedSystem, build, decode_output, encode_scalar
 
@@ -55,13 +54,13 @@ __all__ = [
     "select_firing",
     "apply_step",
     "run",
+    "steps",
     "ReliefInstance",
     "SolverState",
     "QuantizedState",
     "EquilibriumReport",
     "validate",
     "step_size",
-    "visibility_term",
     "euler_step",
     "quantized_euler_step",
     "solve",

@@ -495,7 +495,6 @@ def build(params: BuildParams) -> GeneratedSystem:
         priorities=e.priorities,
         output="OUTPUT",
     )
-    definition.validate()
     return GeneratedSystem(
         definition=definition,
         symbol_index=sym_index,
@@ -508,15 +507,13 @@ def build(params: BuildParams) -> GeneratedSystem:
     )
 
 
-def decode_output(config: Configuration, gen: GeneratedSystem, p: int | None = None) -> np.ndarray:
+def decode_output(config: Configuration, gen: GeneratedSystem) -> np.ndarray:
     """Allocation matrix read from the OUTPUT membrane of a halting
     configuration: count of o_k_l divided by 10^p."""
-    if p is None:
-        p = gen.p
     contents = config.contents.get("OUTPUT")
     if contents is None or not contents:
         raise DecodeError("OUTPUT membrane is empty; the run did not converge")
-    P = 10**p
+    P = 10**gen.p
     out = np.zeros((gen.m, gen.n))
     for k in range(1, gen.m + 1):
         for l in range(1, gen.n + 1):

@@ -44,6 +44,15 @@ all rules would meet them, so the plan is the same.  A candidate leaves the
 passes once it fires, once its pool runs dry or once a pending polarization
 rules it out; priority-blocked candidates stay.  A step costs the rules whose
 guard passes plus the candidates, not all rules.
+
+Runs
+----
+
+``steps`` is the one source of steps: it compiles the definition once and
+yields the plan and the committed configuration of every step until nothing
+fires.  ``run`` and ``trace.run_generated`` consume it and call their
+observers once per committed step, including the last step of a run cut off
+at its step or iteration limit.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ import heapq
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
@@ -79,9 +88,6 @@ class FiringPlan:
 
     counts: dict[str, int] = field(default_factory=dict)
 
-    def count(self, rule_id: str) -> int:
-        return self.counts.get(rule_id, 0)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 
@@ -100,6 +106,12 @@ class RunReport:
     halted: bool
     steps: int
     output: Multiset
+
+    @classmethod
+    def ending_at(cls, definition: PSystemDef, final: Configuration, halted: bool) -> "RunReport":
+        """Report of a run of ``definition`` whose last configuration is ``final``."""
+        return cls(final=final, halted=halted, steps=final.step_index,
+                   output=final.region(definition.output).copy())
 
 
 Observer = Callable[[int, FiringPlan, Configuration], None]
@@ -210,6 +222,14 @@ def _max_applications(lhs: Iterable[tuple[str, int]], pool: dict[str, int]) -> i
     return k or 0
 
 
+def _order(compiled: _Compiled, policy: str, seed: int) -> list[_CRule]:
+    if policy == DETERMINISTIC:
+        return compiled.deterministic_order
+    if policy == SEEDED_RANDOM:
+        return compiled._linear_extension(random.Random(seed))
+    raise ValueError(f"unknown selection policy {policy!r}")
+
+
 def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> FiringPlan:
     # Candidates: rules whose guard and left-hand side pass on the snapshot
     # (see "Selection cost" above).
@@ -311,13 +331,7 @@ def select_firing(
     seed: int = 0,
 ) -> FiringPlan:
     compiled = _Compiled(definition)
-    if policy == DETERMINISTIC:
-        order = compiled.deterministic_order
-    elif policy == SEEDED_RANDOM:
-        order = compiled._linear_extension(random.Random(seed))
-    else:
-        raise ValueError(f"unknown selection policy {policy!r}")
-    return _select(compiled, config, order)
+    return _select(compiled, config, _order(compiled, policy, seed))
 
 
 def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
@@ -377,6 +391,29 @@ def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Conf
     )
 
 
+def steps(
+    definition: PSystemDef,
+    policy: str = DETERMINISTIC,
+    seed: int = 0,
+) -> Iterator[tuple[FiringPlan, Configuration]]:
+    """Yield ``(plan, config)`` for every committed step from the initial
+    configuration on, ``config`` being the state the plan produced; return
+    when nothing fires (the system halted).
+
+    For the seeded-random policy each step draws a fresh linear extension
+    from a generator seeded with (seed, step), so a run is reproducible from
+    its seed alone.
+    """
+    compiled = _Compiled(definition)
+    config = Configuration.initial(definition)
+    while True:
+        plan = _select(compiled, config, _order(compiled, policy, (seed << 20) ^ config.step_index))
+        if not plan:
+            return
+        config = _apply(compiled, config, plan)
+        yield plan, config
+
+
 def run(
     definition: PSystemDef,
     policy: str = DETERMINISTIC,
@@ -384,35 +421,15 @@ def run(
     max_steps: int = 10_000,
     observer: Observer | None = None,
 ) -> RunReport:
-    """Iterate selection and commit until no rule is applicable or the step
-    budget runs out.  Reaching ``max_steps`` is reported via ``halted=False``,
-    never as an exception.
-
-    For the seeded-random policy each step draws a fresh linear extension
-    from a generator seeded with (seed, step), so a run is reproducible from
-    its seed alone.
-    """
+    """Consume ``steps`` until the system halts or step ``max_steps`` is
+    committed.  Reaching ``max_steps`` is reported via ``halted=False``,
+    never as an exception."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    compiled = _Compiled(definition)
     config = Configuration.initial(definition)
-    halted = False
-    while config.step_index < max_steps:
-        if policy == DETERMINISTIC:
-            order = compiled.deterministic_order
-        elif policy == SEEDED_RANDOM:
-            order = compiled._linear_extension(random.Random((seed << 20) ^ config.step_index))
-        else:
-            raise ValueError(f"unknown selection policy {policy!r}")
-        plan = _select(compiled, config, order)
-        if not plan:
-            halted = True
-            break
-        config = _apply(compiled, config, plan)
+    for plan, config in steps(definition, policy, seed):
         if observer is not None:
             observer(config.step_index, plan, config)
-    if definition.output == ENVIRONMENT_LABEL:
-        output = config.environment.copy()
-    else:
-        output = config.contents[definition.output].copy()
-    return RunReport(final=config, halted=halted, steps=config.step_index, output=output)
+        if config.step_index >= max_steps:
+            return RunReport.ending_at(definition, config, halted=False)
+    return RunReport.ending_at(definition, config, halted=True)

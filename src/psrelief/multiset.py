@@ -25,13 +25,6 @@ class Multiset:
             for sym, cnt in items:
                 self.add(sym, cnt)
 
-    @classmethod
-    def of(cls, *symbols: str) -> "Multiset":
-        ms = cls()
-        for sym in symbols:
-            ms.add(sym, 1)
-        return ms
-
     def add(self, sym: str, count: int = 1) -> None:
         if count < 0:
             raise MultisetError(f"negative count {count} for {sym!r}")

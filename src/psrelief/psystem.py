@@ -102,10 +102,6 @@ class PSystemDef:
     # -- structure -------------------------------------------------------
 
     @property
-    def labels(self) -> list[str]:
-        return list(self.parent)
-
-    @property
     def skin(self) -> str:
         roots = [lab for lab, par in self.parent.items() if par is None]
         if len(roots) != 1:
@@ -258,11 +254,3 @@ class Configuration:
         for sym, cnt in self.environment.sorted_items():
             h.update(f"env:{sym}={cnt};".encode())
         return h.hexdigest()[:16]
-
-    def copy(self) -> "Configuration":
-        return Configuration(
-            contents={lab: ms.copy() for lab, ms in self.contents.items()},
-            polarizations=dict(self.polarizations),
-            environment=self.environment.copy(),
-            step_index=self.step_index,
-        )

@@ -225,16 +225,6 @@ class SolverState:
         )
 
 
-def visibility_term(inst: ReliefInstance, q: np.ndarray, k: int, l: int) -> float:
-    """Derivative of location l's visibility funds with respect to q_kl:
-    vis_l / (2 sqrt(sum_i q_il)); locations other than l contribute zero.
-    The singular point sum_i q_il == 0 returns a finite cap."""
-    col = float(np.sum(q[:, l]))
-    if col <= 0.0:
-        col = VISIBILITY_FLOOR
-    return float(inst.vis_k[l]) / (2.0 * math.sqrt(col))
-
-
 def _gradient_pack(inst: ReliefInstance, state: SolverState, variant: str):
     """Parenthesized drift of each update family, before scaling by a_t, and
     the number of visibility derivatives capped at an empty column."""
@@ -407,15 +397,10 @@ def _project(retained: int, drift: int, w: int) -> int:
 def quantized_euler_step(
     state: QuantizedState,
     inst: ReliefInstance,
-    p: int | None = None,
     constants: FixedPointConstants | None = None,
 ) -> QuantizedState:
     """One integer iteration, bit-exact against the generated membrane system."""
-    if p is None:
-        p = state.p
-    if p != state.p:
-        raise ValueError("precision of state and call disagree")
-    k = constants if constants is not None else fixed_point_constants(inst, p)
+    k = constants if constants is not None else fixed_point_constants(inst, state.p)
     m, n = inst.m, inst.n
     w = quantized_halvings(state.t)
     rows = [sum(state.q[i]) for i in range(m)]
@@ -440,7 +425,7 @@ def quantized_euler_step(
     new_lam = [_project(state.lam[i], rows[i] - k.supply[i], w) for i in range(m)]
     new_lam1 = [_project(state.lam1[j], k.dlo[j] - cols[j], w) for j in range(n)]
     new_lam2 = [_project(state.lam2[j], cols[j] - k.dhi[j], w) for j in range(n)]
-    return QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1, p=p)
+    return QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1, p=state.p)
 
 
 def _quantized_states(
@@ -453,7 +438,7 @@ def _quantized_states(
     state = QuantizedState.initial(inst, p)
     yield state, False
     for _ in range(max_iter):
-        nxt = quantized_euler_step(state, inst, p, constants)
+        nxt = quantized_euler_step(state, inst, constants)
         halted = nxt.q == state.q
         yield nxt, halted
         if halted:
@@ -494,10 +479,6 @@ class EquilibriumReport:
     stationarity_residuals: np.ndarray | None = None
     p: int | None = None
     visibility_cap_events: int = 0
-
-    @property
-    def multipliers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.lam, self.lam1, self.lam2
 
 
 def feasibility_residuals(inst: ReliefInstance, q: np.ndarray) -> dict[str, np.ndarray]:

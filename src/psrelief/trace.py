@@ -13,11 +13,11 @@ step, sorted by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem
-from psrelief.engine import FiringPlan, RunReport, run
+from psrelief.engine import FiringPlan, RunReport, steps
 from psrelief.psystem import Configuration, PSystemDef
 
 _STAGE_RANK = {INIT_STAGE: 0, UPDATE_STAGE: 1, COMPARE_STAGE: 2}
@@ -27,7 +27,6 @@ class TraceWriter:
     """Observer that appends trace records for every applied step."""
 
     def __init__(self, definition: PSystemDef, sink: IO[str]):
-        self._definition = definition
         self._sink = sink
         self._decl_index = {r.id: i for i, r in enumerate(definition.rules)}
         self._membrane = {r.id: r.membrane for r in definition.rules}
@@ -65,24 +64,18 @@ class GeneratedRun:
     report: RunReport
     q_trajectory: list[list[list[int]]]  # per iteration, m x n counts (incl. start)
     profiles: list[IterationProfile]
-    halted: bool = field(init=False)
 
-    def __post_init__(self):
-        self.halted = self.report.halted
-
-
-class _IterationLimit(Exception):
-    pass
+    @property
+    def halted(self) -> bool:
+        return self.report.halted
 
 
 class _Recorder:
-    def __init__(self, gen: GeneratedSystem, max_iterations: int):
+    def __init__(self, gen: GeneratedSystem):
         self.gen = gen
-        self.max_iterations = max_iterations
         self.boundary_rules = set(gen.rule_index["3.26"])
         self.q_trajectory: list[list[list[int]]] = []
         self.profiles: list[IterationProfile] = []
-        self.last_config: Configuration | None = None
         self._current = IterationProfile(index=0)
 
     def _step_stage(self, plan: FiringPlan) -> str | None:
@@ -98,8 +91,8 @@ class _Recorder:
             for k in range(1, self.gen.m + 1)
         ]
 
-    def __call__(self, step: int, plan: FiringPlan, config: Configuration) -> None:
-        self.last_config = config
+    def __call__(self, plan: FiringPlan, config: Configuration) -> bool:
+        """Record one committed step; true when it ends an iteration."""
         stage = self._step_stage(plan)
         if stage == INIT_STAGE:
             self._current.initialization += 1
@@ -116,12 +109,12 @@ class _Recorder:
                 self._current.update += 1
             elif self._current.initialization:
                 self._current.initialization += 1
-        if not self.boundary_rules.isdisjoint(plan.counts):
-            self.q_trajectory.append(self._read_init_counts(config))
-            self.profiles.append(self._current)
-            self._current = IterationProfile(index=self._current.index + 1)
-            if len(self.q_trajectory) >= self.max_iterations:
-                raise _IterationLimit()
+        if self.boundary_rules.isdisjoint(plan.counts):
+            return False
+        self.q_trajectory.append(self._read_init_counts(config))
+        self.profiles.append(self._current)
+        self._current = IterationProfile(index=self._current.index + 1)
+        return True
 
     def finish(self, report: RunReport) -> None:
         if report.halted:
@@ -147,31 +140,27 @@ def run_generated(
 
     The returned trajectory starts with the initial counts and, when the run
     halts, ends with the counts decoded from OUTPUT.  A run cut off at the
-    iteration limit reports ``halted=False``.
+    iteration limit reports ``halted=False``.  ``extra_observer`` is called
+    like an engine observer on every step the report counts.
     """
     from psrelief.relief import quantized_halvings
 
-    recorder = _Recorder(gen, max_iterations)
-    start = recorder._read_init_counts(Configuration.initial(gen.definition))
-
-    def observer(step: int, plan: FiringPlan, config: Configuration) -> None:
-        recorder(step, plan, config)
-        if extra_observer is not None:
-            extra_observer(step, plan, config)
-
+    recorder = _Recorder(gen)
+    config = Configuration.initial(gen.definition)
+    start = recorder._read_init_counts(config)
     # an iteration takes 3 + (9 + halvings) + 6 steps (7 on the last one),
-    # plus a short tail; the recorder stops the run at the iteration limit
+    # plus a short tail; the budget bounds a run that stops reaching the
+    # iteration boundary
     budget = max_iterations * (19 + quantized_halvings(max_iterations)) + 100
-    try:
-        report = run(gen.definition, policy=policy, seed=seed, max_steps=budget, observer=observer)
-    except _IterationLimit:
-        final = recorder.last_config
-        report = RunReport(
-            final=final,
-            halted=False,
-            steps=final.step_index,
-            output=final.contents[gen.definition.output].copy(),
-        )
+    halted = True
+    for plan, config in steps(gen.definition, policy, seed):
+        at_boundary = recorder(plan, config)
+        if extra_observer is not None:
+            extra_observer(config.step_index, plan, config)
+        if (at_boundary and len(recorder.q_trajectory) >= max_iterations) or config.step_index >= budget:
+            halted = False
+            break
+    report = RunReport.ending_at(gen.definition, config, halted)
     recorder.finish(report)
     trajectory = [start] + recorder.q_trajectory
     return GeneratedRun(report=report, q_trajectory=trajectory, profiles=recorder.profiles)

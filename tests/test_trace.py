@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 
+import pytest
+
 from psrelief import dsl
-from psrelief.engine import run
-from psrelief.trace import TraceWriter
+from psrelief.builder import BuildParams, build
+from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
+from psrelief.trace import TraceWriter, run_generated
+
+from test_relief import derived_1x1
 
 GOLDEN_SYSTEM = """\
 membrane 1
@@ -49,3 +54,23 @@ def test_trace_of_worked_example():
         "step=1 membrane=1 rule=r2 count=1\n"
         "step=1 membrane=1 rule=r3 count=1\n"
     )
+
+
+@pytest.mark.parametrize("policy, seed", [(DETERMINISTIC, 0), (SEEDED_RANDOM, 31)])
+def test_steps_yield_the_steps_run_observes(policy, seed):
+    definition = dsl.parse(GOLDEN_SYSTEM).definition
+    observed = []
+    report = run(definition, policy=policy, seed=seed, max_steps=20,
+                 observer=lambda step, plan, config: observed.append((step, plan, config.digest())))
+    yielded = [(config.step_index, plan, config.digest()) for plan, config in steps(definition, policy, seed)]
+    assert len(yielded) == report.steps
+    assert yielded == observed
+
+
+@pytest.mark.parametrize("max_iterations, halts", [(5, False), (200, True)])
+def test_extra_observer_sees_every_counted_step(max_iterations, halts):
+    gen = build(BuildParams(instance=derived_1x1(), p=3))
+    seen = []
+    res = run_generated(gen, max_iterations, extra_observer=lambda step, plan, config: seen.append(step))
+    assert res.halted is halts
+    assert seen == list(range(1, res.report.steps + 1))
