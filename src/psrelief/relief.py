@@ -31,6 +31,25 @@ generated membrane system at scale P = 10^p: values live as object counts,
 division by the beta denominator rounds half-up, the step factor a_t is
 realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
+
+Cost.  Each route builds its step once per run.  The float step holds
+``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as arrays; they are the
+subexpressions the formula above evaluates, so every float is the same.
+(q, lam, lam1, lam2) live in one vector with the four families as views of
+it, the drift is written in place into a second vector of that layout, and
+the step is one ``z + a_t D`` and one ``max(0, .)``.  The integer step keeps
+counts as Python ints, because products of counts grow as P^2 and p has no
+upper bound.  It inlines the two gadgets per cell with two identities that
+are exact on integers:
+
+    div_round_half(r, den, half) == (r + den - half) // den   if 1 <= half <= den
+    scaled_emission(m, w)        == ((m >> w) + 5) // 10      if m >= 0
+
+Adding ``den - half`` carries into the quotient exactly when the remainder
+reaches ``half``, and adding 5 carries exactly when the last digit is at
+least 5.  ``fixed_point_constants`` gives ``half = ceil(P beta / 2) <=
+floor(P beta) = den`` once ``den >= 1``; the step checks both bounds once per
+run.
 """
 
 from __future__ import annotations
@@ -39,7 +58,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -225,41 +244,78 @@ class SolverState:
         )
 
 
-def _gradient_pack(inst: ReliefInstance, state: SolverState, variant: str):
-    """Parenthesized drift of each update family, before scaling by a_t, and
-    the number of visibility derivatives capped at an empty column."""
-    q = state.q
-    cols = q.sum(axis=0)
-    g = (
-        inst.omega[:, None] * inst.gamma / inst.beta[:, None]
-        - (2.0 * inst.cost_a**2 * q + 2.0 * inst.cost_a * inst.cost_b) / inst.beta[:, None]
-        - state.lam[:, None]
-        + state.lam1[None, :]
-        - state.lam2[None, :]
-    )
-    capped = 0
-    if variant == FULL:
-        safe = np.where(cols > 0.0, cols, VISIBILITY_FLOOR)
-        capped = int(np.count_nonzero(cols <= 0.0))
-        g = g + (inst.vis_k / (2.0 * np.sqrt(safe)))[None, :]
-    dl = -inst.s + q.sum(axis=1)
-    d1 = -cols + inst.d_lo
-    d2 = -inst.d_hi + cols
-    return g, dl, d1, d2, capped
+class _Packed(NamedTuple):
+    """One vector z = (q row-major, lam, lam1, lam2) and its four parts as
+    views; a drift vector has the same layout (g, dl, d1, d2)."""
+
+    z: np.ndarray
+    q: np.ndarray      # (m, n)
+    lam: np.ndarray    # (m,)
+    lam1: np.ndarray   # (n,)
+    lam2: np.ndarray   # (n,)
 
 
-def _projected_step(state: SolverState, inst: ReliefInstance, variant: str) -> tuple[SolverState, int]:
-    """One projected step and the visibility caps hit on the time-t state."""
-    a = step_size(state.t)
-    g, dl, d1, d2, capped = _gradient_pack(inst, state, variant)
-    nxt = SolverState(
-        q=np.maximum(0.0, state.q + a * g),
-        lam=np.maximum(0.0, state.lam + a * dl),
-        lam1=np.maximum(0.0, state.lam1 + a * d1),
-        lam2=np.maximum(0.0, state.lam2 + a * d2),
-        t=state.t + 1,
-    )
-    return nxt, capped
+class _FloatStep:
+    """The projected step of one (instance, variant) on packed states; the
+    drift goes into the reused vector ``d`` (see "Cost" above)."""
+
+    def __init__(self, inst: ReliefInstance, variant: str):
+        self.m, self.n = inst.m, inst.n
+        self.full = variant == FULL
+        self.gain = inst.omega[:, None] * inst.gamma / inst.beta[:, None]
+        self.c2 = 2.0 * inst.cost_a**2
+        self.c1 = 2.0 * inst.cost_a * inst.cost_b
+        self.beta = inst.beta[:, None]
+        self.s, self.d_lo, self.d_hi, self.vis_k = inst.s, inst.d_lo, inst.d_hi, inst.vis_k
+        self.cols = np.empty(inst.n)
+        self.d = self.empty()
+
+    def empty(self) -> _Packed:
+        m, n = self.m, self.n
+        mn = m * n
+        z = np.empty(mn + m + 2 * n)
+        return _Packed(z, z[:mn].reshape(m, n), z[mn:mn + m], z[mn + m:mn + m + n], z[mn + m + n:])
+
+    def pack(self, state: SolverState) -> _Packed:
+        x = self.empty()
+        x.q[...] = state.q
+        x.lam[...] = state.lam
+        x.lam1[...] = state.lam1
+        x.lam2[...] = state.lam2
+        return x
+
+    def drift(self, x: _Packed) -> int:
+        """Write the drift of each family at x, before scaling by a_t, into
+        ``self.d``; return the visibility derivatives capped at an empty
+        column."""
+        d, cols = self.d, self.cols
+        g = d.q
+        np.multiply(self.c2, x.q, out=g)
+        g += self.c1
+        g /= self.beta
+        np.subtract(self.gain, g, out=g)
+        g -= x.lam[:, None]
+        g += x.lam1
+        g -= x.lam2
+        x.q.sum(axis=0, out=cols)
+        capped = 0
+        if self.full:
+            capped = int(np.count_nonzero(cols <= 0.0))
+            g += self.vis_k / (2.0 * np.sqrt(np.where(cols > 0.0, cols, VISIBILITY_FLOOR)))
+        x.q.sum(axis=1, out=d.lam)
+        np.subtract(d.lam, self.s, out=d.lam)
+        np.subtract(self.d_lo, cols, out=d.lam1)
+        np.subtract(cols, self.d_hi, out=d.lam2)
+        return capped
+
+    def advance(self, x: _Packed, out: _Packed, a: float) -> int:
+        """out = max(0, x + a * drift(x)); the visibility caps hit at x."""
+        capped = self.drift(x)
+        dz = self.d.z
+        dz *= a
+        np.add(x.z, dz, out=out.z)
+        np.maximum(0.0, out.z, out=out.z)
+        return capped
 
 
 def euler_step(state: SolverState, inst: ReliefInstance, variant: str = SIMPLIFIED) -> SolverState:
@@ -267,7 +323,10 @@ def euler_step(state: SolverState, inst: ReliefInstance, variant: str = SIMPLIFI
     result is independent of evaluation order."""
     if variant not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown variant {variant!r}")
-    return _projected_step(state, inst, variant)[0]
+    step = _FloatStep(inst, variant)
+    nxt = step.empty()
+    step.advance(step.pack(state), nxt, step_size(state.t))
+    return SolverState(q=nxt.q, lam=nxt.lam, lam1=nxt.lam1, lam2=nxt.lam2, t=state.t + 1)
 
 
 def objective(inst: ReliefInstance, q: np.ndarray, variant: str = SIMPLIFIED) -> float:
@@ -385,13 +444,64 @@ class QuantizedState:
         return np.array([[c / P for c in row] for row in self.q])
 
 
-def _project(retained: int, drift: int, w: int) -> int:
-    """New count from a retained count and a signed drift (both in raw scale):
-    emit the scaled magnitude, then cancel against the retained objects."""
-    delta = scaled_emission(abs(drift), w)
-    if drift >= 0:
-        return retained + delta
-    return max(0, retained - delta)
+def _cancel(retained: list[int], drifts: list[int], w: int) -> list[int]:
+    """New counts from retained counts and signed drifts (both in raw scale):
+    emit ``scaled_emission(|drift|, w)``, then cancel it against the retained
+    objects."""
+    out = []
+    put = out.append
+    for r, d in zip(retained, drifts):
+        if d >= 0:
+            put(r + ((d >> w) + 5) // 10)
+        else:
+            r -= ((-d >> w) + 5) // 10
+            put(r if r > 0 else 0)
+    return out
+
+
+class _QuantizedStep:
+    """The integer iteration for one set of fixed-point constants.
+
+    Per cell, the q drift ``(k0 + lam1) - (k1 + lam + lam2 +
+    div_round_half(q slope, den, half))`` is computed as ``(k0 - k1) + (lam1
+    - lam2) - lam - (q slope + den - half) // den``, and the emission and
+    cancellation of ``_cancel`` are written out in the loop (see "Cost"
+    above)."""
+
+    def __init__(self, k: FixedPointConstants):
+        if any(d <= 0 for d in k.den):
+            raise ValueError("division constant must be positive")
+        if not all(1 <= h <= d for h, d in zip(k.half, k.den)):
+            raise ValueError("half mark must lie between 1 and the division constant")
+        kd = [[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(k.k0, k.k1)]
+        self.rows = list(zip(kd, k.slope, k.den, [d - h for d, h in zip(k.den, k.half)]))
+        self.supply, self.dlo, self.dhi = k.supply, k.dlo, k.dhi
+
+    def __call__(self, state: QuantizedState) -> QuantizedState:
+        w = quantized_halvings(state.t)
+        q, lam, lam1, lam2 = state.q, state.lam, state.lam1, state.lam2
+        e = [a - b for a, b in zip(lam1, lam2)]
+        new_q = []
+        for qi, li, (kdi, sli, den, dh) in zip(q, lam, self.rows):
+            row = []
+            put = row.append
+            for qij, kij, sij, ej in zip(qi, kdi, sli, e):
+                d = kij + ej - li - (qij * sij + dh) // den
+                if d >= 0:
+                    put(qij + ((d >> w) + 5) // 10)
+                else:
+                    qij -= ((-d >> w) + 5) // 10
+                    put(qij if qij > 0 else 0)
+            new_q.append(row)
+        cols = [sum(c) for c in zip(*q)]
+        return QuantizedState(
+            q=new_q,
+            lam=_cancel(lam, [sum(r) - s for r, s in zip(q, self.supply)], w),
+            lam1=_cancel(lam1, [lo - c for lo, c in zip(self.dlo, cols)], w),
+            lam2=_cancel(lam2, [c - hi for c, hi in zip(cols, self.dhi)], w),
+            t=state.t + 1,
+            p=state.p,
+        )
 
 
 def quantized_euler_step(
@@ -401,31 +511,7 @@ def quantized_euler_step(
 ) -> QuantizedState:
     """One integer iteration, bit-exact against the generated membrane system."""
     k = constants if constants is not None else fixed_point_constants(inst, state.p)
-    m, n = inst.m, inst.n
-    w = quantized_halvings(state.t)
-    rows = [sum(state.q[i]) for i in range(m)]
-    cols = [sum(state.q[i][j] for i in range(m)) for j in range(n)]
-    new_q = [
-        [
-            _project(
-                state.q[i][j],
-                (k.k0[i][j] + state.lam1[j])
-                - (
-                    k.k1[i][j]
-                    + state.lam[i]
-                    + state.lam2[j]
-                    + div_round_half(state.q[i][j] * k.slope[i][j], k.den[i], k.half[i])
-                ),
-                w,
-            )
-            for j in range(n)
-        ]
-        for i in range(m)
-    ]
-    new_lam = [_project(state.lam[i], rows[i] - k.supply[i], w) for i in range(m)]
-    new_lam1 = [_project(state.lam1[j], k.dlo[j] - cols[j], w) for j in range(n)]
-    new_lam2 = [_project(state.lam2[j], cols[j] - k.dhi[j], w) for j in range(n)]
-    return QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1, p=state.p)
+    return _QuantizedStep(k)(state)
 
 
 def _quantized_states(
@@ -434,11 +520,11 @@ def _quantized_states(
     """The all-ones state, then each iterate paired with whether its q counts
     equal its predecessor's (the halting condition of the membrane system).
     Stops after the first such iterate or after max_iter iterates."""
-    constants = fixed_point_constants(inst, p)
+    step = _QuantizedStep(fixed_point_constants(inst, p))
     state = QuantizedState.initial(inst, p)
     yield state, False
     for _ in range(max_iter):
-        nxt = quantized_euler_step(state, inst, constants)
+        nxt = step(state)
         halted = nxt.q == state.q
         yield nxt, halted
         if halted:
@@ -498,9 +584,9 @@ def stationarity_residual(
     the drift vanishes wherever q_kl > 0 and is non-positive on the boundary
     q_kl = 0."""
     variant = variant or (SIMPLIFIED if report.variant == QUANTIZED else report.variant)
-    state = SolverState(q=report.q_star, lam=report.lam, lam1=report.lam1, lam2=report.lam2, t=0)
-    g, _, _, _, _ = _gradient_pack(inst, state, variant)
-    return g
+    step = _FloatStep(inst, variant)
+    step.drift(step.pack(SolverState(q=report.q_star, lam=report.lam, lam1=report.lam1, lam2=report.lam2)))
+    return step.d.q
 
 
 def solve(
@@ -541,23 +627,26 @@ def solve(
             p=p,
         )
     elif variant in (SIMPLIFIED, FULL):
-        state = SolverState.initial(inst)
+        step = _FloatStep(inst, variant)
+        cur, nxt = step.pack(SolverState.initial(inst)), step.empty()
+        dq = np.empty((inst.m, inst.n))
         converged = False
-        caps = 0
-        for _ in range(max_iter):
-            nxt, capped = _projected_step(state, inst, variant)
-            caps += capped
-            delta = float(np.max(np.abs(nxt.q - state.q)))
-            state = nxt
-            if delta < tol:
+        caps = t = 0
+        while t < max_iter:
+            caps += step.advance(cur, nxt, step_size(t))
+            t += 1
+            np.subtract(nxt.q, cur.q, out=dq)
+            np.abs(dq, out=dq)
+            cur, nxt = nxt, cur
+            if dq.max() < tol:
                 converged = True
                 break
         report = EquilibriumReport(
-            q_star=state.q,
-            lam=state.lam,
-            lam1=state.lam1,
-            lam2=state.lam2,
-            iterations=state.t,
+            q_star=cur.q,
+            lam=cur.lam,
+            lam1=cur.lam1,
+            lam2=cur.lam2,
+            iterations=t,
             converged=converged,
             variant=variant,
             tol=tol,

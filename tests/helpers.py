@@ -1,6 +1,8 @@
 """Shared test utilities: tiny system constructors, the exhaustive
 firing-plan enumerator used as an independent oracle for selection semantics,
-and a reference selector that walks every rule on every greedy pass."""
+a reference selector that walks every rule on every greedy pass, and
+reference solver steps that evaluate the update formulas array by array
+(float) and cell by cell (integer)."""
 
 from __future__ import annotations
 
@@ -8,6 +10,9 @@ import heapq
 import itertools
 import random
 
+import numpy as np
+
+from psrelief import relief
 from psrelief.engine import FiringPlan
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
@@ -374,3 +379,112 @@ def reference_select(definition: PSystemDef, config: Configuration,
                 pending_beta[rule.membrane] = rule.beta
             progress = True
     return FiringPlan(counts=fired)
+
+
+# ---------------------------------------------------------------------------
+# Reference solver steps: the update formulas written out, one family at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_gradient_pack(inst: relief.ReliefInstance, state: relief.SolverState, variant: str):
+    """Parenthesized drift of each update family, before scaling by a_t, and
+    the number of visibility derivatives capped at an empty column."""
+    q = state.q
+    cols = q.sum(axis=0)
+    g = (
+        inst.omega[:, None] * inst.gamma / inst.beta[:, None]
+        - (2.0 * inst.cost_a**2 * q + 2.0 * inst.cost_a * inst.cost_b) / inst.beta[:, None]
+        - state.lam[:, None]
+        + state.lam1[None, :]
+        - state.lam2[None, :]
+    )
+    capped = 0
+    if variant == relief.FULL:
+        safe = np.where(cols > 0.0, cols, relief.VISIBILITY_FLOOR)
+        capped = int(np.count_nonzero(cols <= 0.0))
+        g = g + (inst.vis_k / (2.0 * np.sqrt(safe)))[None, :]
+    dl = -inst.s + q.sum(axis=1)
+    d1 = -cols + inst.d_lo
+    d2 = -inst.d_hi + cols
+    return g, dl, d1, d2, capped
+
+
+def reference_projected_step(state: relief.SolverState, inst: relief.ReliefInstance,
+                             variant: str) -> tuple[relief.SolverState, int]:
+    """One projected step and the visibility caps hit on the time-t state."""
+    a = relief.step_size(state.t)
+    g, dl, d1, d2, capped = reference_gradient_pack(inst, state, variant)
+    nxt = relief.SolverState(
+        q=np.maximum(0.0, state.q + a * g),
+        lam=np.maximum(0.0, state.lam + a * dl),
+        lam1=np.maximum(0.0, state.lam1 + a * d1),
+        lam2=np.maximum(0.0, state.lam2 + a * d2),
+        t=state.t + 1,
+    )
+    return nxt, capped
+
+
+def reference_solve(inst: relief.ReliefInstance, variant: str, tol: float,
+                    max_iter: int) -> relief.EquilibriumReport:
+    """``relief.solve`` for the float variants, stepping with
+    ``reference_projected_step``; ``solve`` must return equal arrays."""
+    state = relief.SolverState.initial(inst)
+    converged = False
+    caps = 0
+    for _ in range(max_iter):
+        nxt, capped = reference_projected_step(state, inst, variant)
+        caps += capped
+        delta = float(np.max(np.abs(nxt.q - state.q)))
+        state = nxt
+        if delta < tol:
+            converged = True
+            break
+    g, _, _, _, _ = reference_gradient_pack(inst, state, variant)
+    return relief.EquilibriumReport(
+        q_star=state.q, lam=state.lam, lam1=state.lam1, lam2=state.lam2,
+        iterations=state.t, converged=converged, variant=variant, tol=tol,
+        feasibility_residuals=relief.feasibility_residuals(inst, state.q),
+        stationarity_residuals=g, visibility_cap_events=caps,
+    )
+
+
+def _reference_project(retained: int, drift: int, w: int) -> int:
+    """New count from a retained count and a signed drift (both in raw scale):
+    emit the scaled magnitude, then cancel against the retained objects."""
+    delta = relief.scaled_emission(abs(drift), w)
+    if drift >= 0:
+        return retained + delta
+    return max(0, retained - delta)
+
+
+def reference_quantized_step(state: relief.QuantizedState, inst: relief.ReliefInstance,
+                             k: relief.FixedPointConstants) -> relief.QuantizedState:
+    """The integer iteration cell by cell through the gadget definitions
+    ``div_round_half`` and ``scaled_emission``; ``quantized_euler_step`` must
+    return the same counts."""
+    m, n = inst.m, inst.n
+    w = relief.quantized_halvings(state.t)
+    rows = [sum(state.q[i]) for i in range(m)]
+    cols = [sum(state.q[i][j] for i in range(m)) for j in range(n)]
+    new_q = [
+        [
+            _reference_project(
+                state.q[i][j],
+                (k.k0[i][j] + state.lam1[j])
+                - (
+                    k.k1[i][j]
+                    + state.lam[i]
+                    + state.lam2[j]
+                    + relief.div_round_half(state.q[i][j] * k.slope[i][j], k.den[i], k.half[i])
+                ),
+                w,
+            )
+            for j in range(n)
+        ]
+        for i in range(m)
+    ]
+    new_lam = [_reference_project(state.lam[i], rows[i] - k.supply[i], w) for i in range(m)]
+    new_lam1 = [_reference_project(state.lam1[j], k.dlo[j] - cols[j], w) for j in range(n)]
+    new_lam2 = [_reference_project(state.lam2[j], cols[j] - k.dhi[j], w) for j in range(n)]
+    return relief.QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2,
+                                 t=state.t + 1, p=state.p)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from helpers import reference_quantized_step, reference_solve
 from psrelief.relief import (
     FULL,
     QUANTIZED,
@@ -285,6 +290,39 @@ class TestQuantizedGadgets:
         assert div_round_half(9, 4, 2) == 2
         assert div_round_half(11, 4, 2) == 3
 
+    @given(raw=st.integers(0, 10**40), den=st.integers(1, 10**40), data=st.data())
+    def test_division_is_one_floor_division(self, raw, den, data):
+        # the rounding the integer step inlines: exact whenever 1 <= half <= den
+        half = data.draw(st.integers(1, den))
+        assert div_round_half(raw, den, half) == (raw + den - half) // den
+
+    @given(magnitude=st.integers(0, 10**40), w=st.integers(0, 80))
+    def test_emission_is_one_floor_division(self, magnitude, w):
+        assert scaled_emission(magnitude, w) == ((magnitude >> w) + 5) // 10
+
+    @given(micros=st.integers(1, 4 * 10**6), p=st.integers(1, 8))
+    def test_half_mark_within_divisor(self, micros, p):
+        # the bound the inlined division relies on, down to P beta = 1
+        inst = derived_1x1()
+        inst.beta = np.array([micros / 10**6])
+        if micros * 10**p < 10**6:
+            with pytest.raises(ValueError, match="floors to zero"):
+                fixed_point_constants(inst, p)
+        else:
+            cons = fixed_point_constants(inst, p)
+            assert 1 <= cons.half[0] <= cons.den[0]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("den", [0], "division constant must be positive"),
+        ("half", [0], "half mark must lie between 1 and the division constant"),
+        ("half", [11], "half mark must lie between 1 and the division constant"),
+    ])
+    def test_step_rejects_constants_outside_the_gadget_bounds(self, field, value, message):
+        inst = derived_1x1()
+        cons = dataclasses.replace(fixed_point_constants(inst, 1), **{field: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quantized_euler_step(QuantizedState.initial(inst, 1), inst, cons)
+
     def test_constants_are_decimal_exact(self):
         inst = ReliefInstance(m=1, n=1, s=[1.0], d_lo=[0.0], d_hi=[1.0],
                               gamma=[[1.0]], omega=[1.0], beta=[0.4],
@@ -345,6 +383,82 @@ class TestQuantizedGadgets:
                 assert err <= C * t / P, (t, err)
 
 
+def cap_instance() -> ReliefInstance:
+    """m = n = 1: q reaches 0 at iteration 4, where the visibility derivative
+    of ``full`` is capped."""
+    return ReliefInstance(m=1, n=1, s=[5.0], d_lo=[0.0], d_hi=[5.0],
+                          gamma=[[0.1]], omega=[1.0], beta=[1.0],
+                          cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1e-4])
+
+
+def demo_2x2() -> ReliefInstance:
+    path = Path(__file__).parent.parent / "instances" / "demo_2x2.json"
+    return ReliefInstance.from_dict(json.loads(path.read_text()))
+
+
+def assert_same_report(got: EquilibriumReport, want: EquilibriumReport):
+    for name in ("q_star", "lam", "lam1", "lam2", "stationarity_residuals"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.feasibility_residuals.keys() == want.feasibility_residuals.keys()
+    for name, arr in want.feasibility_residuals.items():
+        assert np.array_equal(got.feasibility_residuals[name], arr), name
+    assert (got.iterations, got.converged, got.visibility_cap_events) == (
+        want.iterations, want.converged, want.visibility_cap_events)
+
+
+class TestReferenceSteps:
+    """The packed float step and the inlined integer step against the update
+    formulas evaluated family by family (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL])
+    @pytest.mark.parametrize("make", [derived_1x1, demo_2x2, cap_instance,
+                                      lambda: katrina_shaped(random.Random(1), 4, 4)],
+                             ids=["derived_1x1", "demo_2x2", "cap", "katrina_4x4"])
+    def test_float_solve_equals_reference(self, make, variant):
+        inst = make()
+        assert_same_report(solve(inst, variant, tol=1e-5, max_iter=20000),
+                           reference_solve(inst, variant, tol=1e-5, max_iter=20000))
+
+    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL])
+    def test_float_solve_equals_reference_on_random_instances(self, variant):
+        # 1,100 iterations cross the first step-size block; several full runs
+        # hit the visibility cap at an empty column
+        rng = random.Random(2024)
+        caps = 0
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3))
+            got = solve(inst, variant, tol=1e-5, max_iter=1100)
+            assert_same_report(got, reference_solve(inst, variant, tol=1e-5, max_iter=1100))
+            caps += got.visibility_cap_events
+        assert (caps > 0) is (variant == FULL)
+
+    @pytest.mark.parametrize("p", [1, 3, 12, 30])
+    def test_quantized_step_equals_reference(self, p):
+        rng = random.Random(p)
+        P = 10**p
+        grew = shrank = 0
+        for trial in range(60):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
+            cons = fixed_point_constants(inst, p)
+            # counts up to a few times the scale: drifts of both signs, and
+            # t on both sides of 10240, where the halving schedule changes
+            state = QuantizedState(
+                q=[[rng.randint(0, 4 * P) for _ in range(inst.n)] for _ in range(inst.m)],
+                lam=[rng.randint(0, 2 * P) for _ in range(inst.m)],
+                lam1=[rng.randint(0, 2 * P) for _ in range(inst.n)],
+                lam2=[rng.randint(0, 2 * P) for _ in range(inst.n)],
+                t=rng.choice([0, 1023, 10239, 10240, 12287, 12288])
+                if trial % 3 == 0 else rng.randint(0, 60000),
+                p=p,
+            )
+            want = reference_quantized_step(state, inst, cons)
+            assert quantized_euler_step(state, inst, cons) == want
+            cells = [(a, b) for ra, rb in zip(want.q, state.q) for a, b in zip(ra, rb)]
+            grew += sum(a > b for a, b in cells)
+            shrank += sum(a < b for a, b in cells)
+        assert grew and shrank
+
+
 class TestSolve:
     def test_derived_equilibrium_simplified(self):
         report = solve(derived_1x1(), SIMPLIFIED, tol=1e-5, max_iter=5000)
@@ -370,10 +484,7 @@ class TestSolve:
     def test_visibility_caps_counted_on_the_state_each_step_reads(self):
         # q reaches 0 at iteration 4; the step from that state is the only one
         # whose visibility derivative is capped, and the next step converges
-        inst = ReliefInstance(m=1, n=1, s=[5.0], d_lo=[0.0], d_hi=[5.0],
-                              gamma=[[0.1]], omega=[1.0], beta=[1.0],
-                              cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1e-4])
-        report = solve(inst, FULL, tol=1e-5)
+        report = solve(cap_instance(), FULL, tol=1e-5)
         assert report.converged and report.iterations == 5
         assert report.q_star[0][0] == 0.0
         assert report.visibility_cap_events == 1
