@@ -24,7 +24,7 @@ from psrelief.psystem import (
     Rule,
     RuleKind,
 )
-from psrelief.engine import FiringPlan, RunReport, applicable_rules, apply_step, run, select_firing, steps
+from psrelief.engine import FiringPlan, RunReport, apply_step, run, select_firing, steps
 from psrelief.relief import (
     EquilibriumReport,
     QuantizedState,
@@ -50,7 +50,6 @@ __all__ = [
     "DefinitionError",
     "FiringPlan",
     "RunReport",
-    "applicable_rules",
     "select_firing",
     "apply_step",
     "run",

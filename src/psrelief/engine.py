@@ -35,15 +35,21 @@ Selection cost
 
 A rule whose guard or left-hand side fails on the snapshot cannot fire later
 in the step: guards read the snapshot, and the pools the plan draws on only
-shrink.  Compiling a definition lists its rules per membrane and guard
-polarization.  Each step starts from the lists of every membrane's current
-polarization, keeps the rules whose left-hand side the snapshot covers, and
-puts these candidates in the step's order, deterministic or seeded-random.
+shrink.  Compiling a definition indexes its rules by membrane and guard
+polarization, then by the region they consume from, then by one key symbol of
+their left-hand side (the first), each list in deterministic order.  A rule
+whose key symbol is absent from the snapshot cannot be covered, so each step
+walks, for every membrane's current polarization and consumed region, the
+smaller side: the region's present symbols or the index's key symbols.  Only
+the rules met on both sides get the full left-hand-side check; the survivors
+are the candidates, put in the step's order, deterministic or seeded-random.
 The greedy passes then walk only the candidates, in the order a walk over
 all rules would meet them, so the plan is the same.  A candidate leaves the
 passes once it fires, once its pool runs dry or once a pending polarization
-rules it out; priority-blocked candidates stay.  A step costs the rules whose
-guard passes plus the candidates, not all rules.
+rules it out; priority-blocked candidates stay.  A step costs the key-symbol
+hits plus the candidates, not every rule whose guard passes.  The committed
+configuration is written on plain count dicts, one copy per written region,
+and each is wrapped into a ``Multiset`` once.
 
 Runs
 ----
@@ -61,7 +67,7 @@ import heapq
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
@@ -172,11 +178,17 @@ class _Compiled:
             self.successors.setdefault(higher.index, []).append(lower.index)
             self.n_preds[lower.index] += 1
         self.deterministic_order = self._linear_extension(rng=None)
-        # rules per (membrane, guard polarization), in deterministic order
-        self.groups: dict[tuple[str, Polarization], list[_CRule]] = {}
+        # (membrane, guard polarization) -> consumed region -> key symbol ->
+        # rules in deterministic order; the key symbol is the first on the lhs
+        self.groups: dict[tuple[str, Polarization], dict[str, dict[str, tuple[_CRule, ...]]]] = {}
         for rank, cr in enumerate(self.deterministic_order):
             cr.rank = rank
-            self.groups.setdefault((cr.rule.membrane, cr.rule.alpha), []).append(cr)
+            index = self.groups.setdefault((cr.rule.membrane, cr.rule.alpha), {}).setdefault(cr.consume, {})
+            index.setdefault(next(iter(cr.lhs))[0], []).append(cr)
+        for regions in self.groups.values():
+            for index in regions.values():
+                for key, rules in index.items():
+                    index[key] = tuple(rules)  # a tuple holds one rule in less memory than a list
 
     def _linear_extension(self, rng: random.Random | None) -> list[_CRule]:
         n_preds = list(self.n_preds)
@@ -207,21 +219,6 @@ class _Compiled:
         return order
 
 
-def _guard_passes(cr: _CRule, config: Configuration) -> bool:
-    return config.polarizations[cr.rule.membrane] is cr.rule.alpha
-
-
-def _max_applications(lhs: Iterable[tuple[str, int]], pool: dict[str, int]) -> int:
-    k = None
-    for sym, need in lhs:
-        have = pool.get(sym, 0)
-        avail = have // need
-        if avail == 0:
-            return 0
-        k = avail if k is None else min(k, avail)
-    return k or 0
-
-
 def _order(compiled: _Compiled, policy: str, seed: int) -> list[_CRule]:
     if policy == DETERMINISTIC:
         return compiled.deterministic_order
@@ -231,33 +228,38 @@ def _order(compiled: _Compiled, policy: str, seed: int) -> list[_CRule]:
 
 
 def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> FiringPlan:
-    # Candidates: rules whose guard and left-hand side pass on the snapshot
+    # Candidates: rules whose guard and left-hand side pass on the snapshot,
+    # gathered from the smaller side of each region and its key symbols
     # (see "Selection cost" above).
     contents = config.contents
+    polarizations = config.polarizations
+    groups = compiled.groups
     candidates: list[_CRule] = []
-    for label, pol in config.polarizations.items():
-        for cr in compiled.groups.get((label, pol), ()):
-            have = contents[cr.consume].counts()
-            for sym, need in cr.lhs:
-                if have.get(sym, 0) < need:
-                    break
-            else:
-                candidates.append(cr)
+    for label, pol in polarizations.items():
+        regions = groups.get((label, pol))
+        if regions is None:
+            continue
+        for region, index in regions.items():
+            have = contents[region].counts()
+            small, large = (have, index) if len(have) < len(index) else (index, have)
+            for key in small:
+                if key not in large:
+                    continue
+                for cr in index[key]:
+                    for sym, need in cr.lhs:
+                        if have.get(sym, 0) < need:
+                            break
+                    else:
+                        candidates.append(cr)
     if order is compiled.deterministic_order:
         candidates.sort(key=_rank)
     else:
         position = {cr: i for i, cr in enumerate(order)}
         candidates.sort(key=position.__getitem__)
 
+    # Pools: the residual of each consumed region, copied from the snapshot on
+    # first use; a region without a pool still holds its snapshot contents.
     pools: dict[str, dict[str, int]] = {}
-
-    def pool(label: str) -> dict[str, int]:
-        p = pools.get(label)
-        if p is None:
-            p = dict(contents[label].counts())
-            pools[label] = p
-        return p
-
     fired: dict[str, int] = {}
     pending_beta: dict[str, Polarization] = {}
 
@@ -277,13 +279,27 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
                 pend = pending_beta.get(rule.membrane)
                 if pend is not None and pend is not rule.beta:
                     continue
-            p = pool(cr.consume)
-            k = _max_applications(cr.lhs, p)
-            if k == 0:
+            p = pools.get(cr.consume)
+            if p is None:
+                p = pools[cr.consume] = dict(contents[cr.consume].counts())
+            k = None  # the most applications the pool allows
+            for sym, need in cr.lhs:
+                avail = p.get(sym, 0) // need
+                if k is None or avail < k:
+                    k = avail
+            if not k:
                 continue
             blocked = False
-            for hi in cr.higher:
-                if _guard_passes(hi, config) and _max_applications(hi.lhs, pool(hi.consume)) > 0:
+            for hi in cr.higher:  # blocked while a higher rule could still fire
+                if polarizations[hi.rule.membrane] is not hi.rule.alpha:
+                    continue
+                hp = pools.get(hi.consume)
+                if hp is None:
+                    hp = contents[hi.consume].counts()
+                for sym, need in hi.lhs:
+                    if hp.get(sym, 0) < need:
+                        break
+                else:
                     blocked = True
                     break
             if blocked:
@@ -304,26 +320,6 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
 # ---------------------------------------------------------------------------
 
 
-def applicable_rules(definition: PSystemDef, config: Configuration, label: str) -> list[str]:
-    """Rule ids attached to ``label`` whose guard and left-hand side pass on
-    the frozen configuration (priority and compatibility are selection-time
-    concerns and are not checked here)."""
-    if label not in definition.parent:
-        raise DefinitionError(f"unknown membrane label {label!r}")
-    out = []
-    for rule in definition.rules_of(label):
-        if config.polarizations[label] is not rule.alpha:
-            continue
-        if rule.kind is RuleKind.SEND_IN:
-            source = definition.parent[label]
-            region = config.region(source) if source is not None else Multiset()
-        else:
-            region = config.region(label)
-        if region.covers(rule.lhs):
-            out.append(rule.id)
-    return out
-
-
 def select_firing(
     definition: PSystemDef,
     config: Configuration,
@@ -340,21 +336,9 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
 
 
 def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Configuration:
-    new_contents = dict(config.contents)
-    new_env = config.environment
-    touched: set[str] = set()
-
-    def region_for_write(label: str) -> Multiset:
-        nonlocal new_env
-        if label == ENVIRONMENT_LABEL:
-            if new_env is config.environment:
-                new_env = config.environment.copy()
-            return new_env
-        if label not in touched:
-            new_contents[label] = new_contents[label].copy()
-            touched.add(label)
-        return new_contents[label]
-
+    # Written regions as raw count dicts, each copied once from the snapshot;
+    # a count that reaches 0 is deleted, so every dict stays canonical.
+    written: dict[str, dict[str, int]] = {}
     new_pols = dict(config.polarizations)
     changed_to: dict[str, Polarization] = {}
 
@@ -365,16 +349,25 @@ def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Conf
         if count <= 0:
             raise EngineError(f"plan has non-positive count for {rid!r}")
         rule = cr.rule
-        try:
-            region = region_for_write(cr.consume)
-            for sym, need in cr.lhs:
-                region.remove(sym, need * count)
-        except Exception as exc:
-            raise EngineError(f"infeasible plan at rule {rid!r}: {exc}") from exc
+        region = written.get(cr.consume)
+        if region is None:
+            region = written[cr.consume] = dict(config.region(cr.consume).counts())
+        for sym, need in cr.lhs:
+            have = region.get(sym, 0)
+            take = need * count
+            if take < have:
+                region[sym] = have - take
+            elif take == have:
+                del region[sym]
+            else:
+                raise EngineError(
+                    f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
         for dest, products in cr.effects:
-            region = region_for_write(dest)
+            region = written.get(dest)
+            if region is None:
+                region = written[dest] = dict(config.region(dest).counts())
             for sym, cnt in products.items():
-                region.add(sym, cnt * count)
+                region[sym] = region.get(sym, 0) + cnt * count
         h = rule.membrane
         if cr.charging:
             prev = changed_to.get(h)
@@ -383,6 +376,13 @@ def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Conf
             changed_to[h] = rule.beta
             new_pols[h] = rule.beta
 
+    new_contents = dict(config.contents)
+    new_env = config.environment
+    for label, counts in written.items():
+        if label == ENVIRONMENT_LABEL:
+            new_env = Multiset.adopt(counts)
+        else:
+            new_contents[label] = Multiset.adopt(counts)
     return Configuration(
         contents=new_contents,
         polarizations=new_pols,

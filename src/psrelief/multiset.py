@@ -25,6 +25,14 @@ class Multiset:
             for sym, cnt in items:
                 self.add(sym, cnt)
 
+    @classmethod
+    def adopt(cls, counts: dict[str, int]) -> "Multiset":
+        """Multiset backed by ``counts`` itself, not a copy; every count must
+        be positive."""
+        out = cls()
+        out._counts = counts
+        return out
+
     def add(self, sym: str, count: int = 1) -> None:
         if count < 0:
             raise MultisetError(f"negative count {count} for {sym!r}")
@@ -63,16 +71,10 @@ class Multiset:
     def scaled(self, factor: int) -> "Multiset":
         if factor < 0:
             raise MultisetError(f"negative scale factor {factor}")
-        out = Multiset()
-        if factor:
-            for s, c in self._counts.items():
-                out._counts[s] = c * factor
-        return out
+        return Multiset.adopt({s: c * factor for s, c in self._counts.items()} if factor else {})
 
     def copy(self) -> "Multiset":
-        out = Multiset()
-        out._counts = dict(self._counts)
-        return out
+        return Multiset.adopt(dict(self._counts))
 
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(self._counts.items())

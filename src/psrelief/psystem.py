@@ -108,15 +108,6 @@ class PSystemDef:
             raise DefinitionError(f"expected exactly one root membrane, found {roots}")
         return roots[0]
 
-    def rules_of(self, label: str) -> list[Rule]:
-        return [r for r in self.rules if r.membrane == label]
-
-    def rule_by_id(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
-
     # -- validation ------------------------------------------------------
 
     def problems(self) -> list[str]:

@@ -1,7 +1,7 @@
 """Shared test utilities: tiny system constructors, the exhaustive
 firing-plan enumerator used as an independent oracle for selection semantics,
-a reference selector that walks every rule on every greedy pass, and
-reference solver steps that evaluate the update formulas array by array
+a reference selector that walks every rule on every greedy pass, a reference
+commit on ``Multiset`` objects, and reference solver steps that evaluate the update formulas array by array
 (float) and cell by cell (integer)."""
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import random
 import numpy as np
 
 from psrelief import relief
-from psrelief.engine import FiringPlan
+from psrelief.engine import EngineError, FiringPlan
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
+    ENVIRONMENT_LABEL,
     Configuration,
     Polarization,
     PSystemDef,
@@ -91,10 +92,15 @@ def _guard(rule: Rule, config) -> bool:
     return config.polarizations[rule.membrane] is rule.alpha
 
 
-def _feasible(definition, config, counts: dict[str, int]) -> bool:
+def rules_by_id(definition: PSystemDef) -> dict[str, Rule]:
+    """The rules of ``definition`` by id, for lookups from plans and pairs."""
+    return {r.id: r for r in definition.rules}
+
+
+def _feasible(definition, config, counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     pools = _pools(definition, config)
     for rid, k in counts.items():
-        rule = definition.rule_by_id(rid)
+        rule = rules[rid]
         pool = pools[_consume_label(definition, rule)]
         for sym, need in rule.lhs.items():
             pool[sym] = pool.get(sym, 0) - need * k
@@ -103,12 +109,12 @@ def _feasible(definition, config, counts: dict[str, int]) -> bool:
     return True
 
 
-def _compatible(definition, config, counts: dict[str, int]) -> bool:
+def _compatible(counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     change: dict[str, Polarization] = {}
     for rid, k in counts.items():
         if k <= 0:
             continue
-        rule = definition.rule_by_id(rid)
+        rule = rules[rid]
         if rule.changes_polarization:
             prev = change.get(rule.membrane)
             if prev is not None and prev is not rule.beta:
@@ -117,10 +123,11 @@ def _compatible(definition, config, counts: dict[str, int]) -> bool:
     return True
 
 
-def _residual(definition, config, counts: dict[str, int]) -> dict[str, dict[str, int]]:
+def _residual(definition, config, counts: dict[str, int],
+              rules: dict[str, Rule]) -> dict[str, dict[str, int]]:
     pools = _pools(definition, config)
     for rid, k in counts.items():
-        rule = definition.rule_by_id(rid)
+        rule = rules[rid]
         pool = pools[_consume_label(definition, rule)]
         for sym, need in rule.lhs.items():
             pool[sym] -= need * k
@@ -131,21 +138,21 @@ def _covers(pool: dict[str, int], lhs) -> bool:
     return all(pool.get(sym, 0) >= need for sym, need in lhs.items())
 
 
-def respects_priority(definition, config, counts: dict[str, int]) -> bool:
+def respects_priority(definition, config, counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     """Weak priority: if a lower rule fired, the higher rule must be unable to
     fire even after reclaiming everything its lower rules consumed."""
-    residual = _residual(definition, config, counts)
+    residual = _residual(definition, config, counts, rules)
     for hi_id, lo_id in definition.priorities:
         if counts.get(lo_id, 0) <= 0:
             continue
-        hi = definition.rule_by_id(hi_id)
+        hi = rules[hi_id]
         if not _guard(hi, config):
             continue
         reclaim = {lab: dict(pool) for lab, pool in residual.items()}
         for h2, l2 in definition.priorities:
             if h2 != hi_id or counts.get(l2, 0) <= 0:
                 continue
-            lo = definition.rule_by_id(l2)
+            lo = rules[l2]
             pool = reclaim[_consume_label(definition, lo)]
             for sym, need in lo.lhs.items():
                 pool[sym] = pool.get(sym, 0) + need * counts[l2]
@@ -156,10 +163,11 @@ def respects_priority(definition, config, counts: dict[str, int]) -> bool:
 
 def plan_is_valid(definition, config, counts: dict[str, int]) -> bool:
     counts = {rid: k for rid, k in counts.items() if k > 0}
+    rules = rules_by_id(definition)
     return (
-        _feasible(definition, config, counts)
-        and _compatible(definition, config, counts)
-        and respects_priority(definition, config, counts)
+        _feasible(definition, config, counts, rules)
+        and _compatible(counts, rules)
+        and respects_priority(definition, config, counts, rules)
     )
 
 
@@ -262,7 +270,8 @@ def random_small_system(rng: random.Random) -> PSystemDef:
 
 
 # ---------------------------------------------------------------------------
-# Reference selector: every greedy pass walks every rule
+# Reference selector and commit: every greedy pass walks every rule, and the
+# commit works on Multiset objects
 # ---------------------------------------------------------------------------
 
 
@@ -379,6 +388,73 @@ def reference_select(definition: PSystemDef, config: Configuration,
                 pending_beta[rule.membrane] = rule.beta
             progress = True
     return FiringPlan(counts=fired)
+
+
+def _reference_effects(definition: PSystemDef, rule: Rule) -> list[tuple[str, Multiset]]:
+    """(destination region, products) pairs of ``rule``, empty products left out."""
+    parent = definition.parent[rule.membrane]
+    outer = ENVIRONMENT_LABEL if parent is None else parent
+    if rule.kind is RuleKind.EVOLUTION:
+        pairs = [(rule.membrane, rule.rhs)]
+    elif rule.kind is RuleKind.SEND_OUT:
+        pairs = [(outer, rule.rhs), (rule.membrane, rule.rhs_aux)]
+    else:
+        pairs = [(rule.membrane, rule.rhs), (outer, rule.rhs_aux)]
+    return [(dest, products) for dest, products in pairs if products]
+
+
+def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
+    """The engine's commit written on ``Multiset`` objects: every written
+    region is copied as a ``Multiset`` and changed through ``remove`` and
+    ``add``.  ``apply_step`` must return an equal configuration and raise the
+    same ``EngineError`` messages for the same arguments."""
+    rules = rules_by_id(definition)
+    new_contents = dict(config.contents)
+    new_env = config.environment
+    touched: set[str] = set()
+
+    def region_for_write(label: str) -> Multiset:
+        nonlocal new_env
+        if label == ENVIRONMENT_LABEL:
+            if new_env is config.environment:
+                new_env = config.environment.copy()
+            return new_env
+        if label not in touched:
+            new_contents[label] = new_contents[label].copy()
+            touched.add(label)
+        return new_contents[label]
+
+    new_pols = dict(config.polarizations)
+    changed_to: dict[str, Polarization] = {}
+    for rid, count in plan.counts.items():
+        rule = rules.get(rid)
+        if rule is None:
+            raise EngineError(f"plan names unknown rule {rid!r}")
+        if count <= 0:
+            raise EngineError(f"plan has non-positive count for {rid!r}")
+        try:
+            region = region_for_write(_consume_label(definition, rule))
+            for sym, need in rule.lhs.items():
+                region.remove(sym, need * count)
+        except Exception as exc:
+            raise EngineError(f"infeasible plan at rule {rid!r}: {exc}") from exc
+        for dest, products in _reference_effects(definition, rule):
+            region = region_for_write(dest)
+            for sym, cnt in products.items():
+                region.add(sym, cnt * count)
+        h = rule.membrane
+        if rule.changes_polarization:
+            prev = changed_to.get(h)
+            if prev is not None and prev is not rule.beta:
+                raise EngineError(f"incompatible polarization targets for membrane {h!r}")
+            changed_to[h] = rule.beta
+            new_pols[h] = rule.beta
+    return Configuration(
+        contents=new_contents,
+        polarizations=new_pols,
+        environment=new_env,
+        step_index=config.step_index + 1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from psrelief.relief import (
 from psrelief.stats import compare
 from psrelief.trace import run_generated
 
-from helpers import enumerate_maximal_plans, random_small_system, ms
+from helpers import enumerate_maximal_plans, random_small_system, ms, rules_by_id
 from test_relief import derived_1x1, katrina_shaped, random_instance
 from test_stats import load_table
 
@@ -237,9 +237,10 @@ def test_criterion_8_property_suites():
         if plan:
             nxt = apply_step(d, cfg, plan)
             before = sum(msv.total() for msv in cfg.contents.values()) + cfg.environment.total()
-            consumed = sum(d.rule_by_id(r).lhs.total() * c for r, c in plan.counts.items())
+            rules = rules_by_id(d)
+            consumed = sum(rules[r].lhs.total() * c for r, c in plan.counts.items())
             produced = sum(
-                (d.rule_by_id(r).rhs.total() + d.rule_by_id(r).rhs_aux.total()) * c
+                (rules[r].rhs.total() + rules[r].rhs_aux.total()) * c
                 for r, c in plan.counts.items()
             )
             after = sum(msv.total() for msv in nxt.contents.values()) + nxt.environment.total()

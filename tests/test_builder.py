@@ -22,6 +22,7 @@ from psrelief.multiset import Multiset
 from psrelief.psystem import Configuration
 from psrelief.relief import ReliefInstance
 
+from helpers import rules_by_id
 from test_relief import derived_1x1
 
 
@@ -127,32 +128,34 @@ class TestConstants:
     def test_utility_constant_with_fractional_beta(self):
         inst = small_instance(1, 1, beta=0.5)
         gen = build(BuildParams(instance=inst, p=2))
-        rule = gen.definition.rule_by_id(gen.rule_index["1.6"][0])
+        rule = rules_by_id(gen.definition)[gen.rule_index["1.6"][0]]
         assert rule.rhs.count("p0") == 200  # floor(100 * 1 * 1 / 0.5)
 
     def test_supply_and_demand_seeds(self):
         inst = small_instance(1, 1)
         gen = build(BuildParams(instance=inst, p=3))
-        supply = gen.definition.rule_by_id(gen.rule_index["1.7"][0])
+        rules = rules_by_id(gen.definition)
+        supply = rules[gen.rule_index["1.7"][0]]
         assert supply.rhs.count("n0") == 2000  # floor(2.0 * 1000)
-        lo = gen.definition.rule_by_id(gen.rule_index["1.8"][0])
+        lo = rules[gen.rule_index["1.8"][0]]
         assert lo.rhs.count("p0") == 500
-        hi = gen.definition.rule_by_id(gen.rule_index["1.9"][0])
+        hi = rules[gen.rule_index["1.9"][0]]
         assert hi.rhs.count("n0") == 2000
 
     def test_cost_slope_and_divider(self):
         inst = small_instance(1, 1, beta=0.5)
         gen = build(BuildParams(instance=inst, p=2))
-        expand = gen.definition.rule_by_id(gen.rule_index["2.3"][0])
+        rules = rules_by_id(gen.definition)
+        expand = rules[gen.rule_index["2.3"][0]]
         assert expand.rhs.count("c1") == 200  # floor(2 * 100 * 1)
-        div = gen.definition.rule_by_id(gen.rule_index["2.6"][0])
+        div = rules[gen.rule_index["2.6"][0]]
         assert div.lhs.count("c1") == 50  # floor(100 * 0.5)
-        half = gen.definition.rule_by_id(gen.rule_index["2.7"][0])
+        half = rules[gen.rule_index["2.7"][0]]
         assert half.lhs.count("c1") == 25  # ceil(100 * 0.5 / 2)
 
     def test_comparison_barrier_multiplicity(self):
         gen = build(BuildParams(instance=small_instance(2, 3), p=2))
-        barrier = gen.definition.rule_by_id(gen.rule_index["3.1"][0])
+        barrier = rules_by_id(gen.definition)[gen.rule_index["3.1"][0]]
         assert barrier.lhs.count("y10") == 6
 
     def test_beta_flooring_to_zero_is_build_error(self):

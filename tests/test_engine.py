@@ -6,12 +6,12 @@ import random
 
 import pytest
 
+from psrelief import engine
 from psrelief.builder import BuildParams, build
 from psrelief.engine import (
     SEEDED_RANDOM,
     EngineError,
     FiringPlan,
-    applicable_rules,
     apply_step,
     run,
     select_firing,
@@ -29,7 +29,9 @@ from helpers import (
     ms,
     plan_is_maximal,
     random_small_system,
+    reference_apply,
     reference_select,
+    rules_by_id,
     send_in,
     send_out,
     single_membrane_example,
@@ -38,10 +40,12 @@ from test_relief import katrina_shaped
 
 
 class TestApplicable:
+    """A rule can fire only when its guard holds and the snapshot covers its
+    left-hand side; the candidate gather must find exactly these rules."""
+
     def test_worked_example_all_three_applicable(self):
         d = single_membrane_example()
-        cfg = Configuration.initial(d)
-        assert applicable_rules(d, cfg, "1") == ["r1", "r2", "r3"]
+        assert set(select_firing(d, Configuration.initial(d)).counts) == {"r1", "r2", "r3"}
 
     def test_empty_membrane_nothing_applicable(self):
         d = PSystemDef(
@@ -49,7 +53,7 @@ class TestApplicable:
             initial={"1": Multiset()},
             rules=[evolution("r1", "1", ms(a=1), ms(b=1))],
         )
-        assert applicable_rules(d, Configuration.initial(d), "1") == []
+        assert not select_firing(d, Configuration.initial(d))
 
     def test_polarization_guard_excludes(self):
         d = PSystemDef(
@@ -58,9 +62,9 @@ class TestApplicable:
             rules=[evolution("r1", "1", ms(a=1), ms(b=1), alpha=M)],
         )
         cfg = Configuration.initial(d)
-        assert applicable_rules(d, cfg, "1") == []
+        assert not select_firing(d, cfg)
         cfg.polarizations["1"] = M
-        assert applicable_rules(d, cfg, "1") == ["r1"]
+        assert select_firing(d, cfg).counts == {"r1": 1}
 
     def test_send_in_checks_parent_contents(self):
         d = PSystemDef(
@@ -68,12 +72,19 @@ class TestApplicable:
             initial={"s": ms(a=1), "c": Multiset()},
             rules=[send_in("r1", "c", ms(a=1), ms(b=1))],
         )
-        assert applicable_rules(d, Configuration.initial(d), "c") == ["r1"]
+        cfg = Configuration.initial(d)
+        assert select_firing(d, cfg).counts == {"r1": 1}
+        cfg.contents["s"], cfg.contents["c"] = Multiset(), ms(a=1)
+        assert not select_firing(d, cfg)
 
     def test_unknown_label_is_error(self):
-        d = single_membrane_example()
-        with pytest.raises(DefinitionError):
-            applicable_rules(d, Configuration.initial(d), "nope")
+        d = PSystemDef(
+            parent={"1": None},
+            initial={"1": ms(a=1)},
+            rules=[evolution("r1", "nope", ms(a=1), ms(b=1))],
+        )
+        with pytest.raises(DefinitionError, match="unknown membrane 'nope'"):
+            select_firing(d, Configuration.initial(d))
 
 
 class TestSelect:
@@ -189,11 +200,44 @@ class TestApply:
         assert nxt.contents["s"] == ms(outer=1)
         assert nxt.polarizations["c"] is M
 
+    @staticmethod
+    def _assert_engine_error(d, cfg, counts, message):
+        """``apply_step`` and ``reference_apply`` both raise ``message`` and
+        leave the input configuration as it was."""
+        digest, step = cfg.digest(), cfg.step_index
+        for apply in (apply_step, reference_apply):
+            with pytest.raises(EngineError) as err:
+                apply(d, cfg, FiringPlan(counts=dict(counts)))
+            assert str(err.value) == message, apply
+            assert cfg.digest() == digest and cfg.step_index == step
+
     def test_infeasible_plan_is_engine_error(self):
         d = single_membrane_example()
-        cfg = Configuration.initial(d)
-        with pytest.raises(EngineError):
-            apply_step(d, cfg, FiringPlan(counts={"r1": 5}))
+        self._assert_engine_error(d, Configuration.initial(d), {"r3": 1, "r1": 5},
+                                  "infeasible plan at rule 'r1': cannot remove 10 x 'a', only 3 present")
+
+    def test_unknown_rule_is_engine_error(self):
+        d = single_membrane_example()
+        self._assert_engine_error(d, Configuration.initial(d), {"r1": 1, "r9": 1},
+                                  "plan names unknown rule 'r9'")
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_count_is_engine_error(self, count):
+        d = single_membrane_example()
+        self._assert_engine_error(d, Configuration.initial(d), {"r3": 1, "r2": count},
+                                  "plan has non-positive count for 'r2'")
+
+    def test_incompatible_polarization_targets_is_engine_error(self):
+        d = PSystemDef(
+            parent={"s": None, "c": "s"},
+            initial={"c": ms(u=1, v=1)},
+            rules=[
+                send_out("r1", "c", ms(u=1), ms(x=1), alpha=N, beta=P),
+                send_out("r2", "c", ms(v=1), ms(y=1), alpha=N, beta=M),
+            ],
+        )
+        self._assert_engine_error(d, Configuration.initial(d), {"r1": 1, "r2": 1},
+                                  "incompatible polarization targets for membrane 'c'")
 
     def test_input_configuration_never_mutated(self):
         d = single_membrane_example()
@@ -292,9 +336,10 @@ class TestProperties:
             return out
 
         before, after = totals(cfg), totals(nxt)
+        rules = rules_by_id(d)
         flux = {}
         for rid, count in plan.counts.items():
-            rule = d.rule_by_id(rid)
+            rule = rules[rid]
             for sym, c in rule.lhs.items():
                 flux[sym] = flux.get(sym, 0) - c * count
             for sym, c in rule.rhs.items():
@@ -311,19 +356,16 @@ class TestProperties:
             d = random_small_system(rng)
             if d.problems():
                 continue
+            rules = rules_by_id(d)
             cfg = Configuration.initial(d)
             for _ in range(4):
                 plan = select_firing(d, cfg)
                 if not plan:
                     break
                 nxt = apply_step(d, cfg, plan)
+                fired = [rules[rid] for rid in plan.counts]
                 for lab in d.parent:
-                    changers = {
-                        d.rule_by_id(rid).beta
-                        for rid in plan.counts
-                        if d.rule_by_id(rid).membrane == lab
-                        and d.rule_by_id(rid).changes_polarization
-                    }
+                    changers = {r.beta for r in fired if r.membrane == lab and r.changes_polarization}
                     if nxt.polarizations[lab] is not cfg.polarizations[lab]:
                         assert changers == {nxt.polarizations[lab]}
                     else:
@@ -394,6 +436,74 @@ class TestReferenceSelector:
         assert select_firing(d, cfg) == FiringPlan(counts={"r0": 1, "r2": 1, "r3": 1})
         self._assert_same_plans(d, cfg)
 
+    def test_key_symbol_present_other_symbol_short(self):
+        # r1 is keyed by its first symbol a: a is present but b falls short.
+        # r2 is keyed by b, which is short, while its second symbol a is
+        # plentiful.  Neither is a candidate; r3 fires.
+        d = PSystemDef(
+            parent={"1": None},
+            initial={"1": ms(a=3, b=1, c=1)},
+            rules=[
+                evolution("r1", "1", ms(a=1, b=2), ms(x=1)),
+                evolution("r2", "1", ms(b=2, a=1), ms(y=1)),
+                evolution("r3", "1", ms(c=1, a=1), ms(z=1)),
+            ],
+        )
+        cfg = Configuration.initial(d)
+        assert select_firing(d, cfg) == FiringPlan(counts={"r3": 1})
+        self._assert_same_plans(d, cfg)
+        cfg.contents["1"] = ms(a=3, b=2, c=1)
+        assert select_firing(d, cfg) == FiringPlan(counts={"r1": 1, "r3": 1})
+        self._assert_same_plans(d, cfg)
+
+    def test_sibling_send_ins_share_the_parent_region(self):
+        # c1 and c2 both consume from s; their rules are listed under
+        # different guards, and only the ones matching each membrane's
+        # current polarization may fire.
+        d = PSystemDef(
+            parent={"s": None, "c1": "s", "c2": "s"},
+            initial={"s": ms(a=3, b=2)},
+            rules=[
+                send_in("i1", "c1", ms(a=1), ms(x=1), alpha=N),
+                send_in("i2", "c2", ms(a=1), ms(y=1), alpha=P, beta=M),
+                send_in("i3", "c2", ms(b=1), ms(z=1), alpha=N),
+                send_in("i4", "c1", ms(b=1), ms(w=1), alpha=P),
+            ],
+            priorities=[("i2", "i1")],
+        )
+        cfg = Configuration.initial(d)
+        assert select_firing(d, cfg) == FiringPlan(counts={"i1": 3, "i3": 2})
+        self._assert_same_plans(d, cfg)
+        cfg.polarizations["c2"] = P
+        assert select_firing(d, cfg) == FiringPlan(counts={"i2": 3})
+        self._assert_same_plans(d, cfg)
+        cfg.polarizations["c1"] = P
+        assert select_firing(d, cfg) == FiringPlan(counts={"i2": 3, "i4": 2})
+        self._assert_same_plans(d, cfg)
+
+    def test_smaller_side_walk_both_ways(self):
+        # Region 1 holds fewer symbols than its rules have key symbols, so the
+        # gather walks the present symbols; region 2 holds more, so it walks
+        # the key symbols.
+        d = PSystemDef(
+            parent={"1": None, "2": "1"},
+            initial={"1": ms(c=2, e=1), "2": ms(a=1, b=2, c=1, d=1, e=3, f=1)},
+            rules=[evolution(f"k{sym}", "1", Multiset({sym: 1}), ms(z=1)) for sym in "abcdef"]
+            + [
+                evolution("two", "1", ms(e=1, c=1), ms(y=1)),
+                evolution("in2", "2", ms(e=2), ms(x=1)),
+                evolution("in2b", "2", ms(b=1, f=2), ms(x=1)),
+            ],
+            priorities=[("two", "kc")],
+        )
+        cfg = Configuration.initial(d)
+        groups = engine._Compiled(d).groups
+        assert len(cfg.contents["1"]) < len(groups[("1", N)]["1"])
+        assert len(cfg.contents["2"]) > len(groups[("2", N)]["2"])
+        # ke takes the one e first, so two cannot fire and no longer holds kc back
+        assert select_firing(d, cfg) == FiringPlan(counts={"ke": 1, "kc": 2, "in2": 1})
+        self._assert_same_plans(d, cfg)
+
     def test_random_small_systems(self):
         rng = random.Random(5150)
         checked = 0
@@ -419,3 +529,45 @@ class TestReferenceSelector:
         assert len(picked) >= 10
         for cfg in picked:
             self._assert_same_plans(gen.definition, cfg)
+
+
+class TestReferenceApply:
+    """``apply_step`` commits on plain count dicts; ``reference_apply``
+    commits on ``Multiset`` objects.  Their configurations must be equal,
+    canonical (no zero counts) and leave the input as it was."""
+
+    @staticmethod
+    def _assert_same_commit(d, cfg, plan):
+        digest = cfg.digest()
+        got = apply_step(d, cfg, plan)
+        assert got == reference_apply(d, cfg, plan)
+        assert cfg.digest() == digest
+        for region in list(got.contents.values()) + [got.environment]:
+            assert all(count > 0 for _, count in region.items())
+        return got
+
+    def test_random_small_systems(self):
+        rng = random.Random(6160)
+        checked = 0
+        while checked < 200:
+            d = random_small_system(rng)
+            if d.problems():
+                continue
+            cfg = Configuration.initial(d)
+            for step in range(4):
+                plan = select_firing(d, cfg, policy=SEEDED_RANDOM, seed=step) if step % 2 else select_firing(d, cfg)
+                if not plan:
+                    break
+                cfg = self._assert_same_commit(d, cfg, plan)
+                checked += 1
+
+    def test_generated_4x4_run(self):
+        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3))
+        d = gen.definition
+        samples = []
+        run_generated(gen, max_iterations=5,
+                      extra_observer=lambda step, plan, cfg: samples.append(cfg))
+        picked = [Configuration.initial(d)] + samples[3::9]
+        assert len(picked) >= 10
+        for cfg in picked:
+            self._assert_same_commit(d, cfg, select_firing(d, cfg))

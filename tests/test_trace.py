@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
-from psrelief import dsl
+from psrelief import cli, dsl
 from psrelief.builder import BuildParams, build
 from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
 from psrelief.trace import TraceWriter, run_generated
@@ -74,3 +76,23 @@ def test_extra_observer_sees_every_counted_step(max_iterations, halts):
     res = run_generated(gen, max_iterations, extra_observer=lambda step, plan, config: seen.append(step))
     assert res.halted is halts
     assert seen == list(range(1, res.report.steps + 1))
+
+
+DEMO_2X2 = Path(__file__).resolve().parent.parent / "instances" / "demo_2x2.json"
+
+
+# sha256 of ``trace --instance instances/demo_2x2.json --p 2`` output.  Both
+# digests were computed with the engine that rescanned every guarded rule per
+# step and committed on Multiset copies, before the key-symbol candidate
+# gather and the count-dict commit replaced it; they pin that the rewrite
+# kept every step of both policies.
+@pytest.mark.parametrize("policy_args, digest", [
+    ([], "be19557f6459cc70b84d9fb362c70896fa94f8dbc2261259ce912038b3ee72ee"),
+    (["--policy", SEEDED_RANDOM, "--seed", "5"],
+     "073d78ad76dfa556025a1f0b2cf8dc9a849c06c680327dad8b2ee77e87642de0"),
+])
+def test_demo_2x2_trace_is_pinned(tmp_path, policy_args, digest):
+    out = tmp_path / "trace.txt"
+    rc = cli.main(["trace", "--instance", str(DEMO_2X2), "--p", "2", "--out", str(out)] + policy_args)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
