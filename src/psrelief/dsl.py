@@ -64,114 +64,90 @@ class ParseResult:
         return self.definition is not None
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<pol>'[0+\-])
-      | (?P<arrow>->)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[\[\]:@>^])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    column: int
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, diags: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.diags = diags
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        col = tok.column if tok is not None else (self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1)
-        self.diags.append(ParseDiagnostic("error", message, self.line_no, col))
-        raise _Bail()
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok is None or tok.kind != kind:
-            self.error(f"expected {what}", tok)
-        return tok
-
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.next()
-        if tok is None or tok.kind != "punct" or tok.text != char:
-            self.error(f"expected {char!r}", tok)
-        return tok
-
-    def expect_label(self, what: str = "a membrane label") -> _Token:
-        tok = self.next()
-        if tok is None or tok.kind not in ("ident", "int"):
-            self.error(f"expected {what}", tok)
-        return tok
-
-    def at_punct(self, char: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == char
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def multiset(self, stoppers: tuple[str, ...]) -> Multiset:
-        """Parse atoms until a stopper token kind/char; empty multiset allowed."""
-        out = Multiset()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return out
-            if tok.kind in stoppers:
-                return out
-            if tok.kind == "punct" and tok.text in stoppers:
-                return out
-            if tok.kind != "ident":
-                self.error("expected a symbol name", tok)
-            self.next()
-            count = 1
-            if self.at_punct("^"):
-                self.next()
-                num = self.expect("int", "a count after '^'")
-                count = int(num.text)
-                if count <= 0:
-                    self.error("multiplicity must be positive", num)
-            out.add(tok.text, count)
+_TOKEN_RE = re.compile(r"'[0+\-]|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\]:@>^]")
+# The longest prefix of a line that lexes.  A character of _FREE always starts
+# or continues whitespace or a token; "'" must start a polarization and "-" an
+# arrow; any other character starts no token.  Each repetition of the group
+# begins with "'" or "-", which _FREE excludes, so a line matches in one way
+# only and the match takes time linear in its length.
+_FREE = r"[\s0-9A-Za-z_\[\]:@>^]"
+_LINE_RE = re.compile(rf"{_FREE}*(?:(?:'[0+\-]|->){_FREE}*)*")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_LABEL_START = _IDENT_START | frozenset("0123456789")
+_POLARIZATIONS = {"'" + pol.value: pol for pol in Polarization}
+#: Closes every token list, so a read one past the last token needs no bounds
+#: check; no token equals it.
+_END = "\n"
+# Stop sets of _multiset.
+_TO_END = (_END,)
+_TO_OPEN = ("[", _END)
+_TO_CLOSE = ("]", _END)
+_TO_ARROW_OR_CLOSE = ("->", "]", _END)
+#: Longest count accepted (Python's default int/str conversion limit).
+MAX_COUNT_DIGITS = 4300
 
 
 class _Bail(Exception):
-    pass
+    """The line is malformed at token ``index``; the index of ``_END`` means
+    the end of the line."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
-def _tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list[_Token] | None:
-    hash_at = line.find("#")
-    if hash_at != -1:
-        line = line[:hash_at]
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            diags.append(ParseDiagnostic("error", f"unexpected character {line[pos]!r}", line_no, pos + 1))
-            return None
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    return tokens
+def _column(raw: str, index: int) -> int:
+    """1-based column of token ``index`` of a line that lexed cleanly, or one
+    past its last token when ``index`` is the token count."""
+    spans = [m.span() for m in _TOKEN_RE.finditer(raw.partition("#")[0])]
+    return spans[index][0] + 1 if index < len(spans) else spans[-1][1] + 1
+
+
+def _word(toks: list[str], i: int, start: frozenset[str], what: str) -> str:
+    tok = toks[i]
+    if tok[0] not in start:
+        raise _Bail(f"expected {what}", i)
+    return tok
+
+
+def _expect(toks: list[str], i: int, char: str) -> int:
+    if toks[i] != char:
+        raise _Bail(f"expected {char!r}", i)
+    return i + 1
+
+
+def _polarization(toks: list[str], i: int) -> Polarization:
+    pol = _POLARIZATIONS.get(toks[i])
+    if pol is None:
+        raise _Bail("expected a polarization", i)
+    return pol
+
+
+def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset, int]:
+    """Atoms from token ``i`` up to the first token in ``stop`` (which holds
+    ``_END``).  A repeated symbol adds to the count at its first position."""
+    counts: dict[str, int] = {}
+    sym = toks[i]
+    while sym not in stop:
+        if sym[0] not in _IDENT_START:
+            raise _Bail("expected a symbol name", i)
+        if toks[i + 1] == "^":
+            i += 2
+            num = toks[i]
+            if not num.isdigit():
+                raise _Bail("expected a count after '^'", i)
+            if len(num) > MAX_COUNT_DIGITS:
+                raise _Bail(f"count has more than {MAX_COUNT_DIGITS} digits", i)
+            count = int(num)
+            if not count:
+                raise _Bail("multiplicity must be positive", i)
+            counts[sym] = counts.get(sym, 0) + count
+        else:
+            counts[sym] = counts.get(sym, 0) + 1
+        i += 1
+        sym = toks[i]
+    return Multiset.adopt(counts), i
 
 
 def parse(doc: SourceDocument | str) -> ParseResult:
@@ -179,93 +155,88 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     positioned error diagnostic and no definition."""
     if isinstance(doc, str):
         doc = SourceDocument(text=doc)
+    if not isinstance(doc.text, str):
+        return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
     diags: list[ParseDiagnostic] = []
     parent: dict[str, str | None] = {}
-    membrane_line: dict[str, int] = {}
-    pending_parents: list[tuple[str, str, int, int]] = []
+    pending_parents: list[tuple[str, str, int, str]] = []
     initial: dict[str, Multiset] = {}
     init_line: dict[str, int] = {}
     rules: list[Rule] = []
     rule_line: dict[str, int] = {}
     priorities: list[tuple[str, str]] = []
-    prio_lines: list[tuple[str, str, int, int, str | None]] = []
+    prio_lines: list[tuple[str, str, int, str, str | None]] = []
     output: str | None = None
-    output_pos: tuple[int, int] | None = None
+    output_pos: tuple[int, str] | None = None
 
-    try:
-        lines = doc.text.splitlines()
-    except Exception:
-        return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
-
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = _tokenize(raw, line_no, diags)
-        if tokens is None or not tokens:
+    for line_no, raw in enumerate(doc.text.splitlines(), start=1):
+        end = _LINE_RE.match(raw).end()
+        if end < len(raw) and raw[end] != "#":
+            diags.append(ParseDiagnostic("error", f"unexpected character {raw[end]!r}", line_no, end + 1))
             continue
-        lp = _LineParser(tokens, line_no, diags)
-        head = tokens[0]
+        toks = _TOKEN_RE.findall(raw, 0, end)
+        if not toks:
+            continue
+        toks.append(_END)
+        head = toks[0]
         try:
-            if head.kind != "ident":
-                lp.error("expected a directive (membrane/output/init/rule/prio)", head)
-            lp.next()
-            if head.text == "membrane":
-                lab = lp.expect_label().text
+            if head == "rule":
+                rid = _word(toks, 1, _IDENT_START, "a rule id")
+                rule = _rule_body(toks, _expect(toks, 2, ":"), rid)
+                if rid in rule_line:
+                    raise _Bail(f"duplicate rule id {rid!r}", 1)
+                rules.append(rule)
+                rule_line[rid] = line_no
+            elif head == "prio":
+                hi = _word(toks, 1, _IDENT_START, "a rule id")
+                lo = _word(toks, _expect(toks, 2, ">"), _IDENT_START, "a rule id")
+                at_label = None
+                i = 4
+                if toks[4] == "@":
+                    at_label = _word(toks, 5, _LABEL_START, "a membrane label")
+                    i = 6
+                if toks[i] != _END:
+                    raise _Bail("unexpected trailing input", i)
+                priorities.append((hi, lo))
+                prio_lines.append((hi, lo, line_no, raw, at_label))
+            elif head == "membrane":
+                lab = _word(toks, 1, _LABEL_START, "a membrane label")
                 if lab in parent:
-                    lp.error(f"membrane {lab!r} already declared", head)
+                    raise _Bail(f"membrane {lab!r} already declared", 0)
                 parent[lab] = None
-                membrane_line[lab] = line_no
-                if not lp.at_end():
-                    kw = lp.expect("ident", "'in PARENT' or end of line")
-                    if kw.text != "in":
-                        lp.error("expected 'in'", kw)
-                    par = lp.expect_label("a parent label")
-                    pending_parents.append((lab, par.text, line_no, par.column))
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-            elif head.text == "output":
+                if toks[2] != _END:
+                    _word(toks, 2, _IDENT_START, "'in PARENT' or end of line")
+                    if toks[2] != "in":
+                        raise _Bail("expected 'in'", 2)
+                    par = _word(toks, 3, _LABEL_START, "a parent label")
+                    pending_parents.append((lab, par, line_no, raw))
+                    if toks[4] != _END:
+                        raise _Bail("unexpected trailing input", 4)
+            elif head == "output":
                 if output is not None:
-                    lp.error("output already declared", head)
-                lab = lp.expect_label("a label or 'environment'")
-                output = lab.text
-                output_pos = (line_no, lab.column)
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-            elif head.text == "init":
-                lab = lp.expect_label().text
-                lp.expect_punct(":")
-                ms = lp.multiset(stoppers=())
+                    raise _Bail("output already declared", 0)
+                output = _word(toks, 1, _LABEL_START, "a label or 'environment'")
+                output_pos = (line_no, raw)
+                if toks[2] != _END:
+                    raise _Bail("unexpected trailing input", 2)
+            elif head == "init":
+                lab = _word(toks, 1, _LABEL_START, "a membrane label")
+                ms, _ = _multiset(toks, _expect(toks, 2, ":"), _TO_END)
                 if lab in initial:
-                    lp.error(f"init for {lab!r} already given", head)
+                    raise _Bail(f"init for {lab!r} already given", 0)
                 initial[lab] = ms
                 init_line[lab] = line_no
-            elif head.text == "rule":
-                rid_tok = lp.expect("ident", "a rule id")
-                lp.expect_punct(":")
-                rule = _parse_rule_body(lp, rid_tok.text)
-                if rule.id in rule_line:
-                    lp.error(f"duplicate rule id {rule.id!r}", rid_tok)
-                rules.append(rule)
-                rule_line[rule.id] = line_no
-            elif head.text == "prio":
-                hi = lp.expect("ident", "a rule id")
-                lp.expect_punct(">")
-                lo = lp.expect("ident", "a rule id")
-                at_label = None
-                if lp.at_punct("@"):
-                    lp.next()
-                    at_label = lp.expect_label().text
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-                priorities.append((hi.text, lo.text))
-                prio_lines.append((hi.text, lo.text, line_no, hi.column, at_label))
+            elif head[0] in _IDENT_START:
+                raise _Bail(f"unknown directive {head!r}", 0)
             else:
-                lp.error(f"unknown directive {head.text!r}", head)
-        except _Bail:
-            continue
+                raise _Bail("expected a directive (membrane/output/init/rule/prio)", 0)
+        except _Bail as bail:
+            diags.append(ParseDiagnostic("error", bail.message, line_no, _column(raw, bail.index)))
 
     # resolve structure
-    for lab, par, line_no, col in pending_parents:
+    for lab, par, line_no, raw in pending_parents:
         if par not in parent:
-            diags.append(ParseDiagnostic("error", f"unknown parent membrane {par!r}", line_no, col))
+            diags.append(ParseDiagnostic("error", f"unknown parent membrane {par!r}", line_no, _column(raw, 3)))
         else:
             parent[lab] = par
     if not parent:
@@ -282,13 +253,12 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     elif output != ENVIRONMENT_LABEL and output not in parent:
         diags.append(ParseDiagnostic(
             "error", f"output region {output!r} is not a declared membrane",
-            output_pos[0], output_pos[1],
+            output_pos[0], _column(output_pos[1], 1),
         ))
     for lab, line_no in init_line.items():
         if lab not in parent:
             diags.append(ParseDiagnostic("error", f"init for unknown membrane {lab!r}", line_no, 1))
     skin = roots[0] if len(roots) == 1 else None
-    known_rule_ids = set(rule_line)
     for rule in rules:
         line_no = rule_line[rule.id]
         if rule.membrane not in parent:
@@ -297,14 +267,17 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         elif rule.kind is RuleKind.SEND_IN and rule.membrane == skin:
             diags.append(ParseDiagnostic(
                 "error", f"send-in rule {rule.id!r} targets the skin membrane", line_no, 1))
-    for hi, lo, line_no, col, at_label in prio_lines:
+    for hi, lo, line_no, raw, at_label in prio_lines:
         for rid in (hi, lo):
-            if rid not in known_rule_ids:
+            if rid not in rule_line:
                 diags.append(ParseDiagnostic(
-                    "error", f"priority references unknown rule {rid!r}", line_no, col))
+                    "error", f"priority references unknown rule {rid!r}", line_no, _column(raw, 1)))
+        if hi == lo:
+            diags.append(ParseDiagnostic(
+                "error", f"priority pair relates rule {hi!r} to itself", line_no, _column(raw, 1)))
         if at_label is not None and at_label not in parent:
             diags.append(ParseDiagnostic(
-                "error", f"priority names unknown membrane {at_label!r}", line_no, col))
+                "error", f"priority names unknown membrane {at_label!r}", line_no, _column(raw, 1)))
 
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
@@ -326,62 +299,49 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     return ParseResult(definition, diags)
 
 
-def _parse_rule_body(lp: _LineParser, rid: str) -> Rule:
-    if lp.at_punct("["):
-        lp.next()
-        lhs = lp.multiset(stoppers=("arrow", "]"))
-        if lp.peek() is not None and lp.peek().kind == "arrow":
+def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
+    """The rule body from token ``i`` to the end of the line."""
+    if toks[i] == "[":
+        lhs, i = _multiset(toks, i + 1, _TO_ARROW_OR_CLOSE)
+        if toks[i] == "->":
             # evolution: [lhs -> rhs]'a
-            lp.next()
-            rhs = lp.multiset(stoppers=("]",))
-            lp.expect_punct("]")
-            alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
-            membrane = _rule_at(lp)
-            if not lhs:
-                lp.error("rule left-hand side must not be empty")
+            rhs, i = _multiset(toks, i + 1, _TO_CLOSE)
+            i = _expect(toks, i, "]")
+            alpha = _polarization(toks, i)
+            membrane = _rule_at(toks, i + 1, lhs)
             return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
-        lp.expect_punct("]")
-        alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
-        tok = lp.next()
-        if tok is None or tok.kind != "arrow":
-            lp.error("expected '->'", tok)
-        outer = lp.multiset(stoppers=("[",))
-        lp.expect_punct("[")
-        inner = lp.multiset(stoppers=("]",))
-        lp.expect_punct("]")
-        beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
-        membrane = _rule_at(lp)
-        if not lhs:
-            lp.error("rule left-hand side must not be empty")
-        return Rule(id=rid, kind=RuleKind.SEND_OUT, membrane=membrane,
+        kind = RuleKind.SEND_OUT
+        i = _expect(toks, i, "]")
+    else:
+        # send-in: lhs []'a -> outer [inner]'b
+        kind = RuleKind.SEND_IN
+        lhs, i = _multiset(toks, i, _TO_OPEN)
+        i = _expect(toks, _expect(toks, i, "["), "]")
+    alpha = _polarization(toks, i)
+    if toks[i + 1] != "->":
+        raise _Bail("expected '->'", i + 1)
+    outer, i = _multiset(toks, i + 2, _TO_OPEN)
+    inner, i = _multiset(toks, _expect(toks, i, "["), _TO_CLOSE)
+    i = _expect(toks, i, "]")
+    beta = _polarization(toks, i)
+    membrane = _rule_at(toks, i + 1, lhs)
+    if kind is RuleKind.SEND_OUT:
+        return Rule(id=rid, kind=kind, membrane=membrane,
                     lhs=lhs, rhs=outer, rhs_aux=inner, alpha=alpha, beta=beta)
-    # send-in: lhs []'a -> outer [inner]'b
-    lhs = lp.multiset(stoppers=("[",))
-    lp.expect_punct("[")
-    lp.expect_punct("]")
-    alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
-    tok = lp.next()
-    if tok is None or tok.kind != "arrow":
-        lp.error("expected '->'", tok)
-    outer = lp.multiset(stoppers=("[",))
-    lp.expect_punct("[")
-    inner = lp.multiset(stoppers=("]",))
-    lp.expect_punct("]")
-    beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
-    membrane = _rule_at(lp)
-    if not lhs:
-        lp.error("rule left-hand side must not be empty")
-    return Rule(id=rid, kind=RuleKind.SEND_IN, membrane=membrane,
+    return Rule(id=rid, kind=kind, membrane=membrane,
                 lhs=lhs, rhs=inner, rhs_aux=outer, alpha=alpha, beta=beta)
 
 
-def _rule_at(lp: _LineParser) -> str:
-    lp.expect_punct("@")
-    membrane = lp.expect_label().text
-    if not lp.at_end():
-        lp.error("unexpected trailing input", lp.peek())
+def _rule_at(toks: list[str], i: int, lhs: Multiset) -> str:
+    """``@ LABEL`` closing a rule whose left-hand side is ``lhs``."""
+    _expect(toks, i, "@")
+    membrane = _word(toks, i + 1, _LABEL_START, "a membrane label")
+    if toks[i + 2] != _END:
+        raise _Bail("unexpected trailing input", i + 2)
+    if not lhs:
+        raise _Bail("rule left-hand side must not be empty", i + 2)
     return membrane
 
 

@@ -29,7 +29,7 @@ class Multiset:
     def adopt(cls, counts: dict[str, int]) -> "Multiset":
         """Multiset backed by ``counts`` itself, not a copy; every count must
         be positive."""
-        out = cls()
+        out = object.__new__(cls)
         out._counts = counts
         return out
 

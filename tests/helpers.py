@@ -1,18 +1,22 @@
 """Shared test utilities: tiny system constructors, the exhaustive
 firing-plan enumerator used as an independent oracle for selection semantics,
 a reference selector that walks every rule on every greedy pass, a reference
-commit on ``Multiset`` objects, and reference solver steps that evaluate the update formulas array by array
-(float) and cell by cell (integer)."""
+commit on ``Multiset`` objects, reference solver steps that evaluate the update formulas array by array
+(float) and cell by cell (integer), and a reference ``.psys`` reader that
+builds one token object per token."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import random
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from psrelief import relief
+from psrelief.dsl import ParseDiagnostic, ParseResult, SourceDocument
 from psrelief.engine import EngineError, FiringPlan
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
@@ -564,3 +568,332 @@ def reference_quantized_step(state: relief.QuantizedState, inst: relief.ReliefIn
     new_lam2 = [_reference_project(state.lam2[j], cols[j] - k.dhi[j], w) for j in range(n)]
     return relief.QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2,
                                  t=state.t + 1, p=state.p)
+
+
+# ---------------------------------------------------------------------------
+# Reference .psys reader (one token object per token)
+# ---------------------------------------------------------------------------
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<pol>'[0+\-])
+      | (?P<arrow>->)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[\[\]:@>^])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _RefToken:
+    kind: str
+    text: str
+    column: int
+
+
+class _RefLineParser:
+    def __init__(self, tokens: list[_RefToken], line_no: int, diags: list[ParseDiagnostic]):
+        self.tokens = tokens
+        self.pos = 0
+        self.line_no = line_no
+        self.diags = diags
+
+    def peek(self) -> _RefToken | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> _RefToken | None:
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def error(self, message: str, tok: _RefToken | None = None) -> None:
+        col = tok.column if tok is not None else (self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1)
+        self.diags.append(ParseDiagnostic("error", message, self.line_no, col))
+        raise _RefBail()
+
+    def expect(self, kind: str, what: str) -> _RefToken:
+        tok = self.next()
+        if tok is None or tok.kind != kind:
+            self.error(f"expected {what}", tok)
+        return tok
+
+    def expect_punct(self, char: str) -> _RefToken:
+        tok = self.next()
+        if tok is None or tok.kind != "punct" or tok.text != char:
+            self.error(f"expected {char!r}", tok)
+        return tok
+
+    def expect_label(self, what: str = "a membrane label") -> _RefToken:
+        tok = self.next()
+        if tok is None or tok.kind not in ("ident", "int"):
+            self.error(f"expected {what}", tok)
+        return tok
+
+    def at_punct(self, char: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == "punct" and tok.text == char
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def multiset(self, stoppers: tuple[str, ...]) -> Multiset:
+        """Parse atoms until a stopper token kind/char; empty multiset allowed."""
+        out = Multiset()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return out
+            if tok.kind in stoppers:
+                return out
+            if tok.kind == "punct" and tok.text in stoppers:
+                return out
+            if tok.kind != "ident":
+                self.error("expected a symbol name", tok)
+            self.next()
+            count = 1
+            if self.at_punct("^"):
+                self.next()
+                num = self.expect("int", "a count after '^'")
+                count = int(num.text)
+                if count <= 0:
+                    self.error("multiplicity must be positive", num)
+            out.add(tok.text, count)
+
+
+class _RefBail(Exception):
+    pass
+
+
+def _ref_tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list[_RefToken] | None:
+    hash_at = line.find("#")
+    if hash_at != -1:
+        line = line[:hash_at]
+    tokens: list[_RefToken] = []
+    pos = 0
+    while pos < len(line):
+        m = _REF_TOKEN_RE.match(line, pos)
+        if m is None:
+            diags.append(ParseDiagnostic("error", f"unexpected character {line[pos]!r}", line_no, pos + 1))
+            return None
+        if m.lastgroup != "ws":
+            tokens.append(_RefToken(m.lastgroup, m.group(), pos + 1))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse(doc: SourceDocument | str) -> ParseResult:
+    """The reader ``dsl.parse`` replaced: one regex match and one ``_RefToken``
+    per token, walked through ``_RefLineParser``.  ``dsl.parse`` must return an
+    equal result, apart from the lexical limits, the self-priority position and
+    the bytes check it added."""
+    if isinstance(doc, str):
+        doc = SourceDocument(text=doc)
+    diags: list[ParseDiagnostic] = []
+    parent: dict[str, str | None] = {}
+    membrane_line: dict[str, int] = {}
+    pending_parents: list[tuple[str, str, int, int]] = []
+    initial: dict[str, Multiset] = {}
+    init_line: dict[str, int] = {}
+    rules: list[Rule] = []
+    rule_line: dict[str, int] = {}
+    priorities: list[tuple[str, str]] = []
+    prio_lines: list[tuple[str, str, int, int, str | None]] = []
+    output: str | None = None
+    output_pos: tuple[int, int] | None = None
+
+    try:
+        lines = doc.text.splitlines()
+    except Exception:
+        return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
+
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = _ref_tokenize(raw, line_no, diags)
+        if tokens is None or not tokens:
+            continue
+        lp = _RefLineParser(tokens, line_no, diags)
+        head = tokens[0]
+        try:
+            if head.kind != "ident":
+                lp.error("expected a directive (membrane/output/init/rule/prio)", head)
+            lp.next()
+            if head.text == "membrane":
+                lab = lp.expect_label().text
+                if lab in parent:
+                    lp.error(f"membrane {lab!r} already declared", head)
+                parent[lab] = None
+                membrane_line[lab] = line_no
+                if not lp.at_end():
+                    kw = lp.expect("ident", "'in PARENT' or end of line")
+                    if kw.text != "in":
+                        lp.error("expected 'in'", kw)
+                    par = lp.expect_label("a parent label")
+                    pending_parents.append((lab, par.text, line_no, par.column))
+                if not lp.at_end():
+                    lp.error("unexpected trailing input", lp.peek())
+            elif head.text == "output":
+                if output is not None:
+                    lp.error("output already declared", head)
+                lab = lp.expect_label("a label or 'environment'")
+                output = lab.text
+                output_pos = (line_no, lab.column)
+                if not lp.at_end():
+                    lp.error("unexpected trailing input", lp.peek())
+            elif head.text == "init":
+                lab = lp.expect_label().text
+                lp.expect_punct(":")
+                ms = lp.multiset(stoppers=())
+                if lab in initial:
+                    lp.error(f"init for {lab!r} already given", head)
+                initial[lab] = ms
+                init_line[lab] = line_no
+            elif head.text == "rule":
+                rid_tok = lp.expect("ident", "a rule id")
+                lp.expect_punct(":")
+                rule = _ref_rule_body(lp, rid_tok.text)
+                if rule.id in rule_line:
+                    lp.error(f"duplicate rule id {rule.id!r}", rid_tok)
+                rules.append(rule)
+                rule_line[rule.id] = line_no
+            elif head.text == "prio":
+                hi = lp.expect("ident", "a rule id")
+                lp.expect_punct(">")
+                lo = lp.expect("ident", "a rule id")
+                at_label = None
+                if lp.at_punct("@"):
+                    lp.next()
+                    at_label = lp.expect_label().text
+                if not lp.at_end():
+                    lp.error("unexpected trailing input", lp.peek())
+                priorities.append((hi.text, lo.text))
+                prio_lines.append((hi.text, lo.text, line_no, hi.column, at_label))
+            else:
+                lp.error(f"unknown directive {head.text!r}", head)
+        except _RefBail:
+            continue
+
+    # resolve structure
+    for lab, par, line_no, col in pending_parents:
+        if par not in parent:
+            diags.append(ParseDiagnostic("error", f"unknown parent membrane {par!r}", line_no, col))
+        else:
+            parent[lab] = par
+    if not parent:
+        diags.append(ParseDiagnostic("error", "no membranes declared", 1, 1))
+    roots = [lab for lab, par in parent.items() if par is None]
+    if parent and len(roots) != 1:
+        diags.append(ParseDiagnostic(
+            "error",
+            f"expected exactly one root membrane, found {sorted(roots)}",
+            1, 1,
+        ))
+    if output is None:
+        output = ENVIRONMENT_LABEL
+    elif output != ENVIRONMENT_LABEL and output not in parent:
+        diags.append(ParseDiagnostic(
+            "error", f"output region {output!r} is not a declared membrane",
+            output_pos[0], output_pos[1],
+        ))
+    for lab, line_no in init_line.items():
+        if lab not in parent:
+            diags.append(ParseDiagnostic("error", f"init for unknown membrane {lab!r}", line_no, 1))
+    skin = roots[0] if len(roots) == 1 else None
+    known_rule_ids = set(rule_line)
+    for rule in rules:
+        line_no = rule_line[rule.id]
+        if rule.membrane not in parent:
+            diags.append(ParseDiagnostic(
+                "error", f"rule {rule.id!r} names unknown membrane {rule.membrane!r}", line_no, 1))
+        elif rule.kind is RuleKind.SEND_IN and rule.membrane == skin:
+            diags.append(ParseDiagnostic(
+                "error", f"send-in rule {rule.id!r} targets the skin membrane", line_no, 1))
+    for hi, lo, line_no, col, at_label in prio_lines:
+        for rid in (hi, lo):
+            if rid not in known_rule_ids:
+                diags.append(ParseDiagnostic(
+                    "error", f"priority references unknown rule {rid!r}", line_no, col))
+        if at_label is not None and at_label not in parent:
+            diags.append(ParseDiagnostic(
+                "error", f"priority names unknown membrane {at_label!r}", line_no, col))
+
+    if any(d.severity == "error" for d in diags):
+        return ParseResult(None, diags)
+
+    definition = PSystemDef(
+        parent=parent,
+        initial=initial,
+        rules=rules,
+        priorities=priorities,
+        output=output,
+    )
+    problems = definition.problems()
+    if problems:
+        first_prio_line = prio_lines[0][2] if prio_lines else 1
+        for prob in problems:
+            line = first_prio_line if "cyclic" in prob else 1
+            diags.append(ParseDiagnostic("error", prob, line, 1))
+        return ParseResult(None, diags)
+    return ParseResult(definition, diags)
+
+
+def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
+    if lp.at_punct("["):
+        lp.next()
+        lhs = lp.multiset(stoppers=("arrow", "]"))
+        if lp.peek() is not None and lp.peek().kind == "arrow":
+            # evolution: [lhs -> rhs]'a
+            lp.next()
+            rhs = lp.multiset(stoppers=("]",))
+            lp.expect_punct("]")
+            alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+            membrane = _ref_rule_at(lp)
+            if not lhs:
+                lp.error("rule left-hand side must not be empty")
+            return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
+                        lhs=lhs, rhs=rhs, alpha=alpha)
+        # send-out: [lhs]'a -> outer [inner]'b
+        lp.expect_punct("]")
+        alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+        tok = lp.next()
+        if tok is None or tok.kind != "arrow":
+            lp.error("expected '->'", tok)
+        outer = lp.multiset(stoppers=("[",))
+        lp.expect_punct("[")
+        inner = lp.multiset(stoppers=("]",))
+        lp.expect_punct("]")
+        beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+        membrane = _ref_rule_at(lp)
+        if not lhs:
+            lp.error("rule left-hand side must not be empty")
+        return Rule(id=rid, kind=RuleKind.SEND_OUT, membrane=membrane,
+                    lhs=lhs, rhs=outer, rhs_aux=inner, alpha=alpha, beta=beta)
+    # send-in: lhs []'a -> outer [inner]'b
+    lhs = lp.multiset(stoppers=("[",))
+    lp.expect_punct("[")
+    lp.expect_punct("]")
+    alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+    tok = lp.next()
+    if tok is None or tok.kind != "arrow":
+        lp.error("expected '->'", tok)
+    outer = lp.multiset(stoppers=("[",))
+    lp.expect_punct("[")
+    inner = lp.multiset(stoppers=("]",))
+    lp.expect_punct("]")
+    beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+    membrane = _ref_rule_at(lp)
+    if not lhs:
+        lp.error("rule left-hand side must not be empty")
+    return Rule(id=rid, kind=RuleKind.SEND_IN, membrane=membrane,
+                lhs=lhs, rhs=inner, rhs_aux=outer, alpha=alpha, beta=beta)
+
+
+def _ref_rule_at(lp: _RefLineParser) -> str:
+    lp.expect_punct("@")
+    membrane = lp.expect_label().text
+    if not lp.at_end():
+        lp.error("unexpected trailing input", lp.peek())
+    return membrane
+

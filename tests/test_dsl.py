@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from psrelief import dsl
+from psrelief.builder import BuildParams, build
 from psrelief.engine import run
 from psrelief.multiset import Multiset
 from psrelief.psystem import Polarization, PSystemDef, Rule, RuleKind
 
-from helpers import ms, random_small_system, single_membrane_example
+from helpers import ms, random_small_system, reference_parse, single_membrane_example
+from test_relief import katrina_shaped
 
 WORKED_EXAMPLE = """\
 # single membrane, three rewrite rules, one priority
@@ -23,6 +26,36 @@ rule r2: [a -> c]'0 @ 1
 rule r3: [d -> e]'0 @ 1
 prio r1 > r2 @ 1
 """
+
+
+def _ordered(multiset: Multiset) -> list[tuple[str, int]]:
+    return list(multiset.counts().items())
+
+
+def _shape(res: dsl.ParseResult) -> tuple:
+    """Everything a parse result says, with every multiset in key order (the
+    engine keys a rule on its first left-hand-side symbol)."""
+    diags = [(d.severity, d.message, d.line, d.column) for d in res.diagnostics]
+    d = res.definition
+    if d is None:
+        return None, diags
+    rules = [(r.id, r.kind, r.membrane, _ordered(r.lhs), _ordered(r.rhs), _ordered(r.rhs_aux),
+              r.alpha, r.beta) for r in d.rules]
+    initial = [(lab, _ordered(m)) for lab, m in d.initial.items()]
+    return list(d.parent.items()), initial, rules, d.priorities, d.output, diags
+
+
+def _changed_on_purpose(text: str, ref: dsl.ParseResult) -> bool:
+    """Inputs the reference reads differently by design: it lexed any Unicode
+    decimal digit as a digit, and reported a self-priority at 1:1."""
+    return (any(ch.isdecimal() and not ch.isascii() for ch in text)
+            or any("to itself" in d.message for d in ref.diagnostics))
+
+
+def assert_parses_like_reference(text: str) -> None:
+    ref = reference_parse(text)
+    if not _changed_on_purpose(text, ref):
+        assert _shape(dsl.parse(text)) == _shape(ref)
 
 
 class TestParse:
@@ -108,6 +141,7 @@ class TestParse:
             assert res.diagnostics
             for d in res.diagnostics:
                 assert d.line >= 1 and d.column >= 1
+            assert_parses_like_reference(text)
 
     def test_arbitrary_bytes_never_raise(self):
         rng = random.Random(0xF00D)
@@ -116,10 +150,59 @@ class TestParse:
             text = junk.decode("utf-8", errors="replace")
             res = dsl.parse(text)
             assert res.ok or res.diagnostics
+            assert_parses_like_reference(text)
 
     def test_source_document_origin(self):
         res = dsl.parse(dsl.SourceDocument(text="membrane 1\n", origin="x.psys"))
         assert res.ok
+
+    def test_bytes_input_is_not_text(self):
+        res = dsl.parse(dsl.SourceDocument(text=b"membrane a\n"))
+        assert not res.ok
+        assert [(d.message, d.line, d.column) for d in res.diagnostics] == [("input is not text", 1, 1)]
+
+    def test_repeated_symbol_merges_at_first_position(self):
+        res = dsl.parse("membrane 1\ninit 1: x y x^2\nrule r: [b a b -> c]'0 @ 1\n")
+        assert res.ok
+        assert _ordered(res.definition.initial["1"]) == [("x", 3), ("y", 1)]
+        assert _ordered(res.definition.rules[0].lhs) == [("b", 2), ("a", 1)]
+
+    def test_count_digit_limit(self):
+        ok = "9" * dsl.MAX_COUNT_DIGITS
+        res = dsl.parse(f"membrane 1\ninit 1: x^{ok}\n")
+        assert res.ok and res.definition.initial["1"].count("x") == int(ok)
+        assert dsl.parse(dsl.serialize(res.definition)).definition.initial["1"] == res.definition.initial["1"]
+        res = dsl.parse(f"membrane 1\ninit 1: x^{ok}9 y\n")
+        assert not res.ok
+        assert [(d.message, d.line, d.column) for d in res.diagnostics] == [
+            (f"count has more than {dsl.MAX_COUNT_DIGITS} digits", 2, 11)]
+
+    @pytest.mark.parametrize("text, column", [
+        ("membrane 1\ninit 1: x^\u0663\n", 11),    # ARABIC-INDIC DIGIT THREE
+        ("membrane \u0663\n", 10),
+        ("membrane 1\nrule r: [a -> b^\uff12]'0 @ 1\n", 17),   # FULLWIDTH DIGIT TWO
+    ])
+    def test_non_ascii_digits_are_unexpected(self, text, column):
+        res = dsl.parse(text)
+        assert not res.ok
+        diag = res.diagnostics[0]
+        assert diag.message.startswith("unexpected character") and diag.column == column
+        assert diag.line == text.count("\n")
+
+    def test_self_priority_is_positioned_at_its_line(self):
+        text = "membrane 1\nrule r: [a -> b]'0 @ 1\nrule q: [b -> a]'0 @ 1\nprio q > r\nprio   r > r\n"
+        res = dsl.parse(text)
+        assert not res.ok
+        assert [(d.message, d.line, d.column) for d in res.diagnostics] == [
+            ("priority pair relates rule 'r' to itself", 5, 8)]
+
+    @pytest.mark.parametrize("m, n, p", [(4, 4, 3), (8, 8, 3)])
+    def test_generated_text_parses_like_reference(self, m, n, p):
+        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), m, n), p=p))
+        text = dsl.serialize(gen.definition)
+        res = dsl.parse(text)
+        assert _shape(res) == _shape(reference_parse(text))
+        assert dsl.serialize(res.definition) == text
 
 
 class TestSerialize:
@@ -213,6 +296,7 @@ def test_round_trip_of_drawn_systems(d):
     assert back.ok, [str(x) for x in back.diagnostics] + [text]
     assert back.definition.structurally_equal(d)
     assert dsl.serialize(back.definition) == text
+    assert_parses_like_reference(text)
 
 
 DAMAGE = st.lists(
@@ -241,6 +325,7 @@ def test_damaged_text_fails_only_with_positioned_diagnostics(d, data):
             else:
                 lines[i], lines[j] = lines[j], lines[i]
             text = "".join(lines)
+    assert_parses_like_reference(text)
     res = dsl.parse(text)
     if res.ok:
         back = dsl.parse(dsl.serialize(res.definition))

@@ -96,3 +96,20 @@ def test_demo_2x2_trace_is_pinned(tmp_path, policy_args, digest):
     rc = cli.main(["trace", "--instance", str(DEMO_2X2), "--p", "2", "--out", str(out)] + policy_args)
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The same digests through the .psys route: ``build --emit`` then
+# ``trace --psys``.  The engine keys each rule on its first left-hand-side
+# symbol, so this also pins the reader's rule order and multiset key order.
+@pytest.mark.parametrize("policy_args, digest", [
+    ([], "be19557f6459cc70b84d9fb362c70896fa94f8dbc2261259ce912038b3ee72ee"),
+    (["--policy", SEEDED_RANDOM, "--seed", "5"],
+     "073d78ad76dfa556025a1f0b2cf8dc9a849c06c680327dad8b2ee77e87642de0"),
+])
+def test_demo_2x2_psys_trace_is_pinned(tmp_path, policy_args, digest):
+    psys = tmp_path / "demo_2x2.psys"
+    out = tmp_path / "trace.txt"
+    assert cli.main(["build", "--instance", str(DEMO_2X2), "--p", "2", "--emit", str(psys)]) == 0
+    rc = cli.main(["trace", "--psys", str(psys), "--out", str(out)] + policy_args)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
