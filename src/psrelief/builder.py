@@ -123,8 +123,8 @@ class _Emitter:
                 lhs=Multiset(lhs),
                 rhs=Multiset(rhs),
                 alpha=alpha,
-                beta=beta if beta is not None else alpha,
-                rhs_aux=Multiset(aux) if aux else Multiset(),
+                beta=beta,
+                rhs_aux=Multiset(aux),
             )
         )
         self.rule_index.setdefault(family, []).append(rid)

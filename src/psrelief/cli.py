@@ -110,7 +110,7 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     inst = pio.load_instance(args.instance)
     gen = builder.build(builder.BuildParams(instance=inst, p=args.p))
-    result = ptrace.run_generated(gen, max_iterations=args.max_iter, seed=args.seed)
+    result = ptrace.run_generated(gen, max_iterations=args.max_iter)
     if not result.halted:
         sys.stderr.write(
             f"simulation did not halt within {args.max_iter} iterations\n")
@@ -191,7 +191,6 @@ def _add_common(p: argparse.ArgumentParser, instance_required: bool = True) -> N
     p.add_argument("--instance", required=instance_required, help="instance JSON file")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--timestamp", default=None,
@@ -248,13 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except pio.InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (builder.BuildError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

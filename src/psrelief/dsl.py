@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
     ENVIRONMENT_LABEL,
+    DefinitionError,
     Polarization,
     PSystemDef,
     Rule,
@@ -85,6 +86,8 @@ _TO_CLOSE = ("]", _END)
 _TO_ARROW_OR_CLOSE = ("->", "]", _END)
 #: Longest count accepted (Python's default int/str conversion limit).
 MAX_COUNT_DIGITS = 4300
+#: Smallest count with more digits than that.
+_TOO_LONG = 10**MAX_COUNT_DIGITS
 
 
 class _Bail(Exception):
@@ -289,12 +292,13 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         priorities=priorities,
         output=output,
     )
-    problems = definition.problems()
-    if problems:
-        first_prio_line = prio_lines[0][2] if prio_lines else 1
-        for prob in problems:
-            line = first_prio_line if "cyclic" in prob else 1
-            diags.append(ParseDiagnostic("error", prob, line, 1))
+    # The checks above cover every condition of PSystemDef.problems() that
+    # one line can show; only the cycles span the whole file.
+    tree_cycles = definition._tree_cycles()
+    priority_cycles = definition._priority_cycles()
+    if tree_cycles or priority_cycles:
+        diags += [ParseDiagnostic("error", prob, 1, 1) for prob in tree_cycles]
+        diags += [ParseDiagnostic("error", prob, prio_lines[0][2], 1) for prob in priority_cycles]
         return ParseResult(None, diags)
     return ParseResult(definition, diags)
 
@@ -350,24 +354,34 @@ def _rule_at(toks: list[str], i: int, lhs: Multiset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _format_ms(ms: Multiset) -> str:
-    return " ".join(f"{sym}^{cnt}" if cnt > 1 else sym for sym, cnt in ms.sorted_items())
+def _format_ms(ms: Multiset, where: str) -> str:
+    """Atoms of ``ms`` in symbol order; ``where`` names its place in the
+    error for a count that ``parse`` would reject."""
+    atoms = []
+    for sym, cnt in ms.sorted_items():
+        if cnt >= _TOO_LONG:
+            raise DefinitionError(
+                f"count of {sym!r} in {where} has more than {MAX_COUNT_DIGITS} digits")
+        atoms.append(f"{sym}^{cnt}" if cnt > 1 else sym)
+    return " ".join(atoms)
 
 
 def _format_rule(rule: Rule) -> str:
     a, b = rule.alpha.value, rule.beta.value
+    where = f"rule {rule.id!r}"
+    lhs = _format_ms(rule.lhs, where)
     if rule.kind is RuleKind.EVOLUTION:
-        body = f"[{_format_ms(rule.lhs)} -> {_format_ms(rule.rhs)}]'{a}"
+        body = f"[{lhs} -> {_format_ms(rule.rhs, where)}]'{a}"
     elif rule.kind is RuleKind.SEND_OUT:
-        outer = _format_ms(rule.rhs)
-        inner = _format_ms(rule.rhs_aux)
+        outer = _format_ms(rule.rhs, where)
+        inner = _format_ms(rule.rhs_aux, where)
         sep = " " if outer else ""
-        body = f"[{_format_ms(rule.lhs)}]'{a} -> {outer}{sep}[{inner}]'{b}"
+        body = f"[{lhs}]'{a} -> {outer}{sep}[{inner}]'{b}"
     else:
-        outer = _format_ms(rule.rhs_aux)
-        inner = _format_ms(rule.rhs)
+        outer = _format_ms(rule.rhs_aux, where)
+        inner = _format_ms(rule.rhs, where)
         sep = " " if outer else ""
-        body = f"{_format_ms(rule.lhs)} []'{a} -> {outer}{sep}[{inner}]'{b}"
+        body = f"{lhs} []'{a} -> {outer}{sep}[{inner}]'{b}"
     return f"rule {rule.id}: {body} @ {rule.membrane}"
 
 
@@ -377,7 +391,7 @@ def serialize(definition: PSystemDef) -> str:
     structurally equal to d."""
     definition.validate()
     lines = ["# psys 1"]
-    skin = definition.skin
+    skin = next(lab for lab, par in definition.parent.items() if par is None)
     lines.append(f"membrane {skin}")
     for lab in sorted(definition.parent):
         if lab == skin:
@@ -387,7 +401,7 @@ def serialize(definition: PSystemDef) -> str:
     for lab in sorted(definition.initial):
         ms = definition.initial[lab]
         if ms:
-            lines.append(f"init {lab}: {_format_ms(ms)}")
+            lines.append(f"init {lab}: {_format_ms(ms, f'the initial contents of {lab!r}')}")
     for rule in definition.rules:
         lines.append(_format_rule(rule))
     for hi, lo in sorted(definition.priorities):

@@ -73,7 +73,6 @@ from psrelief.multiset import Multiset
 from psrelief.psystem import (
     ENVIRONMENT_LABEL,
     Configuration,
-    DefinitionError,
     Polarization,
     PSystemDef,
     Rule,
@@ -214,8 +213,6 @@ class _Compiled:
                     if n_preds[j] == 0:
                         fresh.append(j)
                 ready.extend(sorted(fresh))
-        if len(order) != len(self.crules):
-            raise DefinitionError("priority relation is cyclic")
         return order
 
 

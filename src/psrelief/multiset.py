@@ -53,26 +53,6 @@ class Multiset:
     def count(self, sym: str) -> int:
         return self._counts.get(sym, 0)
 
-    def covers(self, other: "Multiset") -> bool:
-        return all(self._counts.get(s, 0) >= c for s, c in other._counts.items())
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        out = self.copy()
-        for s, c in other._counts.items():
-            out.add(s, c)
-        return out
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        out = self.copy()
-        for s, c in other._counts.items():
-            out.remove(s, c)
-        return out
-
-    def scaled(self, factor: int) -> "Multiset":
-        if factor < 0:
-            raise MultisetError(f"negative scale factor {factor}")
-        return Multiset.adopt({s: c * factor for s, c in self._counts.items()} if factor else {})
-
     def copy(self) -> "Multiset":
         return Multiset.adopt(dict(self._counts))
 

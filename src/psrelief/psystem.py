@@ -99,15 +99,6 @@ class PSystemDef:
     priorities: list[tuple[str, str]] = field(default_factory=list)
     output: str = ENVIRONMENT_LABEL
 
-    # -- structure -------------------------------------------------------
-
-    @property
-    def skin(self) -> str:
-        roots = [lab for lab, par in self.parent.items() if par is None]
-        if len(roots) != 1:
-            raise DefinitionError(f"expected exactly one root membrane, found {roots}")
-        return roots[0]
-
     # -- validation ------------------------------------------------------
 
     def problems(self) -> list[str]:
@@ -119,16 +110,7 @@ class PSystemDef:
         for lab, par in self.parent.items():
             if par is not None and par not in self.parent:
                 out.append(f"membrane {lab!r} has unknown parent {par!r}")
-        # parent links must form a tree (no cycles)
-        for lab in self.parent:
-            seen = set()
-            cur: str | None = lab
-            while cur is not None:
-                if cur in seen:
-                    out.append(f"membrane tree has a cycle through {lab!r}")
-                    break
-                seen.add(cur)
-                cur = self.parent.get(cur)
+        out.extend(self._tree_cycles())
         if self.output != ENVIRONMENT_LABEL and self.output not in self.parent:
             out.append(f"output region {self.output!r} is not a membrane label")
         for lab in self.initial:
@@ -159,6 +141,21 @@ class PSystemDef:
             if hi == lo:
                 out.append(f"priority pair relates rule {hi!r} to itself")
         out.extend(self._priority_cycles())
+        return out
+
+    def _tree_cycles(self) -> list[str]:
+        """One message per membrane whose chain of parent links runs into a
+        cycle, in declaration order."""
+        out: list[str] = []
+        for lab in self.parent:
+            seen = set()
+            cur: str | None = lab
+            while cur is not None:
+                if cur in seen:
+                    out.append(f"membrane tree has a cycle through {lab!r}")
+                    break
+                seen.add(cur)
+                cur = self.parent.get(cur)
         return out
 
     def _priority_cycles(self) -> list[str]:

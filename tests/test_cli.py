@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -54,6 +55,11 @@ class TestSolve:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", DERIVED, "--wibble"])
+        assert exc.value.code == 2
+
+    def test_seed_is_trace_only(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--instance", DERIVED, "--p", "2", "--seed", "1"])
         assert exc.value.code == 2
 
 
@@ -140,6 +146,23 @@ class TestTrace:
 
 
 class TestDeterminism:
+    # sha256 of the --timestamp exports on demo_2x2, run from the repository
+    # root so that the manifest's instance_path is the relative path
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (["solve"], "csv", "5573aae2c38871a9de09f70d823f5e7702d762b97427249e4b7c007fae2c4fc7"),
+        (["solve"], "json", "bb8cad18335b4cc76893c64986136db6a2764a6caf7462891249bc75507a1110"),
+        (["oracle", "--p", "3"], "csv", "f4a35f1de4e71098705cb381cbdd63d8f635b011693d93aaa839c43421fb4e97"),
+        (["oracle", "--p", "3"], "json", "8ff2942b00cb66d7ab3feb26b9cdb5e97da17de382edf668545e2a42fe1848b4"),
+        (["simulate", "--p", "2"], "csv", "be8eedae5152c5b9049a766733b3c09272746a6c0c2e6bafc83c0d94bf7f0e7c"),
+        (["simulate", "--p", "2"], "json", "e38b75715494c0b7ed81265505a34906048001143d0bc543ada230df3111b6f8"),
+    ])
+    def test_pinned_exports(self, tmp_path, monkeypatch, argv, fmt, digest):
+        monkeypatch.chdir(INSTANCES.parent)
+        out = tmp_path / f"export.{fmt}"
+        assert main(argv + ["--instance", "instances/demo_2x2.json", "--format", fmt,
+                            "--timestamp", "2000-01-01T00:00:00+00:00", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_same_manifest_byte_identical(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -11,7 +11,7 @@ from psrelief import dsl
 from psrelief.builder import BuildParams, build
 from psrelief.engine import run
 from psrelief.multiset import Multiset
-from psrelief.psystem import Polarization, PSystemDef, Rule, RuleKind
+from psrelief.psystem import DefinitionError, Polarization, PSystemDef, Rule, RuleKind
 
 from helpers import ms, random_small_system, reference_parse, single_membrane_example
 from test_relief import katrina_shaped
@@ -47,9 +47,12 @@ def _shape(res: dsl.ParseResult) -> tuple:
 
 def _changed_on_purpose(text: str, ref: dsl.ParseResult) -> bool:
     """Inputs the reference reads differently by design: it lexed any Unicode
-    decimal digit as a digit, and reported a self-priority at 1:1."""
+    decimal digit as a digit, reported a self-priority at 1:1, and put a tree
+    cycle through a label containing "cyclic" at the first priority line."""
     return (any(ch.isdecimal() and not ch.isascii() for ch in text)
-            or any("to itself" in d.message for d in ref.diagnostics))
+            or any("to itself" in d.message for d in ref.diagnostics)
+            or any(d.message.startswith("membrane tree") and "cyclic" in d.message
+                   for d in ref.diagnostics))
 
 
 def assert_parses_like_reference(text: str) -> None:
@@ -105,8 +108,26 @@ class TestParse:
         )
         res = dsl.parse(text)
         assert not res.ok
-        joined = " ".join(d.message for d in res.diagnostics)
-        assert "cyclic" in joined and "r1" in joined and "r2" in joined
+        assert [str(d) for d in res.diagnostics] == ["4:1: error: priority relation is cyclic: r1 > r2 > r1"]
+        assert_parses_like_reference(text)
+
+    def test_tree_cycles_are_reported_at_the_start(self):
+        text = "membrane s\nmembrane a in b\nmembrane b in a\n"
+        res = dsl.parse(text)
+        assert [str(d) for d in res.diagnostics] == [
+            "1:1: error: membrane tree has a cycle through 'a'",
+            "1:1: error: membrane tree has a cycle through 'b'",
+        ]
+        assert_parses_like_reference(text)
+        # both kinds of cycle, in the order of PSystemDef.problems()
+        text = ("membrane s\nmembrane acyclic in b\nmembrane b in acyclic\n"
+                "rule r1: [a -> b]'0 @ s\nrule r2: [b -> a]'0 @ s\nprio r1 > r2\nprio r2 > r1\n")
+        res = dsl.parse(text)
+        assert [str(d) for d in res.diagnostics] == [
+            "1:1: error: membrane tree has a cycle through 'acyclic'",
+            "1:1: error: membrane tree has a cycle through 'b'",
+            "6:1: error: priority relation is cyclic: r1 > r2 > r1",
+        ]
 
     def test_unknown_label_diagnostic_positions(self):
         res = dsl.parse("membrane 1\nrule r1: [a -> b]'0 @ nowhere\n")
@@ -243,6 +264,21 @@ class TestSerialize:
             assert dsl.serialize(back.definition) == text
             checked += 1
 
+    @pytest.mark.parametrize("place, message", [
+        ("init", "count of 'x' in the initial contents of '1' has more than 4300 digits"),
+        ("rule", "count of 'x' in rule 'r' has more than 4300 digits"),
+    ])
+    def test_count_past_digit_limit_is_definition_error(self, place, message):
+        d = single_membrane_example()
+        big = Multiset.adopt({"x": 10**dsl.MAX_COUNT_DIGITS})
+        if place == "init":
+            d.initial["1"] = big
+        else:
+            d.rules.append(Rule(id="r", kind=RuleKind.EVOLUTION, membrane="1", lhs=ms(a=1), rhs=big))
+        with pytest.raises(DefinitionError) as exc:
+            dsl.serialize(d)
+        assert str(exc.value) == message
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis: round trip of drawn systems, diagnostics for damaged text
@@ -295,6 +331,7 @@ def test_round_trip_of_drawn_systems(d):
     back = dsl.parse(text)
     assert back.ok, [str(x) for x in back.diagnostics] + [text]
     assert back.definition.structurally_equal(d)
+    assert back.definition.problems() == []
     assert dsl.serialize(back.definition) == text
     assert_parses_like_reference(text)
 
@@ -328,6 +365,7 @@ def test_damaged_text_fails_only_with_positioned_diagnostics(d, data):
     assert_parses_like_reference(text)
     res = dsl.parse(text)
     if res.ok:
+        assert res.definition.problems() == []
         back = dsl.parse(dsl.serialize(res.definition))
         assert back.ok and back.definition.structurally_equal(res.definition)
     else:
