@@ -38,7 +38,7 @@ from psrelief.relief import (
     step_size,
     validate,
 )
-from psrelief.builder import BuildParams, GeneratedSystem, build, decode_output, encode_scalar
+from psrelief.builder import BuildParams, GeneratedSystem, build, decode_output
 
 __all__ = [
     "Multiset",
@@ -69,7 +69,6 @@ __all__ = [
     "GeneratedSystem",
     "build",
     "decode_output",
-    "encode_scalar",
 ]
 
 __version__ = "0.1.0"

@@ -133,10 +133,9 @@ def cmd_build(args) -> int:
     gen = builder.build(builder.BuildParams(instance=inst, p=args.p))
     text = dsl.serialize(gen.definition)
     Path(args.emit).write_text(text, encoding="utf-8")
-    families = sum(len(v) for v in gen.rule_index.values())
     sys.stdout.write(
         f"wrote {args.emit}: {len(gen.definition.parent)} membranes, "
-        f"{families} rules, {len(gen.definition.priorities)} priority pairs\n")
+        f"{len(gen.definition.rules)} rules, {len(gen.definition.priorities)} priority pairs\n")
     return 0
 
 

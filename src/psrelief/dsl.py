@@ -25,6 +25,7 @@ See docs/psys-format.md for the full grammar.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from psrelief.multiset import Multiset
@@ -84,7 +85,8 @@ _TO_END = (_END,)
 _TO_OPEN = ("[", _END)
 _TO_CLOSE = ("]", _END)
 _TO_ARROW_OR_CLOSE = ("->", "]", _END)
-#: Longest count accepted (Python's default int/str conversion limit).
+#: Longest count accepted (Python's default int/str conversion limit; a lower
+#: limit set in the interpreter applies instead).
 MAX_COUNT_DIGITS = 4300
 #: Smallest count with more digits than that.
 _TOO_LONG = 10**MAX_COUNT_DIGITS
@@ -142,7 +144,10 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
                 raise _Bail("expected a count after '^'", i)
             if len(num) > MAX_COUNT_DIGITS:
                 raise _Bail(f"count has more than {MAX_COUNT_DIGITS} digits", i)
-            count = int(num)
+            try:
+                count = int(num)
+            except ValueError:  # the interpreter's int/str limit was lowered
+                raise _Bail(f"count has more than {sys.get_int_max_str_digits()} digits", i) from None
             if not count:
                 raise _Bail("multiplicity must be positive", i)
             counts[sym] = counts.get(sym, 0) + count
@@ -359,10 +364,14 @@ def _format_ms(ms: Multiset, where: str) -> str:
     error for a count that ``parse`` would reject."""
     atoms = []
     for sym, cnt in ms.sorted_items():
-        if cnt >= _TOO_LONG:
-            raise DefinitionError(
-                f"count of {sym!r} in {where} has more than {MAX_COUNT_DIGITS} digits")
-        atoms.append(f"{sym}^{cnt}" if cnt > 1 else sym)
+        if cnt < _TOO_LONG:
+            try:
+                atoms.append(f"{sym}^{cnt}" if cnt > 1 else sym)
+                continue
+            except ValueError:  # the interpreter's int/str limit was lowered
+                pass
+        digits = min(MAX_COUNT_DIGITS, sys.get_int_max_str_digits() or MAX_COUNT_DIGITS)
+        raise DefinitionError(f"count of {sym!r} in {where} has more than {digits} digits")
     return " ".join(atoms)
 
 

@@ -1,15 +1,15 @@
 """Instance and table file formats.
 
-Instances are JSON objects with keys m, n, s, d_lo, d_hi, gamma, omega,
-beta, cost_a, cost_b, vis_k; matrices are row-major lists of lists (see
-docs/instance-schema.md).  Matrices travel as CSV with header ``k,l,value``
-and 1-based indices; lines starting with ``#`` carry embedded metadata and
-are skipped on load.
+Instances are JSON objects keyed by the fields of ``ReliefInstance``;
+matrices are row-major lists of lists (see docs/instance-schema.md).
+Matrices travel as CSV with header ``k,l,value`` and 1-based indices; lines
+starting with ``#`` carry embedded metadata and are skipped on load.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,7 @@ def load_instance(path: str | Path) -> ReliefInstance:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}:1:1: expected a JSON object")
-    missing = [k for k in ("m", "n", "s", "d_lo", "d_hi", "gamma", "omega",
-                           "beta", "cost_a", "cost_b", "vis_k") if k not in data]
+    missing = [f.name for f in fields(ReliefInstance) if f.name not in data]
     if missing:
         raise InputError(f"{path}:1:1: missing keys: {', '.join(missing)}")
     try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class MultisetError(ValueError):
@@ -18,11 +18,10 @@ class Multiset:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] | None = None):
+    def __init__(self, counts: Mapping[str, int] | None = None):
         self._counts: dict[str, int] = {}
-        if counts is not None:
-            items = counts.items() if isinstance(counts, Mapping) else counts
-            for sym, cnt in items:
+        if counts:
+            for sym, cnt in counts.items():
                 self.add(sym, cnt)
 
     @classmethod

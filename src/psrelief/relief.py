@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -101,36 +101,22 @@ class ReliefInstance:
     vis_k: np.ndarray      # (n,) visibility coefficients per location
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.d_lo = np.asarray(self.d_lo, dtype=float)
-        self.d_hi = np.asarray(self.d_hi, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.cost_a = np.asarray(self.cost_a, dtype=float)
-        self.cost_b = np.asarray(self.cost_b, dtype=float)
-        self.vis_k = np.asarray(self.vis_k, dtype=float)
+        # field types are the annotation strings (postponed evaluation)
+        for f in fields(self):
+            if f.type == "np.ndarray":
+                setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "s": self.s.tolist(),
-            "d_lo": self.d_lo.tolist(),
-            "d_hi": self.d_hi.tolist(),
-            "gamma": self.gamma.tolist(),
-            "omega": self.omega.tolist(),
-            "beta": self.beta.tolist(),
-            "cost_a": self.cost_a.tolist(),
-            "cost_b": self.cost_b.tolist(),
-            "vis_k": self.vis_k.tolist(),
-        }
+        """The instance's fields in declaration order; arrays as nested lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if f.type == "np.ndarray" else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReliefInstance":
-        return cls(**{k: data[k] for k in (
-            "m", "n", "s", "d_lo", "d_hi", "gamma", "omega", "beta",
-            "cost_a", "cost_b", "vis_k")})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def validate(inst: ReliefInstance) -> list[str]:
@@ -606,8 +592,6 @@ def solve(
     violations = validate(inst)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(violations))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     if variant == QUANTIZED:
         if p is None:
@@ -627,6 +611,8 @@ def solve(
             p=p,
         )
     elif variant in (SIMPLIFIED, FULL):
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         step = _FloatStep(inst, variant)
         cur, nxt = step.pack(SolverState.initial(inst)), step.empty()
         dq = np.empty((inst.m, inst.n))

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem
+from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem, count_reader
 from psrelief.engine import FiringPlan, RunReport, steps
 from psrelief.psystem import Configuration, PSystemDef
+from psrelief.relief import quantized_halvings
 
 _STAGE_RANK = {INIT_STAGE: 0, UPDATE_STAGE: 1, COMPARE_STAGE: 2}
 
@@ -77,19 +78,14 @@ class _Recorder:
         self.q_trajectory: list[list[list[int]]] = []
         self.profiles: list[IterationProfile] = []
         self._current = IterationProfile(index=0)
+        self.read_flows = count_reader(gen, "x")
+        self._read_outputs = count_reader(gen, "o")
 
     def _step_stage(self, plan: FiringPlan) -> str | None:
         """Earliest stage among the fired rules; rules that belong to no
         stage (counter plumbing, cleanup) never define the stage of a step."""
         stages = (self.gen.stage_of[rid] for rid in plan.counts)
         return min((s for s in stages if s is not None), key=_STAGE_RANK.__getitem__, default=None)
-
-    def _read_init_counts(self, config: Configuration) -> list[list[int]]:
-        init = config.contents["INIT"]
-        return [
-            [init.count(self.gen.symbol_index[("x", k, l)]) for l in range(1, self.gen.n + 1)]
-            for k in range(1, self.gen.m + 1)
-        ]
 
     def __call__(self, plan: FiringPlan, config: Configuration) -> bool:
         """Record one committed step; true when it ends an iteration."""
@@ -111,19 +107,14 @@ class _Recorder:
                 self._current.initialization += 1
         if self.boundary_rules.isdisjoint(plan.counts):
             return False
-        self.q_trajectory.append(self._read_init_counts(config))
+        self.q_trajectory.append(self.read_flows(config.contents["INIT"]))
         self.profiles.append(self._current)
         self._current = IterationProfile(index=self._current.index + 1)
         return True
 
     def finish(self, report: RunReport) -> None:
         if report.halted:
-            output = report.final.contents["OUTPUT"]
-            final = [
-                [output.count(self.gen.symbol_index[("o", k, l)]) for l in range(1, self.gen.n + 1)]
-                for k in range(1, self.gen.m + 1)
-            ]
-            self.q_trajectory.append(final)
+            self.q_trajectory.append(self._read_outputs(report.final.contents["OUTPUT"]))
             if self._current.total():
                 self.profiles.append(self._current)
 
@@ -143,11 +134,9 @@ def run_generated(
     iteration limit reports ``halted=False``.  ``extra_observer`` is called
     like an engine observer on every step the report counts.
     """
-    from psrelief.relief import quantized_halvings
-
     recorder = _Recorder(gen)
     config = Configuration.initial(gen.definition)
-    start = recorder._read_init_counts(config)
+    start = recorder.read_flows(config.contents["INIT"])
     # an iteration takes 3 + (9 + halvings) + 6 steps (7 on the last one),
     # plus a short tail; the budget bounds a run that stops reaching the
     # iteration boundary

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,10 @@ from psrelief.builder import (
     DecodeError,
     build,
     decode_output,
-    encode_scalar,
+    symbol,
 )
 from psrelief.multiset import Multiset
+from psrelief.io import load_instance
 from psrelief.psystem import Configuration
 from psrelief.relief import ReliefInstance
 
@@ -163,6 +167,10 @@ class TestConstants:
         with pytest.raises(BuildError, match=r"beta\[0\].*p >= 2"):
             build(BuildParams(instance=inst, p=1))
 
+    def test_precision_below_one_is_build_error(self):
+        with pytest.raises(BuildError, match="^precision exponent p must be at least 1$"):
+            build(BuildParams(instance=small_instance(1, 1), p=0))
+
     def test_invalid_instance_rejected(self):
         inst = small_instance(1, 1)
         inst.d_lo = np.array([100.0])
@@ -171,25 +179,16 @@ class TestConstants:
 
 
 class TestEncodeDecode:
-    def test_encode_scalar(self):
-        assert encode_scalar(352.5, 5) == 35250000
-        assert encode_scalar(0.0, 10) == 0
-        assert encode_scalar(1 / 3, 2) == 33
-
-    def test_encode_negative_rejected(self):
-        with pytest.raises(ValueError):
-            encode_scalar(-0.1, 3)
-
     def test_decode_counts(self):
         gen = build(BuildParams(instance=small_instance(1, 1), p=5))
         cfg = Configuration.initial(gen.definition)
-        cfg.contents["OUTPUT"] = Multiset({gen.symbol_index[("o", 1, 1)]: 35250012})
+        cfg.contents["OUTPUT"] = Multiset({symbol("o", 1, 1): 35250012})
         assert decode_output(cfg, gen)[0][0] == 352.50012
 
     def test_decode_missing_cell_is_zero(self):
         gen = build(BuildParams(instance=small_instance(1, 2), p=3))
         cfg = Configuration.initial(gen.definition)
-        cfg.contents["OUTPUT"] = Multiset({gen.symbol_index[("o", 1, 1)]: 42})
+        cfg.contents["OUTPUT"] = Multiset({symbol("o", 1, 1): 42})
         q = decode_output(cfg, gen)
         assert q[0][0] == 0.042 and q[0][1] == 0.0
 
@@ -208,3 +207,14 @@ class TestEmission:
         assert back.ok, [str(d) for d in back.diagnostics][:5]
         assert back.definition.structurally_equal(gen.definition)
         assert dsl.serialize(back.definition) == text
+
+    # sha256 of the serialized systems; a change to the builder that is meant
+    # to keep its output must keep these
+    @pytest.mark.parametrize("name, digest", [
+        ("demo_2x2", "cb681456994de5809942e5e3e4f5cc68ee6f3789e0788a85f825296244f543dc"),
+        ("derived_1x1", "cfca2d2e6c3fd6003bb0e661e4afb795937e22cbeae94d44d9b55b374829aab0"),
+    ])
+    def test_pinned_output(self, name, digest):
+        inst = load_instance(Path(__file__).parent.parent / "instances" / f"{name}.json")
+        text = dsl.serialize(build(BuildParams(instance=inst, p=3)).definition)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -57,6 +57,15 @@ class TestSolve:
             main(["solve", "--instance", DERIVED, "--wibble"])
         assert exc.value.code == 2
 
+    def test_tol_is_checked_only_where_it_is_read(self, tmp_path, capsys):
+        demo = str(INSTANCES / "demo_2x2.json")
+        for variant in ("simplified", "full"):
+            assert main(["solve", "--variant", variant, "--instance", demo, "--tol", "0"]) == 2
+            assert capsys.readouterr().err == "error: tol must be positive\n"
+        # the quantized iteration never reads tol
+        assert main(["oracle", "--p", "3", "--instance", demo,
+                     "--tol", "0", "--out", str(tmp_path / "q.csv")]) == 0
+
     def test_seed_is_trace_only(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--instance", DERIVED, "--p", "2", "--seed", "1"])
@@ -82,9 +91,12 @@ class TestBuild:
         out = tmp_path / "system.psys"
         assert main(["build", "--instance", DERIVED, "--p", "2",
                      "--emit", str(out)]) == 0
-        assert "membranes" in capsys.readouterr().out
+        summary = capsys.readouterr().out
         parsed = dsl.parse(out.read_text())
         assert parsed.ok
+        d = parsed.definition
+        assert summary == (f"wrote {out}: {len(d.parent)} membranes, {len(d.rules)} rules, "
+                           f"{len(d.priorities)} priority pairs\n")
 
     def test_ignored_solver_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

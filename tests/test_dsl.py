@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,17 @@ class TestParse:
         assert [(d.message, d.line, d.column) for d in res.diagnostics] == [
             (f"count has more than {dsl.MAX_COUNT_DIGITS} digits", 2, 11)]
 
+    def test_count_past_a_lowered_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            res = dsl.parse(f"membrane 1\ninit 1: x^{'9' * 700} y\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not res.ok
+        assert [(d.message, d.line, d.column) for d in res.diagnostics] == [
+            ("count has more than 640 digits", 2, 11)]
+
     @pytest.mark.parametrize("text, column", [
         ("membrane 1\ninit 1: x^\u0663\n", 11),    # ARABIC-INDIC DIGIT THREE
         ("membrane \u0663\n", 10),
@@ -224,6 +236,18 @@ class TestParse:
         res = dsl.parse(text)
         assert _shape(res) == _shape(reference_parse(text))
         assert dsl.serialize(res.definition) == text
+
+
+def _with_count(place: str, count: int) -> PSystemDef:
+    """The single-membrane example with ``count`` copies of x in its initial
+    contents or in the right-hand side of one more rule."""
+    d = single_membrane_example()
+    big = Multiset.adopt({"x": count})
+    if place == "init":
+        d.initial["1"] = big
+    else:
+        d.rules.append(Rule(id="r", kind=RuleKind.EVOLUTION, membrane="1", lhs=ms(a=1), rhs=big))
+    return d
 
 
 class TestSerialize:
@@ -269,14 +293,23 @@ class TestSerialize:
         ("rule", "count of 'x' in rule 'r' has more than 4300 digits"),
     ])
     def test_count_past_digit_limit_is_definition_error(self, place, message):
-        d = single_membrane_example()
-        big = Multiset.adopt({"x": 10**dsl.MAX_COUNT_DIGITS})
-        if place == "init":
-            d.initial["1"] = big
-        else:
-            d.rules.append(Rule(id="r", kind=RuleKind.EVOLUTION, membrane="1", lhs=ms(a=1), rhs=big))
         with pytest.raises(DefinitionError) as exc:
-            dsl.serialize(d)
+            dsl.serialize(_with_count(place, 10**dsl.MAX_COUNT_DIGITS))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("place, message", [
+        ("init", "count of 'x' in the initial contents of '1' has more than 640 digits"),
+        ("rule", "count of 'x' in rule 'r' has more than 640 digits"),
+    ])
+    def test_count_past_a_lowered_interpreter_limit_is_definition_error(self, place, message):
+        d = _with_count(place, 10**700)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DefinitionError) as exc:
+                dsl.serialize(d)
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert str(exc.value) == message
 
 

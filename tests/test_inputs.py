@@ -33,24 +33,43 @@ BAD = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD))
-@pytest.mark.parametrize("route", sorted(ROUTES))
+#: (route, case) pairs: every instance damage on every route, and p = 0 on
+#: the routes that take --p
+CASES = [(route, case) for route in sorted(ROUTES) for case in sorted(BAD)]
+CASES += [(route, "p_0") for route in ("build", "oracle", "simulate")]
+
+
+@pytest.mark.parametrize("route, case", CASES, ids=[f"{r}-{c}" for r, c in CASES])
 def test_every_route_rejects_with_the_same_message(tmp_path, capsys, route, case):
-    key, value, problem = BAD[case]
     doc = copy.deepcopy(DEMO)
-    if key == "m":
-        doc[key] = value
-    elif key == "gamma":
-        doc[key][0][1] = value
+    argv = list(ROUTES[route])
+    if case == "p_0":
+        argv[argv.index("--p") + 1] = "0"
+        message = "precision exponent p must be at least 1"
     else:
-        doc[key][1] = value
+        key, value, problem = BAD[case]
+        if key == "m":
+            doc[key] = value
+        elif key == "gamma":
+            doc[key][0][1] = value
+        else:
+            doc[key][1] = value
+        message = f"invalid instance: {problem}"
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
-    argv = ROUTES[route] + ["--instance", str(path)]
+    argv += ["--instance", str(path)]
     if route == "build":
         argv += ["--emit", str(tmp_path / "sys.psys")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: invalid instance: {problem}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_missing_keys_are_listed_in_field_order(tmp_path, capsys):
+    doc = {k: v for k, v in DEMO.items() if k not in ("vis_k", "gamma", "s")}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1:1: missing keys: s, gamma, vis_k\n"
 
 
 SCALARS = st.one_of(
