@@ -35,30 +35,42 @@ Selection cost
 
 A rule whose guard or left-hand side fails on the snapshot cannot fire later
 in the step: guards read the snapshot, and the pools the plan draws on only
-shrink.  Compiling a definition indexes its rules by membrane and guard
-polarization, then by the region they consume from, then by one key symbol of
-their left-hand side (the first), each list in deterministic order.  A rule
-whose key symbol is absent from the snapshot cannot be covered, so each step
-walks, for every membrane's current polarization and consumed region, the
-smaller side: the region's present symbols or the index's key symbols.  Only
-the rules met on both sides get the full left-hand-side check; the survivors
-are the candidates, put in the step's order, deterministic or seeded-random.
-The greedy passes then walk only the candidates, in the order a walk over
-all rules would meet them, so the plan is the same.  A candidate leaves the
-passes once it fires, once its pool runs dry or once a pending polarization
-rules it out; priority-blocked candidates stay.  A step costs the key-symbol
-hits plus the candidates, not every rule whose guard passes.  The committed
-configuration is written on plain count dicts, one copy per written region,
-and each is wrapped into a ``Multiset`` once.
+shrink.  Compiling a definition indexes its rules by the region they consume
+from, then by one key symbol of their left-hand side (the first), each list
+in deterministic order.  A rule whose key symbol is absent from the snapshot
+cannot be covered, so each step visits every region that has consumers once,
+skips it when it is empty, and walks the smaller side: the region's present
+symbols or the index's key symbols.  A rule met on both sides is a candidate
+when its membrane's polarization matches its guard and the snapshot covers
+its full left-hand side; the candidates are put in the step's order,
+deterministic or seeded-random.  The greedy passes then walk only the
+candidates, in the order a walk over all rules would meet them, so the plan
+is the same.  A candidate leaves the passes once it fires, once its pool runs
+dry or once a pending polarization rules it out; priority-blocked candidates
+stay.  A step costs the occupied regions and the key-symbol hits plus the
+candidates, not every rule.
+
+Commit
+------
+
+The greedy consumes from pools: raw count dicts, one per region the step
+reads, each copied once from the snapshot.  When the passes end, the pools
+hold the snapshot minus the plan's consumption, so the commit only adds the
+products (copying a region that only receives products once), sets the
+polarizations, drops the counts that reached 0 and wraps each written region
+into a ``Multiset`` once.  ``apply_step`` builds the same pools from a given
+plan, checking it against the snapshot (a plan cannot consume what it
+produces), and commits them the same way.
 
 Runs
 ----
 
 ``steps`` is the one source of steps: it compiles the definition once and
 yields the plan and the committed configuration of every step until nothing
-fires.  ``run`` and ``trace.run_generated`` consume it and call their
-observers once per committed step, including the last step of a run cut off
-at its step or iteration limit.
+fires, committing the pools of each selection directly.  ``run`` and
+``trace.run_generated`` consume it and call their observers once per
+committed step, including the last step of a run cut off at its step or
+iteration limit.
 """
 
 from __future__ import annotations
@@ -128,15 +140,16 @@ Observer = Callable[[int, FiringPlan, Configuration], None]
 
 
 class _CRule:
-    __slots__ = ("rule", "index", "consume", "lhs", "charging", "higher", "rank", "effects")
+    __slots__ = ("rule", "index", "membrane", "alpha", "consume", "lhs", "charging", "higher", "rank", "effects")
 
     def __init__(self, rule: Rule, index: int, parent: str | None):
         self.rule = rule
         self.index = index
+        self.membrane = h = rule.membrane
+        self.alpha = rule.alpha
         self.lhs = rule.lhs.counts().items()  # (symbol, need) pairs
         self.charging = rule.changes_polarization
         self.higher: list["_CRule"] | tuple[()] = ()  # a list only where priorities exist
-        h = rule.membrane
         outer = ENVIRONMENT_LABEL if parent is None else parent
         if rule.kind is RuleKind.EVOLUTION:
             self.consume = h  # region whose objects the rule consumes
@@ -177,17 +190,15 @@ class _Compiled:
             self.successors.setdefault(higher.index, []).append(lower.index)
             self.n_preds[lower.index] += 1
         self.deterministic_order = self._linear_extension(rng=None)
-        # (membrane, guard polarization) -> consumed region -> key symbol ->
-        # rules in deterministic order; the key symbol is the first on the lhs
-        self.groups: dict[tuple[str, Polarization], dict[str, dict[str, tuple[_CRule, ...]]]] = {}
+        # consumed region -> key symbol -> rules in deterministic order; the
+        # key symbol is the first on the lhs
+        self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {}
         for rank, cr in enumerate(self.deterministic_order):
             cr.rank = rank
-            index = self.groups.setdefault((cr.rule.membrane, cr.rule.alpha), {}).setdefault(cr.consume, {})
-            index.setdefault(next(iter(cr.lhs))[0], []).append(cr)
-        for regions in self.groups.values():
-            for index in regions.values():
-                for key, rules in index.items():
-                    index[key] = tuple(rules)  # a tuple holds one rule in less memory than a list
+            self.index.setdefault(cr.consume, {}).setdefault(next(iter(cr.lhs))[0], []).append(cr)
+        for keyed in self.index.values():
+            for key, rules in keyed.items():
+                keyed[key] = tuple(rules)  # a tuple holds one rule in less memory than a list
 
     def _linear_extension(self, rng: random.Random | None) -> list[_CRule]:
         n_preds = list(self.n_preds)
@@ -224,40 +235,46 @@ def _order(compiled: _Compiled, policy: str, seed: int) -> list[_CRule]:
     raise ValueError(f"unknown selection policy {policy!r}")
 
 
-def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> FiringPlan:
+# region -> residual counts (see "Commit" above); a region without a pool
+# still holds its snapshot contents, and a pool may hold counts of 0
+_Pools = dict[str, dict[str, int]]
+_Fired = list[tuple[_CRule, int]]
+
+
+def _select(
+    compiled: _Compiled, config: Configuration, order: list[_CRule]
+) -> tuple[FiringPlan, _Pools, _Fired]:
+    """The step's plan, the pools it leaves and its ``(rule, count)`` list."""
     # Candidates: rules whose guard and left-hand side pass on the snapshot,
-    # gathered from the smaller side of each region and its key symbols
-    # (see "Selection cost" above).
+    # gathered from the smaller side of each occupied region and its key
+    # symbols (see "Selection cost" above).
     contents = config.contents
     polarizations = config.polarizations
-    groups = compiled.groups
     candidates: list[_CRule] = []
-    for label, pol in polarizations.items():
-        regions = groups.get((label, pol))
-        if regions is None:
+    for region, index in compiled.index.items():
+        have = contents[region].counts()
+        if not have:
             continue
-        for region, index in regions.items():
-            have = contents[region].counts()
-            small, large = (have, index) if len(have) < len(index) else (index, have)
-            for key in small:
-                if key not in large:
+        small, large = (have, index) if len(have) < len(index) else (index, have)
+        for key in small:
+            if key not in large:
+                continue
+            for cr in index[key]:
+                if polarizations[cr.membrane] is not cr.alpha:
                     continue
-                for cr in index[key]:
-                    for sym, need in cr.lhs:
-                        if have.get(sym, 0) < need:
-                            break
-                    else:
-                        candidates.append(cr)
+                for sym, need in cr.lhs:
+                    if have.get(sym, 0) < need:
+                        break
+                else:
+                    candidates.append(cr)
     if order is compiled.deterministic_order:
         candidates.sort(key=_rank)
     else:
         position = {cr: i for i, cr in enumerate(order)}
         candidates.sort(key=position.__getitem__)
 
-    # Pools: the residual of each consumed region, copied from the snapshot on
-    # first use; a region without a pool still holds its snapshot contents.
-    pools: dict[str, dict[str, int]] = {}
-    fired: dict[str, int] = {}
+    pools: _Pools = {}
+    fired: _Fired = []
     pending_beta: dict[str, Polarization] = {}
 
     # Greedy to a fixed point: a later consumption can strip a higher-priority
@@ -271,10 +288,9 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
         progress = False
         blocked_rules: list[_CRule] = []
         for cr in candidates:
-            rule = cr.rule
             if cr.charging:
-                pend = pending_beta.get(rule.membrane)
-                if pend is not None and pend is not rule.beta:
+                pend = pending_beta.get(cr.membrane)
+                if pend is not None and pend is not cr.rule.beta:
                     continue
             p = pools.get(cr.consume)
             if p is None:
@@ -288,7 +304,7 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
                 continue
             blocked = False
             for hi in cr.higher:  # blocked while a higher rule could still fire
-                if polarizations[hi.rule.membrane] is not hi.rule.alpha:
+                if polarizations[hi.membrane] is not hi.alpha:
                     continue
                 hp = pools.get(hi.consume)
                 if hp is None:
@@ -304,12 +320,45 @@ def _select(compiled: _Compiled, config: Configuration, order: list[_CRule]) -> 
                 continue
             for sym, need in cr.lhs:
                 p[sym] -= need * k
-            fired[rule.id] = k
+            fired.append((cr, k))
             if cr.charging:
-                pending_beta[rule.membrane] = rule.beta
+                pending_beta[cr.membrane] = cr.rule.beta
             progress = True
         candidates = blocked_rules
-    return FiringPlan(counts=fired)
+    return FiringPlan(counts={cr.rule.id: k for cr, k in fired}), pools, fired
+
+
+def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuration:
+    """The configuration after ``fired``, whose consumption ``pools`` already
+    holds.  The pools become the written regions: a region that only receives
+    products is copied from the snapshot once, and counts that reached 0 are
+    dropped, so every region is canonical."""
+    new_pols = dict(config.polarizations)
+    for cr, k in fired:
+        for dest, products in cr.effects:
+            region = pools.get(dest)
+            if region is None:
+                region = pools[dest] = dict(config.region(dest).counts())
+            for sym, cnt in products.items():
+                region[sym] = region.get(sym, 0) + cnt * k
+        if cr.charging:
+            new_pols[cr.membrane] = cr.rule.beta
+
+    new_contents = dict(config.contents)
+    new_env = config.environment
+    for label, counts in pools.items():
+        if 0 in counts.values():
+            counts = {sym: cnt for sym, cnt in counts.items() if cnt}
+        if label == ENVIRONMENT_LABEL:
+            new_env = Multiset.adopt(counts)
+        else:
+            new_contents[label] = Multiset.adopt(counts)
+    return Configuration(
+        contents=new_contents,
+        polarizations=new_pols,
+        environment=new_env,
+        step_index=config.step_index + 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,68 +373,39 @@ def select_firing(
     seed: int = 0,
 ) -> FiringPlan:
     compiled = _Compiled(definition)
-    return _select(compiled, config, _order(compiled, policy, seed))
+    return _select(compiled, config, _order(compiled, policy, seed))[0]
 
 
 def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
-    compiled = _Compiled(definition)
-    return _apply(compiled, config, plan)
-
-
-def _apply(compiled: _Compiled, config: Configuration, plan: FiringPlan) -> Configuration:
-    # Written regions as raw count dicts, each copied once from the snapshot;
-    # a count that reaches 0 is deleted, so every dict stays canonical.
-    written: dict[str, dict[str, int]] = {}
-    new_pols = dict(config.polarizations)
+    """Commit ``plan`` on ``config``.  The whole plan is checked against the
+    snapshot: objects it produces cannot feed its own consumption."""
+    by_id = _Compiled(definition).by_id
+    pools: _Pools = {}
+    fired: _Fired = []
     changed_to: dict[str, Polarization] = {}
-
     for rid, count in plan.counts.items():
-        cr = compiled.by_id.get(rid)
+        cr = by_id.get(rid)
         if cr is None:
             raise EngineError(f"plan names unknown rule {rid!r}")
         if count <= 0:
             raise EngineError(f"plan has non-positive count for {rid!r}")
-        rule = cr.rule
-        region = written.get(cr.consume)
-        if region is None:
-            region = written[cr.consume] = dict(config.region(cr.consume).counts())
+        pool = pools.get(cr.consume)
+        if pool is None:
+            pool = pools[cr.consume] = dict(config.region(cr.consume).counts())
         for sym, need in cr.lhs:
-            have = region.get(sym, 0)
+            have = pool.get(sym, 0)
             take = need * count
-            if take < have:
-                region[sym] = have - take
-            elif take == have:
-                del region[sym]
-            else:
+            if take > have:
                 raise EngineError(
                     f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
-        for dest, products in cr.effects:
-            region = written.get(dest)
-            if region is None:
-                region = written[dest] = dict(config.region(dest).counts())
-            for sym, cnt in products.items():
-                region[sym] = region.get(sym, 0) + cnt * count
-        h = rule.membrane
+            pool[sym] = have - take
         if cr.charging:
-            prev = changed_to.get(h)
-            if prev is not None and prev is not rule.beta:
-                raise EngineError(f"incompatible polarization targets for membrane {h!r}")
-            changed_to[h] = rule.beta
-            new_pols[h] = rule.beta
-
-    new_contents = dict(config.contents)
-    new_env = config.environment
-    for label, counts in written.items():
-        if label == ENVIRONMENT_LABEL:
-            new_env = Multiset.adopt(counts)
-        else:
-            new_contents[label] = Multiset.adopt(counts)
-    return Configuration(
-        contents=new_contents,
-        polarizations=new_pols,
-        environment=new_env,
-        step_index=config.step_index + 1,
-    )
+            prev = changed_to.get(cr.membrane)
+            if prev is not None and prev is not cr.rule.beta:
+                raise EngineError(f"incompatible polarization targets for membrane {cr.membrane!r}")
+            changed_to[cr.membrane] = cr.rule.beta
+        fired.append((cr, count))
+    return _commit(config, pools, fired)
 
 
 def steps(
@@ -404,10 +424,10 @@ def steps(
     compiled = _Compiled(definition)
     config = Configuration.initial(definition)
     while True:
-        plan = _select(compiled, config, _order(compiled, policy, (seed << 20) ^ config.step_index))
+        plan, pools, fired = _select(compiled, config, _order(compiled, policy, (seed << 20) ^ config.step_index))
         if not plan:
             return
-        config = _apply(compiled, config, plan)
+        config = _commit(config, pools, fired)
         yield plan, config
 
 

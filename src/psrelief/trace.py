@@ -21,7 +21,7 @@ from psrelief.engine import FiringPlan, RunReport, steps
 from psrelief.psystem import Configuration, PSystemDef
 from psrelief.relief import quantized_halvings
 
-_STAGE_RANK = {INIT_STAGE: 0, UPDATE_STAGE: 1, COMPARE_STAGE: 2}
+_STAGES = (INIT_STAGE, UPDATE_STAGE, COMPARE_STAGE)  # in step order
 
 
 class TraceWriter:
@@ -29,22 +29,24 @@ class TraceWriter:
 
     def __init__(self, definition: PSystemDef, sink: IO[str]):
         self._sink = sink
-        self._decl_index = {r.id: i for i, r in enumerate(definition.rules)}
-        self._membrane = {r.id: r.membrane for r in definition.rules}
-        self._last_pols = {lab: pol for lab, pol in Configuration.initial(definition).polarizations.items()}
+        # rules in line order: by membrane, then declaration order (the sort
+        # is stable); a rule's position in it is its sort key
+        lines = sorted(definition.rules, key=lambda r: r.membrane)
+        self._position = {r.id: i for i, r in enumerate(lines)}
+        self._membrane_at = [r.membrane for r in lines]
+        self._labels = sorted(definition.parent)
+        self._last_pols = Configuration.initial(definition).polarizations
 
     def __call__(self, step: int, plan: FiringPlan, config: Configuration) -> None:
-        records = sorted(
-            plan.counts.items(),
-            key=lambda item: (self._membrane[item[0]], self._decl_index[item[0]]),
-        )
-        for rid, count in records:
-            self._sink.write(f"step={step} membrane={self._membrane[rid]} rule={rid} count={count}\n")
-        for lab in sorted(config.polarizations):
-            pol = config.polarizations[lab]
-            if pol is not self._last_pols[lab]:
+        counts, position, membrane_at = plan.counts, self._position, self._membrane_at
+        for i, rid in sorted((position[rid], rid) for rid in counts):
+            self._sink.write(f"step={step} membrane={membrane_at[i]} rule={rid} count={counts[rid]}\n")
+        pols, last = config.polarizations, self._last_pols
+        for lab in self._labels:
+            pol = pols[lab]
+            if pol is not last[lab]:
                 self._sink.write(f"polarization {lab} {pol.value}\n")
-                self._last_pols[lab] = pol
+                last[lab] = pol
 
 
 @dataclass
@@ -73,8 +75,9 @@ class GeneratedRun:
 
 class _Recorder:
     def __init__(self, gen: GeneratedSystem):
-        self.gen = gen
         self.boundary_rules = set(gen.rule_index["3.26"])
+        # rule id -> position of its stage in _STAGES; stageless rules left out
+        self._stage_rank = {rid: _STAGES.index(stage) for rid, stage in gen.stage_of.items() if stage is not None}
         self.q_trajectory: list[list[list[int]]] = []
         self.profiles: list[IterationProfile] = []
         self._current = IterationProfile(index=0)
@@ -84,8 +87,9 @@ class _Recorder:
     def _step_stage(self, plan: FiringPlan) -> str | None:
         """Earliest stage among the fired rules; rules that belong to no
         stage (counter plumbing, cleanup) never define the stage of a step."""
-        stages = (self.gen.stage_of[rid] for rid in plan.counts)
-        return min((s for s in stages if s is not None), key=_STAGE_RANK.__getitem__, default=None)
+        rank = self._stage_rank
+        first = min((rank[rid] for rid in plan.counts if rid in rank), default=None)
+        return None if first is None else _STAGES[first]
 
     def __call__(self, plan: FiringPlan, config: Configuration) -> bool:
         """Record one committed step; true when it ends an iteration."""

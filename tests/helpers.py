@@ -410,8 +410,10 @@ def _reference_effects(definition: PSystemDef, rule: Rule) -> list[tuple[str, Mu
 def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
     """The engine's commit written on ``Multiset`` objects: every written
     region is copied as a ``Multiset`` and changed through ``remove`` and
-    ``add``.  ``apply_step`` must return an equal configuration and raise the
-    same ``EngineError`` messages for the same arguments."""
+    ``add``, the whole plan's consumption first, then its products, so no
+    rule consumes what another produces in the same step.  ``apply_step``
+    must return an equal configuration and raise the same ``EngineError``
+    messages for the same arguments."""
     rules = rules_by_id(definition)
     new_contents = dict(config.contents)
     new_env = config.environment
@@ -442,10 +444,6 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
                 region.remove(sym, need * count)
         except Exception as exc:
             raise EngineError(f"infeasible plan at rule {rid!r}: {exc}") from exc
-        for dest, products in _reference_effects(definition, rule):
-            region = region_for_write(dest)
-            for sym, cnt in products.items():
-                region.add(sym, cnt * count)
         h = rule.membrane
         if rule.changes_polarization:
             prev = changed_to.get(h)
@@ -453,6 +451,11 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
                 raise EngineError(f"incompatible polarization targets for membrane {h!r}")
             changed_to[h] = rule.beta
             new_pols[h] = rule.beta
+    for rid, count in plan.counts.items():
+        for dest, products in _reference_effects(definition, rules[rid]):
+            region = region_for_write(dest)
+            for sym, cnt in products.items():
+                region.add(sym, cnt * count)
     return Configuration(
         contents=new_contents,
         polarizations=new_pols,

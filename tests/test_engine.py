@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -238,6 +239,18 @@ class TestApply:
         )
         self._assert_engine_error(d, Configuration.initial(d), {"r1": 1, "r2": 1},
                                   "incompatible polarization targets for membrane 'c'")
+
+    def test_plan_cannot_consume_its_own_products(self):
+        # r2 needs the b that r1 produces; within one step the plan is
+        # checked against the snapshot, whichever rule the plan lists first.
+        d = PSystemDef(
+            parent={"1": None},
+            initial={"1": ms(a=1)},
+            rules=[evolution("r1", "1", ms(a=1), ms(b=1)), evolution("r2", "1", ms(b=1), ms(c=1))],
+        )
+        for counts in ({"r1": 1, "r2": 1}, {"r2": 1, "r1": 1}):
+            self._assert_engine_error(d, Configuration.initial(d), counts,
+                                      "infeasible plan at rule 'r2': cannot remove 1 x 'b', only 0 present")
 
     def test_input_configuration_never_mutated(self):
         d = single_membrane_example()
@@ -497,9 +510,9 @@ class TestReferenceSelector:
             priorities=[("two", "kc")],
         )
         cfg = Configuration.initial(d)
-        groups = engine._Compiled(d).groups
-        assert len(cfg.contents["1"]) < len(groups[("1", N)]["1"])
-        assert len(cfg.contents["2"]) > len(groups[("2", N)]["2"])
+        index = engine._Compiled(d).index
+        assert len(cfg.contents["1"]) < len(index["1"])
+        assert len(cfg.contents["2"]) > len(index["2"])
         # ke takes the one e first, so two cannot fire and no longer holds kc back
         assert select_firing(d, cfg) == FiringPlan(counts={"ke": 1, "kc": 2, "in2": 1})
         self._assert_same_plans(d, cfg)
@@ -571,3 +584,49 @@ class TestReferenceApply:
         assert len(picked) >= 10
         for cfg in picked:
             self._assert_same_commit(d, cfg, select_firing(d, cfg))
+
+
+class TestSteps:
+    """``steps`` commits the pools its selection leaves instead of going
+    through ``apply_step``; its chain of plans and configurations must equal
+    the chain of the public functions and of the reference engine."""
+
+    @staticmethod
+    def _public_chain(d, policy, seed, limit):
+        chain, cfg = [], Configuration.initial(d)
+        while len(chain) < limit:
+            plan = select_firing(d, cfg, policy=policy, seed=(seed << 20) ^ cfg.step_index)
+            if not plan:
+                break
+            cfg = apply_step(d, cfg, plan)
+            chain.append((list(plan.counts.items()), cfg))
+        return chain
+
+    @pytest.mark.parametrize("policy,seed", [("deterministic", 0), (SEEDED_RANDOM, 1), (SEEDED_RANDOM, 2)])
+    def test_generated_4x4_matches_reference(self, policy, seed):
+        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3))
+        d = gen.definition
+        boundary = set(gen.rule_index["3.26"])
+        cfg, iterations = Configuration.initial(d), 0
+        for plan, got in engine.steps(d, policy, seed):
+            want = reference_select(d, cfg, policy=policy, seed=(seed << 20) ^ cfg.step_index)
+            assert list(plan.counts.items()) == list(want.counts.items()), cfg.step_index
+            cfg = reference_apply(d, cfg, want)
+            assert got == cfg, cfg.step_index
+            iterations += not boundary.isdisjoint(plan.counts)
+            if iterations == 5:
+                break
+        assert iterations == 5
+
+    def test_random_small_systems_match_public_functions(self):
+        rng = random.Random(7070)
+        checked = 0
+        while checked < 200:
+            d = random_small_system(rng)
+            if d.problems():
+                continue
+            for policy, seed in (("deterministic", 0), (SEEDED_RANDOM, checked)):
+                got = [(list(plan.counts.items()), cfg)
+                       for plan, cfg in itertools.islice(engine.steps(d, policy, seed), 4)]
+                assert got == self._public_chain(d, policy, seed, 4), (checked, policy)
+            checked += 1
