@@ -51,7 +51,7 @@ def _manifest(args, command: str, variant: str | None = None) -> RunManifest:
     )
 
 
-def _emit(args, payload_json: dict, matrix: np.ndarray | None, manifest: RunManifest,
+def _emit(args, payload_json: dict, matrix: np.ndarray, manifest: RunManifest,
           instance: relief.ReliefInstance | None = None) -> None:
     if args.format == "json":
         doc = {"manifest": json.loads(manifest.to_json()), "result": payload_json}
@@ -59,16 +59,10 @@ def _emit(args, payload_json: dict, matrix: np.ndarray | None, manifest: RunMani
             doc["instance"] = instance.to_dict()
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        if matrix is None:
-            lines = [f"# manifest: {manifest.to_json()}", "metric,value"]
-            lines += [f"{k},{v!r}" for k, v in sorted(payload_json.items())
-                      if isinstance(v, (int, float, bool))]
-            text = "\n".join(lines) + "\n"
-        else:
-            comments = [f"manifest: {manifest.to_json()}"]
-            comments += [f"{k}: {v}" for k, v in sorted(payload_json.items())
-                         if not isinstance(v, (list, dict))]
-            text = pio.format_matrix_csv(matrix, comments)
+        comments = [f"manifest: {manifest.to_json()}"]
+        comments += [f"{k}: {v}" for k, v in sorted(payload_json.items())
+                     if not isinstance(v, (list, dict))]
+        text = pio.format_matrix_csv(matrix, comments)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -155,8 +149,7 @@ def cmd_compare(args) -> int:
         "per_cell": [[None if np.isnan(v) else v for v in row] for row in result.per_cell],
     }
     manifest = _manifest(args, "compare")
-    matrix = result.per_cell if args.format == "csv" else None
-    _emit(args, payload, matrix, manifest)
+    _emit(args, payload, result.per_cell, manifest)
     return 0
 
 

@@ -38,17 +38,16 @@ in the step: guards read the snapshot, and the pools the plan draws on only
 shrink.  Compiling a definition indexes its rules by the region they consume
 from, then by one key symbol of their left-hand side (the first), each list
 in deterministic order.  A rule whose key symbol is absent from the snapshot
-cannot be covered, so each step visits every region that has consumers once,
-skips it when it is empty, and walks the smaller side: the region's present
-symbols or the index's key symbols.  A rule met on both sides is a candidate
-when its membrane's polarization matches its guard and the snapshot covers
-its full left-hand side; the candidates are put in the step's order,
-deterministic or seeded-random.  The greedy passes then walk only the
-candidates, in the order a walk over all rules would meet them, so the plan
-is the same.  A candidate leaves the passes once it fires, once its pool runs
-dry or once a pending polarization rules it out; priority-blocked candidates
-stay.  A step costs the occupied regions and the key-symbol hits plus the
-candidates, not every rule.
+cannot be covered, so each step visits every region that has consumers once
+and looks up the rules keyed by each symbol the region holds.  A rule found
+this way is a candidate when its membrane's polarization matches its guard
+and the snapshot covers its full left-hand side; the candidates are put in
+the step's order, deterministic or seeded-random.  The greedy passes then
+walk only the candidates, in the order a walk over all rules would meet them,
+so the plan is the same.  A candidate leaves the passes once it fires, once
+its pool runs dry or once a pending polarization rules it out;
+priority-blocked candidates stay.  A step costs the symbols present in the
+regions plus the candidates, not every rule.
 
 Commit
 ------
@@ -108,14 +107,6 @@ class FiringPlan:
     def __bool__(self) -> bool:
         return bool(self.counts)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiringPlan):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self):
-        return hash(frozenset(self.counts.items()))
-
 
 @dataclass
 class RunReport:
@@ -128,7 +119,7 @@ class RunReport:
     def ending_at(cls, definition: PSystemDef, final: Configuration, halted: bool) -> "RunReport":
         """Report of a run of ``definition`` whose last configuration is ``final``."""
         return cls(final=final, halted=halted, steps=final.step_index,
-                   output=final.region(definition.output).copy())
+                   output=final.region(definition.output))
 
 
 Observer = Callable[[int, FiringPlan, Configuration], None]
@@ -246,20 +237,15 @@ def _select(
 ) -> tuple[FiringPlan, _Pools, _Fired]:
     """The step's plan, the pools it leaves and its ``(rule, count)`` list."""
     # Candidates: rules whose guard and left-hand side pass on the snapshot,
-    # gathered from the smaller side of each occupied region and its key
-    # symbols (see "Selection cost" above).
+    # gathered through the present symbols of each occupied region (see
+    # "Selection cost" above).
     contents = config.contents
     polarizations = config.polarizations
     candidates: list[_CRule] = []
     for region, index in compiled.index.items():
         have = contents[region].counts()
-        if not have:
-            continue
-        small, large = (have, index) if len(have) < len(index) else (index, have)
-        for key in small:
-            if key not in large:
-                continue
-            for cr in index[key]:
+        for key in have:
+            for cr in index.get(key, ()):
                 if polarizations[cr.membrane] is not cr.alpha:
                     continue
                 for sym, need in cr.lhs:

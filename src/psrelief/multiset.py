@@ -10,10 +10,11 @@ class MultisetError(ValueError):
 
 
 class Multiset:
-    """Map from symbol id to positive count.
+    """Map from symbol id to positive count; never changes after construction.
 
     Canonical form: zero-count entries are never stored.  Counts are plain
     Python ints, so object populations in the trillions cost one dict entry.
+    Because a multiset is a value, configurations and rules share them freely.
     """
 
     __slots__ = ("_counts",)
@@ -22,38 +23,21 @@ class Multiset:
         self._counts: dict[str, int] = {}
         if counts:
             for sym, cnt in counts.items():
-                self.add(sym, cnt)
+                if cnt < 0:
+                    raise MultisetError(f"negative count {cnt} for {sym!r}")
+                if cnt:
+                    self._counts[sym] = cnt
 
     @classmethod
     def adopt(cls, counts: dict[str, int]) -> "Multiset":
-        """Multiset backed by ``counts`` itself, not a copy; every count must
-        be positive."""
+        """Multiset that takes ownership of ``counts`` itself, unchecked: every
+        count must be positive, and no one may change the dict afterwards."""
         out = object.__new__(cls)
         out._counts = counts
         return out
 
-    def add(self, sym: str, count: int = 1) -> None:
-        if count < 0:
-            raise MultisetError(f"negative count {count} for {sym!r}")
-        if count == 0:
-            return
-        new = self._counts.get(sym, 0) + count
-        self._counts[sym] = new
-
-    def remove(self, sym: str, count: int = 1) -> None:
-        have = self._counts.get(sym, 0)
-        if count > have:
-            raise MultisetError(f"cannot remove {count} x {sym!r}, only {have} present")
-        if count == have:
-            del self._counts[sym]
-        else:
-            self._counts[sym] = have - count
-
     def count(self, sym: str) -> int:
         return self._counts.get(sym, 0)
-
-    def copy(self) -> "Multiset":
-        return Multiset.adopt(dict(self._counts))
 
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(self._counts.items())

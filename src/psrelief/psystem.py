@@ -38,13 +38,6 @@ class Polarization(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def parse(cls, text: str) -> "Polarization":
-        for pol in cls:
-            if pol.value == text:
-                return pol
-        raise DefinitionError(f"unknown polarization {text!r}")
-
 
 class RuleKind(enum.Enum):
     EVOLUTION = "evolution"
@@ -223,7 +216,7 @@ class Configuration:
 
     @classmethod
     def initial(cls, definition: PSystemDef) -> "Configuration":
-        contents = {lab: definition.initial.get(lab, Multiset()).copy() for lab in definition.parent}
+        contents = {lab: definition.initial.get(lab, Multiset()) for lab in definition.parent}
         pols = {lab: Polarization.NEUTRAL for lab in definition.parent}
         return cls(contents=contents, polarizations=pols)
 

@@ -1,7 +1,7 @@
 """Shared test utilities: tiny system constructors, the exhaustive
 firing-plan enumerator used as an independent oracle for selection semantics,
 a reference selector that walks every rule on every greedy pass, a reference
-commit on ``Multiset`` objects, reference solver steps that evaluate the update formulas array by array
+commit on ``Counter`` copies, reference solver steps that evaluate the update formulas array by array
 (float) and cell by cell (integer), and a reference ``.psys`` reader that
 builds one token object per token."""
 
@@ -11,6 +11,7 @@ import heapq
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,11 +230,12 @@ def random_small_system(rng: random.Random) -> PSystemDef:
     pols = list(Polarization)
 
     def random_ms(max_total: int, allow_empty: bool) -> Multiset:
-        out = Multiset()
+        counts: dict[str, int] = {}
         total = rng.randint(0 if allow_empty else 1, max_total)
         for _ in range(total):
-            out.add(rng.choice(symbols))
-        return out
+            sym = rng.choice(symbols)
+            counts[sym] = counts.get(sym, 0) + 1
+        return Multiset(counts)
 
     rules = []
     n_rules = rng.randint(1, 5)
@@ -275,7 +277,7 @@ def random_small_system(rng: random.Random) -> PSystemDef:
 
 # ---------------------------------------------------------------------------
 # Reference selector and commit: every greedy pass walks every rule, and the
-# commit works on Multiset objects
+# commit works on Counter copies
 # ---------------------------------------------------------------------------
 
 
@@ -408,27 +410,19 @@ def _reference_effects(definition: PSystemDef, rule: Rule) -> list[tuple[str, Mu
 
 
 def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
-    """The engine's commit written on ``Multiset`` objects: every written
-    region is copied as a ``Multiset`` and changed through ``remove`` and
-    ``add``, the whole plan's consumption first, then its products, so no
-    rule consumes what another produces in the same step.  ``apply_step``
-    must return an equal configuration and raise the same ``EngineError``
-    messages for the same arguments."""
+    """The engine's commit written on ``Counter`` copies: every written
+    region is copied into a ``Counter`` and changed there, the whole plan's
+    consumption first, then its products, so no rule consumes what another
+    produces in the same step.  ``apply_step`` must return an equal
+    configuration and raise the same ``EngineError`` messages for the same
+    arguments."""
     rules = rules_by_id(definition)
-    new_contents = dict(config.contents)
-    new_env = config.environment
-    touched: set[str] = set()
+    written: dict[str, Counter] = {}
 
-    def region_for_write(label: str) -> Multiset:
-        nonlocal new_env
-        if label == ENVIRONMENT_LABEL:
-            if new_env is config.environment:
-                new_env = config.environment.copy()
-            return new_env
-        if label not in touched:
-            new_contents[label] = new_contents[label].copy()
-            touched.add(label)
-        return new_contents[label]
+    def region_for_write(label: str) -> Counter:
+        if label not in written:
+            written[label] = Counter(config.region(label).counts())
+        return written[label]
 
     new_pols = dict(config.polarizations)
     changed_to: dict[str, Polarization] = {}
@@ -438,12 +432,13 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
             raise EngineError(f"plan names unknown rule {rid!r}")
         if count <= 0:
             raise EngineError(f"plan has non-positive count for {rid!r}")
-        try:
-            region = region_for_write(_consume_label(definition, rule))
-            for sym, need in rule.lhs.items():
-                region.remove(sym, need * count)
-        except Exception as exc:
-            raise EngineError(f"infeasible plan at rule {rid!r}: {exc}") from exc
+        region = region_for_write(_consume_label(definition, rule))
+        for sym, need in rule.lhs.items():
+            have, take = region[sym], need * count
+            if take > have:
+                raise EngineError(
+                    f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
+            region[sym] = have - take
         h = rule.membrane
         if rule.changes_polarization:
             prev = changed_to.get(h)
@@ -455,7 +450,14 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
         for dest, products in _reference_effects(definition, rules[rid]):
             region = region_for_write(dest)
             for sym, cnt in products.items():
-                region.add(sym, cnt * count)
+                region[sym] += cnt * count
+    new_contents = dict(config.contents)
+    new_env = config.environment
+    for label, counts in written.items():
+        if label == ENVIRONMENT_LABEL:
+            new_env = Multiset(counts)
+        else:
+            new_contents[label] = Multiset(counts)
     return Configuration(
         contents=new_contents,
         polarizations=new_pols,
@@ -644,16 +646,13 @@ class _RefLineParser:
         return self.pos >= len(self.tokens)
 
     def multiset(self, stoppers: tuple[str, ...]) -> Multiset:
-        """Parse atoms until a stopper token kind/char; empty multiset allowed."""
-        out = Multiset()
+        """Parse atoms until a stopper token kind/char; empty multiset allowed.
+        A repeated symbol adds to its count at its first position."""
+        counts: dict[str, int] = {}
         while True:
             tok = self.peek()
-            if tok is None:
-                return out
-            if tok.kind in stoppers:
-                return out
-            if tok.kind == "punct" and tok.text in stoppers:
-                return out
+            if tok is None or tok.kind in stoppers or (tok.kind == "punct" and tok.text in stoppers):
+                return Multiset(counts)
             if tok.kind != "ident":
                 self.error("expected a symbol name", tok)
             self.next()
@@ -664,7 +663,7 @@ class _RefLineParser:
                 count = int(num.text)
                 if count <= 0:
                     self.error("multiplicity must be positive", num)
-            out.add(tok.text, count)
+            counts[tok.text] = counts.get(tok.text, 0) + count
 
 
 class _RefBail(Exception):
@@ -851,7 +850,7 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
             lp.next()
             rhs = lp.multiset(stoppers=("]",))
             lp.expect_punct("]")
-            alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+            alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
             membrane = _ref_rule_at(lp)
             if not lhs:
                 lp.error("rule left-hand side must not be empty")
@@ -859,7 +858,7 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
         lp.expect_punct("]")
-        alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+        alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
         tok = lp.next()
         if tok is None or tok.kind != "arrow":
             lp.error("expected '->'", tok)
@@ -867,7 +866,7 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
         lp.expect_punct("[")
         inner = lp.multiset(stoppers=("]",))
         lp.expect_punct("]")
-        beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+        beta = Polarization(lp.expect("pol", "a polarization").text[1:])
         membrane = _ref_rule_at(lp)
         if not lhs:
             lp.error("rule left-hand side must not be empty")
@@ -877,7 +876,7 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
     lhs = lp.multiset(stoppers=("[",))
     lp.expect_punct("[")
     lp.expect_punct("]")
-    alpha = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+    alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
     tok = lp.next()
     if tok is None or tok.kind != "arrow":
         lp.error("expected '->'", tok)
@@ -885,7 +884,7 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
     lp.expect_punct("[")
     inner = lp.multiset(stoppers=("]",))
     lp.expect_punct("]")
-    beta = Polarization.parse(lp.expect("pol", "a polarization").text[1:])
+    beta = Polarization(lp.expect("pol", "a polarization").text[1:])
     membrane = _ref_rule_at(lp)
     if not lhs:
         lp.error("rule left-hand side must not be empty")

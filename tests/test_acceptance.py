@@ -77,6 +77,20 @@ def test_criterion_2_oracle_equivalence():
     announce(2, "20/20 instances: engine trajectory == quantized oracle, exactly")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [3, 5])
+def test_case_study_scale_runs_to_halt_count_for_count(p):
+    """The 3x10 case-study shape, run to halt on the engine: every
+    iteration's counts equal the quantized iteration's."""
+    inst = katrina_shaped(random.Random(1), 3, 10)
+    oracle, conv = quantized_trajectory(inst, p=p, max_iter=100_000)
+    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000)
+    assert conv and res.halted
+    assert len(res.q_trajectory) == len(oracle)
+    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
+        assert got == want, f"iteration {it}"
+
+
 def test_criterion_3_derived_equilibrium():
     """q* = 0.5 within 1e-3 from both the float solver and the membrane
     system at p = 5."""

@@ -85,6 +85,13 @@ class TestSimulateOracleAgreement:
         assert sim["q"] == ora["q"]
         assert sim["iterations"] == ora["iterations"]
 
+    def test_simulation_cut_off_exits_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--instance", str(INSTANCES / "demo_2x2.json"), "--p", "2",
+                     "--max-iter", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "simulation did not halt within 3 iterations\n"
+        assert not out.exists()
+
 
 class TestBuild:
     def test_emitted_system_parses(self, tmp_path, capsys):
@@ -155,6 +162,12 @@ class TestTrace:
 
     def test_trace_requires_some_input(self, capsys):
         assert main(["trace"]) == 2
+
+    def test_trace_psys_diagnostic_exits_2(self, tmp_path, capsys):
+        psys = tmp_path / "dup.psys"
+        psys.write_text("membrane 1\nmembrane 1\n")
+        assert main(["trace", "--psys", str(psys)]) == 2
+        assert capsys.readouterr().err == f"{psys}:2:1: error: membrane '1' already declared\n"
 
 
 class TestDeterminism:

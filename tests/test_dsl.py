@@ -165,6 +165,23 @@ class TestParse:
                 assert d.line >= 1 and d.column >= 1
             assert_parses_like_reference(text)
 
+    @pytest.mark.parametrize("text, diagnostics", [
+        ("membrane 1\nmembrane 1\n", [("membrane '1' already declared", 2, 1)]),
+        ("membrane 1\nmembrane 2 of 1\n",
+         [("expected 'in'", 2, 12), ("expected exactly one root membrane, found ['1', '2']", 1, 1)]),
+        ("membrane 1\nmembrane 2 in 1 x\n", [("unexpected trailing input", 2, 17)]),
+        ("membrane 1\noutput 1\noutput 1\n", [("output already declared", 3, 1)]),
+        ("membrane 1\noutput 1 2\n", [("unexpected trailing input", 2, 10)]),
+        ("membrane 1\ninit 1: a\ninit 1: b\n", [("init for '1' already given", 3, 1)]),
+        ("membrane 1\nrule r: [a -> b]'0 @ 1\nrule q: [a -> c]'0 @ 1\nprio r > q @ 9\n",
+         [("priority names unknown membrane '9'", 4, 6)]),
+        ("membrane 1\nrule r: [ -> b]'0 @ 1\n", [("rule left-hand side must not be empty", 2, 22)]),
+    ])
+    def test_declaration_diagnostics(self, text, diagnostics):
+        res = dsl.parse(text)
+        assert [(d.message, d.line, d.column) for d in res.diagnostics] == diagnostics
+        assert_parses_like_reference(text)
+
     def test_arbitrary_bytes_never_raise(self):
         rng = random.Random(0xF00D)
         for _ in range(150):

@@ -6,28 +6,19 @@ from psrelief.multiset import Multiset, MultisetError
 
 
 def test_zero_counts_are_not_stored():
-    m = Multiset({"a": 2})
-    m.add("b", 0)
-    assert "b" not in m
-    m.remove("a", 2)
-    assert "a" not in m and len(m) == 0
+    m = Multiset({"a": 2, "b": 0})
+    assert "b" not in m and len(m) == 1
+    assert len(Multiset({"a": 0})) == 0
 
 
 def test_negative_count_rejected():
-    with pytest.raises(MultisetError):
+    with pytest.raises(MultisetError, match=r"negative count -1 for 'a'"):
         Multiset({"a": -1})
-
-
-def test_subtracting_more_than_present_is_contract_violation():
-    m = Multiset({"a": 1})
-    with pytest.raises(MultisetError):
-        m.remove("a", 2)
 
 
 def test_huge_counts_are_exact():
     big = 7506 * 10**9
-    m = Multiset({"p": big})
-    m.add("p", big)
+    m = Multiset({"p": 2 * big})
     assert m.count("p") == 2 * big
 
 

@@ -26,9 +26,6 @@ def test_initial_configuration_is_neutral():
 
 def test_three_polarizations_exist():
     assert {p.value for p in Polarization} == {"0", "+", "-"}
-    assert Polarization.parse("+") is Polarization.POSITIVE
-    with pytest.raises(DefinitionError):
-        Polarization.parse("x")
 
 
 def test_unknown_rule_membrane_rejected():
@@ -108,7 +105,9 @@ def test_configuration_digest_tracks_state():
     a = Configuration.initial(d)
     b = Configuration.initial(d)
     assert a.digest() == b.digest()
-    b.contents["1"].add("a")
+    grown = dict(b.contents["1"].counts())
+    grown["a"] = grown.get("a", 0) + 1
+    b.contents["1"] = Multiset(grown)
     assert a.digest() != b.digest()
     c = Configuration.initial(d)
     c.polarizations["1"] = Polarization.POSITIVE
