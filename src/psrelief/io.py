@@ -9,6 +9,7 @@ starting with ``#`` carry embedded metadata and are skipped on load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def parse_matrix_csv(text: str, origin: str = "<memory>") -> np.ndarray:
             raise InputError(f"{origin}:{line_no}:1: {exc}") from exc
         if k < 1 or l < 1:
             raise InputError(f"{origin}:{line_no}:1: indices are 1-based")
+        if not math.isfinite(value):
+            raise InputError(f"{origin}:{line_no}:1: value {parts[2].strip()!r} is not finite")
         if (k, l) in entries:
             raise InputError(f"{origin}:{line_no}:1: duplicate cell ({k},{l})")
         entries[(k, l)] = value

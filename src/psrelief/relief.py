@@ -32,15 +32,15 @@ division by the beta denominator rounds half-up, the step factor a_t is
 realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
 
-Cost.  Each route builds its step once per run.  The float step holds
-``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as arrays; they are the
-subexpressions the formula above evaluates, so every float is the same.
-(q, lam, lam1, lam2) live in one vector with the four families as views of
-it, the drift is written in place into a second vector of that layout, and
-the step is one ``z + a_t D`` and one ``max(0, .)``.  The integer step keeps
-counts as Python ints, because products of counts grow as P^2 and p has no
-upper bound.  It inlines the two gadgets per cell with two identities that
-are exact on integers:
+Cost.  Each route builds its step once per run, and both steps work on one
+vector z = (q row-major, lam, lam1, lam2) with the four families as views of
+it; a drift vector D has the same layout.  The float step holds ``omega gamma
+/ beta``, ``2 a^2`` and ``2 a b`` as arrays; they are the subexpressions the
+formula above evaluates, so every float is the same.  It writes the drift in
+place into a reused vector and is one ``z + a_t D`` and one ``max(0, .)``.
+
+The integer step inlines the two gadgets with two identities that are exact
+on integers:
 
     div_round_half(r, den, half) == (r + den - half) // den   if 1 <= half <= den
     scaled_emission(m, w)        == ((m >> w) + 5) // 10      if m >= 0
@@ -49,7 +49,40 @@ Adding ``den - half`` carries into the quotient exactly when the remainder
 reaches ``half``, and adding 5 carries exactly when the last digit is at
 least 5.  ``fixed_point_constants`` gives ``half = ceil(P beta / 2) <=
 floor(P beta) = den`` once ``den >= 1``; the step checks both bounds once per
-run.
+run.  The q part of D is ``(k0 - k1) + (lam1 - lam2) - lam - (q slope + den -
+half) // den``, broadcast by row and column; the multiplier parts are the row
+sums minus ``supply``, ``dlo`` minus the column sums and the column sums minus
+``dhi``.  With ``mag = ((|D| >> w) + 5) // 10``, one pass over the whole
+vector emits and cancels: the new count is ``z + mag`` where ``D >= 0`` and
+``max(0, z - mag)`` where ``D < 0``.
+
+The counts are int64 while every constant and every count lies in [0, 2^31),
+and Python ints (object arrays through the same ufuncs) otherwise.  Under that
+bound nothing overflows.  ``q slope + den - half < 2^62 + 2^31``; the other q
+terms are below 2^31 in size, so ``|D| < 2^62 + 2^33`` on q.  A row or column
+sum is below max(m, n) 2^31, so ``|D| < 2^62`` on the multipliers for any
+max(m, n) < 2^31.  Hence ``|D|``, ``mag + 5`` and the new counts, which lie in
+[0, 2^31 + |D|), all stay below 2^63.  A run that starts in int64 converts z
+once, when ``z.max()`` reaches 2^31, and stays in Python ints, because
+products of counts grow as P^2 and p has no upper bound.  On the katrina-
+shaped ladder instances the supplies and demand caps pass the bound from p = 6
+at 10x30 and from p = 7 at 4x4 and 8x8; a 10x30 run at p = 5 stays in int64
+throughout.
+
+Schedule ceiling.  The float route steps by ``step_size`` (exponent
+``schedule_exponent``), the oracle and the engine by ``quantized_halvings``.
+The two agree up to t = 11,263 and first differ at t = 11,264, where the
+float block of w = 10 ends after 1,024 copies and the integer one runs on to
+2,048.  The first ten blocks (w = 0..9, 1,024 copies each) give Sum a_t =
+204.6 by t = 10,240.  From there each block adds a fixed amount, 0.1 per
+float block (1,024 copies at w = 10, then 2^w) and 0.2 per integer block
+(2^(w+1) copies), and the blocks double in length.  So Sum a_t grows like 0.1
+log2 t on the float route (Sum a_t - 0.1 log2 t is 203.57 at t = 2^16 and
+203.60 at t = 2^23) and like 0.2 log2 t on the integer route, and the iterate
+stops moving far from the equilibrium.  The float ``converged`` flag (``max
+|dq| < tol``) therefore detects a drop in the step size, not the equilibrium:
+on the 10x30 ladder instance both float variants stop at iteration 11,265,
+the first step taken with a_t = 0.1 / 2^11.
 """
 
 from __future__ import annotations
@@ -190,8 +223,8 @@ def quantized_halvings(t: int) -> int:
 
     The counter machinery of the generated system emits one halving token per
     1024 iterations for the first ten tokens and then doubles the block
-    length starting at 2048, so it deviates from ``schedule_exponent`` only
-    beyond iteration 10240.
+    length starting at 2048, so it agrees with ``schedule_exponent`` up to
+    iteration 11263 and first differs at 11264.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -430,64 +463,83 @@ class QuantizedState:
         return np.array([[c / P for c in row] for row in self.q])
 
 
-def _cancel(retained: list[int], drifts: list[int], w: int) -> list[int]:
-    """New counts from retained counts and signed drifts (both in raw scale):
-    emit ``scaled_emission(|drift|, w)``, then cancel it against the retained
-    objects."""
-    out = []
-    put = out.append
-    for r, d in zip(retained, drifts):
-        if d >= 0:
-            put(r + ((d >> w) + 5) // 10)
-        else:
-            r -= ((-d >> w) + 5) // 10
-            put(r if r > 0 else 0)
-    return out
+#: Below this bound on every constant and count the packed integer step runs
+#: in int64 without overflow (see "Cost" above).
+_INT64_SAFE = 1 << 31
 
 
 class _QuantizedStep:
-    """The integer iteration for one set of fixed-point constants.
-
-    Per cell, the q drift ``(k0 + lam1) - (k1 + lam + lam2 +
-    div_round_half(q slope, den, half))`` is computed as ``(k0 - k1) + (lam1
-    - lam2) - lam - (q slope + den - half) // den``, and the emission and
-    cancellation of ``_cancel`` are written out in the loop (see "Cost"
-    above)."""
+    """The integer iteration for one set of fixed-point constants on packed
+    count vectors z = (q row-major, lam, lam1, lam2): one drift vector, then
+    one emission-and-cancellation pass over it.  Constants and counts are
+    int64 until one of them reaches ``_INT64_SAFE`` and Python ints from then
+    on (see "Cost" above)."""
 
     def __init__(self, k: FixedPointConstants):
         if any(d <= 0 for d in k.den):
             raise ValueError("division constant must be positive")
         if not all(1 <= h <= d for h, d in zip(k.half, k.den)):
             raise ValueError("half mark must lie between 1 and the division constant")
-        kd = [[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(k.k0, k.k1)]
-        self.rows = list(zip(kd, k.slope, k.den, [d - h for d, h in zip(k.den, k.half)]))
-        self.supply, self.dlo, self.dhi = k.supply, k.dlo, k.dhi
+        self.k = k
+        self.m, self.n = len(k.den), len(k.dlo)
+        self.mn = self.m * self.n
+        flat = [c for table in (k.k0, k.k1, k.slope) for row in table for c in row]
+        flat += k.den + k.half + k.supply + k.dlo + k.dhi
+        self._use(np.int64 if all(0 <= c < _INT64_SAFE for c in flat) else object)
 
-    def __call__(self, state: QuantizedState) -> QuantizedState:
-        w = quantized_halvings(state.t)
-        q, lam, lam1, lam2 = state.q, state.lam, state.lam1, state.lam2
-        e = [a - b for a, b in zip(lam1, lam2)]
-        new_q = []
-        for qi, li, (kdi, sli, den, dh) in zip(q, lam, self.rows):
-            row = []
-            put = row.append
-            for qij, kij, sij, ej in zip(qi, kdi, sli, e):
-                d = kij + ej - li - (qij * sij + dh) // den
-                if d >= 0:
-                    put(qij + ((d >> w) + 5) // 10)
-                else:
-                    qij -= ((-d >> w) + 5) // 10
-                    put(qij if qij > 0 else 0)
-            new_q.append(row)
-        cols = [sum(c) for c in zip(*q)]
-        return QuantizedState(
-            q=new_q,
-            lam=_cancel(lam, [sum(r) - s for r, s in zip(q, self.supply)], w),
-            lam1=_cancel(lam1, [lo - c for lo, c in zip(self.dlo, cols)], w),
-            lam2=_cancel(lam2, [c - hi for c, hi in zip(cols, self.dhi)], w),
-            t=state.t + 1,
-            p=state.p,
-        )
+    def _use(self, dtype) -> None:
+        """Hold the constants as arrays of ``dtype``."""
+        k = self.k
+        self.dtype = dtype
+        self.kd = np.array(k.k0, dtype) - np.array(k.k1, dtype)
+        self.slope = np.array(k.slope, dtype)
+        self.den = np.array(k.den, dtype)[:, None]
+        self.dh = self.den - np.array(k.half, dtype)[:, None]
+        self.supply = np.array(k.supply, dtype)
+        self.dlo = np.array(k.dlo, dtype)
+        self.dhi = np.array(k.dhi, dtype)
+
+    def pack(self, state: QuantizedState) -> np.ndarray:
+        counts = [c for row in state.q for c in row] + state.lam + state.lam1 + state.lam2
+        if not all(0 <= c < _INT64_SAFE for c in counts):
+            self._use(object)
+        return np.array(counts, self.dtype)
+
+    def __call__(self, z: np.ndarray, w: int) -> np.ndarray:
+        """The next packed state after z, with w halvings in the step factor."""
+        m, n, mn = self.m, self.n, self.mn
+        q = z[:mn].reshape(m, n)
+        lam, lam1, lam2 = z[mn:mn + m], z[mn + m:mn + m + n], z[mn + m + n:]
+        d = np.empty_like(z)
+        dq = d[:mn].reshape(m, n)
+        np.multiply(q, self.slope, out=dq)
+        dq += self.dh
+        dq //= self.den
+        np.subtract(self.kd, dq, out=dq)
+        dq += lam1 - lam2
+        dq -= lam[:, None]
+        cols = q.sum(axis=0)
+        np.subtract(q.sum(axis=1), self.supply, out=d[mn:mn + m])
+        np.subtract(self.dlo, cols, out=d[mn + m:mn + m + n])
+        np.subtract(cols, self.dhi, out=d[mn + m + n:])
+        mag = np.abs(d)
+        mag >>= w
+        mag += 5
+        mag //= 10
+        nxt = np.where(d >= 0, z + mag, np.maximum(z - mag, 0))
+        # an int64 z has no negative count, so neither has nxt
+        if self.dtype is not object and nxt.max() >= _INT64_SAFE:
+            self._use(object)
+            nxt = nxt.astype(object)
+        return nxt
+
+
+def _unpack(z: np.ndarray, m: int, n: int) -> tuple[list, list, list, list]:
+    """(q, lam, lam1, lam2) of a packed vector as lists of Python ints."""
+    c = z.tolist()
+    mn = m * n
+    q = [c[i * n:(i + 1) * n] for i in range(m)]
+    return q, c[mn:mn + m], c[mn + m:mn + m + n], c[mn + m + n:]
 
 
 def quantized_euler_step(
@@ -497,25 +549,28 @@ def quantized_euler_step(
 ) -> QuantizedState:
     """One integer iteration, bit-exact against the generated membrane system."""
     k = constants if constants is not None else fixed_point_constants(inst, state.p)
-    return _QuantizedStep(k)(state)
+    step = _QuantizedStep(k)
+    z = step(step.pack(state), quantized_halvings(state.t))
+    return QuantizedState(*_unpack(z, step.m, step.n), t=state.t + 1, p=state.p)
 
 
 def _quantized_states(
     inst: ReliefInstance, p: int, max_iter: int
-) -> Iterator[tuple[QuantizedState, bool]]:
-    """The all-ones state, then each iterate paired with whether its q counts
-    equal its predecessor's (the halting condition of the membrane system).
-    Stops after the first such iterate or after max_iter iterates."""
+) -> Iterator[tuple[np.ndarray, bool]]:
+    """The packed all-ones state, then each iterate paired with whether its q
+    counts equal its predecessor's (the halting condition of the membrane
+    system).  Stops after the first such iterate or after max_iter iterates."""
     step = _QuantizedStep(fixed_point_constants(inst, p))
-    state = QuantizedState.initial(inst, p)
-    yield state, False
-    for _ in range(max_iter):
-        nxt = step(state)
-        halted = nxt.q == state.q
+    mn = step.mn
+    z = step.pack(QuantizedState.initial(inst, p))
+    yield z, False
+    for t in range(max_iter):
+        nxt = step(z, quantized_halvings(t))
+        halted = bool((nxt[:mn] == z[:mn]).all())
         yield nxt, halted
         if halted:
             return
-        state = nxt
+        z = nxt
 
 
 def quantized_trajectory(
@@ -525,10 +580,11 @@ def quantized_trajectory(
     exact q equality between consecutive iterations (the halting condition of
     the membrane system) or at max_iter.  Returns (trajectory, converged);
     the trajectory includes the initial counts."""
+    m, n = inst.m, inst.n
     traj: list[list[list[int]]] = []
     converged = False
-    for state, converged in _quantized_states(inst, p, max_iter):
-        traj.append(state.q)
+    for z, converged in _quantized_states(inst, p, max_iter):
+        traj.append(z[:m * n].reshape(m, n).tolist())
     return traj, converged
 
 
@@ -597,7 +653,8 @@ def solve(
         if p is None:
             raise ValueError("quantized variant needs a precision exponent p")
         # keep only the last state: the trajectory is never held in memory
-        state, converged = deque(_quantized_states(inst, p, max_iter), maxlen=1)[0]
+        t, (z, converged) = deque(enumerate(_quantized_states(inst, p, max_iter)), maxlen=1)[0]
+        state = QuantizedState(*_unpack(z, inst.m, inst.n), t=t, p=p)
         P = 10**p
         report = EquilibriumReport(
             q_star=state.q_matrix(),

@@ -131,6 +131,23 @@ class TestCompare:
                      "--reference", data_path("example2_reference.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("side, table, line, value", [
+        ("candidate", "k,l,value\n1,1,1\n1,2,inf\n", 3, "inf"),
+        ("reference", "k,l,value\n1,1,nan\n1,2,2\n", 2, "nan"),
+    ])
+    def test_non_finite_cell_is_positioned_input_error(self, tmp_path, capsys, side, table,
+                                                        line, value):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("candidate", "reference")}
+        for name, path in paths.items():
+            path.write_text(table if name == side else "k,l,value\n1,1,1\n1,2,2\n")
+        out = tmp_path / "stats.json"
+        code = main(["compare", "--candidate", str(paths["candidate"]),
+                     "--reference", str(paths["reference"]), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[side]}:{line}:1: value '{value}' is not finite\n")
+        assert not out.exists()
+
 
 class TestTrace:
     def test_trace_psys_file(self, tmp_path):

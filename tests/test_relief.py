@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_quantized_step, reference_solve
+from psrelief import relief
 from psrelief.relief import (
     FULL,
     QUANTIZED,
@@ -383,6 +384,24 @@ class TestQuantizedGadgets:
                 assert err <= C * t / P, (t, err)
 
 
+#: The packed integer step computes in int64 while every constant and count is
+#: below this bound (relief module docstring, "Cost").
+INT64_SAFE = 2**31
+
+
+def counts(state: QuantizedState) -> list[int]:
+    return [c for row in state.q for c in row] + state.lam + state.lam1 + state.lam2
+
+
+def crossing_instance() -> ReliefInstance:
+    """2x3 at p=9: every fixed-point constant is below 2^31, and a count
+    (a supply multiplier) passes it at iteration 872."""
+    return ReliefInstance(m=2, n=3, s=[2.0, 2.0], d_lo=[0.0] * 3, d_hi=[2.0] * 3,
+                          gamma=[[1.0, 0.9, 1.0], [0.9, 1.0, 0.9]], omega=[1.0, 1.0],
+                          beta=[1.0, 1.0], cost_a=[[0.1] * 3] * 2,
+                          cost_b=[[0.0, 0.1, 0.0], [0.1, 0.0, 0.1]], vis_k=[1.0] * 3)
+
+
 def cap_instance() -> ReliefInstance:
     """m = n = 1: q reaches 0 at iteration 4, where the visibility derivative
     of ``full`` is capped."""
@@ -407,7 +426,7 @@ def assert_same_report(got: EquilibriumReport, want: EquilibriumReport):
 
 
 class TestReferenceSteps:
-    """The packed float step and the inlined integer step against the update
+    """The packed float and integer steps against the update
     formulas evaluated family by family (tests/helpers.py)."""
 
     @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL])
@@ -457,6 +476,76 @@ class TestReferenceSteps:
             grew += sum(a > b for a, b in cells)
             shrank += sum(a < b for a, b in cells)
         assert grew and shrank
+
+    def test_quantized_step_equals_reference_across_int64_bound(self):
+        # p=3 constants are far below the bound; the counts sit just below it
+        # (the step crosses it), on both sides of it, or where int64 products
+        # would overflow (the step starts in Python ints)
+        rng = random.Random(31)
+        crossed = straddled = 0
+        for trial in range(60):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
+            cons = fixed_point_constants(inst, 3)
+            lo, hi = [(INT64_SAFE - 2**24, INT64_SAFE), (INT64_SAFE - 2**24, INT64_SAFE + 2**24),
+                      (2**60, 2**61)][trial % 3]
+
+            def draw(size):
+                return [rng.randint(lo, hi - 1) for _ in range(size)]
+
+            state = QuantizedState(q=[draw(inst.n) for _ in range(inst.m)], lam=draw(inst.m),
+                                   lam1=draw(inst.n), lam2=draw(inst.n),
+                                   t=rng.randint(0, 60000), p=3)
+            want = reference_quantized_step(state, inst, cons)
+            assert quantized_euler_step(state, inst, cons) == want
+            if max(counts(state)) < INT64_SAFE:
+                crossed += max(counts(want)) >= INT64_SAFE
+            else:
+                straddled += min(counts(state)) < INT64_SAFE
+        assert crossed and straddled
+
+    def test_trajectory_equals_reference_chain_across_int64_bound(self):
+        inst, p, steps = crossing_instance(), 9, 1000
+        cons = fixed_point_constants(inst, p)
+        constants = [c for table in (cons.k0, cons.k1, cons.slope) for row in table for c in row]
+        constants += cons.den + cons.half + cons.supply + cons.dlo + cons.dhi
+        assert max(constants) < INT64_SAFE
+        state = QuantizedState.initial(inst, p)
+        assert max(counts(state)) < INT64_SAFE
+        traj, _ = quantized_trajectory(inst, p, steps)
+        assert len(traj) == steps + 1
+        crossing = None
+        for got in traj:
+            assert got == state.q, state.t
+            if crossing is None and max(counts(state)) >= INT64_SAFE:
+                crossing = state.t
+            state = reference_quantized_step(state, inst, cons)
+        assert crossing == 872
+        # the dtype rule itself: no run reaches int64 overflow in test time,
+        # so the switch to Python ints is checked where it happens
+        dtypes = [z.dtype for z, _ in relief._quantized_states(inst, p, steps)]
+        assert dtypes == [np.int64] * crossing + [object] * (steps + 1 - crossing)
+
+
+class TestPythonIntCounts:
+    """Counts leave the packed integer step as Python ints, in int64 range
+    (p=3) and beyond it (p=12)."""
+
+    @pytest.mark.parametrize("p", [3, 12])
+    def test_counts_leave_as_python_ints(self, p):
+        inst, P = demo_2x2(), 10**p
+        traj, _ = quantized_trajectory(inst, p, 30)
+        assert all(type(c) is int for q in traj for row in q for c in row)
+        state = QuantizedState.initial(inst, p)
+        for want in traj[1:]:
+            state = quantized_euler_step(state, inst)
+            assert state.q == want
+            assert all(type(c) is int for c in counts(state))
+        json.dumps([traj, dataclasses.asdict(state)])
+        report = solve(inst, QUANTIZED, max_iter=30, p=p)
+        assert report.iterations == state.t == len(traj) - 1
+        assert report.q_star.tolist() == [[c / P for c in row] for row in state.q]
+        for name in ("lam", "lam1", "lam2"):
+            assert getattr(report, name).tolist() == [c / P for c in getattr(state, name)]
 
 
 class TestSolve:
