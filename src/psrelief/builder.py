@@ -93,7 +93,7 @@ def count_reader(gen: GeneratedSystem, role: str) -> Callable[[Multiset], list[l
     names = [[symbol(role, k, l) for l in range(1, gen.n + 1)] for k in range(1, gen.m + 1)]
 
     def read(region: Multiset) -> list[list[int]]:
-        counts = region.counts()
+        counts = region._counts
         return [[counts.get(name, 0) for name in row] for row in names]
 
     return read

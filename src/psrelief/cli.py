@@ -154,6 +154,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.max_steps < 1:  # before --out is opened and truncated
+        raise ValueError("max_steps must be positive")
     if args.psys:
         text = Path(args.psys).read_text(encoding="utf-8")
         parsed = dsl.parse(dsl.SourceDocument(text=text, origin=args.psys))

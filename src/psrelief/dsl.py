@@ -36,6 +36,8 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
+    _priority_cycles,
+    _tree_cycles,
 )
 
 
@@ -290,18 +292,21 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
 
-    definition = PSystemDef(
-        parent=parent,
-        initial=initial,
-        rules=rules,
-        priorities=priorities,
-        output=output,
-    )
-    # The checks above cover every condition of PSystemDef.problems() that
-    # one line can show; only the cycles span the whole file.
-    tree_cycles = definition._tree_cycles()
-    priority_cycles = definition._priority_cycles()
-    if tree_cycles or priority_cycles:
+    try:
+        definition = PSystemDef(
+            parent=parent,
+            initial=initial,
+            rules=rules,
+            priorities=priorities,
+            output=output,
+        )
+    except DefinitionError:
+        # The checks above cover every condition of psystem.problems() that
+        # one line can show; only the cycles span the whole file.
+        tree_cycles = _tree_cycles(parent)
+        priority_cycles = _priority_cycles(priorities)
+        if not (tree_cycles or priority_cycles):
+            raise
         diags += [ParseDiagnostic("error", prob, 1, 1) for prob in tree_cycles]
         diags += [ParseDiagnostic("error", prob, prio_lines[0][2], 1) for prob in priority_cycles]
         return ParseResult(None, diags)
@@ -398,7 +403,6 @@ def serialize(definition: PSystemDef) -> str:
     """Canonical text: sorted membranes/inits/priorities, normalized
     whitespace, rules in declaration order.  parse(serialize(d)) is
     structurally equal to d."""
-    definition.validate()
     lines = ["# psys 1"]
     skin = next(lab for lab, par in definition.parent.items() if par is None)
     lines.append(f"membrane {skin}")

@@ -69,7 +69,8 @@ yields the plan and the committed configuration of every step until nothing
 fires, committing the pools of each selection directly.  ``run`` and
 ``trace.run_generated`` consume it and call their observers once per
 committed step, including the last step of a run cut off at its step or
-iteration limit.
+iteration limit.  Compiling checks nothing: a ``PSystemDef`` was checked when
+it was made and cannot change since.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class _CRule:
         self.index = index
         self.membrane = h = rule.membrane
         self.alpha = rule.alpha
-        self.lhs = rule.lhs.counts().items()  # (symbol, need) pairs
+        self.lhs = rule.lhs._counts.items()  # (symbol, need) pairs
         self.charging = rule.changes_polarization
         self.higher: list["_CRule"] | tuple[()] = ()  # a list only where priorities exist
         outer = ENVIRONMENT_LABEL if parent is None else parent
@@ -149,11 +150,11 @@ class _CRule:
             self.consume = h
             primary, secondary = outer, h
         else:
-            assert parent is not None  # skin send-in rejected by validation
+            assert parent is not None  # a definition holds no skin send-in
             self.consume = parent
             primary, secondary = h, outer
         # (destination region, products) pairs; empty products are left out
-        rhs, aux = rule.rhs.counts(), rule.rhs_aux.counts()
+        rhs, aux = rule.rhs._counts, rule.rhs_aux._counts
         self.effects = ((primary, rhs),) if rhs else ()
         if aux:
             self.effects += ((secondary, aux),)
@@ -165,7 +166,6 @@ _rank = operator.attrgetter("rank")
 
 class _Compiled:
     def __init__(self, definition: PSystemDef):
-        definition.validate()
         self.crules = [
             _CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)
         ]
@@ -243,7 +243,7 @@ def _select(
     polarizations = config.polarizations
     candidates: list[_CRule] = []
     for region, index in compiled.index.items():
-        have = contents[region].counts()
+        have = contents[region]._counts
         for key in have:
             for cr in index.get(key, ()):
                 if polarizations[cr.membrane] is not cr.alpha:
@@ -280,7 +280,7 @@ def _select(
                     continue
             p = pools.get(cr.consume)
             if p is None:
-                p = pools[cr.consume] = dict(contents[cr.consume].counts())
+                p = pools[cr.consume] = dict(contents[cr.consume]._counts)
             k = None  # the most applications the pool allows
             for sym, need in cr.lhs:
                 avail = p.get(sym, 0) // need
@@ -294,7 +294,7 @@ def _select(
                     continue
                 hp = pools.get(hi.consume)
                 if hp is None:
-                    hp = contents[hi.consume].counts()
+                    hp = contents[hi.consume]._counts
                 for sym, need in hi.lhs:
                     if hp.get(sym, 0) < need:
                         break
@@ -324,7 +324,7 @@ def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuratio
         for dest, products in cr.effects:
             region = pools.get(dest)
             if region is None:
-                region = pools[dest] = dict(config.region(dest).counts())
+                region = pools[dest] = dict(config.region(dest)._counts)
             for sym, cnt in products.items():
                 region[sym] = region.get(sym, 0) + cnt * k
         if cr.charging:
@@ -377,7 +377,7 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
             raise EngineError(f"plan has non-positive count for {rid!r}")
         pool = pools.get(cr.consume)
         if pool is None:
-            pool = pools[cr.consume] = dict(config.region(cr.consume).counts())
+            pool = pools[cr.consume] = dict(config.region(cr.consume)._counts)
         for sym, need in cr.lhs:
             have = pool.get(sym, 0)
             take = need * count

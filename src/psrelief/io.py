@@ -90,6 +90,8 @@ def parse_matrix_csv(text: str, origin: str = "<memory>") -> np.ndarray:
         entries[(k, l)] = value
     if not header_seen:
         raise InputError(f"{origin}:1:1: empty table")
+    if not entries:
+        raise InputError(f"{origin}:1:1: table has no cells")
     m = max(k for k, _ in entries)
     n = max(l for _, l in entries)
     if len(entries) != m * n:

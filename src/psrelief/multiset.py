@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
@@ -15,6 +16,9 @@ class Multiset:
     Canonical form: zero-count entries are never stored.  Counts are plain
     Python ints, so object populations in the trillions cost one dict entry.
     Because a multiset is a value, configurations and rules share them freely.
+    ``counts()`` is a read-only view; the engine's step and
+    ``builder.count_reader`` read the backing dict ``_counts`` itself, and
+    never write it.
     """
 
     __slots__ = ("_counts",)
@@ -48,9 +52,9 @@ class Multiset:
     def total(self) -> int:
         return sum(self._counts.values())
 
-    def counts(self) -> dict[str, int]:
-        """Raw backing dict; callers must not mutate."""
-        return self._counts
+    def counts(self) -> Mapping[str, int]:
+        """Read-only view of the counts."""
+        return MappingProxyType(self._counts)
 
     def __contains__(self, sym: str) -> bool:
         return sym in self._counts

@@ -15,6 +15,11 @@ The polarization written on the left bracket is the applicability guard and is
 always the polarization of membrane h itself.  Send-in rules are forbidden on
 the skin membrane.  Communication rules may produce objects on both sides of
 the membrane at once; the secondary product multiset is ``rhs_aux``.
+
+A ``PSystemDef`` is checked once, when it is made: ``problems`` lists every
+violation of a definition's parts, the constructor raises ``DefinitionError``
+when there is one, and the definition never changes afterwards.  Whatever
+holds a definition (the engine, the serializer) therefore trusts it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from psrelief.multiset import Multiset
 
@@ -76,9 +83,114 @@ class Rule:
 ENVIRONMENT_LABEL = "environment"
 
 
-@dataclass
+def problems(
+    parent: Mapping[str, str | None],
+    initial: Mapping[str, Multiset],
+    rules: Sequence[Rule],
+    priorities: Sequence[tuple[str, str]],
+    output: str,
+) -> list[str]:
+    """All structural violations of a definition with these parts; an empty
+    list means they make a valid definition."""
+    out: list[str] = []
+    roots = [lab for lab, par in parent.items() if par is None]
+    if len(roots) != 1:
+        out.append(f"expected exactly one root membrane, found {len(roots)}")
+    for lab, par in parent.items():
+        if par is not None and par not in parent:
+            out.append(f"membrane {lab!r} has unknown parent {par!r}")
+    out.extend(_tree_cycles(parent))
+    if output != ENVIRONMENT_LABEL and output not in parent:
+        out.append(f"output region {output!r} is not a membrane label")
+    for lab in initial:
+        if lab not in parent:
+            out.append(f"initial contents given for unknown membrane {lab!r}")
+    seen_ids: set[str] = set()
+    skin = roots[0] if len(roots) == 1 else None
+    for r in rules:
+        if r.id in seen_ids:
+            out.append(f"duplicate rule id {r.id!r}")
+        seen_ids.add(r.id)
+        if r.membrane not in parent:
+            out.append(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}")
+            continue
+        if not r.lhs:
+            out.append(f"rule {r.id!r} has an empty left-hand side")
+        if r.kind is RuleKind.EVOLUTION:
+            if r.beta is not r.alpha:
+                out.append(f"evolution rule {r.id!r} cannot change polarization")
+            if r.rhs_aux:
+                out.append(f"evolution rule {r.id!r} cannot carry outer products")
+        if r.kind is RuleKind.SEND_IN and r.membrane == skin:
+            out.append(f"send-in rule {r.id!r} targets the skin membrane")
+    for hi, lo in priorities:
+        for rid in (hi, lo):
+            if rid not in seen_ids:
+                out.append(f"priority pair references unknown rule {rid!r}")
+        if hi == lo:
+            out.append(f"priority pair relates rule {hi!r} to itself")
+    out.extend(_priority_cycles(priorities))
+    return out
+
+
+def _tree_cycles(parent: Mapping[str, str | None]) -> list[str]:
+    """One message per membrane whose chain of parent links runs into a
+    cycle, in declaration order."""
+    out: list[str] = []
+    for lab in parent:
+        seen = set()
+        cur: str | None = lab
+        while cur is not None:
+            if cur in seen:
+                out.append(f"membrane tree has a cycle through {lab!r}")
+                break
+            seen.add(cur)
+            cur = parent.get(cur)
+    return out
+
+
+def _priority_cycles(priorities: Sequence[tuple[str, str]]) -> list[str]:
+    """One message naming a cycle of the priority relation, if it has one.
+
+    Kahn's algorithm strips every rule that is not on a cycle or downstream
+    of one; each rule left over has a predecessor that is also left over, so
+    walking predecessors from any of them must revisit a rule, and the walk
+    from that rule back to itself is a cycle.
+    """
+    succ: dict[str, list[str]] = {}
+    n_preds: dict[str, int] = {}
+    for hi, lo in priorities:
+        succ.setdefault(hi, []).append(lo)
+        n_preds[lo] = n_preds.get(lo, 0) + 1
+    ready = [node for node in succ if node not in n_preds]
+    while ready:
+        for nxt in succ.get(ready.pop(), ()):
+            n_preds[nxt] -= 1
+            if n_preds[nxt] == 0:
+                ready.append(nxt)
+    left = {node for node, count in n_preds.items() if count}
+    if not left:
+        return []
+    preds: dict[str, str] = {lo: hi for hi, lo in priorities if hi in left and lo in left}
+    node = next(iter(preds))
+    walk: dict[str, int] = {}
+    while node not in walk:
+        walk[node] = len(walk)
+        node = preds[node]
+    cycle = list(walk)[walk[node]:]
+    cycle.reverse()
+    return ["priority relation is cyclic: " + " > ".join(cycle + [cycle[0]])]
+
+
+@dataclass(frozen=True)
 class PSystemDef:
     """Static system description: tree, initial contents, rules.
+
+    A definition never changes and is valid by construction: the constructor
+    stores ``rules`` and ``priorities`` as tuples and ``parent`` and
+    ``initial`` as read-only copies, then raises ``DefinitionError`` with
+    every violation that ``problems`` finds, so its users need not check it
+    again.
 
     ``rules`` is the global declaration sequence; declaration order is
     semantically relevant (it breaks ties in the deterministic selection
@@ -86,105 +198,18 @@ class PSystemDef:
     relation must be acyclic.
     """
 
-    parent: dict[str, str | None]
-    initial: dict[str, Multiset]
-    rules: list[Rule]
-    priorities: list[tuple[str, str]] = field(default_factory=list)
+    parent: Mapping[str, str | None]
+    initial: Mapping[str, Multiset]
+    rules: tuple[Rule, ...]
+    priorities: tuple[tuple[str, str], ...] = ()
     output: str = ENVIRONMENT_LABEL
 
-    # -- validation ------------------------------------------------------
-
-    def problems(self) -> list[str]:
-        """All structural violations; empty list means the definition is valid."""
-        out: list[str] = []
-        roots = [lab for lab, par in self.parent.items() if par is None]
-        if len(roots) != 1:
-            out.append(f"expected exactly one root membrane, found {len(roots)}")
-        for lab, par in self.parent.items():
-            if par is not None and par not in self.parent:
-                out.append(f"membrane {lab!r} has unknown parent {par!r}")
-        out.extend(self._tree_cycles())
-        if self.output != ENVIRONMENT_LABEL and self.output not in self.parent:
-            out.append(f"output region {self.output!r} is not a membrane label")
-        for lab in self.initial:
-            if lab not in self.parent:
-                out.append(f"initial contents given for unknown membrane {lab!r}")
-        seen_ids: set[str] = set()
-        skin = roots[0] if len(roots) == 1 else None
-        for r in self.rules:
-            if r.id in seen_ids:
-                out.append(f"duplicate rule id {r.id!r}")
-            seen_ids.add(r.id)
-            if r.membrane not in self.parent:
-                out.append(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}")
-                continue
-            if not r.lhs:
-                out.append(f"rule {r.id!r} has an empty left-hand side")
-            if r.kind is RuleKind.EVOLUTION:
-                if r.beta is not r.alpha:
-                    out.append(f"evolution rule {r.id!r} cannot change polarization")
-                if r.rhs_aux:
-                    out.append(f"evolution rule {r.id!r} cannot carry outer products")
-            if r.kind is RuleKind.SEND_IN and r.membrane == skin:
-                out.append(f"send-in rule {r.id!r} targets the skin membrane")
-        for hi, lo in self.priorities:
-            for rid in (hi, lo):
-                if rid not in seen_ids:
-                    out.append(f"priority pair references unknown rule {rid!r}")
-            if hi == lo:
-                out.append(f"priority pair relates rule {hi!r} to itself")
-        out.extend(self._priority_cycles())
-        return out
-
-    def _tree_cycles(self) -> list[str]:
-        """One message per membrane whose chain of parent links runs into a
-        cycle, in declaration order."""
-        out: list[str] = []
-        for lab in self.parent:
-            seen = set()
-            cur: str | None = lab
-            while cur is not None:
-                if cur in seen:
-                    out.append(f"membrane tree has a cycle through {lab!r}")
-                    break
-                seen.add(cur)
-                cur = self.parent.get(cur)
-        return out
-
-    def _priority_cycles(self) -> list[str]:
-        """One message naming a cycle of the priority relation, if it has one.
-
-        Kahn's algorithm strips every rule that is not on a cycle or
-        downstream of one; each rule left over has a predecessor that is also
-        left over, so walking predecessors from any of them must revisit a
-        rule, and the walk from that rule back to itself is a cycle.
-        """
-        succ: dict[str, list[str]] = {}
-        n_preds: dict[str, int] = {}
-        for hi, lo in self.priorities:
-            succ.setdefault(hi, []).append(lo)
-            n_preds[lo] = n_preds.get(lo, 0) + 1
-        ready = [node for node in succ if node not in n_preds]
-        while ready:
-            for nxt in succ.get(ready.pop(), ()):
-                n_preds[nxt] -= 1
-                if n_preds[nxt] == 0:
-                    ready.append(nxt)
-        left = {node for node, count in n_preds.items() if count}
-        if not left:
-            return []
-        preds: dict[str, str] = {lo: hi for hi, lo in self.priorities if hi in left and lo in left}
-        node = next(iter(preds))
-        walk: dict[str, int] = {}
-        while node not in walk:
-            walk[node] = len(walk)
-            node = preds[node]
-        cycle = list(walk)[walk[node]:]
-        cycle.reverse()
-        return ["priority relation is cyclic: " + " > ".join(cycle + [cycle[0]])]
-
-    def validate(self) -> None:
-        probs = self.problems()
+    def __post_init__(self):
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "priorities", tuple(self.priorities))
+        probs = problems(self.parent, self.initial, self.rules, self.priorities, self.output)
         if probs:
             raise DefinitionError("; ".join(probs))
 

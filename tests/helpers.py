@@ -27,6 +27,7 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
+    problems,
 )
 
 N = Polarization.NEUTRAL
@@ -56,6 +57,11 @@ def send_in(rid, membrane, lhs, rhs, alpha=N, beta=None, aux=None):
         alpha=alpha, beta=beta if beta is not None else alpha,
         rhs_aux=aux if aux is not None else Multiset(),
     )
+
+
+def parts(d: PSystemDef) -> tuple:
+    """The parts of ``d`` in the argument order of ``psystem.problems``."""
+    return d.parent, d.initial, d.rules, d.priorities, d.output
 
 
 def single_membrane_example() -> PSystemDef:
@@ -824,6 +830,13 @@ def reference_parse(doc: SourceDocument | str) -> ParseResult:
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
 
+    found = problems(parent, initial, rules, priorities, output)
+    if found:
+        first_prio_line = prio_lines[0][2] if prio_lines else 1
+        for prob in found:
+            line = first_prio_line if "cyclic" in prob else 1
+            diags.append(ParseDiagnostic("error", prob, line, 1))
+        return ParseResult(None, diags)
     definition = PSystemDef(
         parent=parent,
         initial=initial,
@@ -831,13 +844,6 @@ def reference_parse(doc: SourceDocument | str) -> ParseResult:
         priorities=priorities,
         output=output,
     )
-    problems = definition.problems()
-    if problems:
-        first_prio_line = prio_lines[0][2] if prio_lines else 1
-        for prob in problems:
-            line = first_prio_line if "cyclic" in prob else 1
-            diags.append(ParseDiagnostic("error", prob, line, 1))
-        return ParseResult(None, diags)
     return ParseResult(definition, diags)
 
 

@@ -23,10 +23,10 @@ from psrelief.builder import (
 )
 from psrelief.multiset import Multiset
 from psrelief.io import load_instance
-from psrelief.psystem import Configuration
+from psrelief.psystem import Configuration, problems
 from psrelief.relief import ReliefInstance
 
-from helpers import rules_by_id
+from helpers import parts, rules_by_id
 from test_relief import derived_1x1
 
 
@@ -125,7 +125,7 @@ class TestStructure:
 
     def test_definition_validates(self):
         gen = build(BuildParams(instance=small_instance(2, 2), p=3))
-        assert gen.definition.problems() == []
+        assert problems(*parts(gen.definition)) == []
 
 
 class TestConstants:

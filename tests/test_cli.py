@@ -148,6 +148,14 @@ class TestCompare:
             f"error: {paths[side]}:{line}:1: value '{value}' is not finite\n")
         assert not out.exists()
 
+    def test_table_without_cells_is_positioned_input_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("k,l,value\n")
+        code = main(["compare", "--candidate", str(empty),
+                     "--reference", data_path("katrina_reference.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {empty}:1:1: table has no cells\n"
+
 
 class TestTrace:
     def test_trace_psys_file(self, tmp_path):
@@ -179,6 +187,14 @@ class TestTrace:
 
     def test_trace_requires_some_input(self, capsys):
         assert main(["trace"]) == 2
+
+    def test_non_positive_max_steps_leaves_out_file_alone(self, tmp_path, capsys):
+        out = tmp_path / "trace.txt"
+        out.write_bytes(b"keep me\n")
+        assert main(["trace", "--instance", DERIVED, "--p", "1",
+                     "--max-steps", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: max_steps must be positive\n"
+        assert out.read_bytes() == b"keep me\n"
 
     def test_trace_psys_diagnostic_exits_2(self, tmp_path, capsys):
         psys = tmp_path / "dup.psys"

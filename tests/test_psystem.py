@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from psrelief import dsl, engine, psystem
+from psrelief.builder import BuildParams, build
+from psrelief.io import load_instance
 from psrelief.multiset import Multiset
 from psrelief.psystem import (
     Configuration,
@@ -12,9 +18,12 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
+    problems,
 )
 
 from helpers import M, N, evolution, ms, send_in, single_membrane_example
+
+DERIVED = Path(__file__).parent.parent / "instances" / "derived_1x1.json"
 
 
 def test_initial_configuration_is_neutral():
@@ -29,58 +38,60 @@ def test_three_polarizations_exist():
 
 
 def test_unknown_rule_membrane_rejected():
-    d = PSystemDef(parent={"1": None}, initial={},
+    with pytest.raises(DefinitionError, match="unknown membrane"):
+        PSystemDef(parent={"1": None}, initial={},
                    rules=[evolution("r", "ghost", ms(a=1), ms(b=1))])
-    assert any("unknown membrane" in p for p in d.problems())
 
 
 def test_skin_send_in_rejected():
-    d = PSystemDef(parent={"1": None}, initial={},
+    with pytest.raises(DefinitionError, match="skin"):
+        PSystemDef(parent={"1": None}, initial={},
                    rules=[send_in("r", "1", ms(a=1), ms(b=1))])
-    assert any("skin" in p for p in d.problems())
 
 
 def test_empty_lhs_rejected():
-    d = PSystemDef(parent={"1": None}, initial={},
+    with pytest.raises(DefinitionError, match="empty left-hand side"):
+        PSystemDef(parent={"1": None}, initial={},
                    rules=[evolution("r", "1", Multiset(), ms(b=1))])
-    assert any("empty left-hand side" in p for p in d.problems())
 
 
 def test_evolution_cannot_change_polarization():
     rule = Rule(id="r", kind=RuleKind.EVOLUTION, membrane="1",
                 lhs=ms(a=1), rhs=ms(b=1), alpha=N, beta=M)
-    d = PSystemDef(parent={"1": None}, initial={}, rules=[rule])
-    assert any("cannot change polarization" in p for p in d.problems())
+    with pytest.raises(DefinitionError, match="cannot change polarization"):
+        PSystemDef(parent={"1": None}, initial={}, rules=[rule])
 
 
 def test_priority_cycle_detected():
-    d = PSystemDef(
-        parent={"1": None}, initial={},
-        rules=[evolution("r1", "1", ms(a=1), ms(b=1)),
-               evolution("r2", "1", ms(b=1), ms(a=1))],
-        priorities=[("r1", "r2"), ("r2", "r1")],
-    )
-    assert any("cyclic" in p for p in d.problems())
+    with pytest.raises(DefinitionError, match="cyclic"):
+        PSystemDef(
+            parent={"1": None}, initial={},
+            rules=[evolution("r1", "1", ms(a=1), ms(b=1)),
+                   evolution("r2", "1", ms(b=1), ms(a=1))],
+            priorities=[("r1", "r2"), ("r2", "r1")],
+        )
 
 
 def test_priority_cycle_message_walks_one_cycle():
-    d = PSystemDef(
-        parent={"1": None}, initial={},
-        rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(3)],
-        priorities=[("r0", "r1"), ("r1", "r2"), ("r2", "r1")],
-    )
-    assert d.problems() == ["priority relation is cyclic: r1 > r2 > r1"]
+    with pytest.raises(DefinitionError) as exc:
+        PSystemDef(
+            parent={"1": None}, initial={},
+            rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(3)],
+            priorities=[("r0", "r1"), ("r1", "r2"), ("r2", "r1")],
+        )
+    assert str(exc.value) == "priority relation is cyclic: r1 > r2 > r1"
 
 
 def test_long_priority_cycle_named_without_recursion():
     n = 5000
     pairs = [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
-    d = PSystemDef(
-        parent={"1": None}, initial={},
-        rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(n)],
-        priorities=pairs,
-    )
-    (problem,) = d.problems()
+    with pytest.raises(DefinitionError) as exc:
+        PSystemDef(
+            parent={"1": None}, initial={},
+            rules=[evolution(f"r{i}", "1", ms(a=1), ms(b=1)) for i in range(n)],
+            priorities=pairs,
+        )
+    (problem,) = str(exc.value).split("; ")
     prefix = "priority relation is cyclic: "
     assert problem.startswith(prefix)
     names = problem[len(prefix):].split(" > ")
@@ -89,15 +100,15 @@ def test_long_priority_cycle_named_without_recursion():
 
 
 def test_two_roots_rejected():
-    d = PSystemDef(parent={"1": None, "2": None}, initial={}, rules=[])
-    assert any("root" in p for p in d.problems())
+    with pytest.raises(DefinitionError, match="root"):
+        PSystemDef(parent={"1": None, "2": None}, initial={}, rules=[])
 
 
 def test_duplicate_rule_ids_rejected():
-    d = PSystemDef(parent={"1": None}, initial={},
+    with pytest.raises(DefinitionError, match="duplicate"):
+        PSystemDef(parent={"1": None}, initial={},
                    rules=[evolution("r", "1", ms(a=1), ms(b=1)),
                           evolution("r", "1", ms(b=1), ms(a=1))])
-    assert any("duplicate" in p for p in d.problems())
 
 
 def test_configuration_digest_tracks_state():
@@ -114,8 +125,66 @@ def test_configuration_digest_tracks_state():
     assert a.digest() != c.digest()
 
 
-def test_validate_raises_with_joined_problems():
-    d = PSystemDef(parent={"1": None}, initial={},
-                   rules=[send_in("r", "1", ms(a=1), ms(b=1))])
-    with pytest.raises(DefinitionError):
-        d.validate()
+def test_constructor_raises_with_joined_problems():
+    parts = dict(parent={"1": None, "2": None}, initial={"3": ms(a=1)},
+                 rules=[send_in("r", "1", ms(a=1), ms(b=1))], priorities=[("r", "q")], output="4")
+    want = [
+        "expected exactly one root membrane, found 2",
+        "output region '4' is not a membrane label",
+        "initial contents given for unknown membrane '3'",
+        "priority pair references unknown rule 'q'",
+    ]
+    assert problems(**parts) == want
+    with pytest.raises(DefinitionError) as exc:
+        PSystemDef(**parts)
+    assert str(exc.value) == "; ".join(want)
+
+
+def test_definition_is_frozen():
+    d = single_membrane_example()
+    assert isinstance(d.rules, tuple) and isinstance(d.priorities, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.output = "1"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.rules = ()
+    with pytest.raises(TypeError):
+        d.parent["2"] = "1"
+    with pytest.raises(TypeError):
+        d.initial["1"] = ms(a=1)
+
+
+def test_definition_keeps_its_own_parts():
+    parent, initial = {"1": None}, {"1": ms(a=1)}
+    rules = [evolution("r1", "1", ms(a=1), ms(b=1))]
+    d = PSystemDef(parent=parent, initial=initial, rules=rules)
+    parent["2"] = "1"
+    initial["1"] = ms(x=1)
+    rules.append(evolution("r2", "1", ms(b=1), ms(a=1)))
+    assert dict(d.parent) == {"1": None}
+    assert dict(d.initial) == {"1": ms(a=1)}
+    assert [r.id for r in d.rules] == ["r1"]
+
+
+@pytest.fixture
+def problems_calls(monkeypatch):
+    """Number of calls of ``psystem.problems`` so far."""
+    calls = []
+    real = psystem.problems
+    monkeypatch.setattr(psystem, "problems", lambda *parts: calls.append(1) or real(*parts))
+    return calls
+
+
+def test_definitions_are_checked_when_made_and_never_again(problems_calls):
+    gen = build(BuildParams(instance=load_instance(DERIVED), p=1))
+    assert len(problems_calls) == 1
+    text = dsl.serialize(gen.definition)
+    assert len(problems_calls) == 1
+    d = dsl.parse(text).definition
+    assert len(problems_calls) == 2
+    cfg = Configuration.initial(d)
+    plan = engine.select_firing(d, cfg)
+    engine.apply_step(d, cfg, plan)
+    next(engine.steps(d))
+    engine.run(d, max_steps=3)
+    dsl.serialize(d)
+    assert len(problems_calls) == 2
