@@ -84,7 +84,14 @@ def _report_payload(report: relief.EquilibriumReport) -> dict:
     }
 
 
+def _check_max_iter(args) -> None:
+    """Reject an iteration limit below 1 before the instance is read."""
+    if args.max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
 def cmd_solve(args) -> int:
+    _check_max_iter(args)
     inst = pio.load_instance(args.instance)
     report = relief.solve(inst, variant=args.variant, tol=args.tol, max_iter=args.max_iter)
     manifest = _manifest(args, "solve", args.variant)
@@ -93,6 +100,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_max_iter(args)
     inst = pio.load_instance(args.instance)
     report = relief.solve(inst, variant=relief.QUANTIZED, tol=args.tol,
                           max_iter=args.max_iter, p=args.p)
@@ -102,6 +110,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_max_iter(args)
     inst = pio.load_instance(args.instance)
     gen = builder.build(builder.BuildParams(instance=inst, p=args.p))
     result = ptrace.run_generated(gen, max_iterations=args.max_iter)
@@ -157,8 +166,7 @@ def cmd_trace(args) -> int:
     if args.max_steps < 1:  # before --out is opened and truncated
         raise ValueError("max_steps must be positive")
     if args.psys:
-        text = Path(args.psys).read_text(encoding="utf-8")
-        parsed = dsl.parse(dsl.SourceDocument(text=text, origin=args.psys))
+        parsed = dsl.parse(dsl.SourceDocument(text=pio.read_text(args.psys), origin=args.psys))
         if not parsed.ok:
             for diag in parsed.diagnostics:
                 sys.stderr.write(f"{args.psys}:{diag}\n")

@@ -26,9 +26,11 @@ A firing plan must satisfy four conditions:
 Non-determinism that survives these constraints is resolved by policy.  The
 deterministic policy processes rules in a topological order of the priority
 relation, tie-broken by declaration order, firing each rule to maximality on
-the remaining objects.  The seeded-random policy draws a random linear
-extension of the priority relation instead, which reproducibly explores the
-alternative maximal plans of confluent systems.
+the remaining objects.  The seeded-random policy takes the step's candidates
+(see below) in that order and shuffles them with the step's generator; the
+greedy checks weak priority itself, so any order yields a valid maximal plan,
+and a shuffle reaches every order of the candidates.  It reproducibly
+explores the alternative maximal plans of confluent systems.
 
 Selection cost
 --------------
@@ -41,13 +43,14 @@ in deterministic order.  A rule whose key symbol is absent from the snapshot
 cannot be covered, so each step visits every region that has consumers once
 and looks up the rules keyed by each symbol the region holds.  A rule found
 this way is a candidate when its membrane's polarization matches its guard
-and the snapshot covers its full left-hand side; the candidates are put in
-the step's order, deterministic or seeded-random.  The greedy passes then
-walk only the candidates, in the order a walk over all rules would meet them,
-so the plan is the same.  A candidate leaves the passes once it fires, once
-its pool runs dry or once a pending polarization rules it out;
-priority-blocked candidates stay.  A step costs the symbols present in the
-regions plus the candidates, not every rule.
+and the snapshot covers its full left-hand side; the candidates are sorted
+into deterministic order, then shuffled under the seeded-random policy.  The
+greedy passes walk only the candidates: a deterministic walk over all rules
+would meet them in the same order and skip the rest, so the plan is the
+same.  A candidate leaves the passes once it fires, once its pool runs dry or
+once a pending polarization rules it out; priority-blocked candidates stay.
+A step costs the symbols present in the regions plus the candidates, not
+every rule, under either policy.
 
 Commit
 ------
@@ -166,63 +169,46 @@ _rank = operator.attrgetter("rank")
 
 class _Compiled:
     def __init__(self, definition: PSystemDef):
-        self.crules = [
-            _CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)
-        ]
-        self.by_id = by_id = {cr.rule.id: cr for cr in self.crules}
-        # successors for topological orderings
-        self.successors: dict[int, list[int]] = {}
-        self.n_preds: list[int] = [0] * len(self.crules)
+        crules = [_CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)]
+        self.by_id = by_id = {cr.rule.id: cr for cr in crules}
+        successors: dict[int, list[int]] = {}
+        n_preds = [0] * len(crules)
         for hi, lo in definition.priorities:
             higher, lower = by_id[hi], by_id[lo]
             if not lower.higher:
                 lower.higher = []
             lower.higher.append(higher)
-            self.successors.setdefault(higher.index, []).append(lower.index)
-            self.n_preds[lower.index] += 1
-        self.deterministic_order = self._linear_extension(rng=None)
-        # consumed region -> key symbol -> rules in deterministic order; the
-        # key symbol is the first on the lhs
+            successors.setdefault(higher.index, []).append(lower.index)
+            n_preds[lower.index] += 1
+        # consumed region -> key symbol -> rules in deterministic order (a
+        # topological order of the priority relation, smallest declaration
+        # index first); the key symbol is the first on the lhs
         self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {}
-        for rank, cr in enumerate(self.deterministic_order):
+        ready = [i for i, n in enumerate(n_preds) if n == 0]
+        heapq.heapify(ready)
+        rank = 0
+        while ready:
+            i = heapq.heappop(ready)
+            cr = crules[i]
             cr.rank = rank
+            rank += 1
             self.index.setdefault(cr.consume, {}).setdefault(next(iter(cr.lhs))[0], []).append(cr)
+            for j in successors.get(i, ()):
+                n_preds[j] -= 1
+                if n_preds[j] == 0:
+                    heapq.heappush(ready, j)
         for keyed in self.index.values():
             for key, rules in keyed.items():
                 keyed[key] = tuple(rules)  # a tuple holds one rule in less memory than a list
 
-    def _linear_extension(self, rng: random.Random | None) -> list[_CRule]:
-        n_preds = list(self.n_preds)
-        order: list[_CRule] = []
-        if rng is None:
-            ready = [i for i in range(len(self.crules)) if n_preds[i] == 0]
-            heapq.heapify(ready)
-            while ready:
-                i = heapq.heappop(ready)
-                order.append(self.crules[i])
-                for j in self.successors.get(i, ()):
-                    n_preds[j] -= 1
-                    if n_preds[j] == 0:
-                        heapq.heappush(ready, j)
-        else:
-            ready = sorted(i for i in range(len(self.crules)) if n_preds[i] == 0)
-            while ready:
-                i = ready.pop(rng.randrange(len(ready)))
-                order.append(self.crules[i])
-                fresh = []
-                for j in self.successors.get(i, ()):
-                    n_preds[j] -= 1
-                    if n_preds[j] == 0:
-                        fresh.append(j)
-                ready.extend(sorted(fresh))
-        return order
 
-
-def _order(compiled: _Compiled, policy: str, seed: int) -> list[_CRule]:
+def _order(policy: str, seed: int) -> random.Random | None:
+    """The generator that shuffles a step's candidates; ``None`` keeps them
+    in deterministic order."""
     if policy == DETERMINISTIC:
-        return compiled.deterministic_order
+        return None
     if policy == SEEDED_RANDOM:
-        return compiled._linear_extension(random.Random(seed))
+        return random.Random(seed)
     raise ValueError(f"unknown selection policy {policy!r}")
 
 
@@ -233,7 +219,7 @@ _Fired = list[tuple[_CRule, int]]
 
 
 def _select(
-    compiled: _Compiled, config: Configuration, order: list[_CRule]
+    compiled: _Compiled, config: Configuration, rng: random.Random | None
 ) -> tuple[FiringPlan, _Pools, _Fired]:
     """The step's plan, the pools it leaves and its ``(rule, count)`` list."""
     # Candidates: rules whose guard and left-hand side pass on the snapshot,
@@ -253,11 +239,9 @@ def _select(
                         break
                 else:
                     candidates.append(cr)
-    if order is compiled.deterministic_order:
-        candidates.sort(key=_rank)
-    else:
-        position = {cr: i for i, cr in enumerate(order)}
-        candidates.sort(key=position.__getitem__)
+    candidates.sort(key=_rank)
+    if rng is not None:
+        rng.shuffle(candidates)
 
     pools: _Pools = {}
     fired: _Fired = []
@@ -358,8 +342,7 @@ def select_firing(
     policy: str = DETERMINISTIC,
     seed: int = 0,
 ) -> FiringPlan:
-    compiled = _Compiled(definition)
-    return _select(compiled, config, _order(compiled, policy, seed))[0]
+    return _select(_Compiled(definition), config, _order(policy, seed))[0]
 
 
 def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
@@ -403,14 +386,14 @@ def steps(
     configuration on, ``config`` being the state the plan produced; return
     when nothing fires (the system halted).
 
-    For the seeded-random policy each step draws a fresh linear extension
-    from a generator seeded with (seed, step), so a run is reproducible from
-    its seed alone.
+    For the seeded-random policy each step shuffles its candidates with a
+    fresh ``random.Random((seed << 20) ^ step_index)``, so a run is
+    reproducible from its seed alone.
     """
     compiled = _Compiled(definition)
     config = Configuration.initial(definition)
     while True:
-        plan, pools, fired = _select(compiled, config, _order(compiled, policy, (seed << 20) ^ config.step_index))
+        plan, pools, fired = _select(compiled, config, _order(policy, (seed << 20) ^ config.step_index))
         if not plan:
             return
         config = _commit(config, pools, fired)

@@ -22,12 +22,28 @@ class InputError(ValueError):
     """User-input problem (bad file, bad shape); carries a positioned message."""
 
 
-def load_instance(path: str | Path) -> ReliefInstance:
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, newlines translated as text mode
+    does.  An unreadable file or bytes that are not UTF-8 raise
+    ``InputError`` naming the file; the latter are positioned at the first
+    bad byte (1-based line, byte column)."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        raise InputError(f"{path}:{line}:{exc.start - line_start + 1}: not UTF-8 text") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_instance(path: str | Path) -> ReliefInstance:
+    path = Path(path)
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -54,12 +70,7 @@ def format_matrix_csv(matrix: np.ndarray, header_comments: list[str] | None = No
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    return parse_matrix_csv(text, origin=str(path))
+    return parse_matrix_csv(read_text(path), origin=str(Path(path)))
 
 
 def parse_matrix_csv(text: str, origin: str = "<memory>") -> np.ndarray:

@@ -138,6 +138,8 @@ def run_generated(
     iteration limit reports ``halted=False``.  ``extra_observer`` is called
     like an engine observer on every step the report counts.
     """
+    if max_iterations <= 0:
+        raise ValueError("max_iterations must be positive")
     recorder = _Recorder(gen)
     config = Configuration.initial(gen.definition)
     start = recorder.read_flows(config.contents["INIT"])

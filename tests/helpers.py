@@ -282,15 +282,14 @@ def random_small_system(rng: random.Random) -> PSystemDef:
 
 
 # ---------------------------------------------------------------------------
-# Reference selector and commit: every greedy pass walks every rule, and the
-# commit works on Counter copies
+# Reference selector and commit: candidates come from a scan of every rule,
+# and the commit works on Counter copies
 # ---------------------------------------------------------------------------
 
 
-def _reference_order(definition: PSystemDef, rng: random.Random | None) -> list[int]:
-    """Linear extension of the priority relation, as the engine draws it:
-    smallest declaration index first, or a seeded random pick among the
-    ready rules."""
+def _reference_order(definition: PSystemDef) -> list[int]:
+    """Topological order of the priority relation, smallest declaration
+    index first: the deterministic order."""
     index = {r.id: i for i, r in enumerate(definition.rules)}
     successors: dict[int, list[int]] = {i: [] for i in range(len(definition.rules))}
     n_preds = [0] * len(definition.rules)
@@ -298,27 +297,15 @@ def _reference_order(definition: PSystemDef, rng: random.Random | None) -> list[
         successors[index[hi]].append(index[lo])
         n_preds[index[lo]] += 1
     order: list[int] = []
-    if rng is None:
-        ready = [i for i in range(len(n_preds)) if n_preds[i] == 0]
-        heapq.heapify(ready)
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for j in successors[i]:
-                n_preds[j] -= 1
-                if n_preds[j] == 0:
-                    heapq.heappush(ready, j)
-    else:
-        ready = sorted(i for i in range(len(n_preds)) if n_preds[i] == 0)
-        while ready:
-            i = ready.pop(rng.randrange(len(ready)))
-            order.append(i)
-            fresh = []
-            for j in successors[i]:
-                n_preds[j] -= 1
-                if n_preds[j] == 0:
-                    fresh.append(j)
-            ready.extend(sorted(fresh))
+    ready = [i for i in range(len(n_preds)) if n_preds[i] == 0]
+    heapq.heapify(ready)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in successors[i]:
+            n_preds[j] -= 1
+            if n_preds[j] == 0:
+                heapq.heappush(ready, j)
     return order
 
 
@@ -329,6 +316,12 @@ class _RefRule:
         self.lhs = tuple(rule.lhs.items())
         self.charging = rule.changes_polarization
         self.higher: list["_RefRule"] = []
+
+
+def passes_on_snapshot(definition: PSystemDef, config: Configuration, rule: Rule) -> bool:
+    """The guard and the left-hand side of ``rule`` pass on ``config``: the
+    rule is one of the step's candidates."""
+    return _guard(rule, config) and _covers(config.region(_consume_label(definition, rule)).counts(), rule.lhs)
 
 
 def _guard_passes(cr: _RefRule, config: Configuration) -> bool:
@@ -348,16 +341,20 @@ def _max_applications(lhs, pool: dict[str, int]) -> int:
 
 def reference_select(definition: PSystemDef, config: Configuration,
                      policy: str = "deterministic", seed: int = 0) -> FiringPlan:
-    """The engine's greedy fixed point without candidate lists: every pass
-    walks the whole order, and a rule is skipped afresh on every pass when its
-    guard or left-hand side fails.  ``select_firing`` must return the same
-    plan for the same arguments."""
+    """The engine's greedy fixed point without the key-symbol index.  The
+    step's order is every rule whose guard and left-hand side pass on the
+    snapshot, found by a scan of all rules, in deterministic order; the
+    seeded-random policy shuffles it with ``random.Random(seed)``.  A rule
+    is skipped afresh on every pass when its guard or left-hand side fails.
+    ``select_firing`` must return the same plan for the same arguments."""
     crules = [_RefRule(definition, r) for r in definition.rules]
     by_id = {cr.rule.id: cr for cr in crules}
     for hi, lo in definition.priorities:
         by_id[lo].higher.append(by_id[hi])
-    rng = None if policy == "deterministic" else random.Random(seed)
-    order = [crules[i] for i in _reference_order(definition, rng)]
+    order = [crules[i] for i in _reference_order(definition)]
+    order = [cr for cr in order if passes_on_snapshot(definition, config, cr.rule)]
+    if policy != "deterministic":
+        random.Random(seed).shuffle(order)
 
     pools: dict[str, dict[str, int]] = {}
 

@@ -78,13 +78,16 @@ def test_criterion_2_oracle_equivalence():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("p", [3, 5])
-def test_case_study_scale_runs_to_halt_count_for_count(p):
+@pytest.mark.parametrize("p, policy, seed", [(3, "deterministic", 0), (5, "deterministic", 0),
+                                             (3, "seeded-random", 1)])
+def test_case_study_scale_runs_to_halt_count_for_count(p, policy, seed):
     """The 3x10 case-study shape, run to halt on the engine: every
-    iteration's counts equal the quantized iteration's."""
+    iteration's counts equal the quantized iteration's, under either
+    selection policy."""
     inst = katrina_shaped(random.Random(1), 3, 10)
     oracle, conv = quantized_trajectory(inst, p=p, max_iter=100_000)
-    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000)
+    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000,
+                        policy=policy, seed=seed)
     assert conv and res.halted
     assert len(res.q_trajectory) == len(oracle)
     for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):

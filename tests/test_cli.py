@@ -72,6 +72,39 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [["solve"], ["oracle", "--p", "3"], ["simulate", "--p", "2"]])
+    def test_non_positive_max_iter_rejected_before_reading(self, tmp_path, capsys, argv, max_iter):
+        # the instance does not exist: the limit is checked first
+        code = main(argv + ["--instance", str(tmp_path / "missing.json"), "--max-iter", max_iter])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_iter must be positive\n"
+
+    ROUTES = [
+        ["solve", "--instance"],
+        ["compare", "--reference", data_path("katrina_reference.csv"), "--candidate"],
+        ["trace", "--psys"],
+    ]
+
+    @pytest.mark.parametrize("content, position", [
+        (b"\xff\xfe{}", "1:1"),
+        (b"k,l,value\n1,1,2\xe9\n", "2:6"),
+    ])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_undecodable_file_is_positioned(self, tmp_path, capsys, route, content, position):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        assert main(route + [str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{position}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_missing_file_is_named(self, tmp_path, capsys, route):
+        missing = tmp_path / "missing.txt"
+        assert main(route + [str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: cannot read: No such file or directory\n"
+
+
 class TestSimulateOracleAgreement:
     def test_same_q_tables(self, tmp_path):
         sim_out = tmp_path / "sim.json"

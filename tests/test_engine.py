@@ -28,6 +28,7 @@ from helpers import (
     enumerate_maximal_plans,
     evolution,
     ms,
+    passes_on_snapshot,
     plan_is_maximal,
     random_small_system,
     reference_apply,
@@ -599,6 +600,45 @@ class TestSteps:
             if iterations == 5:
                 break
         assert iterations == 5
+
+    def test_seeded_step_draws_one_shuffle_of_its_candidates(self, monkeypatch):
+        # The cost of a seeded step follows its candidates, not the system:
+        # its generator is drawn from only by one shuffle of the candidates.
+        d = build(BuildParams(instance=katrina_shaped(random.Random(1), 8, 8), p=3)).definition
+        generators = []
+
+        class Recording(random.Random):
+            """Logs each shuffle's length and every draw made outside one."""
+
+            def __init__(self, seed):
+                self.log, self.shuffling = [], False
+                generators.append(self)
+                super().__init__(seed)
+
+            def shuffle(self, x):
+                self.log.append(("shuffle", len(x)))
+                self.shuffling = True
+                try:
+                    super().shuffle(x)
+                finally:
+                    self.shuffling = False
+
+            def random(self):
+                self.log.append("random")
+                return super().random()
+
+            def getrandbits(self, k):
+                if not self.shuffling:
+                    self.log.append("getrandbits")
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(engine.random, "Random", Recording)
+        config = Configuration.initial(d)
+        for step, (_, nxt) in enumerate(itertools.islice(engine.steps(d, SEEDED_RANDOM, 1), 20)):
+            candidates = sum(passes_on_snapshot(d, config, rule) for rule in d.rules)
+            assert generators[step].log == [("shuffle", candidates)], step
+            config = nxt
+        assert len(generators) == 20
 
     def test_random_small_systems_match_public_functions(self):
         rng = random.Random(7070)

@@ -41,6 +41,17 @@ class TestTrajectoryEquivalence:
         assert len(oracle) == 31
         assert res.q_trajectory == oracle
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_katrina_shaped_4x4_seeded_random(self, seed):
+        # the generated system is confluent: whichever maximal plans the
+        # seeded steps fire, every iteration's counts are the oracle's
+        inst = katrina_shaped(random.Random(1), 4, 4)
+        oracle, conv = quantized_trajectory(inst, p=3, max_iter=12)
+        res = run_generated(build(BuildParams(instance=inst, p=3)), max_iterations=12,
+                            policy="seeded-random", seed=seed)
+        assert res.q_trajectory == oracle
+        assert res.halted == conv
+
     def test_halting_iff_oracle_convergence(self):
         rng = random.Random(99)
         seen_halting = False

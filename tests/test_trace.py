@@ -11,8 +11,11 @@ import pytest
 from psrelief import cli, dsl
 from psrelief.builder import BuildParams, build
 from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
+from psrelief.io import load_instance
+from psrelief.psystem import Configuration
 from psrelief.trace import TraceWriter, run_generated
 
+from helpers import reference_apply, reference_select
 from test_relief import derived_1x1
 
 GOLDEN_SYSTEM = """\
@@ -81,15 +84,21 @@ def test_extra_observer_sees_every_counted_step(max_iterations, halts):
 DEMO_2X2 = Path(__file__).resolve().parent.parent / "instances" / "demo_2x2.json"
 
 
-# sha256 of ``trace --instance instances/demo_2x2.json --p 2`` output.  Both
-# digests were computed with the engine that rescanned every guarded rule per
-# step and committed on Multiset copies, before the key-symbol candidate
-# gather and the count-dict commit replaced it; they pin that the rewrite
-# kept every step of both policies.
+# sha256 of ``trace --instance instances/demo_2x2.json --p 2`` output.  The
+# deterministic digest was computed with the engine that rescanned every
+# guarded rule per step and committed on Multiset copies, before the
+# key-symbol candidate gather and the count-dict commit replaced it.  The
+# seeded-random digest (seed 5, 199 steps) is that of the stream in which each
+# step shuffles its candidates (docs/trace-format.md); it equals the trace of
+# the ``reference_select`` and ``reference_apply`` chain, which
+# ``test_seeded_pin_is_the_reference_chain`` recomputes.
+DETERMINISTIC_DIGEST = "be19557f6459cc70b84d9fb362c70896fa94f8dbc2261259ce912038b3ee72ee"
+SEEDED_DIGEST = "189eed07f838a3572e11c9be2f94e0b1675770c59d4957628324737312d0c7c8"
+
+
 @pytest.mark.parametrize("policy_args, digest", [
-    ([], "be19557f6459cc70b84d9fb362c70896fa94f8dbc2261259ce912038b3ee72ee"),
-    (["--policy", SEEDED_RANDOM, "--seed", "5"],
-     "073d78ad76dfa556025a1f0b2cf8dc9a849c06c680327dad8b2ee77e87642de0"),
+    ([], DETERMINISTIC_DIGEST),
+    (["--policy", SEEDED_RANDOM, "--seed", "5"], SEEDED_DIGEST),
 ])
 def test_demo_2x2_trace_is_pinned(tmp_path, policy_args, digest):
     out = tmp_path / "trace.txt"
@@ -102,9 +111,8 @@ def test_demo_2x2_trace_is_pinned(tmp_path, policy_args, digest):
 # ``trace --psys``.  The engine keys each rule on its first left-hand-side
 # symbol, so this also pins the reader's rule order and multiset key order.
 @pytest.mark.parametrize("policy_args, digest", [
-    ([], "be19557f6459cc70b84d9fb362c70896fa94f8dbc2261259ce912038b3ee72ee"),
-    (["--policy", SEEDED_RANDOM, "--seed", "5"],
-     "073d78ad76dfa556025a1f0b2cf8dc9a849c06c680327dad8b2ee77e87642de0"),
+    ([], DETERMINISTIC_DIGEST),
+    (["--policy", SEEDED_RANDOM, "--seed", "5"], SEEDED_DIGEST),
 ])
 def test_demo_2x2_psys_trace_is_pinned(tmp_path, policy_args, digest):
     psys = tmp_path / "demo_2x2.psys"
@@ -113,3 +121,22 @@ def test_demo_2x2_psys_trace_is_pinned(tmp_path, policy_args, digest):
     rc = cli.main(["trace", "--psys", str(psys), "--out", str(out)] + policy_args)
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_seeded_pin_is_the_reference_chain():
+    definition = build(BuildParams(instance=load_instance(DEMO_2X2), p=2)).definition
+    sink = io.StringIO()
+    writer = TraceWriter(definition, sink)
+    config = Configuration.initial(definition)
+    while plan := reference_select(definition, config, SEEDED_RANDOM, (5 << 20) ^ config.step_index):
+        config = reference_apply(definition, config, plan)
+        writer(config.step_index, plan, config)
+    assert config.step_index == 199
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == SEEDED_DIGEST
+
+
+@pytest.mark.parametrize("max_iterations", [0, -5])
+def test_run_generated_rejects_non_positive_iteration_limit(max_iterations):
+    gen = build(BuildParams(instance=derived_1x1(), p=3))
+    with pytest.raises(ValueError, match="^max_iterations must be positive$"):
+        run_generated(gen, max_iterations)
