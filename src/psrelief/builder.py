@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from psrelief.multiset import Multiset
+from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import Configuration, Polarization, PSystemDef, Rule, RuleKind
 from psrelief.relief import ReliefInstance, fixed_point_constants, validate
 
@@ -121,18 +121,9 @@ class _Emitter:
         aux: dict[str, int] | None = None,
     ) -> str:
         rid = "s" + family.replace(".", "_") + (f"__{suffix}" if suffix else "")
-        self.rules.append(
-            Rule(
-                id=rid,
-                kind=kind,
-                membrane=membrane,
-                lhs=Multiset(lhs),
-                rhs=Multiset(rhs),
-                alpha=alpha,
-                beta=beta,
-                rhs_aux=Multiset(aux),
-            )
-        )
+        self.rules.append(Rule(
+            id=rid, kind=kind, membrane=membrane, lhs=Multiset(lhs), rhs=Multiset(rhs) if rhs else EMPTY,
+            alpha=alpha, beta=beta, rhs_aux=Multiset(aux) if aux else EMPTY))
         self.rule_index.setdefault(family, []).append(rid)
         self.stage_of[rid] = self.stage
         return rid

@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from psrelief.multiset import Multiset
+from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
     ENVIRONMENT_LABEL,
     DefinitionError,
@@ -157,7 +157,7 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
             counts[sym] = counts.get(sym, 0) + 1
         i += 1
         sym = toks[i]
-    return Multiset.adopt(counts), i
+    return (Multiset.adopt(counts) if counts else EMPTY), i
 
 
 def parse(doc: SourceDocument | str) -> ParseResult:
@@ -341,11 +341,8 @@ def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
     i = _expect(toks, i, "]")
     beta = _polarization(toks, i)
     membrane = _rule_at(toks, i + 1, lhs)
-    if kind is RuleKind.SEND_OUT:
-        return Rule(id=rid, kind=kind, membrane=membrane,
-                    lhs=lhs, rhs=outer, rhs_aux=inner, alpha=alpha, beta=beta)
-    return Rule(id=rid, kind=kind, membrane=membrane,
-                lhs=lhs, rhs=inner, rhs_aux=outer, alpha=alpha, beta=beta)
+    rhs, aux = (outer, inner) if kind is RuleKind.SEND_OUT else (inner, outer)
+    return Rule(id=rid, kind=kind, membrane=membrane, lhs=lhs, rhs=rhs, rhs_aux=aux, alpha=alpha, beta=beta)
 
 
 def _rule_at(toks: list[str], i: int, lhs: Multiset) -> str:
@@ -386,16 +383,12 @@ def _format_rule(rule: Rule) -> str:
     lhs = _format_ms(rule.lhs, where)
     if rule.kind is RuleKind.EVOLUTION:
         body = f"[{lhs} -> {_format_ms(rule.rhs, where)}]'{a}"
-    elif rule.kind is RuleKind.SEND_OUT:
-        outer = _format_ms(rule.rhs, where)
-        inner = _format_ms(rule.rhs_aux, where)
-        sep = " " if outer else ""
-        body = f"[{lhs}]'{a} -> {outer}{sep}[{inner}]'{b}"
     else:
-        outer = _format_ms(rule.rhs_aux, where)
-        inner = _format_ms(rule.rhs, where)
-        sep = " " if outer else ""
-        body = f"{lhs} []'{a} -> {outer}{sep}[{inner}]'{b}"
+        out = rule.kind is RuleKind.SEND_OUT
+        outer = _format_ms(rule.rhs if out else rule.rhs_aux, where)
+        inner = _format_ms(rule.rhs_aux if out else rule.rhs, where)
+        head = f"[{lhs}]'{a}" if out else f"{lhs} []'{a}"
+        body = f"{head} -> {outer}{' ' if outer else ''}[{inner}]'{b}"
     return f"rule {rule.id}: {body} @ {rule.membrane}"
 
 

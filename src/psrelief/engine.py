@@ -81,6 +81,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -171,19 +172,19 @@ class _Compiled:
     def __init__(self, definition: PSystemDef):
         crules = [_CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)]
         self.by_id = by_id = {cr.rule.id: cr for cr in crules}
-        successors: dict[int, list[int]] = {}
+        successors: defaultdict[int, list[int]] = defaultdict(list)
         n_preds = [0] * len(crules)
         for hi, lo in definition.priorities:
             higher, lower = by_id[hi], by_id[lo]
             if not lower.higher:
                 lower.higher = []
             lower.higher.append(higher)
-            successors.setdefault(higher.index, []).append(lower.index)
+            successors[higher.index].append(lower.index)
             n_preds[lower.index] += 1
         # consumed region -> key symbol -> rules in deterministic order (a
         # topological order of the priority relation, smallest declaration
         # index first); the key symbol is the first on the lhs
-        self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {}
+        index: defaultdict[str, defaultdict[str, list[_CRule]]] = defaultdict(lambda: defaultdict(list))
         ready = [i for i, n in enumerate(n_preds) if n == 0]
         heapq.heapify(ready)
         rank = 0
@@ -192,14 +193,14 @@ class _Compiled:
             cr = crules[i]
             cr.rank = rank
             rank += 1
-            self.index.setdefault(cr.consume, {}).setdefault(next(iter(cr.lhs))[0], []).append(cr)
+            index[cr.consume][next(iter(cr.lhs))[0]].append(cr)
             for j in successors.get(i, ()):
                 n_preds[j] -= 1
                 if n_preds[j] == 0:
                     heapq.heappush(ready, j)
-        for keyed in self.index.values():
-            for key, rules in keyed.items():
-                keyed[key] = tuple(rules)  # a tuple holds one rule in less memory than a list
+        # plain dicts of tuples: a tuple holds one rule in less memory than a list
+        self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {
+            region: {key: tuple(rules) for key, rules in keyed.items()} for region, keyed in index.items()}
 
 
 def _order(policy: str, seed: int) -> random.Random | None:

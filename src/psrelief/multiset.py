@@ -79,3 +79,7 @@ class Multiset:
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}^{c}" if c != 1 else s for s, c in self.sorted_items())
         return f"Multiset({{{inner}}})"
+
+
+#: The empty multiset, shared: a multiset never changes.
+EMPTY = Multiset()

@@ -14,7 +14,10 @@ objects and a three-valued polarization.  Rules come in three forms:
 The polarization written on the left bracket is the applicability guard and is
 always the polarization of membrane h itself.  Send-in rules are forbidden on
 the skin membrane.  Communication rules may produce objects on both sides of
-the membrane at once; the secondary product multiset is ``rhs_aux``.
+the membrane at once; the secondary product multiset is ``rhs_aux``.  A
+``Rule``, like a ``Multiset``, never changes after construction: assigning or
+deleting any of its attributes raises ``AttributeError``, and rules with equal
+fields are equal and hash alike.
 
 A ``PSystemDef`` is checked once, when it is made: ``problems`` lists every
 violation of a definition's parts, the constructor raises ``DefinitionError``
@@ -28,9 +31,9 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from psrelief.multiset import Multiset
+from psrelief.multiset import EMPTY, Multiset
 
 
 class DefinitionError(ValueError):
@@ -52,32 +55,38 @@ class RuleKind(enum.Enum):
     SEND_IN = "send_in"
 
 
-@dataclass(frozen=True)
-class Rule:
+_RuleFields = NamedTuple("_RuleFields", [
+    ("id", str), ("kind", RuleKind), ("membrane", str), ("lhs", Multiset), ("rhs", Multiset),
+    ("alpha", Polarization), ("beta", Polarization), ("rhs_aux", Multiset), ("changes_polarization", bool)])
+
+
+class Rule(_RuleFields):
     """One rewriting rule attached to membrane ``membrane``.
 
     ``rhs`` goes to the rule kind's primary destination (evolution: the
     membrane itself; send-out: the parent region; send-in: inside the
     membrane).  ``rhs_aux`` goes to the opposite side and is empty for
-    evolution rules.
+    evolution rules.  ``beta`` defaults to ``alpha``.  A rule is a named tuple
+    of its fields, so it has no per-instance dict; ``changes_polarization`` is
+    computed by the constructor, which copies and ``_replace`` go through.
     """
 
-    id: str
-    kind: RuleKind
-    membrane: str
-    lhs: Multiset
-    rhs: Multiset
-    alpha: Polarization = Polarization.NEUTRAL
-    beta: Polarization | None = None
-    rhs_aux: Multiset = field(default_factory=Multiset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.alpha)
+    def __new__(cls, id: str, kind: RuleKind, membrane: str, lhs: Multiset, rhs: Multiset,
+                alpha: Polarization = Polarization.NEUTRAL, beta: Polarization | None = None,
+                rhs_aux: Multiset = EMPTY) -> "Rule":
+        if beta is None:
+            beta = alpha
+        changes = kind is not RuleKind.EVOLUTION and beta is not alpha
+        return tuple.__new__(cls, (id, kind, membrane, lhs, rhs, alpha, beta, rhs_aux, changes))
 
-    @property
-    def changes_polarization(self) -> bool:
-        return self.kind is not RuleKind.EVOLUTION and self.beta is not self.alpha
+    @classmethod
+    def _make(cls, fields) -> "Rule":
+        return cls(*tuple(fields)[:8])
+
+    def __getnewargs__(self) -> tuple:
+        return self[:8]
 
 
 ENVIRONMENT_LABEL = "environment"
@@ -223,7 +232,7 @@ class PSystemDef:
         )
 
     def initial_normalized(self) -> dict[str, Multiset]:
-        return {lab: self.initial.get(lab, Multiset()) for lab in self.parent}
+        return {lab: self.initial.get(lab, EMPTY) for lab in self.parent}
 
 
 @dataclass
@@ -241,7 +250,7 @@ class Configuration:
 
     @classmethod
     def initial(cls, definition: PSystemDef) -> "Configuration":
-        contents = {lab: definition.initial.get(lab, Multiset()) for lab in definition.parent}
+        contents = {lab: definition.initial.get(lab, EMPTY) for lab in definition.parent}
         pols = {lab: Polarization.NEUTRAL for lab in definition.parent}
         return cls(contents=contents, polarizations=pols)
 

@@ -645,6 +645,8 @@ def solve(
     start point mirrors the membrane system: every flow at 1.0, every
     multiplier at 0.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     violations = validate(inst)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(violations))

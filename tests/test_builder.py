@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from psrelief.psystem import Configuration, problems
 from psrelief.relief import ReliefInstance
 
 from helpers import parts, rules_by_id
-from test_relief import derived_1x1
+from test_relief import derived_1x1, katrina_shaped
 
 
 def small_instance(m: int, n: int, beta: float = 1.0) -> ReliefInstance:
@@ -209,12 +210,21 @@ class TestEmission:
         assert dsl.serialize(back.definition) == text
 
     # sha256 of the serialized systems; a change to the builder that is meant
-    # to keep its output must keep these
+    # to keep its output must keep these.  katrina_10x30_p5 is the case-study
+    # scale system: 744 membranes, 23,807 rules, 10,190 priority pairs.
     @pytest.mark.parametrize("name, digest", [
         ("demo_2x2", "cb681456994de5809942e5e3e4f5cc68ee6f3789e0788a85f825296244f543dc"),
         ("derived_1x1", "cfca2d2e6c3fd6003bb0e661e4afb795937e22cbeae94d44d9b55b374829aab0"),
+        ("katrina_10x30_p5", "1d04bae9fc1a8042f7f2ee17f5281a90233d1814308afd1bd2d74b22b12afdf0"),
     ])
     def test_pinned_output(self, name, digest):
-        inst = load_instance(Path(__file__).parent.parent / "instances" / f"{name}.json")
-        text = dsl.serialize(build(BuildParams(instance=inst, p=3)).definition)
+        if name == "katrina_10x30_p5":
+            inst, p = katrina_shaped(random.Random(1), 10, 30), 5
+        else:
+            inst, p = load_instance(Path(__file__).parent.parent / "instances" / f"{name}.json"), 3
+        definition = build(BuildParams(instance=inst, p=p)).definition
+        text = dsl.serialize(definition)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        back = dsl.parse(text)
+        assert back.ok and back.definition.structurally_equal(definition)
+        assert dsl.serialize(back.definition) == text

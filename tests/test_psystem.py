@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from psrelief import dsl, engine, psystem
 from psrelief.builder import BuildParams, build
 from psrelief.io import load_instance
-from psrelief.multiset import Multiset
+from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
     Configuration,
     DefinitionError,
@@ -21,7 +23,7 @@ from psrelief.psystem import (
     problems,
 )
 
-from helpers import M, N, evolution, ms, send_in, single_membrane_example
+from helpers import M, N, P, evolution, ms, send_in, send_out, single_membrane_example
 
 DERIVED = Path(__file__).parent.parent / "instances" / "derived_1x1.json"
 
@@ -151,6 +153,67 @@ def test_definition_is_frozen():
         d.parent["2"] = "1"
     with pytest.raises(TypeError):
         d.initial["1"] = ms(a=1)
+
+
+RULE_FIELDS = ("id", "kind", "membrane", "lhs", "rhs", "alpha", "beta", "rhs_aux", "changes_polarization")
+
+
+@pytest.mark.parametrize("name", RULE_FIELDS + ("undeclared",))
+def test_rule_attributes_cannot_be_set_or_deleted(name):
+    rule = send_out("r", "2", ms(a=1), ms(b=1), alpha=N, beta=P, aux=ms(c=1))
+    with pytest.raises(AttributeError):
+        setattr(rule, name, getattr(rule, name, None))
+    with pytest.raises(AttributeError):
+        delattr(rule, name)
+    assert not hasattr(rule, "__dict__")
+    assert rule == send_out("r", "2", ms(a=1), ms(b=1), alpha=N, beta=P, aux=ms(c=1))
+
+
+@pytest.mark.parametrize("kind", list(RuleKind))
+def test_beta_defaults_to_alpha(kind):
+    for alpha in Polarization:
+        rule = Rule(id="r", kind=kind, membrane="2", lhs=ms(a=1), rhs=ms(b=1), alpha=alpha)
+        assert rule.beta is alpha and not rule.changes_polarization
+
+
+@pytest.mark.parametrize("kind", list(RuleKind))
+def test_changes_polarization_of_every_kind(kind):
+    # evolution rules never change a polarization; communication rules do
+    # exactly when beta differs from alpha
+    for alpha in Polarization:
+        for beta in Polarization:
+            rule = Rule(id="r", kind=kind, membrane="2", lhs=ms(a=1), rhs=ms(b=1), alpha=alpha, beta=beta)
+            assert rule.changes_polarization is (kind is not RuleKind.EVOLUTION and beta != alpha)
+
+
+def test_rule_copies_go_through_the_constructor():
+    rule = evolution("r", "2", ms(a=1), ms(b=1))
+    moved = rule._replace(kind=RuleKind.SEND_OUT, beta=P)
+    assert type(moved) is Rule and moved.changes_polarization
+    for original in (rule, moved):
+        for copied in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert type(copied) is Rule and copied == original
+            assert copied.changes_polarization is original.changes_polarization
+
+
+def test_builder_rules_equal_their_parsed_copies():
+    built = build(BuildParams(instance=load_instance(DERIVED), p=1)).definition
+    parsed = dsl.parse(dsl.serialize(built)).definition
+    assert len(parsed.rules) == len(built.rules)
+    for a, b in zip(built.rules, parsed.rules):
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_rules_without_products_share_the_empty_multiset():
+    assert EMPTY == Multiset() and not EMPTY
+    assert evolution("r", "1", ms(a=1), ms(b=1)).rhs_aux is EMPTY
+    built = build(BuildParams(instance=load_instance(DERIVED), p=1)).definition
+    parsed = dsl.parse(dsl.serialize(built)).definition
+    for d in (built, parsed):
+        evolutions = [r for r in d.rules if r.kind is RuleKind.EVOLUTION]
+        assert evolutions and all(r.rhs_aux is EMPTY for r in evolutions)
+        deletions = [r for r in d.rules if not r.rhs]
+        assert deletions and all(r.rhs is EMPTY for r in deletions)
 
 
 def test_definition_keeps_its_own_parts():

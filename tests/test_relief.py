@@ -570,6 +570,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="infeasible"):
             solve(inst, SIMPLIFIED)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL, QUANTIZED])
+    def test_non_positive_iteration_limit_rejected(self, variant, max_iter):
+        with pytest.raises(ValueError, match="^max_iter must be positive$"):
+            solve(derived_1x1(), variant, max_iter=max_iter, p=3)
+        # before any other check: the instance is not even validated
+        with pytest.raises(ValueError, match="^max_iter must be positive$"):
+            solve(dataclasses.replace(derived_1x1(), s=[-1.0]), variant, max_iter=max_iter)
+
     def test_visibility_caps_counted_on_the_state_each_step_reads(self):
         # q reaches 0 at iteration 4; the step from that state is the only one
         # whose visibility derivative is capped, and the next step converges
