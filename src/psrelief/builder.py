@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from psrelief.multiset import EMPTY, Multiset
-from psrelief.psystem import Configuration, Polarization, PSystemDef, Rule, RuleKind
+from psrelief.psystem import Configuration, Polarization, PSystemDef, Rule, RuleKind, _gc_paused
 from psrelief.relief import ReliefInstance, fixed_point_constants, validate
 
 INIT_STAGE = "initialization"
@@ -132,6 +132,7 @@ class _Emitter:
         self.priorities.append((hi, lo))
 
 
+@_gc_paused()
 def build(params: BuildParams) -> GeneratedSystem:
     params.validate()
     inst, p = params.instance, params.p

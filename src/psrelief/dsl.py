@@ -36,6 +36,7 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
+    _gc_paused,
     _priority_cycles,
     _tree_cycles,
 )
@@ -160,6 +161,7 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
     return (Multiset.adopt(counts) if counts else EMPTY), i
 
 
+@_gc_paused()
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse a system description; on failure the result carries at least one
     positioned error diagnostic and no definition."""

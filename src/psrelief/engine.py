@@ -93,6 +93,7 @@ from psrelief.psystem import (
     PSystemDef,
     Rule,
     RuleKind,
+    _gc_paused,
 )
 
 DETERMINISTIC = "deterministic"
@@ -169,6 +170,7 @@ _rank = operator.attrgetter("rank")
 
 
 class _Compiled:
+    @_gc_paused()
     def __init__(self, definition: PSystemDef):
         crules = [_CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)]
         self.by_id = by_id = {cr.rule.id: cr for cr in crules}

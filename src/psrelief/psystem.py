@@ -28,6 +28,8 @@ holds a definition (the engine, the serializer) therefore trusts it.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import hashlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -38,6 +40,41 @@ from psrelief.multiset import EMPTY, Multiset
 
 class DefinitionError(ValueError):
     """Raised when a system description violates a structural invariant."""
+
+
+class _gc_paused:
+    """Pause the cyclic garbage collector for a ``with`` block, or for each
+    call of a function decorated with ``@_gc_paused()``.
+
+    Safe only where the wrapped code creates no reference cycles: its objects
+    are then freed by reference counting alone, so a collection pass inside
+    it could free nothing, and deferring the passes defers no reclamation.
+    Building, parsing and compiling a definition make a tree of immutable
+    values, hundreds of thousands of objects at case-study scale, whose
+    allocations would otherwise trigger full passes over everything alive.
+    The collector is switched back on however the block ends, and nothing is
+    allocated after that inside the block, so the deferred young collection
+    runs in the caller.  A caller who had switched it off keeps it off.  The
+    switch is process-wide: other threads get no automatic collections while
+    a block runs.
+    """
+
+    __slots__ = ("_resume",)
+
+    def __enter__(self) -> None:
+        self._resume = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._resume:
+            gc.enable()
+
+    def __call__(self, func):
+        @functools.wraps(func)
+        def paused(*args, **kwargs):
+            with _gc_paused():
+                return func(*args, **kwargs)
+        return paused
 
 
 class Polarization(enum.Enum):

@@ -666,12 +666,14 @@ def solve(
             iterations=state.t,
             converged=converged,
             variant=QUANTIZED,
-            tol=1.0 / P,
+            tol=1 / P,  # exact int division: a subnormal or 0.0, never an overflow
             p=p,
         )
     elif variant in (SIMPLIFIED, FULL):
         if tol <= 0:
             raise ValueError("tol must be positive")
+        if not tol < math.inf:  # also false for nan
+            raise ValueError("tol must be finite")
         step = _FloatStep(inst, variant)
         cur, nxt = step.pack(SolverState.initial(inst)), step.empty()
         dq = np.empty((inst.m, inst.n))

@@ -66,6 +66,23 @@ class TestSolve:
         assert main(["oracle", "--p", "3", "--instance", demo,
                      "--tol", "0", "--out", str(tmp_path / "q.csv")]) == 0
 
+    @pytest.mark.parametrize("tol, message", [
+        ("nan", "tol must be finite"),
+        ("inf", "tol must be finite"),
+        ("-1", "tol must be positive"),
+    ])
+    def test_invalid_tol_is_input_error(self, capsys, tol, message):
+        assert main(["solve", "--instance", DERIVED, "--tol", tol]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_oracle_past_the_float_range_does_not_converge(self, tmp_path, capsys):
+        out = tmp_path / "q.json"
+        code = main(["oracle", "--instance", str(INSTANCES / "demo_2x2.json"), "--p", "309",
+                     "--max-iter", "2", "--format", "json", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["result"]["converged"] is False
+
     def test_seed_is_trace_only(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--instance", DERIVED, "--p", "2", "--seed", "1"])

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import pickle
 from pathlib import Path
 
 import pytest
 
 from psrelief import dsl, engine, psystem
-from psrelief.builder import BuildParams, build
+from psrelief.builder import BuildError, BuildParams, build
 from psrelief.io import load_instance
 from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
@@ -26,6 +27,7 @@ from psrelief.psystem import (
 from helpers import M, N, P, evolution, ms, send_in, send_out, single_membrane_example
 
 DERIVED = Path(__file__).parent.parent / "instances" / "derived_1x1.json"
+DEMO = Path(__file__).parent.parent / "instances" / "demo_2x2.json"
 
 
 def test_initial_configuration_is_neutral():
@@ -251,3 +253,74 @@ def test_definitions_are_checked_when_made_and_never_again(problems_calls):
     engine.run(d, max_steps=3)
     dsl.serialize(d)
     assert len(problems_calls) == 2
+
+
+# Building, parsing and compiling pause the cyclic collector.  That is only
+# safe while they create no reference cycles, which the last test checks.
+
+
+@pytest.fixture
+def collector_switch():
+    """Puts the collector's switch back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_front_end_leaves_the_collector_as_it_found_it(collector_switch, enabled):
+    (gc.enable if enabled else gc.disable)()
+    inst = load_instance(DEMO)
+    gen = build(BuildParams(instance=inst, p=5))
+    assert gc.isenabled() is enabled
+    with pytest.raises(BuildError, match="invalid instance"):
+        build(BuildParams(instance=dataclasses.replace(inst, s=[-1.0, 1.0]), p=5))
+    assert gc.isenabled() is enabled
+    d = dsl.parse(dsl.serialize(gen.definition)).definition
+    assert gc.isenabled() is enabled
+    engine._Compiled(d)
+    assert gc.isenabled() is enabled
+    next(engine.steps(d))
+    assert gc.isenabled() is enabled
+
+
+@pytest.fixture
+def collections():
+    """Every collection the cyclic collector starts, by generation."""
+    started: list[int] = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield started
+    gc.callbacks.remove(record)
+
+
+def test_front_end_runs_no_collection(collections):
+    gc.collect()
+    collections.clear()
+    gen = build(BuildParams(instance=load_instance(DEMO), p=5))
+    in_build = len(collections)
+    text = dsl.serialize(gen.definition)
+    gc.collect()
+    collections.clear()
+    d = dsl.parse(text).definition
+    in_parse = len(collections)
+    gc.collect()
+    collections.clear()
+    engine._Compiled(d)
+    in_compile = len(collections)
+    assert (in_build, in_parse, in_compile) == (0, 0, 0)
+
+
+def test_front_end_leaves_nothing_for_the_collector():
+    gc.collect()
+    gen = build(BuildParams(instance=load_instance(DEMO), p=5))
+    d = dsl.parse(dsl.serialize(gen.definition)).definition
+    next(engine.steps(d))
+    assert gc.collect() == 0

@@ -579,6 +579,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="^max_iter must be positive$"):
             solve(dataclasses.replace(derived_1x1(), s=[-1.0]), variant, max_iter=max_iter)
 
+    @pytest.mark.parametrize("p, tol", [(309, 1e-309), (400, 0.0)])
+    def test_quantized_tolerance_past_the_float_range(self, p, tol):
+        # 10**p does not fit a float: the reported tolerance is the exact 1 / P
+        report = solve(derived_1x1(), QUANTIZED, max_iter=2, p=p)
+        assert report.tol == tol
+        assert report.iterations == 2 and not report.converged
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL])
+    def test_non_finite_tolerance_rejected(self, variant, tol):
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            solve(derived_1x1(), variant, tol=tol)
+
     def test_visibility_caps_counted_on_the_state_each_step_reads(self):
         # q reaches 0 at iteration 4; the step from that state is the only one
         # whose visibility derivative is capped, and the next step converges
