@@ -264,10 +264,7 @@ def collector_switch():
     """Puts the collector's switch back as the test found it."""
     was_enabled = gc.isenabled()
     yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
+    (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -288,7 +285,7 @@ def test_front_end_leaves_the_collector_as_it_found_it(collector_switch, enabled
 
 
 @pytest.fixture
-def collections():
+def collections_started():
     """Every collection the cyclic collector starts, by generation."""
     started: list[int] = []
 
@@ -301,20 +298,21 @@ def collections():
     gc.callbacks.remove(record)
 
 
-def test_front_end_runs_no_collection(collections):
+def test_front_end_runs_no_collection(collections_started):
+    params = BuildParams(instance=load_instance(DEMO), p=5)
     gc.collect()
-    collections.clear()
-    gen = build(BuildParams(instance=load_instance(DEMO), p=5))
-    in_build = len(collections)
+    collections_started.clear()
+    gen = build(params)
+    in_build = len(collections_started)
     text = dsl.serialize(gen.definition)
     gc.collect()
-    collections.clear()
+    collections_started.clear()
     d = dsl.parse(text).definition
-    in_parse = len(collections)
+    in_parse = len(collections_started)
     gc.collect()
-    collections.clear()
+    collections_started.clear()
     engine._Compiled(d)
-    in_compile = len(collections)
+    in_compile = len(collections_started)
     assert (in_build, in_parse, in_compile) == (0, 0, 0)
 
 
