@@ -506,4 +506,7 @@ def decode_output(config: Configuration, gen: GeneratedSystem) -> np.ndarray:
     if not contents:
         raise DecodeError("OUTPUT membrane is empty; the run did not converge")
     P = 10**gen.p
-    return np.array([[c / P for c in row] for row in count_reader(gen, "o")(contents)])
+    try:
+        return np.array([[c / P for c in row] for row in count_reader(gen, "o")(contents)])
+    except OverflowError as exc:
+        raise DecodeError(f"an output count at p={gen.p} does not fit a float") from exc

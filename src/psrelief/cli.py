@@ -93,18 +93,9 @@ def _check_max_iter(args) -> None:
 def cmd_solve(args) -> int:
     _check_max_iter(args)
     inst = pio.load_instance(args.instance)
-    report = relief.solve(inst, variant=args.variant, tol=args.tol, max_iter=args.max_iter)
-    manifest = _manifest(args, "solve", args.variant)
-    _emit(args, _report_payload(report), report.q_star, manifest, instance=inst)
-    return 0 if report.converged else 1
-
-
-def cmd_oracle(args) -> int:
-    _check_max_iter(args)
-    inst = pio.load_instance(args.instance)
-    report = relief.solve(inst, variant=relief.QUANTIZED, tol=args.tol,
-                          max_iter=args.max_iter, p=args.p)
-    manifest = _manifest(args, "oracle", relief.QUANTIZED)
+    report = relief.solve(inst, variant=args.variant, tol=args.tol, max_iter=args.max_iter,
+                          p=getattr(args, "p", None))
+    manifest = _manifest(args, args.cmd, args.variant)
     _emit(args, _report_payload(report), report.q_star, manifest, instance=inst)
     return 0 if report.converged else 1
 
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="integer-quantized iteration")
     _add_common(p)
     p.add_argument("--p", type=int, required=True, help="precision exponent (scale 10^p)")
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=cmd_solve, variant=relief.QUANTIZED)
 
     p = sub.add_parser("simulate", help="build and run the membrane system")
     _add_common(p)

@@ -55,7 +55,7 @@ def load_instance(path: str | Path) -> ReliefInstance:
         raise InputError(f"{path}:1:1: missing keys: {', '.join(missing)}")
     try:
         return ReliefInstance.from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}:1:1: malformed instance: {exc}") from exc
 
 

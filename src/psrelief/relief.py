@@ -26,6 +26,13 @@ projection on the nonnegative orthant and diminishing steps ``a_t``:
 
 all four families evaluated on the time-t state (Jacobi style).
 
+``solve`` has one path for every variant: each prepares one ``_FloatStep``
+and ends with a packed float vector, the float loop's iterate or, for
+``quantized``, the final counts divided by 10^p in a ``simplified`` step's
+vector.  One tail evaluates that step's drift there (the stationarity
+residual), checks that every array is finite and builds the only
+``EquilibriumReport``.
+
 The quantized solver mirrors, bit for bit, the integer arithmetic of the
 generated membrane system at scale P = 10^p: values live as object counts,
 division by the beta denominator rounds half-up, the step factor a_t is
@@ -152,6 +159,18 @@ class ReliefInstance:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
+def _float_constants(inst: ReliefInstance) -> dict[str, np.ndarray]:
+    """The constants the float step derives from the instance, by name; the
+    last is the visibility derivative at the cap ``VISIBILITY_FLOOR``."""
+    return {
+        "omega*gamma/beta": inst.omega[:, None] * inst.gamma / inst.beta[:, None],
+        "2*cost_a**2": 2.0 * inst.cost_a**2,
+        "2*cost_a*cost_b": 2.0 * inst.cost_a * inst.cost_b,
+        "vis_k/(2*sqrt(VISIBILITY_FLOOR))": inst.vis_k / (2.0 * np.sqrt(VISIBILITY_FLOOR)),
+    }
+
+
+@np.errstate(all="ignore")  # an overflow is a violation, not a warning
 def validate(inst: ReliefInstance) -> list[str]:
     """All invariant violations of the instance (empty list means valid)."""
     out: list[str] = []
@@ -183,10 +202,14 @@ def validate(inst: ReliefInstance) -> list[str]:
             out.append(f"{name} entries must be strictly positive")
     if np.any(inst.cost_b < 0):
         out.append("cost_b entries must be non-negative")
+    if not out:  # entries of valid sign: only an overflow is left to find
+        for name, value in _float_constants(inst).items():
+            if not np.all(np.isfinite(value)):
+                out.append(f"derived constant {name} must be finite")
+    total_s, total_lo = float(inst.s.sum()), float(inst.d_lo.sum())
     bad = np.nonzero(inst.d_lo > inst.d_hi)[0]
     for j in bad:
         out.append(f"d_lo[{j}]={inst.d_lo[j]} exceeds d_hi[{j}]={inst.d_hi[j]}")
-    total_s, total_lo = float(inst.s.sum()), float(inst.d_lo.sum())
     if total_s < total_lo:
         out.append(
             f"infeasible: total supply {total_s} is below total lower demand {total_lo}"
@@ -281,9 +304,8 @@ class _FloatStep:
     def __init__(self, inst: ReliefInstance, variant: str):
         self.m, self.n = inst.m, inst.n
         self.full = variant == FULL
-        self.gain = inst.omega[:, None] * inst.gamma / inst.beta[:, None]
-        self.c2 = 2.0 * inst.cost_a**2
-        self.c1 = 2.0 * inst.cost_a * inst.cost_b
+        c = _float_constants(inst)
+        self.gain, self.c2, self.c1 = c["omega*gamma/beta"], c["2*cost_a**2"], c["2*cost_a*cost_b"]
         self.beta = inst.beta[:, None]
         self.s, self.d_lo, self.d_hi, self.vis_k = inst.s, inst.d_lo, inst.d_hi, inst.vis_k
         self.cols = np.empty(inst.n)
@@ -458,10 +480,6 @@ class QuantizedState:
             p=p,
         )
 
-    def q_matrix(self) -> np.ndarray:
-        P = 10**self.p
-        return np.array([[c / P for c in row] for row in self.q])
-
 
 #: Below this bound on every constant and count the packed integer step runs
 #: in int64 without overflow (see "Cost" above).
@@ -631,6 +649,7 @@ def stationarity_residual(
     return step.d.q
 
 
+@np.errstate(all="ignore")  # an overflow is reported as ValueError below
 def solve(
     inst: ReliefInstance,
     variant: str = SIMPLIFIED,
@@ -643,7 +662,8 @@ def solve(
     Convergence is measured on q only: max |q^{t+1} - q^t| < tol for the
     float variants, exact count equality for the quantized variant.  The
     start point mirrors the membrane system: every flow at 1.0, every
-    multiplier at 0.
+    multiplier at 0.  A run whose iterate, count / 10^p or residuals leave
+    the float range raises ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -656,24 +676,21 @@ def solve(
             raise ValueError("quantized variant needs a precision exponent p")
         # keep only the last state: the trajectory is never held in memory
         t, (z, converged) = deque(enumerate(_quantized_states(inst, p, max_iter)), maxlen=1)[0]
-        state = QuantizedState(*_unpack(z, inst.m, inst.n), t=t, p=p)
+        step = _FloatStep(inst, SIMPLIFIED)
+        cur = step.empty()
         P = 10**p
-        report = EquilibriumReport(
-            q_star=state.q_matrix(),
-            lam=np.array([c / P for c in state.lam]),
-            lam1=np.array([c / P for c in state.lam1]),
-            lam2=np.array([c / P for c in state.lam2]),
-            iterations=state.t,
-            converged=converged,
-            variant=QUANTIZED,
-            tol=1 / P,  # exact int division: a subnormal or 0.0, never an overflow
-            p=p,
-        )
+        try:
+            cur.z[:] = [c / P for c in z.tolist()]
+        except OverflowError:  # a count does not fit a float
+            cur.z[:] = math.inf
+        tol = 1 / P  # exact int division: a subnormal or 0.0, never an overflow
+        caps = 0
     elif variant in (SIMPLIFIED, FULL):
         if tol <= 0:
             raise ValueError("tol must be positive")
         if not tol < math.inf:  # also false for nan
             raise ValueError("tol must be finite")
+        p = None  # the float iteration has no precision exponent
         step = _FloatStep(inst, variant)
         cur, nxt = step.pack(SolverState.initial(inst)), step.empty()
         dq = np.empty((inst.m, inst.n))
@@ -688,20 +705,27 @@ def solve(
             if dq.max() < tol:
                 converged = True
                 break
-        report = EquilibriumReport(
-            q_star=cur.q,
-            lam=cur.lam,
-            lam1=cur.lam1,
-            lam2=cur.lam2,
-            iterations=t,
-            converged=converged,
-            variant=variant,
-            tol=tol,
-            visibility_cap_events=caps,
-        )
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    report.feasibility_residuals = feasibility_residuals(inst, report.q_star)
-    report.stationarity_residuals = stationarity_residual(inst, report)
-    return report
+    overflow = f"the {variant} solve leaves the float range within {t} iterations"
+    if not np.isfinite(cur.z).all():
+        raise ValueError(overflow)
+    step.drift(cur)
+    residuals = feasibility_residuals(inst, cur.q)
+    if not (np.isfinite(step.d.q).all() and all(np.isfinite(r).all() for r in residuals.values())):
+        raise ValueError(overflow)
+    return EquilibriumReport(
+        q_star=cur.q,
+        lam=cur.lam,
+        lam1=cur.lam1,
+        lam2=cur.lam2,
+        iterations=t,
+        converged=converged,
+        variant=variant,
+        tol=tol,
+        feasibility_residuals=residuals,
+        stationarity_residuals=step.d.q,
+        p=p,
+        visibility_cap_events=caps,
+    )

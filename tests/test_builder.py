@@ -199,6 +199,13 @@ class TestEncodeDecode:
         with pytest.raises(DecodeError):
             decode_output(cfg, gen)
 
+    def test_decode_count_past_the_float_range_is_error(self):
+        gen = build(BuildParams(instance=small_instance(1, 1), p=3))
+        cfg = Configuration.initial(gen.definition)
+        cfg.contents["OUTPUT"] = Multiset({symbol("o", 1, 1): 10**400})
+        with pytest.raises(DecodeError, match="^an output count at p=3 does not fit a float$"):
+            decode_output(cfg, gen)
+
 
 class TestEmission:
     def test_generated_system_round_trips_through_format(self):

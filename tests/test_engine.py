@@ -601,6 +601,18 @@ class TestSteps:
                 break
         assert iterations == 5
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_4x4_seeded_steps_commit_the_deterministic_configuration(self, seed):
+        # The generated system is confluent where its plans branch: a seeded
+        # plan other than the deterministic one commits the same configuration.
+        d = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3)).definition
+        pairs = list(itertools.islice(zip(engine.steps(d), engine.steps(d, SEEDED_RANDOM, seed)), 282))
+        assert len(pairs) == 282
+        for step, ((_, want), (_, got)) in enumerate(pairs):
+            assert got.digest() == want.digest(), step
+        # and the plans do branch, so an engine that ignored the policy fails
+        assert any(a.counts != b.counts for (a, _), (b, _) in pairs)
+
     def test_seeded_step_draws_one_shuffle_of_its_candidates(self, monkeypatch):
         # The cost of a seeded step follows its candidates, not the system:
         # its generator is drawn from only by one shuffle of the candidates.

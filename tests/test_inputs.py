@@ -8,13 +8,14 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psrelief.builder import BuildParams, build
 from psrelief.cli import main
 from psrelief.io import InputError, load_instance
-from psrelief.relief import FULL, QUANTIZED, SIMPLIFIED, solve, validate
+from psrelief.relief import FULL, QUANTIZED, SIMPLIFIED, EquilibriumReport, solve, validate
 from psrelief.trace import run_generated
 
 DEMO = json.loads((Path(__file__).parent.parent / "instances" / "demo_2x2.json").read_text())
@@ -64,6 +65,55 @@ def test_every_route_rejects_with_the_same_message(tmp_path, capsys, route, case
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+#: instances whose float constants or iterates overflow: name -> (edits of
+#: demo_2x2, problem).  The first three overflow a derived constant and are
+#: invalid on every route; the last has finite constants, and its iterates
+#: leave the float range on the solver routes.
+OVERFLOW = {
+    "cost_a": ({("cost_a", 0, 0): 1e200}, "invalid instance: derived constant 2*cost_a**2 must be finite"),
+    "omega": ({("omega", 0): 1e308}, "invalid instance: derived constant omega*gamma/beta must be finite"),
+    "vis_k": ({("vis_k", 0): 1e308},
+              "invalid instance: derived constant vis_k/(2*sqrt(VISIBILITY_FLOOR)) must be finite"),
+    "iterates": ({("omega", 0): 8.9e307, ("d_hi", 0): 1.79e308, ("cost_a", 1, 0): 1e-310},
+                 "the {variant} solve leaves the float range within"),
+}
+
+OVERFLOW_CASES = [(case, argv) for case in sorted(OVERFLOW) for argv in (
+    ["solve", "--variant", "simplified"], ["solve", "--variant", "full"],
+    ["oracle", "--p", "2", "--max-iter", "300"])]
+OVERFLOW_CASES += [(case, ROUTES[route]) for case in ("cost_a", "omega", "vis_k")
+                   for route in ("simulate", "build")]
+
+
+@pytest.mark.parametrize("case, argv", OVERFLOW_CASES,
+                         ids=[f"{c}-{'-'.join(a[:3])}" for c, a in OVERFLOW_CASES])
+def test_overflow_is_an_input_error(tmp_path, capsys, case, argv):
+    edits, message = OVERFLOW[case]
+    doc = copy.deepcopy(DEMO)
+    for (key, *index), value in edits.items():
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    argv = argv + ["--instance", str(path)]
+    if argv[0] == "build":
+        argv += ["--emit", str(tmp_path / "sys.psys")]
+    variant = argv[2] if argv[0] == "solve" else QUANTIZED
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {message.format(variant=variant)}") and not out.out
+
+
+def test_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(DEMO, s=[10**400, 2.5])))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:1:1: malformed instance: int too large to convert to float\n")
+
+
 def test_missing_keys_are_listed_in_field_order(tmp_path, capsys):
     doc = {k: v for k, v in DEMO.items() if k not in ("vis_k", "gamma", "s")}
     path = tmp_path / "inst.json"
@@ -75,6 +125,8 @@ def test_missing_keys_are_listed_in_field_order(tmp_path, capsys):
 SCALARS = st.one_of(
     st.floats(),
     st.integers(-3, 3),
+    st.integers(2**1024, 2**1100),  # beyond the float range
+    st.integers(-(2**1100), -(2**1024)),
     st.booleans(),
     st.none(),
     st.text(max_size=3),
@@ -109,6 +161,12 @@ def _routes(inst):
     yield lambda: run_generated(build(BuildParams(instance=inst, p=2)), max_iterations=2)
 
 
+def _assert_finite(report: EquilibriumReport) -> None:
+    arrays = [report.q_star, report.lam, report.lam1, report.lam2, report.stationarity_residuals]
+    arrays += report.feasibility_residuals.values()
+    assert all(np.isfinite(a).all() for a in arrays), report
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=damaged_instances())
@@ -122,12 +180,16 @@ def test_damaged_instances_fail_only_as_input_errors(tmp_path, doc):
     problems = validate(inst)
     for route in _routes(inst):
         try:
-            route()
+            result = route()
             message = None
         except ValueError as exc:
             message = str(exc)
         if problems:
             assert message is not None and message.startswith("invalid instance: ")
+        elif message is None:
+            if isinstance(result, EquilibriumReport):
+                _assert_finite(result)
         else:
-            # the integer routes also reject a beta that floors to zero at p
-            assert message is None or "floors to zero at p=2" in message, message
+            # the integer routes also reject a beta that floors to zero at p,
+            # and the solvers an iterate that leaves the float range
+            assert "floors to zero at p=2" in message or "solve leaves the float range" in message, message

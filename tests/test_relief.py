@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,25 @@ class TestValidate:
                               gamma=[[float("nan")]], omega=[1.0], beta=[1.0],
                               cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
         assert validate(inst) == ["s entries must be finite", "gamma entries must be finite"]
+
+    @pytest.mark.parametrize("changes, names", [
+        ({"cost_a": [[1e200]]}, ["2*cost_a**2"]),
+        ({"cost_a": [[1e308]], "cost_b": [[0.0]]}, ["2*cost_a**2", "2*cost_a*cost_b"]),
+        ({"omega": [1e308], "gamma": [[2.0]]}, ["omega*gamma/beta"]),
+        ({"vis_k": [1e308]}, ["vis_k/(2*sqrt(VISIBILITY_FLOOR))"]),
+    ], ids=["cost_a", "cost_a_cost_b", "omega", "vis_k"])
+    def test_derived_constants_must_be_finite(self, changes, names):
+        # each overflows a constant of the float step, not an entry
+        inst = dataclasses.replace(derived_1x1(), **changes)
+        assert validate(inst) == [f"derived constant {name} must be finite" for name in names]
+
+    def test_overflowing_totals_validate_without_warning(self):
+        inst = dataclasses.replace(derived_1x1(), s=[1e308, 1e308], m=2, gamma=[[1.0]] * 2,
+                                   omega=[1.0] * 2, beta=[1.0] * 2, cost_a=[[1.0]] * 2,
+                                   cost_b=[[0.0]] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(inst) == []
 
     @pytest.mark.parametrize("m", [True, 1.0, "1", 0])
     def test_sizes_must_be_positive_integers(self, m):
@@ -608,6 +628,42 @@ class TestSolve:
         assert converged is halts and report.converged is halts
         assert report.iterations == len(traj) - 1 == (25 if halts else max_iter)
         assert report.q_star.tolist() == [[c / 1000 for c in row] for row in traj[-1]]
+
+    @pytest.mark.parametrize("max_iter", [871, 1000])
+    def test_quantized_report_is_the_last_counts_across_int64_bound(self, max_iter):
+        # the last state is int64 at 871 iterations and Python ints at 1000
+        inst, p = crossing_instance(), 9
+        *_, (z, _) = relief._quantized_states(inst, p, max_iter)
+        assert z.dtype == (np.int64 if max_iter < 872 else object)
+        traj, _ = quantized_trajectory(inst, p, max_iter)
+        report = solve(inst, QUANTIZED, max_iter=max_iter, p=p)
+        assert report.q_star.tolist() == [[c / 10**p for c in row] for row in traj[-1]]
+        packed = np.concatenate([report.q_star.ravel(), report.lam, report.lam1, report.lam2])
+        assert packed.tolist() == [c / 10**p for c in z.tolist()]
+
+    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL, QUANTIZED])
+    def test_one_float_step_per_solve(self, monkeypatch, variant):
+        built = []
+
+        class Counting(relief._FloatStep):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(relief, "_FloatStep", Counting)
+        solve(demo_2x2(), variant, max_iter=50, p=2)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("variant, iterations", [(SIMPLIFIED, 5706), (FULL, 3948), (QUANTIZED, 54)])
+    def test_leaving_the_float_range_is_an_error(self, variant, iterations):
+        # every constant is finite, but cost_a[1][0]**2 underflows to zero,
+        # so lam[0] (and on the oracle its counts) grow past the float range
+        inst = demo_2x2()
+        inst.omega[0], inst.d_hi[0], inst.cost_a[1][0] = 8.9e307, 1.79e308, 1e-310
+        assert validate(inst) == []
+        message = f"^the {variant} solve leaves the float range within {iterations} iterations$"
+        with pytest.raises(ValueError, match=message):
+            solve(inst, variant, max_iter=300 if variant == QUANTIZED else 100_000, p=2)
 
     def test_beta_below_precision_rejected_like_the_builder(self):
         inst = ReliefInstance(m=1, n=1, s=[1.0], d_lo=[0.0], d_hi=[1.0],
