@@ -27,14 +27,8 @@ from psrelief.psystem import (
 from psrelief.engine import FiringPlan, RunReport, apply_step, run, select_firing, steps
 from psrelief.relief import (
     EquilibriumReport,
-    QuantizedState,
     ReliefInstance,
-    SolverState,
-    euler_step,
-    objective,
-    quantized_euler_step,
     solve,
-    stationarity_residual,
     step_size,
     validate,
 )
@@ -55,16 +49,10 @@ __all__ = [
     "run",
     "steps",
     "ReliefInstance",
-    "SolverState",
-    "QuantizedState",
     "EquilibriumReport",
     "validate",
     "step_size",
-    "euler_step",
-    "quantized_euler_step",
     "solve",
-    "objective",
-    "stationarity_residual",
     "BuildParams",
     "GeneratedSystem",
     "build",

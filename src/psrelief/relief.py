@@ -39,12 +39,13 @@ division by the beta denominator rounds half-up, the step factor a_t is
 realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
 
-Cost.  Each route builds its step once per run, and both steps work on one
-vector z = (q row-major, lam, lam1, lam2) with the four families as views of
-it; a drift vector D has the same layout.  The float step holds ``omega gamma
-/ beta``, ``2 a^2`` and ``2 a b`` as arrays; they are the subexpressions the
-formula above evaluates, so every float is the same.  It writes the drift in
-place into a reused vector and is one ``z + a_t D`` and one ``max(0, .)``.
+Cost.  Each route builds its step once per run, and no public function builds
+one per call.  Both steps work on one vector z = (q row-major, lam, lam1,
+lam2) with the four families as views of it; a drift vector D has the same
+layout.  The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b``
+as arrays; they are the subexpressions the formula above evaluates, so every
+float is the same.  It writes the drift in place into a reused vector and is
+one ``z + a_t D`` and one ``max(0, .)``.
 
 The integer step inlines the two gadgets with two identities that are exact
 on integers:
@@ -106,7 +107,7 @@ SIMPLIFIED = "simplified"
 FULL = "full"
 QUANTIZED = "quantized"
 
-#: Step denominator guard for the visibility derivative at sum_i q_il == 0;
+#: Floor on the column sum sum_i q_il in the visibility derivative: below it
 #: the derivative is capped at vis_l/2 * VISIBILITY_FLOOR**-0.5.
 VISIBILITY_FLOOR = 1e-6
 
@@ -268,24 +269,6 @@ def quantized_halvings(t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SolverState:
-    q: np.ndarray      # (m, n) item flows
-    lam: np.ndarray    # (m,) supply multipliers
-    lam1: np.ndarray   # (n,) lower demand multipliers
-    lam2: np.ndarray   # (n,) upper demand multipliers
-    t: int = 0
-
-    @classmethod
-    def initial(cls, inst: ReliefInstance) -> "SolverState":
-        return cls(
-            q=np.ones((inst.m, inst.n)),
-            lam=np.zeros(inst.m),
-            lam1=np.zeros(inst.n),
-            lam2=np.zeros(inst.n),
-        )
-
-
 class _Packed(NamedTuple):
     """One vector z = (q row-major, lam, lam1, lam2) and its four parts as
     views; a drift vector has the same layout (g, dl, d1, d2)."""
@@ -317,18 +300,10 @@ class _FloatStep:
         z = np.empty(mn + m + 2 * n)
         return _Packed(z, z[:mn].reshape(m, n), z[mn:mn + m], z[mn + m:mn + m + n], z[mn + m + n:])
 
-    def pack(self, state: SolverState) -> _Packed:
-        x = self.empty()
-        x.q[...] = state.q
-        x.lam[...] = state.lam
-        x.lam1[...] = state.lam1
-        x.lam2[...] = state.lam2
-        return x
-
     def drift(self, x: _Packed) -> int:
         """Write the drift of each family at x, before scaling by a_t, into
-        ``self.d``; return the visibility derivatives capped at an empty
-        column."""
+        ``self.d``; return the number of visibility derivatives capped at a
+        column sum below ``VISIBILITY_FLOOR``."""
         d, cols = self.d, self.cols
         g = d.q
         np.multiply(self.c2, x.q, out=g)
@@ -341,8 +316,8 @@ class _FloatStep:
         x.q.sum(axis=0, out=cols)
         capped = 0
         if self.full:
-            capped = int(np.count_nonzero(cols <= 0.0))
-            g += self.vis_k / (2.0 * np.sqrt(np.where(cols > 0.0, cols, VISIBILITY_FLOOR)))
+            capped = int(np.count_nonzero(cols < VISIBILITY_FLOOR))
+            g += self.vis_k / (2.0 * np.sqrt(np.maximum(cols, VISIBILITY_FLOOR)))
         x.q.sum(axis=1, out=d.lam)
         np.subtract(d.lam, self.s, out=d.lam)
         np.subtract(self.d_lo, cols, out=d.lam1)
@@ -357,28 +332,6 @@ class _FloatStep:
         np.add(x.z, dz, out=out.z)
         np.maximum(0.0, out.z, out=out.z)
         return capped
-
-
-def euler_step(state: SolverState, inst: ReliefInstance, variant: str = SIMPLIFIED) -> SolverState:
-    """One projected step; every family reads only the time-t state, so the
-    result is independent of evaluation order."""
-    if variant not in (SIMPLIFIED, FULL):
-        raise ValueError(f"unknown variant {variant!r}")
-    step = _FloatStep(inst, variant)
-    nxt = step.empty()
-    step.advance(step.pack(state), nxt, step_size(state.t))
-    return SolverState(q=nxt.q, lam=nxt.lam, lam1=nxt.lam1, lam2=nxt.lam2, t=state.t + 1)
-
-
-def objective(inst: ReliefInstance, q: np.ndarray, variant: str = SIMPLIFIED) -> float:
-    q = np.asarray(q, dtype=float)
-    value = float(
-        -np.sum(inst.omega[:, None] * inst.gamma / inst.beta[:, None] * q)
-        + np.sum((inst.cost_a * q + inst.cost_b) ** 2 / inst.beta[:, None])
-    )
-    if variant == FULL:
-        value -= float(np.sum(inst.vis_k * np.sqrt(q.sum(axis=0))))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +410,6 @@ def scaled_emission(magnitude: int, w: int) -> int:
     return magnitude // 10 + (1 if magnitude % 10 >= 5 else 0)
 
 
-@dataclass
-class QuantizedState:
-    """Counts at scale 10^p; value = count / 10^p."""
-
-    q: list[list[int]]
-    lam: list[int]
-    lam1: list[int]
-    lam2: list[int]
-    t: int
-    p: int
-
-    @classmethod
-    def initial(cls, inst: ReliefInstance, p: int) -> "QuantizedState":
-        P = 10**p
-        return cls(
-            q=[[P] * inst.n for _ in range(inst.m)],
-            lam=[0] * inst.m,
-            lam1=[0] * inst.n,
-            lam2=[0] * inst.n,
-            t=0,
-            p=p,
-        )
-
-
 #: Below this bound on every constant and count the packed integer step runs
 #: in int64 without overflow (see "Cost" above).
 _INT64_SAFE = 1 << 31
@@ -517,8 +446,9 @@ class _QuantizedStep:
         self.dlo = np.array(k.dlo, dtype)
         self.dhi = np.array(k.dhi, dtype)
 
-    def pack(self, state: QuantizedState) -> np.ndarray:
-        counts = [c for row in state.q for c in row] + state.lam + state.lam1 + state.lam2
+    def pack(self, counts: list[int]) -> np.ndarray:
+        """Counts in the packed order (q row-major, lam, lam1, lam2) as one
+        vector; Python ints from here on if one lies outside the int64 bound."""
         if not all(0 <= c < _INT64_SAFE for c in counts):
             self._use(object)
         return np.array(counts, self.dtype)
@@ -552,26 +482,6 @@ class _QuantizedStep:
         return nxt
 
 
-def _unpack(z: np.ndarray, m: int, n: int) -> tuple[list, list, list, list]:
-    """(q, lam, lam1, lam2) of a packed vector as lists of Python ints."""
-    c = z.tolist()
-    mn = m * n
-    q = [c[i * n:(i + 1) * n] for i in range(m)]
-    return q, c[mn:mn + m], c[mn + m:mn + m + n], c[mn + m + n:]
-
-
-def quantized_euler_step(
-    state: QuantizedState,
-    inst: ReliefInstance,
-    constants: FixedPointConstants | None = None,
-) -> QuantizedState:
-    """One integer iteration, bit-exact against the generated membrane system."""
-    k = constants if constants is not None else fixed_point_constants(inst, state.p)
-    step = _QuantizedStep(k)
-    z = step(step.pack(state), quantized_halvings(state.t))
-    return QuantizedState(*_unpack(z, step.m, step.n), t=state.t + 1, p=state.p)
-
-
 def _quantized_states(
     inst: ReliefInstance, p: int, max_iter: int
 ) -> Iterator[tuple[np.ndarray, bool]]:
@@ -580,7 +490,7 @@ def _quantized_states(
     system).  Stops after the first such iterate or after max_iter iterates."""
     step = _QuantizedStep(fixed_point_constants(inst, p))
     mn = step.mn
-    z = step.pack(QuantizedState.initial(inst, p))
+    z = step.pack([10**p] * mn + [0] * (step.m + 2 * step.n))
     yield z, False
     for t in range(max_iter):
         nxt = step(z, quantized_halvings(t))
@@ -637,18 +547,6 @@ def feasibility_residuals(inst: ReliefInstance, q: np.ndarray) -> dict[str, np.n
     }
 
 
-def stationarity_residual(
-    inst: ReliefInstance, report: EquilibriumReport, variant: str | None = None
-) -> np.ndarray:
-    """Drift of the q update at the reported point.  At an exact equilibrium
-    the drift vanishes wherever q_kl > 0 and is non-positive on the boundary
-    q_kl = 0."""
-    variant = variant or (SIMPLIFIED if report.variant == QUANTIZED else report.variant)
-    step = _FloatStep(inst, variant)
-    step.drift(step.pack(SolverState(q=report.q_star, lam=report.lam, lam1=report.lam1, lam2=report.lam2)))
-    return step.d.q
-
-
 @np.errstate(all="ignore")  # an overflow is reported as ValueError below
 def solve(
     inst: ReliefInstance,
@@ -692,7 +590,9 @@ def solve(
             raise ValueError("tol must be finite")
         p = None  # the float iteration has no precision exponent
         step = _FloatStep(inst, variant)
-        cur, nxt = step.pack(SolverState.initial(inst)), step.empty()
+        cur, nxt = step.empty(), step.empty()
+        cur.z[:] = 0.0
+        cur.q[...] = 1.0
         dq = np.empty((inst.m, inst.n))
         converged = False
         caps = t = 0

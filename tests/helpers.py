@@ -2,8 +2,9 @@
 firing-plan enumerator used as an independent oracle for selection semantics,
 a reference selector that walks every rule on every greedy pass, a reference
 commit on ``Counter`` copies, reference solver steps that evaluate the update formulas array by array
-(float) and cell by cell (integer), and a reference ``.psys`` reader that
-builds one token object per token."""
+(float) and cell by cell (integer) on a ``State`` of their own, adapters that
+drive relief's prepared steps on such a state, and a reference ``.psys``
+reader that builds one token object per token."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -474,9 +476,58 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
 # ---------------------------------------------------------------------------
 
 
-def reference_gradient_pack(inst: relief.ReliefInstance, state: relief.SolverState, variant: str):
+class State(NamedTuple):
+    """One iterate at iteration t: float arrays on the float route, lists of
+    counts on the integer route."""
+
+    q: Any      # (m, n)
+    lam: Any    # (m,)
+    lam1: Any   # (n,)
+    lam2: Any   # (n,)
+    t: int = 0
+
+
+def flat(state: State) -> list:
+    """The state's values in the packed order (q row-major, lam, lam1, lam2)."""
+    return [c for row in state.q for c in row] + [*state.lam, *state.lam1, *state.lam2]
+
+
+def count_start(inst: relief.ReliefInstance, p: int) -> State:
+    """The integer route's start: every flow at 10^p counts, every multiplier 0."""
+    return State([[10**p] * inst.n for _ in range(inst.m)], [0] * inst.m, [0] * inst.n,
+                 [0] * inst.n)
+
+
+def float_drift(step: relief._FloatStep, state: State) -> tuple[np.ndarray, int]:
+    """A copy of the prepared float step's q drift at state, and its
+    visibility cap count."""
+    x = step.empty()
+    x.z[:] = flat(state)
+    capped = step.drift(x)
+    return step.d.q.copy(), capped
+
+
+def float_step(step: relief._FloatStep, state: State) -> tuple[State, int]:
+    """The prepared float step from state, and the visibility caps it hit."""
+    x, out = step.empty(), step.empty()
+    x.z[:] = flat(state)
+    capped = step.advance(x, out, relief.step_size(state.t))
+    return State(out.q, out.lam, out.lam1, out.lam2, state.t + 1), capped
+
+
+def count_step(step: relief._QuantizedStep, state: State) -> State:
+    """The prepared integer step from state, as lists of Python ints."""
+    c = step(step.pack(flat(state)), relief.quantized_halvings(state.t)).tolist()
+    m, n = step.m, step.n
+    mn = m * n
+    return State([c[i * n:(i + 1) * n] for i in range(m)], c[mn:mn + m], c[mn + m:mn + m + n],
+                 c[mn + m + n:], state.t + 1)
+
+
+def reference_gradient_pack(inst: relief.ReliefInstance, state: State, variant: str):
     """Parenthesized drift of each update family, before scaling by a_t, and
-    the number of visibility derivatives capped at an empty column."""
+    the number of visibility derivatives capped at a column sum below
+    ``VISIBILITY_FLOOR``."""
     q = state.q
     cols = q.sum(axis=0)
     g = (
@@ -488,8 +539,9 @@ def reference_gradient_pack(inst: relief.ReliefInstance, state: relief.SolverSta
     )
     capped = 0
     if variant == relief.FULL:
-        safe = np.where(cols > 0.0, cols, relief.VISIBILITY_FLOOR)
-        capped = int(np.count_nonzero(cols <= 0.0))
+        below = cols < relief.VISIBILITY_FLOOR
+        capped = int(np.count_nonzero(below))
+        safe = np.where(below, relief.VISIBILITY_FLOOR, cols)
         g = g + (inst.vis_k / (2.0 * np.sqrt(safe)))[None, :]
     dl = -inst.s + q.sum(axis=1)
     d1 = -cols + inst.d_lo
@@ -497,12 +549,12 @@ def reference_gradient_pack(inst: relief.ReliefInstance, state: relief.SolverSta
     return g, dl, d1, d2, capped
 
 
-def reference_projected_step(state: relief.SolverState, inst: relief.ReliefInstance,
-                             variant: str) -> tuple[relief.SolverState, int]:
+def reference_projected_step(state: State, inst: relief.ReliefInstance,
+                             variant: str) -> tuple[State, int]:
     """One projected step and the visibility caps hit on the time-t state."""
     a = relief.step_size(state.t)
     g, dl, d1, d2, capped = reference_gradient_pack(inst, state, variant)
-    nxt = relief.SolverState(
+    nxt = State(
         q=np.maximum(0.0, state.q + a * g),
         lam=np.maximum(0.0, state.lam + a * dl),
         lam1=np.maximum(0.0, state.lam1 + a * d1),
@@ -516,7 +568,7 @@ def reference_solve(inst: relief.ReliefInstance, variant: str, tol: float,
                     max_iter: int) -> relief.EquilibriumReport:
     """``relief.solve`` for the float variants, stepping with
     ``reference_projected_step``; ``solve`` must return equal arrays."""
-    state = relief.SolverState.initial(inst)
+    state = State(np.ones((inst.m, inst.n)), np.zeros(inst.m), np.zeros(inst.n), np.zeros(inst.n))
     converged = False
     caps = 0
     for _ in range(max_iter):
@@ -545,11 +597,11 @@ def _reference_project(retained: int, drift: int, w: int) -> int:
     return max(0, retained - delta)
 
 
-def reference_quantized_step(state: relief.QuantizedState, inst: relief.ReliefInstance,
-                             k: relief.FixedPointConstants) -> relief.QuantizedState:
+def reference_quantized_step(state: State, inst: relief.ReliefInstance,
+                             k: relief.FixedPointConstants) -> State:
     """The integer iteration cell by cell through the gadget definitions
-    ``div_round_half`` and ``scaled_emission``; ``quantized_euler_step`` must
-    return the same counts."""
+    ``div_round_half`` and ``scaled_emission``; the prepared integer step
+    must return the same counts."""
     m, n = inst.m, inst.n
     w = relief.quantized_halvings(state.t)
     rows = [sum(state.q[i]) for i in range(m)]
@@ -574,8 +626,7 @@ def reference_quantized_step(state: relief.QuantizedState, inst: relief.ReliefIn
     new_lam = [_reference_project(state.lam[i], rows[i] - k.supply[i], w) for i in range(m)]
     new_lam1 = [_reference_project(state.lam1[j], k.dlo[j] - cols[j], w) for j in range(n)]
     new_lam2 = [_reference_project(state.lam2[j], cols[j] - k.dhi[j], w) for j in range(n)]
-    return relief.QuantizedState(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2,
-                                 t=state.t + 1, p=state.p)
+    return State(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ from psrelief.psystem import Configuration
 from psrelief.relief import (
     QUANTIZED,
     SIMPLIFIED,
+    _FloatStep,
+    _QuantizedStep,
+    fixed_point_constants,
     quantized_trajectory,
     solve,
     step_size,
@@ -30,7 +33,8 @@ from psrelief.relief import (
 from psrelief.stats import compare
 from psrelief.trace import run_generated
 
-from helpers import enumerate_maximal_plans, random_small_system, ms, rules_by_id
+from helpers import (State, count_step, enumerate_maximal_plans, float_step, random_small_system, ms,
+                     rules_by_id)
 from test_relief import derived_1x1, katrina_shaped, random_instance
 from test_stats import load_table
 
@@ -215,27 +219,25 @@ def test_criterion_8_property_suites():
     rng = random.Random(0xACCE)
 
     # projection non-negativity (float and quantized)
-    from psrelief.relief import (QuantizedState, SolverState, euler_step,
-                                 quantized_euler_step)
     for _ in range(100):
         inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 2))
-        state = SolverState(
+        state = State(
             q=np.array([[rng.uniform(0, 4) for _ in range(inst.n)] for _ in range(inst.m)]),
             lam=np.array([rng.uniform(0, 2) for _ in range(inst.m)]),
             lam1=np.array([rng.uniform(0, 2) for _ in range(inst.n)]),
             lam2=np.array([rng.uniform(0, 2) for _ in range(inst.n)]),
             t=rng.randint(0, 1500),
         )
-        nxt = euler_step(state, inst, SIMPLIFIED)
+        nxt, _ = float_step(_FloatStep(inst, SIMPLIFIED), state)
         assert all(np.all(a >= 0) for a in (nxt.q, nxt.lam, nxt.lam1, nxt.lam2))
-        qstate = QuantizedState(
+        qstate = State(
             q=[[rng.randint(0, 4000) for _ in range(inst.n)] for _ in range(inst.m)],
             lam=[rng.randint(0, 2000) for _ in range(inst.m)],
             lam1=[rng.randint(0, 2000) for _ in range(inst.n)],
             lam2=[rng.randint(0, 2000) for _ in range(inst.n)],
-            t=rng.randint(0, 3000), p=3,
+            t=rng.randint(0, 3000),
         )
-        qnxt = quantized_euler_step(qstate, inst)
+        qnxt = count_step(_QuantizedStep(fixed_point_constants(inst, 3)), qstate)
         assert all(c >= 0 for row in qnxt.q for c in row)
         assert all(c >= 0 for vec in (qnxt.lam, qnxt.lam1, qnxt.lam2) for c in vec)
 

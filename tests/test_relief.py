@@ -12,27 +12,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_quantized_step, reference_solve
+from helpers import (
+    State,
+    count_start,
+    count_step,
+    flat,
+    float_drift,
+    float_step,
+    reference_gradient_pack,
+    reference_quantized_step,
+    reference_solve,
+)
 from psrelief import relief
 from psrelief.relief import (
     FULL,
     QUANTIZED,
     SIMPLIFIED,
+    VISIBILITY_FLOOR,
     EquilibriumReport,
-    QuantizedState,
     ReliefInstance,
-    SolverState,
+    _FloatStep,
+    _QuantizedStep,
     div_round_half,
-    euler_step,
     fixed_point_constants,
-    objective,
-    quantized_euler_step,
     quantized_halvings,
     quantized_trajectory,
     scaled_emission,
     schedule_exponent,
     solve,
-    stationarity_residual,
     step_size,
     validate,
 )
@@ -184,14 +191,19 @@ class TestSchedule:
         assert quantized_halvings(12288 + 4096) == 12
 
 
+def at_zero_multipliers(q: np.ndarray) -> State:
+    """The float state q with every multiplier at 0."""
+    m, n = q.shape
+    return State(q, np.zeros(m), np.zeros(n), np.zeros(n))
+
+
 def visibility_derivative(inst: ReliefInstance, q: np.ndarray) -> np.ndarray:
-    """Visibility part of the q drift at q: the full gradient less the
+    """Visibility part of the q drift at q: the full drift less the
     simplified one."""
-    report = EquilibriumReport(
-        q_star=q, lam=np.zeros(inst.m), lam1=np.zeros(inst.n), lam2=np.zeros(inst.n),
-        iterations=0, converged=True, variant=FULL, tol=1e-5,
-    )
-    return stationarity_residual(inst, report, FULL) - stationarity_residual(inst, report, SIMPLIFIED)
+    state = at_zero_multipliers(q)
+    full, _ = float_drift(_FloatStep(inst, FULL), state)
+    simplified, _ = float_drift(_FloatStep(inst, SIMPLIFIED), state)
+    return full - simplified
 
 
 class TestVisibility:
@@ -209,13 +221,21 @@ class TestVisibility:
         q = np.zeros((1, 1))
         assert visibility_derivative(inst, q)[0][0] == pytest.approx(0.5 * 1000.0)
 
+    @pytest.mark.parametrize("q, caps", [(0.0, 1), (1e-8, 1), (1e-300, 1), (VISIBILITY_FLOOR, 0)])
+    def test_cap_applies_below_the_floor(self, q, caps):
+        # 1 - 2q from the cost, and vis/2 * VISIBILITY_FLOOR**-0.5 = 500
+        inst, state = derived_1x1(), at_zero_multipliers(np.array([[q]]))
+        g, capped = float_drift(_FloatStep(inst, FULL), state)
+        assert g[0][0] == pytest.approx(501.0) and capped == caps
+        g, _, _, _, capped = reference_gradient_pack(inst, state, FULL)
+        assert g[0][0] == pytest.approx(501.0) and capped == caps
+
 
 class TestEulerStep:
     def test_fixed_point_of_derived_instance(self):
         inst = derived_1x1()
-        state = SolverState(q=np.array([[0.5]]), lam=np.zeros(1),
-                            lam1=np.zeros(1), lam2=np.zeros(1), t=0)
-        nxt = euler_step(state, inst, SIMPLIFIED)
+        state = at_zero_multipliers(np.array([[0.5]]))
+        nxt, _ = float_step(_FloatStep(inst, SIMPLIFIED), state)
         assert nxt.q[0][0] == pytest.approx(0.5)
         assert nxt.t == 1
 
@@ -223,25 +243,21 @@ class TestEulerStep:
         inst = ReliefInstance(m=1, n=1, s=[10.0], d_lo=[0.0], d_hi=[100.0],
                               gamma=[[1.0]], omega=[1.0], beta=[1.0],
                               cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
-        state = SolverState(q=np.array([[5.0]]), lam=np.zeros(1),
-                            lam1=np.zeros(1), lam2=np.zeros(1), t=0)
-        nxt = euler_step(state, inst, SIMPLIFIED)
+        nxt, _ = float_step(_FloatStep(inst, SIMPLIFIED), at_zero_multipliers(np.array([[5.0]])))
         assert nxt.lam[0] == 0.0  # max(0, 0.1 * (-10 + 5))
 
     def test_demand_multiplier_arithmetic(self):
         inst = ReliefInstance(m=1, n=1, s=[10.0], d_lo=[5.0], d_hi=[100.0],
                               gamma=[[1.0]], omega=[1.0], beta=[1.0],
                               cost_a=[[1.0]], cost_b=[[1.0]], vis_k=[1.0])
-        state = SolverState(q=np.zeros((1, 1)), lam=np.zeros(1),
-                            lam1=np.zeros(1), lam2=np.zeros(1), t=0)
-        nxt = euler_step(state, inst, SIMPLIFIED)
+        nxt, _ = float_step(_FloatStep(inst, SIMPLIFIED), at_zero_multipliers(np.zeros((1, 1))))
         assert nxt.lam1[0] == pytest.approx(0.5)  # 0.1 * (5 - 0)
 
     def test_projection_nonnegative_property(self):
         rng = random.Random(12)
         for _ in range(120):
             inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3))
-            state = SolverState(
+            state = State(
                 q=np.abs(np.array([[rng.uniform(0, 4) for _ in range(inst.n)] for _ in range(inst.m)])),
                 lam=np.abs(np.array([rng.uniform(0, 2) for _ in range(inst.m)])),
                 lam1=np.abs(np.array([rng.uniform(0, 2) for _ in range(inst.n)])),
@@ -249,7 +265,7 @@ class TestEulerStep:
                 t=rng.randint(0, 2000),
             )
             for variant in (SIMPLIFIED, FULL):
-                nxt = euler_step(state, inst, variant)
+                nxt, _ = float_step(_FloatStep(inst, variant), state)
                 for arr in (nxt.q, nxt.lam, nxt.lam1, nxt.lam2):
                     assert np.all(arr >= 0)
 
@@ -258,14 +274,14 @@ class TestEulerStep:
         rng = random.Random(77)
         for _ in range(40):
             inst = random_instance(rng, 2, 2)
-            state = SolverState(
+            state = State(
                 q=np.array([[rng.uniform(0, 3) for _ in range(2)] for _ in range(2)]),
                 lam=np.array([rng.uniform(0, 2) for _ in range(2)]),
                 lam1=np.array([rng.uniform(0, 2) for _ in range(2)]),
                 lam2=np.array([rng.uniform(0, 2) for _ in range(2)]),
                 t=rng.randint(0, 1500),
             )
-            nxt = euler_step(state, inst, SIMPLIFIED)
+            nxt, _ = float_step(_FloatStep(inst, SIMPLIFIED), state)
             a = step_size(state.t)
             for order in ((0, 1), (1, 0)):
                 for i in order:
@@ -277,25 +293,6 @@ class TestEulerStep:
                             - state.lam[i] + state.lam1[j] - state.lam2[j]
                         )
                         assert nxt.q[i][j] == pytest.approx(max(0.0, state.q[i][j] + a * drift))
-
-
-class TestObjective:
-    def test_derived_value(self):
-        inst = derived_1x1()
-        assert objective(inst, np.array([[0.5]]), SIMPLIFIED) == pytest.approx(-0.25)
-
-    def test_zero_flow_leaves_cost_offsets(self):
-        rng = random.Random(3)
-        inst = random_instance(rng, 2, 2)
-        want = float(np.sum(inst.cost_b**2 / inst.beta[:, None]))
-        assert objective(inst, np.zeros((2, 2)), SIMPLIFIED) == pytest.approx(want)
-
-    def test_full_adds_visibility(self):
-        rng = random.Random(4)
-        inst = random_instance(rng, 2, 2)
-        q = np.full((2, 2), 2.0)
-        gap = objective(inst, q, SIMPLIFIED) - objective(inst, q, FULL)
-        assert gap == pytest.approx(float(np.sum(inst.vis_k * np.sqrt(q.sum(axis=0)))))
 
 
 class TestQuantizedGadgets:
@@ -342,7 +339,7 @@ class TestQuantizedGadgets:
         inst = derived_1x1()
         cons = dataclasses.replace(fixed_point_constants(inst, 1), **{field: value})
         with pytest.raises(ValueError, match=f"^{message}$"):
-            quantized_euler_step(QuantizedState.initial(inst, 1), inst, cons)
+            _QuantizedStep(cons)
 
     def test_constants_are_decimal_exact(self):
         inst = ReliefInstance(m=1, n=1, s=[1.0], d_lo=[0.0], d_hi=[1.0],
@@ -355,8 +352,8 @@ class TestQuantizedGadgets:
 
     def test_projection_cancels_against_retained(self):
         inst = derived_1x1()
-        state = QuantizedState(q=[[1000]], lam=[0], lam1=[0], lam2=[0], t=0, p=3)
-        nxt = quantized_euler_step(state, inst)
+        state = State(q=[[1000]], lam=[0], lam1=[0], lam2=[0], t=0)
+        nxt = count_step(_QuantizedStep(fixed_point_constants(inst, 3)), state)
         # drift = 1000 - 2*1000 = -1000, emission 100
         assert nxt.q == [[900]]
         assert nxt.lam == [0] and nxt.lam1 == [0] and nxt.lam2 == [0]
@@ -365,22 +362,21 @@ class TestQuantizedGadgets:
         inst = ReliefInstance(m=1, n=1, s=[4.0], d_lo=[0.0], d_hi=[4.0],
                               gamma=[[1.0]], omega=[1.0], beta=[1.0],
                               cost_a=[[4.0]], cost_b=[[4.0]], vis_k=[1.0])
-        state = QuantizedState.initial(inst, 2)
-        nxt = quantized_euler_step(state, inst)
+        nxt = count_step(_QuantizedStep(fixed_point_constants(inst, 2)), count_start(inst, 2))
         assert all(c >= 0 for row in nxt.q for c in row)
 
     def test_quantized_projection_property(self):
         rng = random.Random(9)
         for _ in range(120):
             inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 2))
-            state = QuantizedState(
+            state = State(
                 q=[[rng.randint(0, 4000) for _ in range(inst.n)] for _ in range(inst.m)],
                 lam=[rng.randint(0, 2000) for _ in range(inst.m)],
                 lam1=[rng.randint(0, 2000) for _ in range(inst.n)],
                 lam2=[rng.randint(0, 2000) for _ in range(inst.n)],
-                t=rng.randint(0, 3000), p=3,
+                t=rng.randint(0, 3000),
             )
-            nxt = quantized_euler_step(state, inst)
+            nxt = count_step(_QuantizedStep(fixed_point_constants(inst, 3)), state)
             for rows in (nxt.q,):
                 assert all(c >= 0 for row in rows for c in row)
             for vec in (nxt.lam, nxt.lam1, nxt.lam2):
@@ -394,12 +390,13 @@ class TestQuantizedGadgets:
             m, n = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
             inst = random_instance(rng, m, n)
             p, P = 3, 1000
-            cons = fixed_point_constants(inst, p)
-            fs = SolverState.initial(inst)
-            qs = QuantizedState.initial(inst, p)
+            float_route = _FloatStep(inst, SIMPLIFIED)
+            integer_route = _QuantizedStep(fixed_point_constants(inst, p))
+            fs = State(np.ones((m, n)), np.zeros(m), np.zeros(n), np.zeros(n))
+            qs = count_start(inst, p)
             for t in range(1, 201):
-                fs = euler_step(fs, inst, SIMPLIFIED)
-                qs = quantized_euler_step(qs, inst, cons)
+                fs, _ = float_step(float_route, fs)
+                qs = count_step(integer_route, qs)
                 err = max(abs(qs.q[i][j] / P - fs.q[i][j]) for i in range(m) for j in range(n))
                 assert err <= C * t / P, (t, err)
 
@@ -407,10 +404,6 @@ class TestQuantizedGadgets:
 #: The packed integer step computes in int64 while every constant and count is
 #: below this bound (relief module docstring, "Cost").
 INT64_SAFE = 2**31
-
-
-def counts(state: QuantizedState) -> list[int]:
-    return [c for row in state.q for c in row] + state.lam + state.lam1 + state.lam2
 
 
 def crossing_instance() -> ReliefInstance:
@@ -481,17 +474,16 @@ class TestReferenceSteps:
             cons = fixed_point_constants(inst, p)
             # counts up to a few times the scale: drifts of both signs, and
             # t on both sides of 10240, where the halving schedule changes
-            state = QuantizedState(
+            state = State(
                 q=[[rng.randint(0, 4 * P) for _ in range(inst.n)] for _ in range(inst.m)],
                 lam=[rng.randint(0, 2 * P) for _ in range(inst.m)],
                 lam1=[rng.randint(0, 2 * P) for _ in range(inst.n)],
                 lam2=[rng.randint(0, 2 * P) for _ in range(inst.n)],
                 t=rng.choice([0, 1023, 10239, 10240, 12287, 12288])
                 if trial % 3 == 0 else rng.randint(0, 60000),
-                p=p,
             )
             want = reference_quantized_step(state, inst, cons)
-            assert quantized_euler_step(state, inst, cons) == want
+            assert count_step(_QuantizedStep(cons), state) == want
             cells = [(a, b) for ra, rb in zip(want.q, state.q) for a, b in zip(ra, rb)]
             grew += sum(a > b for a, b in cells)
             shrank += sum(a < b for a, b in cells)
@@ -512,15 +504,14 @@ class TestReferenceSteps:
             def draw(size):
                 return [rng.randint(lo, hi - 1) for _ in range(size)]
 
-            state = QuantizedState(q=[draw(inst.n) for _ in range(inst.m)], lam=draw(inst.m),
-                                   lam1=draw(inst.n), lam2=draw(inst.n),
-                                   t=rng.randint(0, 60000), p=3)
+            state = State(q=[draw(inst.n) for _ in range(inst.m)], lam=draw(inst.m),
+                          lam1=draw(inst.n), lam2=draw(inst.n), t=rng.randint(0, 60000))
             want = reference_quantized_step(state, inst, cons)
-            assert quantized_euler_step(state, inst, cons) == want
-            if max(counts(state)) < INT64_SAFE:
-                crossed += max(counts(want)) >= INT64_SAFE
+            assert count_step(_QuantizedStep(cons), state) == want
+            if max(flat(state)) < INT64_SAFE:
+                crossed += max(flat(want)) >= INT64_SAFE
             else:
-                straddled += min(counts(state)) < INT64_SAFE
+                straddled += min(flat(state)) < INT64_SAFE
         assert crossed and straddled
 
     def test_trajectory_equals_reference_chain_across_int64_bound(self):
@@ -529,14 +520,14 @@ class TestReferenceSteps:
         constants = [c for table in (cons.k0, cons.k1, cons.slope) for row in table for c in row]
         constants += cons.den + cons.half + cons.supply + cons.dlo + cons.dhi
         assert max(constants) < INT64_SAFE
-        state = QuantizedState.initial(inst, p)
-        assert max(counts(state)) < INT64_SAFE
+        state = count_start(inst, p)
+        assert max(flat(state)) < INT64_SAFE
         traj, _ = quantized_trajectory(inst, p, steps)
         assert len(traj) == steps + 1
         crossing = None
         for got in traj:
             assert got == state.q, state.t
-            if crossing is None and max(counts(state)) >= INT64_SAFE:
+            if crossing is None and max(flat(state)) >= INT64_SAFE:
                 crossing = state.t
             state = reference_quantized_step(state, inst, cons)
         assert crossing == 872
@@ -555,12 +546,12 @@ class TestPythonIntCounts:
         inst, P = demo_2x2(), 10**p
         traj, _ = quantized_trajectory(inst, p, 30)
         assert all(type(c) is int for q in traj for row in q for c in row)
-        state = QuantizedState.initial(inst, p)
+        step, state = _QuantizedStep(fixed_point_constants(inst, p)), count_start(inst, p)
         for want in traj[1:]:
-            state = quantized_euler_step(state, inst)
+            state = count_step(step, state)
             assert state.q == want
-            assert all(type(c) is int for c in counts(state))
-        json.dumps([traj, dataclasses.asdict(state)])
+            assert all(type(c) is int for c in flat(state))
+        json.dumps([traj, state._asdict()])
         report = solve(inst, QUANTIZED, max_iter=30, p=p)
         assert report.iterations == state.t == len(traj) - 1
         assert report.q_star.tolist() == [[c / P for c in row] for row in state.q]
@@ -701,17 +692,13 @@ class TestStationarity:
     def test_zero_at_constructed_fixed_point(self):
         inst = derived_1x1()
         report = solve(inst, SIMPLIFIED, tol=1e-5, max_iter=5000)
-        g = stationarity_residual(inst, report, SIMPLIFIED)
+        state = State(report.q_star, report.lam, report.lam1, report.lam2)
+        g, _ = float_drift(_FloatStep(inst, SIMPLIFIED), state)
         assert abs(g[0][0]) < 1e-3
 
     def test_boundary_cells_may_have_negative_drift(self):
         inst = ReliefInstance(m=1, n=1, s=[10.0], d_lo=[0.0], d_hi=[10.0],
                               gamma=[[1.0]], omega=[1.0], beta=[1.0],
                               cost_a=[[1.0]], cost_b=[[5.0]], vis_k=[1.0])
-        report = EquilibriumReport(
-            q_star=np.zeros((1, 1)), lam=np.zeros(1), lam1=np.zeros(1),
-            lam2=np.zeros(1), iterations=0, converged=True,
-            variant=SIMPLIFIED, tol=1e-5,
-        )
-        g = stationarity_residual(inst, report, SIMPLIFIED)
+        g, _ = float_drift(_FloatStep(inst, SIMPLIFIED), at_zero_multipliers(np.zeros((1, 1))))
         assert g[0][0] < 0  # 1 - 10 at the q = 0 boundary: passes
