@@ -33,12 +33,12 @@ from psrelief.psystem import (
     ENVIRONMENT_LABEL,
     DefinitionError,
     Polarization,
+    Problem,
     PSystemDef,
     Rule,
     RuleKind,
     _gc_paused,
-    _priority_cycles,
-    _tree_cycles,
+    problems,
 )
 
 
@@ -164,22 +164,24 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
 @_gc_paused()
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse a system description; on failure the result carries at least one
-    positioned error diagnostic and no definition."""
+    positioned error diagnostic and no definition.  Apart from each line's own
+    faults and the ``prio ... @ LABEL`` membrane, the faults are those of
+    ``psystem.problems``, placed at the part they concern."""
     if isinstance(doc, str):
         doc = SourceDocument(text=doc)
     if not isinstance(doc.text, str):
         return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
     diags: list[ParseDiagnostic] = []
     parent: dict[str, str | None] = {}
-    pending_parents: list[tuple[str, str, int, str]] = []
+    membrane_at: dict[str, tuple[int, str]] = {}
     initial: dict[str, Multiset] = {}
     init_line: dict[str, int] = {}
     rules: list[Rule] = []
     rule_line: dict[str, int] = {}
     priorities: list[tuple[str, str]] = []
-    prio_lines: list[tuple[str, str, int, str, str | None]] = []
-    output: str | None = None
-    output_pos: tuple[int, str] | None = None
+    prio_lines: list[tuple[int, str, str | None]] = []
+    output: str = ENVIRONMENT_LABEL
+    output_at: tuple[int, str] | None = None
 
     for line_no, raw in enumerate(doc.text.splitlines(), start=1):
         end = _LINE_RE.match(raw).end()
@@ -210,25 +212,25 @@ def parse(doc: SourceDocument | str) -> ParseResult:
                 if toks[i] != _END:
                     raise _Bail("unexpected trailing input", i)
                 priorities.append((hi, lo))
-                prio_lines.append((hi, lo, line_no, raw, at_label))
+                prio_lines.append((line_no, raw, at_label))
             elif head == "membrane":
                 lab = _word(toks, 1, _LABEL_START, "a membrane label")
                 if lab in parent:
                     raise _Bail(f"membrane {lab!r} already declared", 0)
                 parent[lab] = None
+                membrane_at[lab] = (line_no, raw)
                 if toks[2] != _END:
                     _word(toks, 2, _IDENT_START, "'in PARENT' or end of line")
                     if toks[2] != "in":
                         raise _Bail("expected 'in'", 2)
-                    par = _word(toks, 3, _LABEL_START, "a parent label")
-                    pending_parents.append((lab, par, line_no, raw))
+                    parent[lab] = _word(toks, 3, _LABEL_START, "a parent label")
                     if toks[4] != _END:
                         raise _Bail("unexpected trailing input", 4)
             elif head == "output":
-                if output is not None:
+                if output_at is not None:
                     raise _Bail("output already declared", 0)
                 output = _word(toks, 1, _LABEL_START, "a label or 'environment'")
-                output_pos = (line_no, raw)
+                output_at = (line_no, raw)
                 if toks[2] != _END:
                     raise _Bail("unexpected trailing input", 2)
             elif head == "init":
@@ -245,74 +247,36 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         except _Bail as bail:
             diags.append(ParseDiagnostic("error", bail.message, line_no, _column(raw, bail.index)))
 
-    # resolve structure
-    for lab, par, line_no, raw in pending_parents:
-        if par not in parent:
-            diags.append(ParseDiagnostic("error", f"unknown parent membrane {par!r}", line_no, _column(raw, 3)))
-        else:
-            parent[lab] = par
-    if not parent:
-        diags.append(ParseDiagnostic("error", "no membranes declared", 1, 1))
-    roots = [lab for lab, par in parent.items() if par is None]
-    if parent and len(roots) != 1:
-        diags.append(ParseDiagnostic(
-            "error",
-            f"expected exactly one root membrane, found {sorted(roots)}",
-            1, 1,
-        ))
-    if output is None:
-        output = ENVIRONMENT_LABEL
-    elif output != ENVIRONMENT_LABEL and output not in parent:
-        diags.append(ParseDiagnostic(
-            "error", f"output region {output!r} is not a declared membrane",
-            output_pos[0], _column(output_pos[1], 1),
-        ))
-    for lab, line_no in init_line.items():
-        if lab not in parent:
-            diags.append(ParseDiagnostic("error", f"init for unknown membrane {lab!r}", line_no, 1))
-    skin = roots[0] if len(roots) == 1 else None
-    for rule in rules:
-        line_no = rule_line[rule.id]
-        if rule.membrane not in parent:
-            diags.append(ParseDiagnostic(
-                "error", f"rule {rule.id!r} names unknown membrane {rule.membrane!r}", line_no, 1))
-        elif rule.kind is RuleKind.SEND_IN and rule.membrane == skin:
-            diags.append(ParseDiagnostic(
-                "error", f"send-in rule {rule.id!r} targets the skin membrane", line_no, 1))
-    for hi, lo, line_no, raw, at_label in prio_lines:
-        for rid in (hi, lo):
-            if rid not in rule_line:
-                diags.append(ParseDiagnostic(
-                    "error", f"priority references unknown rule {rid!r}", line_no, _column(raw, 1)))
-        if hi == lo:
-            diags.append(ParseDiagnostic(
-                "error", f"priority pair relates rule {hi!r} to itself", line_no, _column(raw, 1)))
+    for line_no, raw, at_label in prio_lines:
         if at_label is not None and at_label not in parent:
             diags.append(ParseDiagnostic(
                 "error", f"priority names unknown membrane {at_label!r}", line_no, _column(raw, 1)))
 
-    if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
+    if diags:
+        found = problems(parent, initial, rules, priorities, output)
+    else:
+        try:
+            return ParseResult(PSystemDef(parent, initial, rules, priorities, output))
+        except DefinitionError as exc:
+            found = exc.problems
 
-    try:
-        definition = PSystemDef(
-            parent=parent,
-            initial=initial,
-            rules=rules,
-            priorities=priorities,
-            output=output,
-        )
-    except DefinitionError:
-        # The checks above cover every condition of psystem.problems() that
-        # one line can show; only the cycles span the whole file.
-        tree_cycles = _tree_cycles(parent)
-        priority_cycles = _priority_cycles(priorities)
-        if not (tree_cycles or priority_cycles):
-            raise
-        diags += [ParseDiagnostic("error", prob, 1, 1) for prob in tree_cycles]
-        diags += [ParseDiagnostic("error", prob, prio_lines[0][2], 1) for prob in priority_cycles]
-        return ParseResult(None, diags)
-    return ParseResult(definition, diags)
+    def position(prob: Problem) -> tuple[int, int]:
+        if prob.part in ("membrane", "parent"):
+            line_no, raw = membrane_at[prob.key]
+            return line_no, _column(raw, 3 if prob.part == "parent" else 1)
+        if prob.part == "output":
+            return output_at[0], _column(output_at[1], 1)
+        if prob.part == "priority":
+            line_no, raw, _ = prio_lines[prob.key]
+            return line_no, _column(raw, 1)
+        if prob.part == "init":
+            return init_line[prob.key], 1
+        if prob.part == "rule":
+            return rule_line[rules[prob.key].id], 1
+        return (prio_lines[0][0] if prob.part == "priorities" else 1), 1
+
+    diags += [ParseDiagnostic("error", str(prob), *position(prob)) for prob in found]
+    return ParseResult(None, diags)
 
 
 def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
@@ -324,7 +288,7 @@ def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
             rhs, i = _multiset(toks, i + 1, _TO_CLOSE)
             i = _expect(toks, i, "]")
             alpha = _polarization(toks, i)
-            membrane = _rule_at(toks, i + 1, lhs)
+            membrane = _rule_at(toks, i + 1)
             return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
@@ -342,19 +306,17 @@ def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
     inner, i = _multiset(toks, _expect(toks, i, "["), _TO_CLOSE)
     i = _expect(toks, i, "]")
     beta = _polarization(toks, i)
-    membrane = _rule_at(toks, i + 1, lhs)
+    membrane = _rule_at(toks, i + 1)
     rhs, aux = (outer, inner) if kind is RuleKind.SEND_OUT else (inner, outer)
     return Rule(id=rid, kind=kind, membrane=membrane, lhs=lhs, rhs=rhs, rhs_aux=aux, alpha=alpha, beta=beta)
 
 
-def _rule_at(toks: list[str], i: int, lhs: Multiset) -> str:
-    """``@ LABEL`` closing a rule whose left-hand side is ``lhs``."""
+def _rule_at(toks: list[str], i: int) -> str:
+    """``@ LABEL`` closing a rule."""
     _expect(toks, i, "@")
     membrane = _word(toks, i + 1, _LABEL_START, "a membrane label")
     if toks[i + 2] != _END:
         raise _Bail("unexpected trailing input", i + 2)
-    if not lhs:
-        raise _Bail("rule left-hand side must not be empty", i + 2)
     return membrane
 
 
@@ -363,11 +325,22 @@ def _rule_at(toks: list[str], i: int, lhs: Multiset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _format_ms(ms: Multiset, where: str) -> str:
+def _writable(name: str, label: bool = False) -> bool:
+    """Whether the grammar reads ``name`` back: an ASCII identifier, or for a
+    membrane label also ASCII digits."""
+    return name.isascii() and (name.isidentifier() or (label and name.isdigit()))
+
+
+def _format_ms(ms: Multiset, where: str, written: set[str]) -> str:
     """Atoms of ``ms`` in symbol order; ``where`` names its place in the
-    error for a count that ``parse`` would reject."""
+    error for a symbol or count that ``parse`` would reject.  ``written``
+    holds the symbols checked so far."""
     atoms = []
     for sym, cnt in ms.sorted_items():
+        if sym not in written:
+            if not _writable(sym):
+                raise DefinitionError(f"symbol {sym!r} in {where} is not a name the .psys format can write")
+            written.add(sym)
         if cnt < _TOO_LONG:
             try:
                 atoms.append(f"{sym}^{cnt}" if cnt > 1 else sym)
@@ -379,16 +352,18 @@ def _format_ms(ms: Multiset, where: str) -> str:
     return " ".join(atoms)
 
 
-def _format_rule(rule: Rule) -> str:
+def _format_rule(rule: Rule, written: set[str]) -> str:
     a, b = rule.alpha.value, rule.beta.value
     where = f"rule {rule.id!r}"
-    lhs = _format_ms(rule.lhs, where)
+    if not _writable(rule.id):
+        raise DefinitionError(f"id of {where} is not a name the .psys format can write")
+    lhs = _format_ms(rule.lhs, where, written)
     if rule.kind is RuleKind.EVOLUTION:
-        body = f"[{lhs} -> {_format_ms(rule.rhs, where)}]'{a}"
+        body = f"[{lhs} -> {_format_ms(rule.rhs, where, written)}]'{a}"
     else:
         out = rule.kind is RuleKind.SEND_OUT
-        outer = _format_ms(rule.rhs if out else rule.rhs_aux, where)
-        inner = _format_ms(rule.rhs_aux if out else rule.rhs, where)
+        outer = _format_ms(rule.rhs if out else rule.rhs_aux, where, written)
+        inner = _format_ms(rule.rhs_aux if out else rule.rhs, where, written)
         head = f"[{lhs}]'{a}" if out else f"{lhs} []'{a}"
         body = f"{head} -> {outer}{' ' if outer else ''}[{inner}]'{b}"
     return f"rule {rule.id}: {body} @ {rule.membrane}"
@@ -397,7 +372,12 @@ def _format_rule(rule: Rule) -> str:
 def serialize(definition: PSystemDef) -> str:
     """Canonical text: sorted membranes/inits/priorities, normalized
     whitespace, rules in declaration order.  parse(serialize(d)) is
-    structurally equal to d."""
+    structurally equal to d.  Raises ``DefinitionError`` for a membrane
+    label, rule id, symbol or count that ``parse`` would reject."""
+    for lab in definition.parent:
+        if not _writable(lab, label=True):
+            raise DefinitionError(f"label of membrane {lab!r} is not a name the .psys format can write")
+    written: set[str] = set()
     lines = ["# psys 1"]
     skin = next(lab for lab, par in definition.parent.items() if par is None)
     lines.append(f"membrane {skin}")
@@ -409,9 +389,9 @@ def serialize(definition: PSystemDef) -> str:
     for lab in sorted(definition.initial):
         ms = definition.initial[lab]
         if ms:
-            lines.append(f"init {lab}: {_format_ms(ms, f'the initial contents of {lab!r}')}")
+            lines.append(f"init {lab}: {_format_ms(ms, f'the initial contents of {lab!r}', written)}")
     for rule in definition.rules:
-        lines.append(_format_rule(rule))
+        lines.append(_format_rule(rule, written))
     for hi, lo in sorted(definition.priorities):
         lines.append(f"prio {hi} > {lo}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -27,6 +28,10 @@ class Multiset:
         self._counts: dict[str, int] = {}
         if counts:
             for sym, cnt in counts.items():
+                try:
+                    cnt = operator.index(cnt)
+                except TypeError:
+                    raise MultisetError(f"count {cnt!r} for {sym!r} is not an integer") from None
                 if cnt < 0:
                     raise MultisetError(f"negative count {cnt} for {sym!r}")
                 if cnt:

@@ -39,7 +39,27 @@ from psrelief.multiset import EMPTY, Multiset
 
 
 class DefinitionError(ValueError):
-    """Raised when a system description violates a structural invariant."""
+    """Raised when a system description violates a structural invariant;
+    ``problems`` lists the violations when ``problems()`` found them."""
+
+    def __init__(self, message: str, problems: Sequence["Problem"] = ()):
+        super().__init__(message)
+        self.problems = list(problems)
+
+
+class Problem(str):
+    """A ``problems`` message with the ``part`` of the definition it concerns
+    ("tree", "membrane", "parent", "output", "init", "rule", "priority" or
+    "priorities") and the ``key`` within that part: a membrane label for
+    "membrane", "parent" and "init", an index for "rule" and "priority"."""
+
+    def __new__(cls, message: str, part: str, key: str | int | None = None) -> "Problem":
+        self = super().__new__(cls, message)
+        self.part, self.key = part, key
+        return self
+
+    def __getnewargs__(self) -> tuple:
+        return str(self), self.part, self.key
 
 
 class _gc_paused:
@@ -135,63 +155,55 @@ def problems(
     rules: Sequence[Rule],
     priorities: Sequence[tuple[str, str]],
     output: str,
-) -> list[str]:
+) -> list[Problem]:
     """All structural violations of a definition with these parts; an empty
     list means they make a valid definition."""
-    out: list[str] = []
+    out: list[Problem] = []
     roots = [lab for lab, par in parent.items() if par is None]
     if len(roots) != 1:
-        out.append(f"expected exactly one root membrane, found {len(roots)}")
+        out.append(Problem(f"expected exactly one root membrane, found {len(roots)}", "tree"))
     for lab, par in parent.items():
+        if lab == ENVIRONMENT_LABEL:
+            out.append(Problem(f"membrane label {lab!r} is reserved for the environment", "membrane", lab))
         if par is not None and par not in parent:
-            out.append(f"membrane {lab!r} has unknown parent {par!r}")
-    out.extend(_tree_cycles(parent))
-    if output != ENVIRONMENT_LABEL and output not in parent:
-        out.append(f"output region {output!r} is not a membrane label")
-    for lab in initial:
-        if lab not in parent:
-            out.append(f"initial contents given for unknown membrane {lab!r}")
-    seen_ids: set[str] = set()
-    skin = roots[0] if len(roots) == 1 else None
-    for r in rules:
-        if r.id in seen_ids:
-            out.append(f"duplicate rule id {r.id!r}")
-        seen_ids.add(r.id)
-        if r.membrane not in parent:
-            out.append(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}")
-            continue
-        if not r.lhs:
-            out.append(f"rule {r.id!r} has an empty left-hand side")
-        if r.kind is RuleKind.EVOLUTION:
-            if r.beta is not r.alpha:
-                out.append(f"evolution rule {r.id!r} cannot change polarization")
-            if r.rhs_aux:
-                out.append(f"evolution rule {r.id!r} cannot carry outer products")
-        if r.kind is RuleKind.SEND_IN and r.membrane == skin:
-            out.append(f"send-in rule {r.id!r} targets the skin membrane")
-    for hi, lo in priorities:
-        for rid in (hi, lo):
-            if rid not in seen_ids:
-                out.append(f"priority pair references unknown rule {rid!r}")
-        if hi == lo:
-            out.append(f"priority pair relates rule {hi!r} to itself")
-    out.extend(_priority_cycles(priorities))
-    return out
-
-
-def _tree_cycles(parent: Mapping[str, str | None]) -> list[str]:
-    """One message per membrane whose chain of parent links runs into a
-    cycle, in declaration order."""
-    out: list[str] = []
+            out.append(Problem(f"membrane {lab!r} has unknown parent {par!r}", "parent", lab))
     for lab in parent:
-        seen = set()
-        cur: str | None = lab
-        while cur is not None:
-            if cur in seen:
-                out.append(f"membrane tree has a cycle through {lab!r}")
-                break
+        seen, cur = set(), lab
+        while cur is not None and cur not in seen:
             seen.add(cur)
             cur = parent.get(cur)
+        if cur is not None:
+            out.append(Problem(f"membrane tree has a cycle through {lab!r}", "tree"))
+    if output != ENVIRONMENT_LABEL and output not in parent:
+        out.append(Problem(f"output region {output!r} is not a membrane label", "output"))
+    for lab in initial:
+        if lab not in parent:
+            out.append(Problem(f"initial contents given for unknown membrane {lab!r}", "init", lab))
+    seen_ids: set[str] = set()
+    skin = roots[0] if len(roots) == 1 else None
+    for i, r in enumerate(rules):
+        if r.id in seen_ids:
+            out.append(Problem(f"duplicate rule id {r.id!r}", "rule", i))
+        seen_ids.add(r.id)
+        if r.membrane not in parent:
+            out.append(Problem(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}", "rule", i))
+            continue
+        if not r.lhs:
+            out.append(Problem(f"rule {r.id!r} has an empty left-hand side", "rule", i))
+        if r.kind is RuleKind.EVOLUTION:
+            if r.beta is not r.alpha:
+                out.append(Problem(f"evolution rule {r.id!r} cannot change polarization", "rule", i))
+            if r.rhs_aux:
+                out.append(Problem(f"evolution rule {r.id!r} cannot carry outer products", "rule", i))
+        if r.kind is RuleKind.SEND_IN and r.membrane == skin:
+            out.append(Problem(f"send-in rule {r.id!r} targets the skin membrane", "rule", i))
+    for i, (hi, lo) in enumerate(priorities):
+        for rid in (hi, lo):
+            if rid not in seen_ids:
+                out.append(Problem(f"priority pair references unknown rule {rid!r}", "priority", i))
+        if hi == lo:
+            out.append(Problem(f"priority pair relates rule {hi!r} to itself", "priority", i))
+    out.extend(Problem(msg, "priorities") for msg in _priority_cycles(priorities))
     return out
 
 
@@ -201,8 +213,10 @@ def _priority_cycles(priorities: Sequence[tuple[str, str]]) -> list[str]:
     Kahn's algorithm strips every rule that is not on a cycle or downstream
     of one; each rule left over has a predecessor that is also left over, so
     walking predecessors from any of them must revisit a rule, and the walk
-    from that rule back to itself is a cycle.
+    from that rule back to itself is a cycle.  A pair relating a rule to
+    itself is a fault of its own, not a cycle.
     """
+    priorities = [(hi, lo) for hi, lo in priorities if hi != lo]
     succ: dict[str, list[str]] = {}
     n_preds: dict[str, int] = {}
     for hi, lo in priorities:
@@ -257,7 +271,7 @@ class PSystemDef:
         object.__setattr__(self, "priorities", tuple(self.priorities))
         probs = problems(self.parent, self.initial, self.rules, self.priorities, self.output)
         if probs:
-            raise DefinitionError("; ".join(probs))
+            raise DefinitionError("; ".join(probs), probs)
 
     def structurally_equal(self, other: "PSystemDef") -> bool:
         return (

@@ -744,20 +744,20 @@ def _ref_tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list
 def reference_parse(doc: SourceDocument | str) -> ParseResult:
     """The reader ``dsl.parse`` replaced: one regex match and one ``_RefToken``
     per token, walked through ``_RefLineParser``.  ``dsl.parse`` must return an
-    equal result, apart from the lexical limits, the self-priority position and
-    the bytes check it added."""
+    equal result, apart from the lexical limits and the bytes check it added.
+    Every fault but a line's own and the ``prio ... @ LABEL`` membrane is a
+    ``psystem.problems`` message, placed by the part it concerns."""
     if isinstance(doc, str):
         doc = SourceDocument(text=doc)
     diags: list[ParseDiagnostic] = []
     parent: dict[str, str | None] = {}
-    membrane_line: dict[str, int] = {}
-    pending_parents: list[tuple[str, str, int, int]] = []
+    membrane_pos: dict[str, tuple[int, int, int | None]] = {}
     initial: dict[str, Multiset] = {}
     init_line: dict[str, int] = {}
     rules: list[Rule] = []
     rule_line: dict[str, int] = {}
     priorities: list[tuple[str, str]] = []
-    prio_lines: list[tuple[str, str, int, int, str | None]] = []
+    prio_lines: list[tuple[int, int, str | None]] = []
     output: str | None = None
     output_pos: tuple[int, int] | None = None
 
@@ -777,17 +777,19 @@ def reference_parse(doc: SourceDocument | str) -> ParseResult:
                 lp.error("expected a directive (membrane/output/init/rule/prio)", head)
             lp.next()
             if head.text == "membrane":
-                lab = lp.expect_label().text
+                lab_tok = lp.expect_label()
+                lab = lab_tok.text
                 if lab in parent:
                     lp.error(f"membrane {lab!r} already declared", head)
                 parent[lab] = None
-                membrane_line[lab] = line_no
+                membrane_pos[lab] = (line_no, lab_tok.column, None)
                 if not lp.at_end():
                     kw = lp.expect("ident", "'in PARENT' or end of line")
                     if kw.text != "in":
                         lp.error("expected 'in'", kw)
                     par = lp.expect_label("a parent label")
-                    pending_parents.append((lab, par.text, line_no, par.column))
+                    parent[lab] = par.text
+                    membrane_pos[lab] = (line_no, lab_tok.column, par.column)
                 if not lp.at_end():
                     lp.error("unexpected trailing input", lp.peek())
             elif head.text == "output":
@@ -825,65 +827,39 @@ def reference_parse(doc: SourceDocument | str) -> ParseResult:
                 if not lp.at_end():
                     lp.error("unexpected trailing input", lp.peek())
                 priorities.append((hi.text, lo.text))
-                prio_lines.append((hi.text, lo.text, line_no, hi.column, at_label))
+                prio_lines.append((line_no, hi.column, at_label))
             else:
                 lp.error(f"unknown directive {head.text!r}", head)
         except _RefBail:
             continue
 
-    # resolve structure
-    for lab, par, line_no, col in pending_parents:
-        if par not in parent:
-            diags.append(ParseDiagnostic("error", f"unknown parent membrane {par!r}", line_no, col))
-        else:
-            parent[lab] = par
-    if not parent:
-        diags.append(ParseDiagnostic("error", "no membranes declared", 1, 1))
-    roots = [lab for lab, par in parent.items() if par is None]
-    if parent and len(roots) != 1:
-        diags.append(ParseDiagnostic(
-            "error",
-            f"expected exactly one root membrane, found {sorted(roots)}",
-            1, 1,
-        ))
-    if output is None:
-        output = ENVIRONMENT_LABEL
-    elif output != ENVIRONMENT_LABEL and output not in parent:
-        diags.append(ParseDiagnostic(
-            "error", f"output region {output!r} is not a declared membrane",
-            output_pos[0], output_pos[1],
-        ))
-    for lab, line_no in init_line.items():
-        if lab not in parent:
-            diags.append(ParseDiagnostic("error", f"init for unknown membrane {lab!r}", line_no, 1))
-    skin = roots[0] if len(roots) == 1 else None
-    known_rule_ids = set(rule_line)
-    for rule in rules:
-        line_no = rule_line[rule.id]
-        if rule.membrane not in parent:
-            diags.append(ParseDiagnostic(
-                "error", f"rule {rule.id!r} names unknown membrane {rule.membrane!r}", line_no, 1))
-        elif rule.kind is RuleKind.SEND_IN and rule.membrane == skin:
-            diags.append(ParseDiagnostic(
-                "error", f"send-in rule {rule.id!r} targets the skin membrane", line_no, 1))
-    for hi, lo, line_no, col, at_label in prio_lines:
-        for rid in (hi, lo):
-            if rid not in known_rule_ids:
-                diags.append(ParseDiagnostic(
-                    "error", f"priority references unknown rule {rid!r}", line_no, col))
+    for line_no, col, at_label in prio_lines:
         if at_label is not None and at_label not in parent:
             diags.append(ParseDiagnostic(
                 "error", f"priority names unknown membrane {at_label!r}", line_no, col))
+    if output is None:
+        output = ENVIRONMENT_LABEL
+    rule_index_line = list(rule_line.values())
+    for prob in problems(parent, initial, rules, priorities, output):
+        if prob.part == "membrane":
+            line, col, _ = membrane_pos[prob.key]
+        elif prob.part == "parent":
+            line, _, col = membrane_pos[prob.key]
+        elif prob.part == "output":
+            line, col = output_pos
+        elif prob.part == "init":
+            line, col = init_line[prob.key], 1
+        elif prob.part == "rule":
+            line, col = rule_index_line[prob.key], 1
+        elif prob.part == "priority":
+            line, col, _ = prio_lines[prob.key]
+        elif prob.part == "priorities":
+            line, col = prio_lines[0][0], 1
+        else:
+            line, col = 1, 1
+        diags.append(ParseDiagnostic("error", str(prob), line, col))
 
     if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
-
-    found = problems(parent, initial, rules, priorities, output)
-    if found:
-        first_prio_line = prio_lines[0][2] if prio_lines else 1
-        for prob in found:
-            line = first_prio_line if "cyclic" in prob else 1
-            diags.append(ParseDiagnostic("error", prob, line, 1))
         return ParseResult(None, diags)
     definition = PSystemDef(
         parent=parent,
@@ -906,8 +882,6 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
             lp.expect_punct("]")
             alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
             membrane = _ref_rule_at(lp)
-            if not lhs:
-                lp.error("rule left-hand side must not be empty")
             return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
@@ -922,8 +896,6 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
         lp.expect_punct("]")
         beta = Polarization(lp.expect("pol", "a polarization").text[1:])
         membrane = _ref_rule_at(lp)
-        if not lhs:
-            lp.error("rule left-hand side must not be empty")
         return Rule(id=rid, kind=RuleKind.SEND_OUT, membrane=membrane,
                     lhs=lhs, rhs=outer, rhs_aux=inner, alpha=alpha, beta=beta)
     # send-in: lhs []'a -> outer [inner]'b
@@ -940,8 +912,6 @@ def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
     lp.expect_punct("]")
     beta = Polarization(lp.expect("pol", "a polarization").text[1:])
     membrane = _ref_rule_at(lp)
-    if not lhs:
-        lp.error("rule left-hand side must not be empty")
     return Rule(id=rid, kind=RuleKind.SEND_IN, membrane=membrane,
                 lhs=lhs, rhs=inner, rhs_aux=outer, alpha=alpha, beta=beta)
 

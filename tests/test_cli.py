@@ -235,6 +235,18 @@ class TestTrace:
         assert main(["trace", "--psys", str(psys), "--max-steps", "1", "--out", str(out)]) == 1
         assert out.read_text() == "step=1 membrane=1 rule=r0 count=2\n"
 
+    @pytest.mark.parametrize("text, line", [
+        ("membrane environment\ninit environment: a^2\nrule r: [a -> b]'0 @ environment\n", 1),
+        ("membrane s\nmembrane environment in s\ninit environment: a^2\n"
+         "rule r: [a]'0 -> c []'0 @ environment\n", 2),
+    ])
+    def test_membrane_named_environment_is_input_error(self, tmp_path, capsys, text, line):
+        psys = tmp_path / "env.psys"
+        psys.write_text(text)
+        assert main(["trace", "--psys", str(psys), "--max-steps", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"{psys}:{line}:10: error: membrane label 'environment' is reserved for the environment\n")
+
     def test_trace_requires_some_input(self, capsys):
         assert main(["trace"]) == 2
 

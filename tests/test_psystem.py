@@ -144,6 +144,43 @@ def test_constructor_raises_with_joined_problems():
     assert str(exc.value) == "; ".join(want)
 
 
+def test_problems_name_the_part_they_concern():
+    parts = dict(parent={"1": None, "2": "9", "3": "3"}, initial={"4": ms(a=1)},
+                 rules=[evolution("r", "1", ms(a=1), ms(b=1)), send_in("q", "1", ms(a=1), ms(b=1))],
+                 priorities=[("r", "x"), ("q", "q"), ("r", "q"), ("q", "r")], output="5")
+    want = [
+        ("membrane '2' has unknown parent '9'", "parent", "2"),
+        ("membrane tree has a cycle through '3'", "tree", None),
+        ("output region '5' is not a membrane label", "output", None),
+        ("initial contents given for unknown membrane '4'", "init", "4"),
+        ("send-in rule 'q' targets the skin membrane", "rule", 1),
+        ("priority pair references unknown rule 'x'", "priority", 0),
+        ("priority pair relates rule 'q' to itself", "priority", 1),
+        ("priority relation is cyclic: q > r > q", "priorities", None),
+    ]
+    assert [(p, p.part, p.key) for p in problems(**parts)] == want
+    with pytest.raises(DefinitionError) as exc:
+        PSystemDef(**parts)
+    assert [(p, p.part, p.key) for p in exc.value.problems] == want
+    assert str(exc.value) == "; ".join(msg for msg, _, _ in want)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert str(back) == str(exc.value)
+    assert [(p, p.part, p.key) for p in back.problems] == want
+
+
+@pytest.mark.parametrize("parent, rule", [
+    # a root: its rule fired twice a step and the run never halted
+    ({"environment": None}, evolution("r", "environment", ms(a=1), ms(b=1))),
+    # a child: its send-out wrote into the region it consumed from
+    ({"s": None, "environment": "s"}, send_out("r", "environment", ms(a=1), ms(c=1))),
+])
+def test_environment_label_is_reserved(parent, rule):
+    with pytest.raises(DefinitionError) as exc:
+        PSystemDef(parent=parent, initial={"environment": ms(a=2)}, rules=[rule])
+    assert str(exc.value) == "membrane label 'environment' is reserved for the environment"
+    assert [(p.part, p.key) for p in exc.value.problems] == [("membrane", "environment")]
+
+
 def test_definition_is_frozen():
     d = single_membrane_example()
     assert isinstance(d.rules, tuple) and isinstance(d.priorities, tuple)

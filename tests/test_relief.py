@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import warnings
 from pathlib import Path
@@ -406,6 +407,17 @@ class TestQuantizedGadgets:
 INT64_SAFE = 2**31
 
 
+def on_half_mark(rng: random.Random, slope: int, den: int, half: int, high: int) -> int:
+    """A count q of about ``high`` at most with q * slope % den == half, or a
+    count drawn from 0..high when there is none."""
+    g = math.gcd(slope, den)
+    if half % g:
+        return rng.randint(0, high)
+    period = den // g
+    first = half // g * pow(slope // g, -1, period) % period
+    return first + period * rng.randint(0, high // period)
+
+
 def crossing_instance() -> ReliefInstance:
     """2x3 at p=9: every fixed-point constant is below 2^31, and a count
     (a supply multiplier) passes it at iteration 872."""
@@ -468,26 +480,38 @@ class TestReferenceSteps:
     def test_quantized_step_equals_reference(self, p):
         rng = random.Random(p)
         P = 10**p
-        grew = shrank = 0
-        for trial in range(60):
+        grew = shrank = at_half = 0
+        for trial in range(90):
             inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
             cons = fixed_point_constants(inst, p)
-            # counts up to a few times the scale: drifts of both signs, and
-            # t on both sides of 10240, where the halving schedule changes
+            if trial < 60:
+                # counts up to a few times the scale: drifts of both signs, and
+                # t on both sides of 10240, where the halving schedule changes
+                q = [[rng.randint(0, 4 * P) for _ in range(inst.n)] for _ in range(inst.m)]
+            else:
+                # no halving (w = 0), and counts whose beta division leaves the
+                # half mark as remainder, so a division that rounds one count
+                # short changes the drift where the emission shows it
+                q = [[on_half_mark(rng, cons.slope[i][j], cons.den[i], cons.half[i], 4 * P)
+                      for j in range(inst.n)] for i in range(inst.m)]
             state = State(
-                q=[[rng.randint(0, 4 * P) for _ in range(inst.n)] for _ in range(inst.m)],
+                q=q,
                 lam=[rng.randint(0, 2 * P) for _ in range(inst.m)],
                 lam1=[rng.randint(0, 2 * P) for _ in range(inst.n)],
                 lam2=[rng.randint(0, 2 * P) for _ in range(inst.n)],
-                t=rng.choice([0, 1023, 10239, 10240, 12287, 12288])
-                if trial % 3 == 0 else rng.randint(0, 60000),
+                t=rng.randint(0, 1023) if trial >= 60
+                else rng.choice([0, 1023, 10239, 10240, 12287, 12288]) if trial % 3 == 0
+                else rng.randint(0, 60000),
             )
             want = reference_quantized_step(state, inst, cons)
             assert count_step(_QuantizedStep(cons), state) == want
             cells = [(a, b) for ra, rb in zip(want.q, state.q) for a, b in zip(ra, rb)]
             grew += sum(a > b for a, b in cells)
             shrank += sum(a < b for a, b in cells)
-        assert grew and shrank
+            if quantized_halvings(state.t) == 0:
+                at_half += sum(q[i][j] * cons.slope[i][j] % cons.den[i] == cons.half[i]
+                               for i in range(inst.m) for j in range(inst.n))
+        assert grew and shrank and at_half
 
     def test_quantized_step_equals_reference_across_int64_bound(self):
         # p=3 constants are far below the bound; the counts sit just below it
