@@ -164,8 +164,9 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
 @_gc_paused()
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse a system description; on failure the result carries at least one
-    positioned error diagnostic and no definition.  Apart from each line's own
-    faults and the ``prio ... @ LABEL`` membrane, the faults are those of
+    positioned error diagnostic and no definition.  A line with a fault of
+    its own declares nothing.  Apart from each line's own faults and the
+    ``prio ... @ LABEL`` membrane, the faults are those of
     ``psystem.problems``, placed at the part they concern."""
     if isinstance(doc, str):
         doc = SourceDocument(text=doc)
@@ -217,22 +218,24 @@ def parse(doc: SourceDocument | str) -> ParseResult:
                 lab = _word(toks, 1, _LABEL_START, "a membrane label")
                 if lab in parent:
                     raise _Bail(f"membrane {lab!r} already declared", 0)
-                parent[lab] = None
-                membrane_at[lab] = (line_no, raw)
+                par = None
                 if toks[2] != _END:
                     _word(toks, 2, _IDENT_START, "'in PARENT' or end of line")
                     if toks[2] != "in":
                         raise _Bail("expected 'in'", 2)
-                    parent[lab] = _word(toks, 3, _LABEL_START, "a parent label")
+                    par = _word(toks, 3, _LABEL_START, "a parent label")
                     if toks[4] != _END:
                         raise _Bail("unexpected trailing input", 4)
+                parent[lab] = par
+                membrane_at[lab] = (line_no, raw)
             elif head == "output":
                 if output_at is not None:
                     raise _Bail("output already declared", 0)
-                output = _word(toks, 1, _LABEL_START, "a label or 'environment'")
-                output_at = (line_no, raw)
+                lab = _word(toks, 1, _LABEL_START, "a label or 'environment'")
                 if toks[2] != _END:
                     raise _Bail("unexpected trailing input", 2)
+                output = lab
+                output_at = (line_no, raw)
             elif head == "init":
                 lab = _word(toks, 1, _LABEL_START, "a membrane label")
                 ms, _ = _multiset(toks, _expect(toks, 2, ":"), _TO_END)

@@ -1,10 +1,18 @@
-"""Shared test utilities: tiny system constructors, the exhaustive
-firing-plan enumerator used as an independent oracle for selection semantics,
-a reference selector that walks every rule on every greedy pass, a reference
-commit on ``Counter`` copies, reference solver steps that evaluate the update formulas array by array
-(float) and cell by cell (integer) on a ``State`` of their own, adapters that
-drive relief's prepared steps on such a state, and a reference ``.psys``
-reader that builds one token object per token."""
+"""Shared test utilities and the references the tests compare the package
+against.
+
+* Tiny system constructors and random small systems.
+* The rule semantics, one helper per idea: the guard, the region a rule
+  consumes from, writable pools of every region, how many times a pool covers
+  a left-hand side, and the residual of a plan.  They serve the brute-force
+  enumerator of maximal firing plans, the reference selector that scans every
+  rule on every greedy pass, and the reference commit.
+* Reference solver steps that evaluate the update formulas array by array
+  (float) and cell by cell (integer) on a ``State`` of their own, and adapters
+  that drive relief's prepared steps on such a state.
+* A reference ``.psys`` reader written from docs/psys-format.md; it takes
+  only the result types from ``psrelief.dsl``.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +20,6 @@ import heapq
 import itertools
 import random
 import re
-from collections import Counter
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -21,7 +27,7 @@ import numpy as np
 from psrelief import relief
 from psrelief.dsl import ParseDiagnostic, ParseResult, SourceDocument
 from psrelief.engine import EngineError, FiringPlan
-from psrelief.multiset import Multiset
+from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
     ENVIRONMENT_LABEL,
     Configuration,
@@ -45,20 +51,14 @@ def evolution(rid, membrane, lhs, rhs, alpha=N):
     return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane, lhs=lhs, rhs=rhs, alpha=alpha)
 
 
-def send_out(rid, membrane, lhs, rhs, alpha=N, beta=None, aux=None):
-    return Rule(
-        id=rid, kind=RuleKind.SEND_OUT, membrane=membrane, lhs=lhs, rhs=rhs,
-        alpha=alpha, beta=beta if beta is not None else alpha,
-        rhs_aux=aux if aux is not None else Multiset(),
-    )
+def send_out(rid, membrane, lhs, rhs, alpha=N, beta=None, aux=EMPTY):
+    return Rule(id=rid, kind=RuleKind.SEND_OUT, membrane=membrane, lhs=lhs, rhs=rhs,
+                alpha=alpha, beta=beta, rhs_aux=aux)
 
 
-def send_in(rid, membrane, lhs, rhs, alpha=N, beta=None, aux=None):
-    return Rule(
-        id=rid, kind=RuleKind.SEND_IN, membrane=membrane, lhs=lhs, rhs=rhs,
-        alpha=alpha, beta=beta if beta is not None else alpha,
-        rhs_aux=aux if aux is not None else Multiset(),
-    )
+def send_in(rid, membrane, lhs, rhs, alpha=N, beta=None, aux=EMPTY):
+    return Rule(id=rid, kind=RuleKind.SEND_IN, membrane=membrane, lhs=lhs, rhs=rhs,
+                alpha=alpha, beta=beta, rhs_aux=aux)
 
 
 def parts(d: PSystemDef) -> tuple:
@@ -83,26 +83,8 @@ def single_membrane_example() -> PSystemDef:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive plan enumeration (independent of the engine's greedy selection)
+# Rule semantics, one helper per idea
 # ---------------------------------------------------------------------------
-
-
-def _pools(definition: PSystemDef, config: Configuration) -> dict[str, dict[str, int]]:
-    pools = {lab: dict(msv.counts()) for lab, msv in config.contents.items()}
-    pools["environment"] = dict(config.environment.counts())
-    return pools
-
-
-def _consume_label(definition: PSystemDef, rule: Rule) -> str:
-    if rule.kind is RuleKind.SEND_IN:
-        par = definition.parent[rule.membrane]
-        assert par is not None
-        return par
-    return rule.membrane
-
-
-def _guard(rule: Rule, config) -> bool:
-    return config.polarizations[rule.membrane] is rule.alpha
 
 
 def rules_by_id(definition: PSystemDef) -> dict[str, Rule]:
@@ -110,23 +92,58 @@ def rules_by_id(definition: PSystemDef) -> dict[str, Rule]:
     return {r.id: r for r in definition.rules}
 
 
-def _feasible(definition, config, counts: dict[str, int], rules: dict[str, Rule]) -> bool:
-    pools = _pools(definition, config)
+def _consume_label(definition: PSystemDef, rule: Rule) -> str:
+    """The region ``rule`` consumes from: the parent's for a send-in."""
+    if rule.kind is RuleKind.SEND_IN:
+        par = definition.parent[rule.membrane]
+        assert par is not None
+        return par
+    return rule.membrane
+
+
+def _guard(rule: Rule, config: Configuration) -> bool:
+    return config.polarizations[rule.membrane] is rule.alpha
+
+
+def _pools(config: Configuration) -> dict[str, dict[str, int]]:
+    """A writable copy of the counts of every region, the environment's too."""
+    pools = {lab: dict(msv.counts()) for lab, msv in config.contents.items()}
+    pools[ENVIRONMENT_LABEL] = dict(config.environment.counts())
+    return pools
+
+
+def _times(pool, lhs: Multiset) -> int:
+    """How many applications of the left-hand side ``lhs`` ``pool`` covers."""
+    return min(pool.get(sym, 0) // need for sym, need in lhs.items())
+
+
+def _residual(definition, config, counts: dict[str, int],
+              rules: dict[str, Rule]) -> dict[str, dict[str, int]]:
+    """The pools after each rule of ``counts`` consumed its left-hand side
+    that many times; a negative count means the plan is infeasible."""
+    pools = _pools(config)
     for rid, k in counts.items():
         rule = rules[rid]
         pool = pools[_consume_label(definition, rule)]
         for sym, need in rule.lhs.items():
             pool[sym] = pool.get(sym, 0) - need * k
-            if pool[sym] < 0:
-                return False
-    return True
+    return pools
+
+
+def passes_on_snapshot(definition: PSystemDef, config: Configuration, rule: Rule) -> bool:
+    """The guard and the left-hand side of ``rule`` pass on ``config``: the
+    rule is one of the step's candidates."""
+    return _guard(rule, config) and _times(config.region(_consume_label(definition, rule)).counts(), rule.lhs) > 0
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive plan enumeration (independent of the engine's greedy selection)
+# ---------------------------------------------------------------------------
 
 
 def _compatible(counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     change: dict[str, Polarization] = {}
-    for rid, k in counts.items():
-        if k <= 0:
-            continue
+    for rid in counts:
         rule = rules[rid]
         if rule.changes_polarization:
             prev = change.get(rule.membrane)
@@ -136,51 +153,27 @@ def _compatible(counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     return True
 
 
-def _residual(definition, config, counts: dict[str, int],
-              rules: dict[str, Rule]) -> dict[str, dict[str, int]]:
-    pools = _pools(definition, config)
-    for rid, k in counts.items():
-        rule = rules[rid]
-        pool = pools[_consume_label(definition, rule)]
-        for sym, need in rule.lhs.items():
-            pool[sym] -= need * k
-    return pools
-
-
-def _covers(pool: dict[str, int], lhs) -> bool:
-    return all(pool.get(sym, 0) >= need for sym, need in lhs.items())
-
-
-def respects_priority(definition, config, counts: dict[str, int], rules: dict[str, Rule]) -> bool:
+def _respects_priority(definition, config, counts: dict[str, int], rules: dict[str, Rule]) -> bool:
     """Weak priority: if a lower rule fired, the higher rule must be unable to
     fire even after reclaiming everything its lower rules consumed."""
-    residual = _residual(definition, config, counts, rules)
-    for hi_id, lo_id in definition.priorities:
-        if counts.get(lo_id, 0) <= 0:
-            continue
+    pairs = set(definition.priorities)
+    for hi_id, lo_id in pairs:
         hi = rules[hi_id]
-        if not _guard(hi, config):
-            continue
-        reclaim = {lab: dict(pool) for lab, pool in residual.items()}
-        for h2, l2 in definition.priorities:
-            if h2 != hi_id or counts.get(l2, 0) <= 0:
-                continue
-            lo = rules[l2]
-            pool = reclaim[_consume_label(definition, lo)]
-            for sym, need in lo.lhs.items():
-                pool[sym] = pool.get(sym, 0) + need * counts[l2]
-        if _covers(reclaim[_consume_label(definition, hi)], hi.lhs):
-            return False
+        if lo_id in counts and _guard(hi, config):
+            kept = {rid: k for rid, k in counts.items() if (hi_id, rid) not in pairs}
+            if _times(_residual(definition, config, kept, rules)[_consume_label(definition, hi)], hi.lhs):
+                return False
     return True
 
 
 def plan_is_valid(definition, config, counts: dict[str, int]) -> bool:
     counts = {rid: k for rid, k in counts.items() if k > 0}
     rules = rules_by_id(definition)
+    residual = _residual(definition, config, counts, rules)
     return (
-        _feasible(definition, config, counts, rules)
+        all(c >= 0 for pool in residual.values() for c in pool.values())
         and _compatible(counts, rules)
-        and respects_priority(definition, config, counts, rules)
+        and _respects_priority(definition, config, counts, rules)
     )
 
 
@@ -204,15 +197,9 @@ def enumerate_maximal_plans(definition: PSystemDef, config: Configuration) -> se
     Intended for small systems only (a handful of rules, single-digit object
     counts); the search space is the product of per-rule multiplicity ranges.
     """
-    maxes = []
-    pools = _pools(definition, config)
-    for rule in definition.rules:
-        if not _guard(rule, config):
-            maxes.append(0)
-            continue
-        pool = pools[_consume_label(definition, rule)]
-        k = min(pool.get(sym, 0) // need for sym, need in rule.lhs.items())
-        maxes.append(k)
+    pools = _pools(config)
+    maxes = [_times(pools[_consume_label(definition, rule)], rule.lhs) if _guard(rule, config) else 0
+             for rule in definition.rules]
     plans = set()
     for vector in itertools.product(*(range(m + 1) for m in maxes)):
         counts = {
@@ -285,7 +272,7 @@ def random_small_system(rng: random.Random) -> PSystemDef:
 
 # ---------------------------------------------------------------------------
 # Reference selector and commit: candidates come from a scan of every rule,
-# and the commit works on Counter copies
+# and the commit works on copies of every region
 # ---------------------------------------------------------------------------
 
 
@@ -311,124 +298,65 @@ def _reference_order(definition: PSystemDef) -> list[int]:
     return order
 
 
-class _RefRule:
-    def __init__(self, definition: PSystemDef, rule: Rule):
-        self.rule = rule
-        self.consume = _consume_label(definition, rule)
-        self.lhs = tuple(rule.lhs.items())
-        self.charging = rule.changes_polarization
-        self.higher: list["_RefRule"] = []
-
-
-def passes_on_snapshot(definition: PSystemDef, config: Configuration, rule: Rule) -> bool:
-    """The guard and the left-hand side of ``rule`` pass on ``config``: the
-    rule is one of the step's candidates."""
-    return _guard(rule, config) and _covers(config.region(_consume_label(definition, rule)).counts(), rule.lhs)
-
-
-def _guard_passes(cr: _RefRule, config: Configuration) -> bool:
-    return config.polarizations[cr.rule.membrane] is cr.rule.alpha
-
-
-def _max_applications(lhs, pool: dict[str, int]) -> int:
-    k = None
-    for sym, need in lhs:
-        have = pool.get(sym, 0)
-        avail = have // need
-        if avail == 0:
-            return 0
-        k = avail if k is None else min(k, avail)
-    return k or 0
-
-
 def reference_select(definition: PSystemDef, config: Configuration,
                      policy: str = "deterministic", seed: int = 0) -> FiringPlan:
     """The engine's greedy fixed point without the key-symbol index.  The
     step's order is every rule whose guard and left-hand side pass on the
     snapshot, found by a scan of all rules, in deterministic order; the
     seeded-random policy shuffles it with ``random.Random(seed)``.  A rule
-    is skipped afresh on every pass when its guard or left-hand side fails.
+    is skipped afresh on every pass when its left-hand side fails.
     ``select_firing`` must return the same plan for the same arguments."""
-    crules = [_RefRule(definition, r) for r in definition.rules]
-    by_id = {cr.rule.id: cr for cr in crules}
+    rules = rules_by_id(definition)
+    higher: dict[str, list[Rule]] = {rid: [] for rid in rules}
     for hi, lo in definition.priorities:
-        by_id[lo].higher.append(by_id[hi])
-    order = [crules[i] for i in _reference_order(definition)]
-    order = [cr for cr in order if passes_on_snapshot(definition, config, cr.rule)]
+        higher[lo].append(rules[hi])
+    order = [definition.rules[i] for i in _reference_order(definition)]
+    order = [rule for rule in order if passes_on_snapshot(definition, config, rule)]
     if policy != "deterministic":
         random.Random(seed).shuffle(order)
 
-    pools: dict[str, dict[str, int]] = {}
-
-    def pool(label: str) -> dict[str, int]:
-        p = pools.get(label)
-        if p is None:
-            p = dict(config.region(label).counts())
-            pools[label] = p
-        return p
-
+    pools = _pools(config)
     fired: dict[str, int] = {}
     pending_beta: dict[str, Polarization] = {}
-
     progress = True
     while progress:
         progress = False
-        for cr in order:
-            rule = cr.rule
-            if not _guard_passes(cr, config):
+        for rule in order:
+            if rule.changes_polarization and pending_beta.get(rule.membrane, rule.beta) is not rule.beta:
                 continue
-            if cr.charging:
-                pend = pending_beta.get(rule.membrane)
-                if pend is not None and pend is not rule.beta:
-                    continue
-            p = pool(cr.consume)
-            k = _max_applications(cr.lhs, p)
-            if k == 0:
+            pool = pools[_consume_label(definition, rule)]
+            k = _times(pool, rule.lhs)
+            if k == 0 or any(_guard(hi, config) and _times(pools[_consume_label(definition, hi)], hi.lhs)
+                             for hi in higher[rule.id]):
                 continue
-            blocked = False
-            for hi in cr.higher:
-                if _guard_passes(hi, config) and _max_applications(hi.lhs, pool(hi.consume)) > 0:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            for sym, need in cr.lhs:
-                p[sym] -= need * k
+            for sym, need in rule.lhs.items():
+                pool[sym] -= need * k
             fired[rule.id] = fired.get(rule.id, 0) + k
-            if cr.charging:
+            if rule.changes_polarization:
                 pending_beta[rule.membrane] = rule.beta
             progress = True
     return FiringPlan(counts=fired)
 
 
 def _reference_effects(definition: PSystemDef, rule: Rule) -> list[tuple[str, Multiset]]:
-    """(destination region, products) pairs of ``rule``, empty products left out."""
+    """(destination region, products) pairs of ``rule``."""
     parent = definition.parent[rule.membrane]
     outer = ENVIRONMENT_LABEL if parent is None else parent
     if rule.kind is RuleKind.EVOLUTION:
-        pairs = [(rule.membrane, rule.rhs)]
-    elif rule.kind is RuleKind.SEND_OUT:
-        pairs = [(outer, rule.rhs), (rule.membrane, rule.rhs_aux)]
-    else:
-        pairs = [(rule.membrane, rule.rhs), (outer, rule.rhs_aux)]
-    return [(dest, products) for dest, products in pairs if products]
+        return [(rule.membrane, rule.rhs)]
+    if rule.kind is RuleKind.SEND_OUT:
+        return [(outer, rule.rhs), (rule.membrane, rule.rhs_aux)]
+    return [(rule.membrane, rule.rhs), (outer, rule.rhs_aux)]
 
 
 def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
-    """The engine's commit written on ``Counter`` copies: every written
-    region is copied into a ``Counter`` and changed there, the whole plan's
+    """The engine's commit on copies of every region: the whole plan's
     consumption first, then its products, so no rule consumes what another
     produces in the same step.  ``apply_step`` must return an equal
     configuration and raise the same ``EngineError`` messages for the same
     arguments."""
     rules = rules_by_id(definition)
-    written: dict[str, Counter] = {}
-
-    def region_for_write(label: str) -> Counter:
-        if label not in written:
-            written[label] = Counter(config.region(label).counts())
-        return written[label]
-
+    pools = _pools(config)
     new_pols = dict(config.polarizations)
     changed_to: dict[str, Polarization] = {}
     for rid, count in plan.counts.items():
@@ -437,13 +365,13 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
             raise EngineError(f"plan names unknown rule {rid!r}")
         if count <= 0:
             raise EngineError(f"plan has non-positive count for {rid!r}")
-        region = region_for_write(_consume_label(definition, rule))
+        pool = pools[_consume_label(definition, rule)]
         for sym, need in rule.lhs.items():
-            have, take = region[sym], need * count
+            have, take = pool.get(sym, 0), need * count
             if take > have:
                 raise EngineError(
                     f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
-            region[sym] = have - take
+            pool[sym] = have - take
         h = rule.membrane
         if rule.changes_polarization:
             prev = changed_to.get(h)
@@ -453,20 +381,13 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
             new_pols[h] = rule.beta
     for rid, count in plan.counts.items():
         for dest, products in _reference_effects(definition, rules[rid]):
-            region = region_for_write(dest)
+            pool = pools[dest]
             for sym, cnt in products.items():
-                region[sym] += cnt * count
-    new_contents = dict(config.contents)
-    new_env = config.environment
-    for label, counts in written.items():
-        if label == ENVIRONMENT_LABEL:
-            new_env = Multiset(counts)
-        else:
-            new_contents[label] = Multiset(counts)
+                pool[sym] = pool.get(sym, 0) + cnt * count
     return Configuration(
-        contents=new_contents,
+        contents={label: Multiset(pools[label]) for label in config.contents},
         polarizations=new_pols,
-        environment=new_env,
+        environment=Multiset(pools[ENVIRONMENT_LABEL]),
         step_index=config.step_index + 1,
     )
 
@@ -629,297 +550,201 @@ def reference_quantized_step(state: State, inst: relief.ReliefInstance,
     return State(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Reference .psys reader (one token object per token)
+# Reference .psys reader, written from docs/psys-format.md
 # ---------------------------------------------------------------------------
 
-
-_REF_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<pol>'[0+\-])
-      | (?P<arrow>->)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[\[\]:@>^])
-    """,
-    re.VERBOSE,
-)
+#: A run of whitespace or one token: a polarization, an arrow, ASCII digits,
+#: an identifier or a punctuation character.
+_REF_TOKEN = re.compile(r"\s+|'[0+-]|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\]:@>^]")
+#: The kinds of token ``_RefLine.take`` knows by name.
+_REF_KINDS = {"ID": r"[A-Za-z_]\w*", "LABEL": r"\w+", "COUNT": r"[0-9]+", "POL": r"'."}
 
 
-@dataclass
-class _RefToken:
-    kind: str
-    text: str
-    column: int
+class _RefFault(Exception):
+    """A line's own fault: its message and its column."""
 
 
-class _RefLineParser:
-    def __init__(self, tokens: list[_RefToken], line_no: int, diags: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.diags = diags
+class _RefLine:
+    """The ``(text, column)`` tokens of one line up to its comment, and a
+    cursor over them."""
 
-    def peek(self) -> _RefToken | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, raw: str):
+        text, pos = raw.partition("#")[0], 0
+        self.tokens: list[tuple[str, int]] = []
+        self.i = 0
+        while pos < len(text):
+            m = _REF_TOKEN.match(text, pos)
+            if m is None:
+                raise _RefFault(f"unexpected character {text[pos]!r}", pos + 1)
+            if not m.group().isspace():
+                self.tokens.append((m.group(), pos + 1))
+            pos = m.end()
 
-    def next(self) -> _RefToken | None:
+    def column(self, i: int) -> int:
+        """The column of token ``i``, or one past the last token."""
+        if i < len(self.tokens):
+            return self.tokens[i][1]
+        text, column = self.tokens[-1]
+        return column + len(text)
+
+    def fail(self, message: str, at: int | None = None):
+        """A fault at token ``at``, by default the next one."""
+        raise _RefFault(message, self.column(self.i if at is None else at))
+
+    def peek(self) -> str:
+        """The next token, or "" at the end of the line."""
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else ""
+
+    def take(self, want: str, what: str | None = None) -> str:
+        """The next token, which must be of kind ``want`` (a key of
+        ``_REF_KINDS``) or else be ``want`` itself."""
         tok = self.peek()
-        if tok is not None:
-            self.pos += 1
+        if not re.fullmatch(_REF_KINDS.get(want, re.escape(want)), tok):
+            self.fail(f"expected {what or repr(want)}")
+        self.i += 1
         return tok
 
-    def error(self, message: str, tok: _RefToken | None = None) -> None:
-        col = tok.column if tok is not None else (self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1)
-        self.diags.append(ParseDiagnostic("error", message, self.line_no, col))
-        raise _RefBail()
+    def skip(self, tok: str) -> bool:
+        """Whether the next token is ``tok``; it is read if so."""
+        if self.peek() != tok:
+            return False
+        self.i += 1
+        return True
 
-    def expect(self, kind: str, what: str) -> _RefToken:
-        tok = self.next()
-        if tok is None or tok.kind != kind:
-            self.error(f"expected {what}", tok)
-        return tok
+    def end(self) -> None:
+        if self.peek():
+            self.fail("unexpected trailing input")
 
-    def expect_punct(self, char: str) -> _RefToken:
-        tok = self.next()
-        if tok is None or tok.kind != "punct" or tok.text != char:
-            self.error(f"expected {char!r}", tok)
-        return tok
-
-    def expect_label(self, what: str = "a membrane label") -> _RefToken:
-        tok = self.next()
-        if tok is None or tok.kind not in ("ident", "int"):
-            self.error(f"expected {what}", tok)
-        return tok
-
-    def at_punct(self, char: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == char
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def multiset(self, stoppers: tuple[str, ...]) -> Multiset:
-        """Parse atoms until a stopper token kind/char; empty multiset allowed.
-        A repeated symbol adds to its count at its first position."""
+    def multiset(self, *stop: str) -> Multiset:
+        """Atoms up to a token of ``stop`` or the end of the line; a repeated
+        symbol adds to its count at its first position."""
         counts: dict[str, int] = {}
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind in stoppers or (tok.kind == "punct" and tok.text in stoppers):
-                return Multiset(counts)
-            if tok.kind != "ident":
-                self.error("expected a symbol name", tok)
-            self.next()
-            count = 1
-            if self.at_punct("^"):
-                self.next()
-                num = self.expect("int", "a count after '^'")
-                count = int(num.text)
-                if count <= 0:
-                    self.error("multiplicity must be positive", num)
-            counts[tok.text] = counts.get(tok.text, 0) + count
+        while self.peek() not in (*stop, ""):
+            sym, count = self.take("ID", "a symbol name"), 1
+            if self.skip("^"):
+                digits = self.take("COUNT", "a count after '^'")
+                if len(digits) > 4300:
+                    self.fail("count has more than 4300 digits", self.i - 1)
+                count = int(digits)
+                if count == 0:
+                    self.fail("multiplicity must be positive", self.i - 1)
+            counts[sym] = counts.get(sym, 0) + count
+        return Multiset(counts)
 
+    def polarization(self) -> Polarization:
+        return Polarization(self.take("POL", "a polarization")[1])
 
-class _RefBail(Exception):
-    pass
+    def rule(self, rid: str) -> Rule:
+        """One of the three rule bodies, then ``@ LABEL`` and the end."""
+        if self.skip("["):
+            lhs = self.multiset("->", "]")
+            if self.skip("->"):
+                rhs = self.multiset("]")
+                self.take("]")
+                alpha = self.polarization()
+                return Rule(rid, RuleKind.EVOLUTION, self.rule_at(), lhs, rhs, alpha)
+            kind = RuleKind.SEND_OUT
+            self.take("]")
+        else:
+            kind = RuleKind.SEND_IN
+            lhs = self.multiset("[")
+            self.take("[")
+            self.take("]")
+        alpha = self.polarization()
+        self.take("->")
+        outer = self.multiset("[")
+        self.take("[")
+        inner = self.multiset("]")
+        self.take("]")
+        beta = self.polarization()
+        rhs, aux = (outer, inner) if kind is RuleKind.SEND_OUT else (inner, outer)
+        return Rule(rid, kind, self.rule_at(), lhs, rhs, alpha, beta, aux)
 
-
-def _ref_tokenize(line: str, line_no: int, diags: list[ParseDiagnostic]) -> list[_RefToken] | None:
-    hash_at = line.find("#")
-    if hash_at != -1:
-        line = line[:hash_at]
-    tokens: list[_RefToken] = []
-    pos = 0
-    while pos < len(line):
-        m = _REF_TOKEN_RE.match(line, pos)
-        if m is None:
-            diags.append(ParseDiagnostic("error", f"unexpected character {line[pos]!r}", line_no, pos + 1))
-            return None
-        if m.lastgroup != "ws":
-            tokens.append(_RefToken(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    return tokens
+    def rule_at(self) -> str:
+        self.take("@")
+        label = self.take("LABEL", "a membrane label")
+        self.end()
+        return label
 
 
 def reference_parse(doc: SourceDocument | str) -> ParseResult:
-    """The reader ``dsl.parse`` replaced: one regex match and one ``_RefToken``
-    per token, walked through ``_RefLineParser``.  ``dsl.parse`` must return an
-    equal result, apart from the lexical limits and the bytes check it added.
-    Every fault but a line's own and the ``prio ... @ LABEL`` membrane is a
-    ``psystem.problems`` message, placed by the part it concerns."""
-    if isinstance(doc, str):
-        doc = SourceDocument(text=doc)
+    """The format as docs/psys-format.md states it: ``dsl.parse`` must return
+    an equal result, with the same diagnostics in the same order.  A line with
+    a fault of its own declares nothing; the structural faults are those of
+    ``psystem.problems``, placed through the ``(part, key)`` table ``at``."""
+    text = doc if isinstance(doc, str) else doc.text
+    if not isinstance(text, str):
+        return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
     diags: list[ParseDiagnostic] = []
     parent: dict[str, str | None] = {}
-    membrane_pos: dict[str, tuple[int, int, int | None]] = {}
     initial: dict[str, Multiset] = {}
-    init_line: dict[str, int] = {}
     rules: list[Rule] = []
-    rule_line: dict[str, int] = {}
+    rule_ids: set[str] = set()
     priorities: list[tuple[str, str]] = []
-    prio_lines: list[tuple[int, int, str | None]] = []
-    output: str | None = None
-    output_pos: tuple[int, int] | None = None
-
-    try:
-        lines = doc.text.splitlines()
-    except Exception:
-        return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
-
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = _ref_tokenize(raw, line_no, diags)
-        if tokens is None or not tokens:
-            continue
-        lp = _RefLineParser(tokens, line_no, diags)
-        head = tokens[0]
+    output = ENVIRONMENT_LABEL
+    at: dict[tuple[str, Any], tuple[int, int]] = {("tree", None): (1, 1)}
+    prio_labels: list[tuple[str, int, int]] = []
+    for n, raw in enumerate(text.splitlines(), start=1):
         try:
-            if head.kind != "ident":
-                lp.error("expected a directive (membrane/output/init/rule/prio)", head)
-            lp.next()
-            if head.text == "membrane":
-                lab_tok = lp.expect_label()
-                lab = lab_tok.text
-                if lab in parent:
-                    lp.error(f"membrane {lab!r} already declared", head)
-                parent[lab] = None
-                membrane_pos[lab] = (line_no, lab_tok.column, None)
-                if not lp.at_end():
-                    kw = lp.expect("ident", "'in PARENT' or end of line")
-                    if kw.text != "in":
-                        lp.error("expected 'in'", kw)
-                    par = lp.expect_label("a parent label")
-                    parent[lab] = par.text
-                    membrane_pos[lab] = (line_no, lab_tok.column, par.column)
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-            elif head.text == "output":
-                if output is not None:
-                    lp.error("output already declared", head)
-                lab = lp.expect_label("a label or 'environment'")
-                output = lab.text
-                output_pos = (line_no, lab.column)
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-            elif head.text == "init":
-                lab = lp.expect_label().text
-                lp.expect_punct(":")
-                ms = lp.multiset(stoppers=())
-                if lab in initial:
-                    lp.error(f"init for {lab!r} already given", head)
-                initial[lab] = ms
-                init_line[lab] = line_no
-            elif head.text == "rule":
-                rid_tok = lp.expect("ident", "a rule id")
-                lp.expect_punct(":")
-                rule = _ref_rule_body(lp, rid_tok.text)
-                if rule.id in rule_line:
-                    lp.error(f"duplicate rule id {rule.id!r}", rid_tok)
+            line = _RefLine(raw)
+            if not line.tokens:
+                continue
+            head = line.take("ID", "a directive (membrane/output/init/rule/prio)")
+            if head == "membrane":
+                label, par = line.take("LABEL", "a membrane label"), None
+                if label in parent:
+                    line.fail(f"membrane {label!r} already declared", 0)
+                if line.peek():
+                    if line.take("ID", "'in PARENT' or end of line") != "in":
+                        line.fail("expected 'in'", 2)
+                    par = line.take("LABEL", "a parent label")
+                line.end()
+                parent[label] = par
+                at["membrane", label], at["parent", label] = (n, line.column(1)), (n, line.column(3))
+            elif head == "output":
+                if ("output", None) in at:
+                    line.fail("output already declared", 0)
+                label = line.take("LABEL", "a label or 'environment'")
+                line.end()
+                output, at["output", None] = label, (n, line.column(1))
+            elif head == "init":
+                label = line.take("LABEL", "a membrane label")
+                line.take(":")
+                contents = line.multiset()
+                if label in initial:
+                    line.fail(f"init for {label!r} already given", 0)
+                initial[label], at["init", label] = contents, (n, 1)
+            elif head == "rule":
+                rid = line.take("ID", "a rule id")
+                line.take(":")
+                rule = line.rule(rid)
+                if rid in rule_ids:
+                    line.fail(f"duplicate rule id {rid!r}", 1)
+                at["rule", len(rules)] = (n, 1)
                 rules.append(rule)
-                rule_line[rule.id] = line_no
-            elif head.text == "prio":
-                hi = lp.expect("ident", "a rule id")
-                lp.expect_punct(">")
-                lo = lp.expect("ident", "a rule id")
-                at_label = None
-                if lp.at_punct("@"):
-                    lp.next()
-                    at_label = lp.expect_label().text
-                if not lp.at_end():
-                    lp.error("unexpected trailing input", lp.peek())
-                priorities.append((hi.text, lo.text))
-                prio_lines.append((line_no, hi.column, at_label))
+                rule_ids.add(rid)
+            elif head == "prio":
+                hi = line.take("ID", "a rule id")
+                line.take(">")
+                lo = line.take("ID", "a rule id")
+                label = line.take("LABEL", "a membrane label") if line.skip("@") else None
+                line.end()
+                if label is not None:
+                    prio_labels.append((label, n, line.column(1)))
+                at["priority", len(priorities)] = (n, line.column(1))
+                at.setdefault(("priorities", None), (n, 1))
+                priorities.append((hi, lo))
             else:
-                lp.error(f"unknown directive {head.text!r}", head)
-        except _RefBail:
-            continue
-
-    for line_no, col, at_label in prio_lines:
-        if at_label is not None and at_label not in parent:
-            diags.append(ParseDiagnostic(
-                "error", f"priority names unknown membrane {at_label!r}", line_no, col))
-    if output is None:
-        output = ENVIRONMENT_LABEL
-    rule_index_line = list(rule_line.values())
-    for prob in problems(parent, initial, rules, priorities, output):
-        if prob.part == "membrane":
-            line, col, _ = membrane_pos[prob.key]
-        elif prob.part == "parent":
-            line, _, col = membrane_pos[prob.key]
-        elif prob.part == "output":
-            line, col = output_pos
-        elif prob.part == "init":
-            line, col = init_line[prob.key], 1
-        elif prob.part == "rule":
-            line, col = rule_index_line[prob.key], 1
-        elif prob.part == "priority":
-            line, col, _ = prio_lines[prob.key]
-        elif prob.part == "priorities":
-            line, col = prio_lines[0][0], 1
-        else:
-            line, col = 1, 1
-        diags.append(ParseDiagnostic("error", str(prob), line, col))
-
-    if any(d.severity == "error" for d in diags):
+                line.fail(f"unknown directive {head!r}", 0)
+        except _RefFault as fault:
+            diags.append(ParseDiagnostic("error", fault.args[0], n, fault.args[1]))
+    diags += [ParseDiagnostic("error", f"priority names unknown membrane {label!r}", n, column)
+              for label, n, column in prio_labels if label not in parent]
+    diags += [ParseDiagnostic("error", str(prob), *at[prob.part, prob.key])
+              for prob in problems(parent, initial, rules, priorities, output)]
+    if diags:
         return ParseResult(None, diags)
-    definition = PSystemDef(
-        parent=parent,
-        initial=initial,
-        rules=rules,
-        priorities=priorities,
-        output=output,
-    )
-    return ParseResult(definition, diags)
-
-
-def _ref_rule_body(lp: _RefLineParser, rid: str) -> Rule:
-    if lp.at_punct("["):
-        lp.next()
-        lhs = lp.multiset(stoppers=("arrow", "]"))
-        if lp.peek() is not None and lp.peek().kind == "arrow":
-            # evolution: [lhs -> rhs]'a
-            lp.next()
-            rhs = lp.multiset(stoppers=("]",))
-            lp.expect_punct("]")
-            alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
-            membrane = _ref_rule_at(lp)
-            return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
-                        lhs=lhs, rhs=rhs, alpha=alpha)
-        # send-out: [lhs]'a -> outer [inner]'b
-        lp.expect_punct("]")
-        alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
-        tok = lp.next()
-        if tok is None or tok.kind != "arrow":
-            lp.error("expected '->'", tok)
-        outer = lp.multiset(stoppers=("[",))
-        lp.expect_punct("[")
-        inner = lp.multiset(stoppers=("]",))
-        lp.expect_punct("]")
-        beta = Polarization(lp.expect("pol", "a polarization").text[1:])
-        membrane = _ref_rule_at(lp)
-        return Rule(id=rid, kind=RuleKind.SEND_OUT, membrane=membrane,
-                    lhs=lhs, rhs=outer, rhs_aux=inner, alpha=alpha, beta=beta)
-    # send-in: lhs []'a -> outer [inner]'b
-    lhs = lp.multiset(stoppers=("[",))
-    lp.expect_punct("[")
-    lp.expect_punct("]")
-    alpha = Polarization(lp.expect("pol", "a polarization").text[1:])
-    tok = lp.next()
-    if tok is None or tok.kind != "arrow":
-        lp.error("expected '->'", tok)
-    outer = lp.multiset(stoppers=("[",))
-    lp.expect_punct("[")
-    inner = lp.multiset(stoppers=("]",))
-    lp.expect_punct("]")
-    beta = Polarization(lp.expect("pol", "a polarization").text[1:])
-    membrane = _ref_rule_at(lp)
-    return Rule(id=rid, kind=RuleKind.SEND_IN, membrane=membrane,
-                lhs=lhs, rhs=inner, rhs_aux=outer, alpha=alpha, beta=beta)
-
-
-def _ref_rule_at(lp: _RefLineParser) -> str:
-    lp.expect_punct("@")
-    membrane = lp.expect_label().text
-    if not lp.at_end():
-        lp.error("unexpected trailing input", lp.peek())
-    return membrane
-
+    return ParseResult(PSystemDef(parent, initial, rules, priorities, output))

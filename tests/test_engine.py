@@ -530,9 +530,10 @@ class TestReferenceSelector:
 
 
 class TestReferenceApply:
-    """``apply_step`` commits on plain count dicts; ``reference_apply``
-    commits on ``Multiset`` objects.  Their configurations must be equal,
-    canonical (no zero counts) and leave the input as it was."""
+    """``apply_step`` commits on plain count dicts of the regions it
+    writes; ``reference_apply`` commits on copies of every region.  Their
+    configurations must be equal, canonical (no zero counts) and leave the
+    input as it was."""
 
     @staticmethod
     def _assert_same_commit(d, cfg, plan):

@@ -1,6 +1,10 @@
-"""The package's export list."""
+"""The package's export list, and what the test references may take from
+the package."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import psrelief
 
@@ -21,3 +25,34 @@ def test_every_exported_name_resolves():
 
 def test_export_list_is_pinned():
     assert sorted(psrelief.__all__) == EXPORTS
+
+
+def dsl_private_names(source: str) -> set[str]:
+    """The ``_``-prefixed names of ``psrelief.dsl`` that ``source`` imports or
+    reads as attributes of the module."""
+    found: set[str] = set()
+    modules = {"psrelief.dsl"}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "psrelief.dsl":
+            found |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        elif isinstance(node, ast.ImportFrom) and node.module == "psrelief":
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "dsl"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names if alias.name == "psrelief.dsl" and alias.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in modules:
+            found.add(node.attr)
+    return found
+
+
+def test_parse_reference_takes_no_private_name_of_the_reader():
+    """The reference reader of tests/helpers.py is written from
+    docs/psys-format.md, so it cannot drift back into a copy of the reader
+    it checks."""
+    assert dsl_private_names((Path(__file__).parent / "helpers.py").read_text()) == set()
+    assert dsl_private_names(
+        "from psrelief.dsl import ParseResult, _Bail\n"
+        "from psrelief import dsl as d\nimport psrelief.dsl\nimport psrelief.dsl as e\n"
+        "d._column(x, 1), psrelief.dsl._TOKEN_RE, e._multiset, d.parse, other._word\n"
+    ) == {"_Bail", "_column", "_TOKEN_RE", "_multiset"}

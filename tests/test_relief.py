@@ -519,7 +519,8 @@ class TestReferenceSteps:
         # would overflow (the step starts in Python ints)
         rng = random.Random(31)
         crossed = straddled = 0
-        for trial in range(60):
+        at_half = [0, 0, 0]   # per band
+        for trial in range(90):
             inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 4))
             cons = fixed_point_constants(inst, 3)
             lo, hi = [(INT64_SAFE - 2**24, INT64_SAFE), (INT64_SAFE - 2**24, INT64_SAFE + 2**24),
@@ -528,15 +529,31 @@ class TestReferenceSteps:
             def draw(size):
                 return [rng.randint(lo, hi - 1) for _ in range(size)]
 
-            state = State(q=[draw(inst.n) for _ in range(inst.m)], lam=draw(inst.m),
-                          lam1=draw(inst.n), lam2=draw(inst.n), t=rng.randint(0, 60000))
+            def on_half(i, j):
+                # a multiple of den added to q keeps q * slope % den
+                base = -(-lo // cons.den[i]) * cons.den[i]
+                return base + on_half_mark(rng, cons.slope[i][j], cons.den[i], cons.half[i],
+                                           hi - 1 - base - cons.den[i])
+
+            if trial < 60:
+                q = [draw(inst.n) for _ in range(inst.m)]
+            else:
+                # no halving (w = 0), and q cells whose beta division leaves
+                # the half mark as remainder, in each band
+                q = [[on_half(i, j) for j in range(inst.n)] for i in range(inst.m)]
+            state = State(q=q, lam=draw(inst.m), lam1=draw(inst.n), lam2=draw(inst.n),
+                          t=rng.randint(0, 60000) if trial < 60 else rng.randint(0, 1023))
+            assert all(lo <= c < hi for row in state.q for c in row)
             want = reference_quantized_step(state, inst, cons)
             assert count_step(_QuantizedStep(cons), state) == want
             if max(flat(state)) < INT64_SAFE:
                 crossed += max(flat(want)) >= INT64_SAFE
             else:
                 straddled += min(flat(state)) < INT64_SAFE
-        assert crossed and straddled
+            if quantized_halvings(state.t) == 0:
+                at_half[trial % 3] += sum(q[i][j] * cons.slope[i][j] % cons.den[i] == cons.half[i]
+                                          for i in range(inst.m) for j in range(inst.n))
+        assert crossed and straddled and all(at_half)
 
     def test_trajectory_equals_reference_chain_across_int64_bound(self):
         inst, p, steps = crossing_instance(), 9, 1000
