@@ -20,6 +20,12 @@ serializer sorts membranes, initial multisets, symbols, and priority pairs,
 normalizes whitespace, and preserves rule declaration order (declaration
 order is semantically relevant to the deterministic policy).
 See docs/psys-format.md for the full grammar.
+
+A parsed definition shares its parts: a multiset is a value that never
+changes, so one parse gives every recurring run of atoms one ``Multiset``
+object, and every mention of a membrane label or rule id one ``str``
+object.  The tables that do this belong to the one call of ``parse``; two
+parses share nothing.
 """
 
 from __future__ import annotations
@@ -132,9 +138,24 @@ def _polarization(toks: list[str], i: int) -> Polarization:
     return pol
 
 
-def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset, int]:
+def _multiset(toks: list[str], i: int, stop: tuple[str, ...],
+              shared: dict[tuple[str, ...], Multiset]) -> tuple[Multiset, int]:
     """Atoms from token ``i`` up to the first token in ``stop`` (which holds
-    ``_END``).  A repeated symbol adds to the count at its first position."""
+    ``_END``).  A repeated symbol adds to the count at its first position.
+
+    ``shared`` maps each run of tokens read cleanly so far to its multiset,
+    which an equal run gets again.  The key is the run, not the value: a
+    multiset's key order follows its text.  A run that fails is not stored,
+    so it fails again, with its diagnostic, wherever it recurs."""
+    j = i
+    while toks[j] not in stop:
+        j += 1
+    if j == i:
+        return EMPTY, i
+    run = tuple(toks[i:j])
+    found = shared.get(run)
+    if found is not None:
+        return found, j
     counts: dict[str, int] = {}
     sym = toks[i]
     while sym not in stop:
@@ -158,7 +179,8 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...]) -> tuple[Multiset,
             counts[sym] = counts.get(sym, 0) + 1
         i += 1
         sym = toks[i]
-    return (Multiset.adopt(counts) if counts else EMPTY), i
+    shared[run] = found = Multiset.adopt(counts)
+    return found, i
 
 
 @_gc_paused()
@@ -173,6 +195,9 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     if not isinstance(doc.text, str):
         return ParseResult(None, [ParseDiagnostic("error", "input is not text", 1, 1)])
     diags: list[ParseDiagnostic] = []
+    # One object per distinct run of multiset tokens and per name.
+    shared: dict[tuple[str, ...], Multiset] = {}
+    names: dict[str, str] = {}
     parent: dict[str, str | None] = {}
     membrane_at: dict[str, tuple[int, str]] = {}
     initial: dict[str, Multiset] = {}
@@ -197,7 +222,8 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         try:
             if head == "rule":
                 rid = _word(toks, 1, _IDENT_START, "a rule id")
-                rule = _rule_body(toks, _expect(toks, 2, ":"), rid)
+                rid = names.setdefault(rid, rid)
+                rule = _rule_body(toks, _expect(toks, 2, ":"), rid, shared, names)
                 if rid in rule_line:
                     raise _Bail(f"duplicate rule id {rid!r}", 1)
                 rules.append(rule)
@@ -205,6 +231,7 @@ def parse(doc: SourceDocument | str) -> ParseResult:
             elif head == "prio":
                 hi = _word(toks, 1, _IDENT_START, "a rule id")
                 lo = _word(toks, _expect(toks, 2, ">"), _IDENT_START, "a rule id")
+                hi, lo = names.setdefault(hi, hi), names.setdefault(lo, lo)
                 at_label = None
                 i = 4
                 if toks[4] == "@":
@@ -226,6 +253,8 @@ def parse(doc: SourceDocument | str) -> ParseResult:
                     par = _word(toks, 3, _LABEL_START, "a parent label")
                     if toks[4] != _END:
                         raise _Bail("unexpected trailing input", 4)
+                    par = names.setdefault(par, par)
+                lab = names.setdefault(lab, lab)
                 parent[lab] = par
                 membrane_at[lab] = (line_no, raw)
             elif head == "output":
@@ -234,13 +263,14 @@ def parse(doc: SourceDocument | str) -> ParseResult:
                 lab = _word(toks, 1, _LABEL_START, "a label or 'environment'")
                 if toks[2] != _END:
                     raise _Bail("unexpected trailing input", 2)
-                output = lab
+                output = names.setdefault(lab, lab)
                 output_at = (line_no, raw)
             elif head == "init":
                 lab = _word(toks, 1, _LABEL_START, "a membrane label")
-                ms, _ = _multiset(toks, _expect(toks, 2, ":"), _TO_END)
+                ms, _ = _multiset(toks, _expect(toks, 2, ":"), _TO_END, shared)
                 if lab in initial:
                     raise _Bail(f"init for {lab!r} already given", 0)
+                lab = names.setdefault(lab, lab)
                 initial[lab] = ms
                 init_line[lab] = line_no
             elif head[0] in _IDENT_START:
@@ -282,16 +312,18 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     return ParseResult(None, diags)
 
 
-def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
-    """The rule body from token ``i`` to the end of the line."""
+def _rule_body(toks: list[str], i: int, rid: str,
+               shared: dict[tuple[str, ...], Multiset], names: dict[str, str]) -> Rule:
+    """The rule body from token ``i`` to the end of the line; ``shared`` and
+    ``names`` are the tables of ``parse``."""
     if toks[i] == "[":
-        lhs, i = _multiset(toks, i + 1, _TO_ARROW_OR_CLOSE)
+        lhs, i = _multiset(toks, i + 1, _TO_ARROW_OR_CLOSE, shared)
         if toks[i] == "->":
             # evolution: [lhs -> rhs]'a
-            rhs, i = _multiset(toks, i + 1, _TO_CLOSE)
+            rhs, i = _multiset(toks, i + 1, _TO_CLOSE, shared)
             i = _expect(toks, i, "]")
             alpha = _polarization(toks, i)
-            membrane = _rule_at(toks, i + 1)
+            membrane = _rule_at(toks, i + 1, names)
             return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
@@ -300,27 +332,27 @@ def _rule_body(toks: list[str], i: int, rid: str) -> Rule:
     else:
         # send-in: lhs []'a -> outer [inner]'b
         kind = RuleKind.SEND_IN
-        lhs, i = _multiset(toks, i, _TO_OPEN)
+        lhs, i = _multiset(toks, i, _TO_OPEN, shared)
         i = _expect(toks, _expect(toks, i, "["), "]")
     alpha = _polarization(toks, i)
     if toks[i + 1] != "->":
         raise _Bail("expected '->'", i + 1)
-    outer, i = _multiset(toks, i + 2, _TO_OPEN)
-    inner, i = _multiset(toks, _expect(toks, i, "["), _TO_CLOSE)
+    outer, i = _multiset(toks, i + 2, _TO_OPEN, shared)
+    inner, i = _multiset(toks, _expect(toks, i, "["), _TO_CLOSE, shared)
     i = _expect(toks, i, "]")
     beta = _polarization(toks, i)
-    membrane = _rule_at(toks, i + 1)
+    membrane = _rule_at(toks, i + 1, names)
     rhs, aux = (outer, inner) if kind is RuleKind.SEND_OUT else (inner, outer)
     return Rule(id=rid, kind=kind, membrane=membrane, lhs=lhs, rhs=rhs, rhs_aux=aux, alpha=alpha, beta=beta)
 
 
-def _rule_at(toks: list[str], i: int) -> str:
+def _rule_at(toks: list[str], i: int, names: dict[str, str]) -> str:
     """``@ LABEL`` closing a rule."""
     _expect(toks, i, "@")
     membrane = _word(toks, i + 1, _LABEL_START, "a membrane label")
     if toks[i + 2] != _END:
         raise _Bail("unexpected trailing input", i + 2)
-    return membrane
+    return names.setdefault(membrane, membrane)
 
 
 # ---------------------------------------------------------------------------

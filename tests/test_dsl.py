@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import re
 import sys
 
 import pytest
@@ -276,11 +278,56 @@ class TestParse:
 
     @pytest.mark.parametrize("m, n, p", [(4, 4, 3), (8, 8, 3)])
     def test_generated_text_parses_like_reference(self, m, n, p):
-        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), m, n), p=p))
-        text = dsl.serialize(gen.definition)
+        text = _generated_text(m, n, p)
         res = dsl.parse(text)
         assert _shape(res) == _shape(reference_parse(text))
         assert dsl.serialize(res.definition) == text
+
+
+@functools.cache
+def _generated_text(m: int, n: int, p: int) -> str:
+    return dsl.serialize(build(BuildParams(instance=katrina_shaped(random.Random(1), m, n), p=p)).definition)
+
+
+def _multisets(d: PSystemDef) -> list[Multiset]:
+    return list(d.initial.values()) + [ms for r in d.rules for ms in (r.lhs, r.rhs, r.rhs_aux)]
+
+
+class TestSharing:
+    """One parse gives equal runs of atoms one multiset and each name one
+    string; two parses share nothing."""
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (8, 8)])
+    def test_one_object_per_multiset_value_and_per_name(self, m, n):
+        d = dsl.parse(_generated_text(m, n, 3)).definition
+        multisets = _multisets(d)
+        assert len({id(ms) for ms in multisets}) == len(set(multisets)) < len(multisets)
+        labels = {lab: lab for lab in d.parent}
+        assert all(r.membrane is labels[r.membrane] for r in d.rules)
+        assert all(par is None or par is labels[par] for par in d.parent.values())
+        assert all(lab is labels[lab] for lab in d.initial)
+        ids = {r.id: r.id for r in d.rules}
+        assert d.priorities and all(hi is ids[hi] and lo is ids[lo] for hi, lo in d.priorities)
+
+    def test_two_parses_share_no_multiset(self):
+        text = _generated_text(4, 4, 3)
+        first, second = dsl.parse(text).definition, dsl.parse(text).definition
+        assert not {id(ms) for ms in _multisets(first) if ms} & {id(ms) for ms in _multisets(second) if ms}
+
+    def test_equal_values_written_in_another_order_keep_their_order(self):
+        res = dsl.parse("membrane 1\ninit 1: x y\nrule r: [y x -> x y]'0 @ 1\nrule q: [x^2 y -> y x x]'0 @ 1\n")
+        init, r, q = res.definition.initial["1"], *res.definition.rules
+        assert r.rhs is init and r.lhs == init and r.lhs is not init
+        assert _ordered(init) == [("x", 1), ("y", 1)] and _ordered(r.lhs) == [("y", 1), ("x", 1)]
+        assert q.lhs == q.rhs and q.lhs is not q.rhs
+        assert _ordered(q.lhs) == [("x", 2), ("y", 1)] and _ordered(q.rhs) == [("y", 1), ("x", 2)]
+
+    def test_a_faulty_run_fails_wherever_it_recurs(self):
+        text = "membrane 1\nrule r: [x^0 -> a]'0 @ 1\nrule q: [x^0 -> a]'0 @ 1\ninit 1: a x^0\n"
+        assert [(d.message, d.line, d.column) for d in dsl.parse(text).diagnostics] == [
+            ("multiplicity must be positive", 2, 12), ("multiplicity must be positive", 3, 12),
+            ("multiplicity must be positive", 4, 13)]
+        assert_parses_like_reference(text)
 
 
 def _with_count(place: str, count: int) -> PSystemDef:
@@ -427,6 +474,34 @@ def test_round_trip_of_drawn_systems(d):
     assert_parses_like_reference(text)
 
 
+_RUN = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?[ \t]*)+")
+_ATOM = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^[0-9]+)?")
+
+
+def _repeat_atom(text: str, data) -> str:
+    """``text`` with one more copy of a symbol of a ``rule`` or ``init``
+    line, right after its atom (``x_1^3`` -> ``x_1^3 x_1``) or first in its
+    run (``a b^2`` -> ``b a b^2``), so a multiset merges a repeat, perhaps
+    in another key order than the canonical text's."""
+    lines = text.splitlines(keepends=True)
+    spots = []
+    for k, line in enumerate(lines):
+        colon = line.find(":")
+        if line.startswith(("rule ", "init ")) and colon >= 0:
+            at = line.find("@", colon)
+            for run in _RUN.finditer(line, colon + 1, at if at >= 0 else len(line)):
+                spots += [(k, run.start(), atom) for atom in _ATOM.finditer(line, run.start(), run.end())]
+    if not spots:
+        return text
+    k, run_start, atom = spots[data.draw(st.integers(0, len(spots) - 1))]
+    line = lines[k]
+    if data.draw(st.booleans()):
+        lines[k] = f"{line[:atom.end()]} {atom[1]}{line[atom.end():]}"
+    else:
+        lines[k] = f"{line[:run_start]}{atom[1]} {line[run_start:]}"
+    return "".join(lines)
+
+
 DAMAGE = st.lists(
     st.sampled_from(list("[]'0+-^:@>#\n \tab1_") + ["\x85", "é", "->", "^0", "prio", "rule", "in", "membrane"]),
     min_size=1, max_size=4,
@@ -439,12 +514,14 @@ def test_damaged_text_fails_only_with_positioned_diagnostics(d, data):
     text = dsl.serialize(d)
     for _ in range(data.draw(st.integers(1, 3))):
         lines = text.splitlines(keepends=True)
-        how = data.draw(st.sampled_from(["cut", "insert", "drop_line", "swap_lines"]))
+        how = data.draw(st.sampled_from(["cut", "insert", "repeat", "drop_line", "swap_lines"]))
         at = data.draw(st.integers(0, len(text)))
         if how == "cut":
             text = text[:at] + text[at + data.draw(st.integers(1, 8)):]
         elif how == "insert":
             text = text[:at] + data.draw(DAMAGE) + text[at:]
+        elif how == "repeat":
+            text = _repeat_atom(text, data)
         elif len(lines) > 1:
             i = data.draw(st.integers(0, len(lines) - 1))
             j = data.draw(st.integers(0, len(lines) - 1))
