@@ -187,6 +187,10 @@ class TestParse:
         ("membrane 1\noutput 2 x\n", [("unexpected trailing input", 2, 10)]),
         ("membrane 1\nmembrane 2 of 1\nrule r: [a -> b]'0 @ 2\n",
          [("expected 'in'", 2, 12), ("rule 'r' attached to unknown membrane '2'", 3, 1)]),
+        # a run of atoms that fails is not shared, so it fails wherever it recurs
+        ("membrane 1\nrule r: [x^0 -> a]'0 @ 1\nrule q: [x^0 -> a]'0 @ 1\ninit 1: a x^0\n",
+         [("multiplicity must be positive", 2, 12), ("multiplicity must be positive", 3, 12),
+          ("multiplicity must be positive", 4, 13)]),
     ])
     def test_declaration_diagnostics(self, text, diagnostics):
         res = dsl.parse(text)
@@ -321,13 +325,6 @@ class TestSharing:
         assert _ordered(init) == [("x", 1), ("y", 1)] and _ordered(r.lhs) == [("y", 1), ("x", 1)]
         assert q.lhs == q.rhs and q.lhs is not q.rhs
         assert _ordered(q.lhs) == [("x", 2), ("y", 1)] and _ordered(q.rhs) == [("y", 1), ("x", 2)]
-
-    def test_a_faulty_run_fails_wherever_it_recurs(self):
-        text = "membrane 1\nrule r: [x^0 -> a]'0 @ 1\nrule q: [x^0 -> a]'0 @ 1\ninit 1: a x^0\n"
-        assert [(d.message, d.line, d.column) for d in dsl.parse(text).diagnostics] == [
-            ("multiplicity must be positive", 2, 12), ("multiplicity must be positive", 3, 12),
-            ("multiplicity must be positive", 4, 13)]
-        assert_parses_like_reference(text)
 
 
 def _with_count(place: str, count: int) -> PSystemDef:
