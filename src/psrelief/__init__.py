@@ -24,7 +24,7 @@ from psrelief.psystem import (
     Rule,
     RuleKind,
 )
-from psrelief.engine import FiringPlan, RunReport, apply_step, run, select_firing, steps
+from psrelief.engine import FiringPlan, RunReport, run, steps
 from psrelief.relief import (
     EquilibriumReport,
     ReliefInstance,
@@ -44,8 +44,6 @@ __all__ = [
     "DefinitionError",
     "FiringPlan",
     "RunReport",
-    "select_firing",
-    "apply_step",
     "run",
     "steps",
     "ReliefInstance",

@@ -13,53 +13,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from psrelief import builder, dsl, io as pio, relief, stats, trace as ptrace
-from psrelief.engine import run
+from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run
 
 
-@dataclass
-class RunManifest:
-    command: str
-    instance_path: str | None
-    variant: str | None
-    p: int | None
-    tol: float
-    max_iter: int
-    seed: int
-    timestamp: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def _manifest(args, command: str, variant: str | None = None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        instance_path=getattr(args, "instance", None),
-        variant=variant,
-        p=getattr(args, "p", None),
-        tol=getattr(args, "tol", 0.0),
-        max_iter=getattr(args, "max_iter", 0),
-        seed=getattr(args, "seed", 0),
-        timestamp=args.timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-
-def _emit(args, payload_json: dict, matrix: np.ndarray, manifest: RunManifest,
+def _emit(args, payload_json: dict, matrix: np.ndarray,
           instance: relief.ReliefInstance | None = None) -> None:
+    # the settings the run used; one the command does not take is null
+    manifest = {
+        "command": args.cmd,
+        "instance_path": getattr(args, "instance", None),
+        "variant": getattr(args, "variant", None),
+        "p": getattr(args, "p", None),
+        "tol": getattr(args, "tol", None),
+        "max_iter": getattr(args, "max_iter", None),
+        "timestamp": args.timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
     if args.format == "json":
-        doc = {"manifest": json.loads(manifest.to_json()), "result": payload_json}
+        doc = {"manifest": manifest, "result": payload_json}
         if instance is not None:
             doc["instance"] = instance.to_dict()
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        comments = [f"manifest: {manifest.to_json()}"]
+        comments = [f"manifest: {json.dumps(manifest, sort_keys=True)}"]
         comments += [f"{k}: {v}" for k, v in sorted(payload_json.items())
                      if not isinstance(v, (list, dict))]
         text = pio.format_matrix_csv(matrix, comments)
@@ -93,10 +74,9 @@ def _check_max_iter(args) -> None:
 def cmd_solve(args) -> int:
     _check_max_iter(args)
     inst = pio.load_instance(args.instance)
-    report = relief.solve(inst, variant=args.variant, tol=args.tol, max_iter=args.max_iter,
-                          p=getattr(args, "p", None))
-    manifest = _manifest(args, args.cmd, args.variant)
-    _emit(args, _report_payload(report), report.q_star, manifest, instance=inst)
+    report = relief.solve(inst, variant=args.variant, tol=getattr(args, "tol", None),
+                          max_iter=args.max_iter, p=getattr(args, "p", None))
+    _emit(args, _report_payload(report), report.q_star, instance=inst)
     return 0 if report.converged else 1
 
 
@@ -117,8 +97,7 @@ def cmd_simulate(args) -> int:
         "converged": True,
         "variant": "psystem",
     }
-    manifest = _manifest(args, "simulate", "psystem")
-    _emit(args, payload, q, manifest, instance=inst)
+    _emit(args, payload, q, instance=inst)
     return 0
 
 
@@ -148,8 +127,7 @@ def cmd_compare(args) -> int:
         "excluded_zero_reference": [list(c) for c in result.excluded_zero_reference],
         "per_cell": [[None if np.isnan(v) else v for v in row] for row in result.per_cell],
     }
-    manifest = _manifest(args, "compare")
-    _emit(args, payload, result.per_cell, manifest)
+    _emit(args, payload, result.per_cell)
     return 0
 
 
@@ -180,14 +158,17 @@ def cmd_trace(args) -> int:
     return 0 if report.halted else 1
 
 
-def _add_common(p: argparse.ArgumentParser, instance_required: bool = True) -> None:
-    p.add_argument("--instance", required=instance_required, help="instance JSON file")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+def _add_export(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--timestamp", default=None,
                    help="manifest timestamp override (for reproducible exports)")
+
+
+def _add_run(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+    _add_export(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,20 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("solve", help="floating point projected iteration")
-    _add_common(p)
+    _add_run(p)
+    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--variant", choices=[relief.FULL, relief.SIMPLIFIED],
                    default=relief.SIMPLIFIED)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("oracle", help="integer-quantized iteration")
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--p", type=int, required=True, help="precision exponent (scale 10^p)")
     p.set_defaults(fn=cmd_solve, variant=relief.QUANTIZED)
 
     p = sub.add_parser("simulate", help="build and run the membrane system")
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, variant="psystem")
 
     p = sub.add_parser("build", help="emit the generated system as .psys")
     p.add_argument("--instance", required=True, help="instance JSON file")
@@ -217,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("compare", help="percent-error statistics of two tables")
-    _add_common(p, instance_required=False)
+    _add_export(p)
     p.add_argument("--candidate", required=True)
     p.add_argument("--reference", required=True)
     p.set_defaults(fn=cmd_compare)
@@ -229,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--psys", help="trace a .psys system instead of a built instance")
     p.add_argument("--max-steps", type=int, default=10_000, dest="max_steps")
-    p.add_argument("--policy", choices=["deterministic", "seeded-random"],
-                   default="deterministic")
+    p.add_argument("--policy", choices=[DETERMINISTIC, SEEDED_RANDOM], default=DETERMINISTIC)
     p.set_defaults(fn=cmd_trace)
     return parser
 

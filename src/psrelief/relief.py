@@ -530,7 +530,7 @@ class EquilibriumReport:
     iterations: int
     converged: bool
     variant: str
-    tol: float
+    tol: float | None
     feasibility_residuals: dict[str, np.ndarray] = field(default_factory=dict)
     stationarity_residuals: np.ndarray | None = None
     p: int | None = None
@@ -558,10 +558,12 @@ def solve(
     """Iterate the chosen step until convergence or the iteration budget.
 
     Convergence is measured on q only: max |q^{t+1} - q^t| < tol for the
-    float variants, exact count equality for the quantized variant.  The
-    start point mirrors the membrane system: every flow at 1.0, every
-    multiplier at 0.  A run whose iterate, count / 10^p or residuals leave
-    the float range raises ``ValueError``.
+    float variants, exact count equality for the quantized variant.  ``tol``
+    applies to the float variants only: the quantized variant neither checks
+    nor reports it (its report's ``tol`` is None, as a float report's ``p``
+    is).  The start point mirrors the membrane system: every flow at 1.0,
+    every multiplier at 0.  A run whose iterate, count / 10^p or residuals
+    leave the float range raises ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -581,7 +583,7 @@ def solve(
             cur.z[:] = [c / P for c in z.tolist()]
         except OverflowError:  # a count does not fit a float
             cur.z[:] = math.inf
-        tol = 1 / P  # exact int division: a subnormal or 0.0, never an overflow
+        tol = None  # the quantized iteration has no tolerance
         caps = 0
     elif variant in (SIMPLIFIED, FULL):
         if tol <= 0:

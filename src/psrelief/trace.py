@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem, count_reader
-from psrelief.engine import FiringPlan, RunReport, steps
+from psrelief.engine import DETERMINISTIC, FiringPlan, RunReport, steps
 from psrelief.psystem import Configuration, PSystemDef
 from psrelief.relief import quantized_halvings
 
@@ -127,7 +127,7 @@ def run_generated(
     gen: GeneratedSystem,
     max_iterations: int,
     extra_observer=None,
-    policy: str = "deterministic",
+    policy: str = DETERMINISTIC,
     seed: int = 0,
 ) -> GeneratedRun:
     """Run a generated system for at most ``max_iterations`` rounds of the

@@ -21,6 +21,10 @@ def data_path(name: str) -> str:
     return str(resources.files("psrelief").joinpath("data", name))
 
 
+KATRINA = ["--candidate", data_path("katrina_psystem.csv"),
+           "--reference", data_path("katrina_reference.csv")]
+
+
 class TestSolve:
     def test_solve_derived_instance(self, tmp_path, capsys):
         out = tmp_path / "q.json"
@@ -57,14 +61,11 @@ class TestSolve:
             main(["solve", "--instance", DERIVED, "--wibble"])
         assert exc.value.code == 2
 
-    def test_tol_is_checked_only_where_it_is_read(self, tmp_path, capsys):
+    def test_tol_is_checked_only_where_it_is_read(self, capsys):
         demo = str(INSTANCES / "demo_2x2.json")
         for variant in ("simplified", "full"):
             assert main(["solve", "--variant", variant, "--instance", demo, "--tol", "0"]) == 2
             assert capsys.readouterr().err == "error: tol must be positive\n"
-        # the quantized iteration never reads tol
-        assert main(["oracle", "--p", "3", "--instance", demo,
-                     "--tol", "0", "--out", str(tmp_path / "q.csv")]) == 0
 
     @pytest.mark.parametrize("tol, message", [
         ("nan", "tol must be finite"),
@@ -83,13 +84,31 @@ class TestSolve:
         assert capsys.readouterr().err == ""
         assert json.loads(out.read_text())["result"]["converged"] is False
 
-    def test_seed_is_trace_only(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--instance", DERIVED, "--p", "2", "--seed", "1"])
-        assert exc.value.code == 2
-
 
 class TestInputErrors:
+    # a flag is taken only by the subcommands that read it: every other
+    # argument of each row is valid, and nothing is written
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--instance", DERIVED, "--p", "2"], ["--seed", "1"]),
+        (["build", "--instance", DERIVED, "--p", "2", "--emit", "system.psys"], ["--tol", "1"]),
+        (["oracle", "--instance", DERIVED, "--p", "3"], ["--tol", "0"]),
+        (["simulate", "--instance", DERIVED, "--p", "2", "--format", "json"], ["--tol", "inf"]),
+        (["compare"] + KATRINA, ["--tol", "1e-5"]),
+        (["compare"] + KATRINA, ["--max-iter", "-1"]),
+        (["compare"] + KATRINA, ["--instance", "/nonexistent.json"]),
+    ], ids=["simulate-seed", "build-tol", "oracle-tol", "simulate-tol", "compare-tol",
+            "compare-max-iter", "compare-instance"])
+    def test_flag_the_subcommand_does_not_take_is_rejected(self, tmp_path, monkeypatch, capsys,
+                                                           argv, flag):
+        monkeypatch.chdir(tmp_path)
+        out = [] if argv[0] == "build" else ["--out", "export"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + out + flag)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(flag)}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     @pytest.mark.parametrize("argv", [["solve"], ["oracle", "--p", "3"], ["simulate", "--p", "2"]])
     def test_non_positive_max_iter_rejected_before_reading(self, tmp_path, capsys, argv, max_iter):
@@ -155,20 +174,11 @@ class TestBuild:
         assert summary == (f"wrote {out}: {len(d.parent)} membranes, {len(d.rules)} rules, "
                            f"{len(d.priorities)} priority pairs\n")
 
-    def test_ignored_solver_flag_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", "--instance", DERIVED, "--p", "2",
-                  "--emit", str(tmp_path / "system.psys"), "--tol", "1"])
-        assert exc.value.code == 2
-
 
 class TestCompare:
     def test_case_study_statistics(self, tmp_path):
         out = tmp_path / "stats.json"
-        code = main(["compare",
-                     "--candidate", data_path("katrina_psystem.csv"),
-                     "--reference", data_path("katrina_reference.csv"),
-                     "--format", "json", "--out", str(out)])
+        code = main(["compare"] + KATRINA + ["--format", "json", "--out", str(out)])
         assert code == 0
         result = json.loads(out.read_text())["result"]
         assert abs(result["average"] - 1.98) <= 0.01
@@ -265,16 +275,61 @@ class TestTrace:
         assert capsys.readouterr().err == f"{psys}:2:1: error: membrane '1' already declared\n"
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects the ``NaN`` and ``Infinity`` extensions
+    (RFC 8259 has neither)."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestManifest:
+    STAMP = "2000-01-01T00:00:00+00:00"
+    DEMO = "instances/demo_2x2.json"
+
+    # the settings each command takes; one it does not take is null
+    @pytest.mark.parametrize("argv, manifest", [
+        (["solve", "--instance", DEMO, "--tol", "1e-4", "--max-iter", "1000"],
+         {"command": "solve", "instance_path": DEMO, "variant": "simplified", "p": None,
+          "tol": 1e-4, "max_iter": 1000, "timestamp": STAMP}),
+        (["oracle", "--instance", DEMO, "--p", "3"],
+         {"command": "oracle", "instance_path": DEMO, "variant": "quantized", "p": 3,
+          "tol": None, "max_iter": 100_000, "timestamp": STAMP}),
+        (["simulate", "--instance", DEMO, "--p", "2", "--max-iter", "500"],
+         {"command": "simulate", "instance_path": DEMO, "variant": "psystem", "p": 2,
+          "tol": None, "max_iter": 500, "timestamp": STAMP}),
+        (["compare"] + KATRINA,
+         {"command": "compare", "instance_path": None, "variant": None, "p": None,
+          "tol": None, "max_iter": None, "timestamp": STAMP}),
+    ], ids=["solve", "oracle", "simulate", "compare"])
+    def test_manifest_is_strict_json_of_the_settings(self, tmp_path, monkeypatch, argv, manifest):
+        monkeypatch.chdir(INSTANCES.parent)
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"export.{fmt}"
+            assert main(argv + ["--format", fmt, "--timestamp", self.STAMP,
+                                "--out", str(out)]) == 0
+            text = out.read_text()
+            if fmt == "json":
+                doc = strict_json(text)
+                assert doc["manifest"] == manifest
+                assert set(doc) == ({"manifest", "result"} if argv[0] == "compare"
+                                    else {"manifest", "result", "instance"})
+            else:
+                line = text.splitlines()[0]
+                assert line.startswith("# manifest: ")
+                assert strict_json(line.removeprefix("# manifest: ")) == manifest
+
+
 class TestDeterminism:
     # sha256 of the --timestamp exports on demo_2x2, run from the repository
     # root so that the manifest's instance_path is the relative path
     @pytest.mark.parametrize("argv, fmt, digest", [
-        (["solve"], "csv", "5573aae2c38871a9de09f70d823f5e7702d762b97427249e4b7c007fae2c4fc7"),
-        (["solve"], "json", "bb8cad18335b4cc76893c64986136db6a2764a6caf7462891249bc75507a1110"),
-        (["oracle", "--p", "3"], "csv", "f4a35f1de4e71098705cb381cbdd63d8f635b011693d93aaa839c43421fb4e97"),
-        (["oracle", "--p", "3"], "json", "8ff2942b00cb66d7ab3feb26b9cdb5e97da17de382edf668545e2a42fe1848b4"),
-        (["simulate", "--p", "2"], "csv", "be8eedae5152c5b9049a766733b3c09272746a6c0c2e6bafc83c0d94bf7f0e7c"),
-        (["simulate", "--p", "2"], "json", "e38b75715494c0b7ed81265505a34906048001143d0bc543ada230df3111b6f8"),
+        (["solve"], "csv", "04bc5e0f7c9cf7811f967a2054b7053da22bad12dc4a9fbaea5f00b1590ea0c3"),
+        (["solve"], "json", "45b07ee5c8b995e9e6962f80f8caa64334c79e924679473a7c026b3c54b4c603"),
+        (["oracle", "--p", "3"], "csv", "5de3af0c262a5d0620e1860abf33ca90016a1f195ab391d60f347b5887e7dd31"),
+        (["oracle", "--p", "3"], "json", "ee6add3ffe70332dedb76ff5bb29ca56a090b68f14a268b984031f7c79e02a34"),
+        (["simulate", "--p", "2"], "csv", "16bb8eddf39be501f54fad60bfb740676eefacabd450ade0b2d0d2a060bc5a1d"),
+        (["simulate", "--p", "2"], "json", "04bcb22a5650b7dd5439236b311c36f60fa6f2fbf59bdff36863e43f90e391c3"),
     ])
     def test_pinned_exports(self, tmp_path, monkeypatch, argv, fmt, digest):
         monkeypatch.chdir(INSTANCES.parent)

@@ -1,21 +1,35 @@
-"""The package's export list, and what the test references may take from
-the package."""
+"""The package's export list, the command line's options, and what the test
+references may take from the package."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
 import psrelief
+from psrelief import cli
 
-#: The public names: the engine's whole-run entry points and its one per-call
-#: pair, the relief driver, and the builder.
+#: The public names: the engine's whole-run entry points, the relief driver,
+#: and the builder.
 EXPORTS = [
     "BuildParams", "Configuration", "DefinitionError", "EquilibriumReport", "FiringPlan",
     "GeneratedSystem", "Multiset", "PSystemDef", "Polarization", "ReliefInstance", "Rule",
-    "RuleKind", "RunReport", "apply_step", "build", "decode_output", "run", "select_firing",
-    "solve", "step_size", "steps", "validate",
+    "RuleKind", "RunReport", "build", "decode_output", "run", "solve", "step_size", "steps",
+    "validate",
 ]
+
+#: The option strings of each subcommand, so that adding or dropping a flag
+#: is a reviewed change here.
+OPTIONS = {
+    "build": ["--emit", "--instance", "--p"],
+    "compare": ["--candidate", "--format", "--out", "--reference", "--timestamp"],
+    "oracle": ["--format", "--instance", "--max-iter", "--out", "--p", "--timestamp"],
+    "simulate": ["--format", "--instance", "--max-iter", "--out", "--p", "--timestamp"],
+    "solve": ["--format", "--instance", "--max-iter", "--out", "--timestamp", "--tol",
+              "--variant"],
+    "trace": ["--instance", "--max-steps", "--out", "--p", "--policy", "--psys", "--seed"],
+}
 
 
 def test_every_exported_name_resolves():
@@ -25,6 +39,17 @@ def test_every_exported_name_resolves():
 
 def test_export_list_is_pinned():
     assert sorted(psrelief.__all__) == EXPORTS
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for action in sub._actions for s in action.option_strings
+                     if s not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == OPTIONS
 
 
 def dsl_private_names(source: str) -> set[str]:
