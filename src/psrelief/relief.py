@@ -40,12 +40,27 @@ realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
 
 Cost.  Each route builds its step once per run, and no public function builds
-one per call.  Both steps work on one vector z = (q row-major, lam, lam1,
-lam2) with the four families as views of it; a drift vector D has the same
-layout.  The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b``
-as arrays; they are the subexpressions the formula above evaluates, so every
-float is the same.  It writes the drift in place into a reused vector and is
-one ``z + a_t D`` and one ``max(0, .)``.
+one per call.  A step binds, when it is built, every constant, buffer and
+view an iteration reads or writes: two state vectors z = (q row-major, lam,
+lam1, lam2) that the iterations alternate and a drift vector D of the same
+layout, each with its views (the four families, q flat, lam as an (m, 1)
+column), the constants broadcast to (m, n), and two vectors ``ahead = (row
+sums, lower bounds, column sums)`` and ``behind = (supplies, column sums,
+upper bounds)`` whose one difference is the multiplier part of D.  Each
+operation of an iteration is then one ufunc call that writes into a bound
+buffer.  The loops walk the schedule one block at a time
+(``_block_lengths``): the step factor a_t, and on the integer route the
+halving count w, is a vector refilled at the start of each block.
+
+The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as
+arrays and evaluates the formula above term by term on the same operands in
+the same order (``2 a^2 q``, ``+ 2 a b``, ``/ beta``, subtracted from
+``omega gamma / beta``, ``- lam``, ``+ lam1``, ``- lam2``, ``+`` the
+visibility derivative), so every float is the formula's; regrouping the
+multipliers, dividing by a precomputed quotient, a fused multiply-add or a
+BLAS sum would each change bits.  An iteration is then one ``z + a_t D``
+and one ``max(0, .)``.  The visibility caps are counted per column into an
+int vector and summed once per run.
 
 The integer step inlines the two gadgets with two identities that are exact
 on integers:
@@ -57,23 +72,26 @@ Adding ``den - half`` carries into the quotient exactly when the remainder
 reaches ``half``, and adding 5 carries exactly when the last digit is at
 least 5.  ``fixed_point_constants`` gives ``half = ceil(P beta / 2) <=
 floor(P beta) = den`` once ``den >= 1``; the step checks both bounds once per
-run.  The q part of D is ``(k0 - k1) + (lam1 - lam2) - lam - (q slope + den -
-half) // den``, broadcast by row and column; the multiplier parts are the row
-sums minus ``supply``, ``dlo`` minus the column sums and the column sums minus
-``dhi``.  With ``mag = ((|D| >> w) + 5) // 10``, one pass over the whole
-vector emits and cancels: the new count is ``z + mag`` where ``D >= 0`` and
-``max(0, z - mag)`` where ``D < 0``.
+run.  The q part of D is ``(k0 - k1) - (q slope + den - half) // den + lam1 -
+lam2 - lam``, accumulated left to right and broadcast by row and column; the
+multiplier parts are the row sums minus ``supply``, ``dlo`` minus the column
+sums and the column sums minus ``dhi``.  With ``mag = ((|D| >> w) + 5) //
+10``, one pass over the whole vector emits and cancels: ``mag`` is negated
+where ``D < 0``, added to z and clipped at 0.  That is ``z + mag`` where ``D
+>= 0`` (never below 0) and ``max(0, z - mag)`` where ``D < 0``; integer
+arithmetic is exact, so the order of these steps does not change a count.
 
 The counts are int64 while every constant and every count lies in [0, 2^31),
 and Python ints (object arrays through the same ufuncs) otherwise.  Under that
-bound nothing overflows.  ``q slope + den - half < 2^62 + 2^31``; the other q
-terms are below 2^31 in size, so ``|D| < 2^62 + 2^33`` on q.  A row or column
-sum is below max(m, n) 2^31, so ``|D| < 2^62`` on the multipliers for any
-max(m, n) < 2^31.  Hence ``|D|``, ``mag + 5`` and the new counts, which lie in
-[0, 2^31 + |D|), all stay below 2^63.  A run that starts in int64 converts z
-once, when ``z.max()`` reaches 2^31, and stays in Python ints, because
-products of counts grow as P^2 and p has no upper bound.  On the katrina-
-shaped ladder instances the supplies and demand caps pass the bound from p = 6
+bound nothing overflows.  ``q slope + den - half < 2^62 + 2^31``; ``k0 -
+k1`` and each multiplier are below 2^31 in size, so every partial sum of the
+q part, and ``|D|`` on q, stays below ``2^62 + 2^33``.  A partial row or
+column sum is below max(m, n) 2^31, so ``|D| < 2^62`` on the multipliers for
+any max(m, n) < 2^31.  Hence ``|D|``, ``mag + 5``, ``z - mag`` and ``z +
+mag``, which lie in (-2^63, 2^31 + |D|), all stay inside int64.  A run that
+starts in int64 converts z once, when ``z.max()`` reaches 2^31, and stays in
+Python ints, because products of counts grow as P^2 and p has no upper
+bound.  On the katrina-shaped ladder instances the supplies and demand caps pass the bound from p = 6
 at 10x30 and from p = 7 at 4x4 and 8x8; a 10x30 run at p = 5 stays in int64
 throughout.
 
@@ -223,19 +241,28 @@ def validate(inst: ReliefInstance) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def schedule_exponent(t: int) -> int:
-    """Block exponent w of a_t = 0.1 / 2**w: blocks of max(1024, 2**w) copies."""
+def _block_lengths(stretch: int) -> Iterator[int]:
+    """The lengths of the blocks w = 0, 1, ... of a halving schedule:
+    max(1024, stretch * 2**w) iterations each."""
+    w = 0
+    while True:
+        yield max(1024, stretch << w)
+        w += 1
+
+
+def _block_of(t: int, stretch: int) -> int:
+    """The block w that holds iteration t of the schedule ``stretch``."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    if t < 11264:  # 11 blocks of 1024 cover w = 0..10
-        return t // 1024
-    w = 11
-    lo = 11264
-    while True:
-        if t < lo + (1 << w):
+    for w, copies in enumerate(_block_lengths(stretch)):
+        if t < copies:
             return w
-        lo += 1 << w
-        w += 1
+        t -= copies
+
+
+def schedule_exponent(t: int) -> int:
+    """Block exponent w of a_t = 0.1 / 2**w: blocks of max(1024, 2**w) copies."""
+    return _block_of(t, 1)
 
 
 def step_size(t: int) -> float:
@@ -247,21 +274,11 @@ def quantized_halvings(t: int) -> int:
 
     The counter machinery of the generated system emits one halving token per
     1024 iterations for the first ten tokens and then doubles the block
-    length starting at 2048, so it agrees with ``schedule_exponent`` up to
-    iteration 11263 and first differs at 11264.
+    length starting at 2048 (blocks of max(1024, 2**(w+1)) copies), so it
+    agrees with ``schedule_exponent`` up to iteration 11263 and first differs
+    at 11264.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t < 10240:
-        return t // 1024
-    r = t - 10240
-    w = 10
-    block = 2048
-    while r >= block:
-        r -= block
-        block <<= 1
-        w += 1
-    return w
+    return _block_of(t, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,68 +287,144 @@ def quantized_halvings(t: int) -> int:
 
 
 class _Packed(NamedTuple):
-    """One vector z = (q row-major, lam, lam1, lam2) and its four parts as
-    views; a drift vector has the same layout (g, dl, d1, d2)."""
+    """One vector z = (q row-major, lam, lam1, lam2) and the views of it a
+    step reads and writes, made once; a drift vector has the same layout
+    (g, dl, d1, d2)."""
 
     z: np.ndarray
-    q: np.ndarray      # (m, n)
-    lam: np.ndarray    # (m,)
-    lam1: np.ndarray   # (n,)
-    lam2: np.ndarray   # (n,)
+    q: np.ndarray          # (m, n)
+    lam: np.ndarray        # (m,)
+    lam1: np.ndarray       # (n,)
+    lam2: np.ndarray       # (n,)
+    flows: np.ndarray      # (m n,): q row-major
+    lam_col: np.ndarray    # (m, 1): lam as a column
+    multipliers: np.ndarray  # (m + 2 n,): lam, lam1, lam2
+
+
+def _packed(z: np.ndarray, m: int, n: int) -> _Packed:
+    """The views of a packed vector z of an m x n instance."""
+    mn = m * n
+    return _Packed(z, z[:mn].reshape(m, n), z[mn:mn + m], z[mn + m:mn + m + n],
+                   z[mn + m + n:], z[:mn], z[mn:mn + m].reshape(m, 1), z[mn:])
+
+
+def _multiplier_operands(m: int, n: int, row_cap, col_lo, col_hi, dtype):
+    """``ahead`` = (row sums, col_lo, column sums) and ``behind`` = (row_cap,
+    column sums, col_hi), whose difference is the multiplier part of a drift,
+    and the views the sums go into: the rows and columns of ``ahead`` and the
+    columns of ``behind``."""
+    ahead, behind = np.empty(m + 2 * n, dtype), np.empty(m + 2 * n, dtype)
+    ahead[m:m + n], behind[:m], behind[m + n:] = col_lo, row_cap, col_hi
+    return ahead, behind, ahead[:m], ahead[m + n:], behind[m:m + n]
 
 
 class _FloatStep:
-    """The projected step of one (instance, variant) on packed states; the
-    drift goes into the reused vector ``d`` (see "Cost" above)."""
+    """The projected step of one (instance, variant) on packed states,
+    prepared once: every constant, buffer and view is bound when the step is
+    built, and each operation of an iteration is one ufunc call into a bound
+    buffer (see "Cost" above).  The drift at a state goes into ``d``, and
+    the visibility caps it hits are added to the per-column counts
+    ``caps``."""
 
     def __init__(self, inst: ReliefInstance, variant: str):
-        self.m, self.n = inst.m, inst.n
+        m, n = self.m, self.n = inst.m, inst.n
         self.full = variant == FULL
-        c = _float_constants(inst)
-        self.gain, self.c2, self.c1 = c["omega*gamma/beta"], c["2*cost_a**2"], c["2*cost_a*cost_b"]
-        self.beta = inst.beta[:, None]
-        self.s, self.d_lo, self.d_hi, self.vis_k = inst.s, inst.d_lo, inst.d_hi, inst.vis_k
-        self.cols = np.empty(inst.n)
         self.d = self.empty()
+        self.caps = np.zeros(n, np.int64)
+        #: the step factor a_t, one copy per entry of z
+        self.a = np.empty(m * n + m + 2 * n)
+        self._drift = self._bind_drift(inst)
+        d, a, zero = self.d.z, self.a, np.zeros_like(self.a)
+        drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
+
+        def step(x: _Packed, out: _Packed) -> None:
+            drift(x)
+            multiply(d, a, out=d)
+            add(x.z, d, out=out.z)
+            maximum(zero, out.z, out=out.z)
+
+        self._step = step
 
     def empty(self) -> _Packed:
+        return _packed(np.empty(self.m * self.n + self.m + 2 * self.n), self.m, self.n)
+
+    def _bind_drift(self, inst: ReliefInstance):
+        """The drift x -> d, with the formula's constants and buffers bound."""
         m, n = self.m, self.n
-        mn = m * n
-        z = np.empty(mn + m + 2 * n)
-        return _Packed(z, z[:mn].reshape(m, n), z[mn:mn + m], z[mn + m:mn + m + n], z[mn + m + n:])
+        c = _float_constants(inst)
+        gain, c2, c1 = c["omega*gamma/beta"], c["2*cost_a**2"], c["2*cost_a*cost_b"]
+        beta = np.broadcast_to(inst.beta[:, None], (m, n)).copy()
+        g, multipliers = self.d.q, self.d.multipliers
+        ahead, behind, rows, cols, cols_behind = _multiplier_operands(
+            m, n, inst.s, inst.d_lo, inst.d_hi, float)
+        full, caps, vis_k = self.full, self.caps, inst.vis_k
+        below, vis = np.empty(n, bool), np.empty(n)
+        floor, two = np.full(n, VISIBILITY_FLOOR), np.full(n, 2.0)
+        multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+        add_reduce, copyto, less, maximum, sqrt = np.add.reduce, np.copyto, np.less, np.maximum, np.sqrt
+
+        def drift(x: _Packed) -> None:
+            multiply(c2, x.q, out=g)
+            add(g, c1, out=g)
+            divide(g, beta, out=g)
+            subtract(gain, g, out=g)
+            subtract(g, x.lam_col, out=g)
+            add(g, x.lam1, out=g)
+            subtract(g, x.lam2, out=g)
+            add_reduce(x.q, 1, out=rows)
+            add_reduce(x.q, 0, out=cols)
+            copyto(cols_behind, cols)
+            subtract(ahead, behind, out=multipliers)
+            if full:
+                less(cols, floor, out=below)
+                add(caps, below, out=caps)
+                maximum(cols, floor, out=vis)
+                sqrt(vis, out=vis)
+                multiply(two, vis, out=vis)
+                divide(vis_k, vis, out=vis)
+                add(g, vis, out=g)
+
+        return drift
 
     def drift(self, x: _Packed) -> int:
         """Write the drift of each family at x, before scaling by a_t, into
         ``self.d``; return the number of visibility derivatives capped at a
         column sum below ``VISIBILITY_FLOOR``."""
-        d, cols = self.d, self.cols
-        g = d.q
-        np.multiply(self.c2, x.q, out=g)
-        g += self.c1
-        g /= self.beta
-        np.subtract(self.gain, g, out=g)
-        g -= x.lam[:, None]
-        g += x.lam1
-        g -= x.lam2
-        x.q.sum(axis=0, out=cols)
-        capped = 0
-        if self.full:
-            capped = int(np.count_nonzero(cols < VISIBILITY_FLOOR))
-            g += self.vis_k / (2.0 * np.sqrt(np.maximum(cols, VISIBILITY_FLOOR)))
-        x.q.sum(axis=1, out=d.lam)
-        np.subtract(d.lam, self.s, out=d.lam)
-        np.subtract(self.d_lo, cols, out=d.lam1)
-        np.subtract(cols, self.d_hi, out=d.lam2)
-        return capped
+        self.caps.fill(0)
+        self._drift(x)
+        return int(np.add.reduce(self.caps))
 
     def advance(self, x: _Packed, out: _Packed, a: float) -> int:
         """out = max(0, x + a * drift(x)); the visibility caps hit at x."""
-        capped = self.drift(x)
-        dz = self.d.z
-        dz *= a
-        np.add(x.z, dz, out=out.z)
-        np.maximum(0.0, out.z, out=out.z)
-        return capped
+        self.caps.fill(0)
+        self.a.fill(a)
+        self._step(x, out)
+        return int(np.add.reduce(self.caps))
+
+    def run(self, tol: float, max_iter: int) -> tuple[_Packed, int, bool, int]:
+        """Step from q = 1 and zero multipliers until max |dq| < tol or
+        max_iter steps, one schedule block at a time: the last state, the
+        iterations taken, whether max |dq| fell below tol, and the
+        visibility caps hit on the way."""
+        cur, nxt = self.empty(), self.empty()
+        cur.z.fill(0.0)
+        cur.q.fill(1.0)
+        self.caps.fill(0)
+        dq = np.empty(self.m * self.n)
+        step, subtract, absolute, max_reduce = self._step, np.subtract, np.absolute, np.maximum.reduce
+        t, converged, blocks = 0, False, _block_lengths(1)
+        while t < max_iter and not converged:
+            self.a.fill(step_size(t))
+            for _ in range(min(next(blocks), max_iter - t)):
+                step(cur, nxt)
+                subtract(nxt.flows, cur.flows, out=dq)
+                absolute(dq, out=dq)
+                cur, nxt = nxt, cur
+                t += 1
+                if max_reduce(dq) < tol:
+                    converged = True
+                    break
+        return cur, t, converged, int(np.add.reduce(self.caps))
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +511,12 @@ _INT64_SAFE = 1 << 31
 class _QuantizedStep:
     """The integer iteration for one set of fixed-point constants on packed
     count vectors z = (q row-major, lam, lam1, lam2): one drift vector, then
-    one emission-and-cancellation pass over it.  Constants and counts are
-    int64 until one of them reaches ``_INT64_SAFE`` and Python ints from then
-    on (see "Cost" above)."""
+    one emission-and-cancellation pass over it.  Prepared like
+    ``_FloatStep``: the constants, two state buffers that the steps
+    alternate, the drift and the scratch vectors are bound for one dtype,
+    int64 until a constant or count reaches ``_INT64_SAFE`` and Python ints
+    (object arrays through the same ufuncs) from then on (see "Cost"
+    above)."""
 
     def __init__(self, k: FixedPointConstants):
         if any(d <= 0 for d in k.den):
@@ -430,21 +526,59 @@ class _QuantizedStep:
         self.k = k
         self.m, self.n = len(k.den), len(k.dlo)
         self.mn = self.m * self.n
+        self.w = 0
         flat = [c for table in (k.k0, k.k1, k.slope) for row in table for c in row]
         flat += k.den + k.half + k.supply + k.dlo + k.dhi
         self._use(np.int64 if all(0 <= c < _INT64_SAFE for c in flat) else object)
 
     def _use(self, dtype) -> None:
-        """Hold the constants as arrays of ``dtype``."""
-        k = self.k
+        """Bind the constants, the buffers and the step for ``dtype``."""
+        k, m, n = self.k, self.m, self.n
         self.dtype = dtype
-        self.kd = np.array(k.k0, dtype) - np.array(k.k1, dtype)
-        self.slope = np.array(k.slope, dtype)
-        self.den = np.array(k.den, dtype)[:, None]
-        self.dh = self.den - np.array(k.half, dtype)[:, None]
-        self.supply = np.array(k.supply, dtype)
-        self.dlo = np.array(k.dlo, dtype)
-        self.dhi = np.array(k.dhi, dtype)
+        size = self.mn + m + 2 * n
+        kd = np.array(k.k0, dtype) - np.array(k.k1, dtype)
+        slope = np.array(k.slope, dtype)
+        den = np.broadcast_to(np.array(k.den, dtype)[:, None], (m, n)).copy()
+        dh = den - np.array(k.half, dtype)[:, None]
+        ahead, behind, rows, cols, cols_behind = _multiplier_operands(
+            m, n, k.supply, k.dlo, k.dhi, dtype)
+        self.states = [_packed(np.empty(size, dtype), m, n) for _ in range(2)]
+        self.halvings = np.full(size, self.w, dtype)
+        d = _packed(np.empty(size, dtype), m, n)
+        dq, mag, negative_at = d.q, np.empty(size, dtype), np.empty(size, bool)
+        zero, five, ten = (np.full(size, c, dtype) for c in (0, 5, 10))
+        halvings = self.halvings
+        multiply, add, subtract, floor_divide = np.multiply, np.add, np.subtract, np.floor_divide
+        add_reduce, copyto, absolute, right_shift = np.add.reduce, np.copyto, np.absolute, np.right_shift
+        less, negative, maximum = np.less, np.negative, np.maximum
+
+        def step(x: _Packed, out: _Packed) -> None:
+            multiply(x.q, slope, out=dq)
+            add(dq, dh, out=dq)
+            floor_divide(dq, den, out=dq)
+            subtract(kd, dq, out=dq)
+            add(dq, x.lam1, out=dq)
+            subtract(dq, x.lam2, out=dq)
+            subtract(dq, x.lam_col, out=dq)
+            add_reduce(x.q, 1, out=rows)
+            add_reduce(x.q, 0, out=cols)
+            copyto(cols_behind, cols)
+            subtract(ahead, behind, out=d.multipliers)
+            absolute(d.z, out=mag)
+            right_shift(mag, halvings, out=mag)
+            add(mag, five, out=mag)
+            floor_divide(mag, ten, out=mag)
+            less(d.z, zero, out=negative_at)
+            negative(mag, out=mag, where=negative_at)
+            add(x.z, mag, out=out.z)
+            maximum(out.z, zero, out=out.z)
+
+        self._step = step
+
+    def halve(self, w: int) -> None:
+        """Apply w halvings in the step factor from the next step on."""
+        self.w = w
+        self.halvings.fill(w)
 
     def pack(self, counts: list[int]) -> np.ndarray:
         """Counts in the packed order (q row-major, lam, lam1, lam2) as one
@@ -453,52 +587,59 @@ class _QuantizedStep:
             self._use(object)
         return np.array(counts, self.dtype)
 
-    def __call__(self, z: np.ndarray, w: int) -> np.ndarray:
-        """The next packed state after z, with w halvings in the step factor."""
-        m, n, mn = self.m, self.n, self.mn
-        q = z[:mn].reshape(m, n)
-        lam, lam1, lam2 = z[mn:mn + m], z[mn + m:mn + m + n], z[mn + m + n:]
-        d = np.empty_like(z)
-        dq = d[:mn].reshape(m, n)
-        np.multiply(q, self.slope, out=dq)
-        dq += self.dh
-        dq //= self.den
-        np.subtract(self.kd, dq, out=dq)
-        dq += lam1 - lam2
-        dq -= lam[:, None]
-        cols = q.sum(axis=0)
-        np.subtract(q.sum(axis=1), self.supply, out=d[mn:mn + m])
-        np.subtract(self.dlo, cols, out=d[mn + m:mn + m + n])
-        np.subtract(cols, self.dhi, out=d[mn + m + n:])
-        mag = np.abs(d)
-        mag >>= w
-        mag += 5
-        mag //= 10
-        nxt = np.where(d >= 0, z + mag, np.maximum(z - mag, 0))
-        # an int64 z has no negative count, so neither has nxt
-        if self.dtype is not object and nxt.max() >= _INT64_SAFE:
+    def _next(self, i: int) -> _Packed:
+        """Step from state buffer i into the other one and return it; from
+        the first count that reaches ``_INT64_SAFE`` on, in Python ints."""
+        out = self.states[1 - i]
+        self._step(self.states[i], out)
+        # an int64 step yields no negative count, so the maximum is the bound's test
+        if self.dtype is not object and np.maximum.reduce(out.z) >= _INT64_SAFE:
             self._use(object)
-            nxt = nxt.astype(object)
-        return nxt
+            self.states[1 - i].z[:] = out.z
+            out = self.states[1 - i]
+        return out
+
+    def __call__(self, z: np.ndarray, w: int) -> np.ndarray:
+        """The next packed state after z, with w halvings in the step factor,
+        as a new vector."""
+        self.states[0].z[:] = z
+        self.halve(w)
+        return self._next(0).z.copy()
+
+    def run(self, counts: list[int], max_iter: int) -> Iterator[tuple[np.ndarray, bool]]:
+        """The packed counts, then each iterate paired with whether its q
+        counts equal its predecessor's (the halting condition of the membrane
+        system), one ``quantized_halvings`` block at a time.  Stops after the
+        first such iterate or after max_iter iterates.
+
+        Each yielded vector is one of the two state buffers, which the steps
+        alternate: the step after next overwrites it.  A caller reads or
+        copies each state before it takes the next but one."""
+        z = self.pack(counts)
+        i, cur = 0, self.states[0]
+        cur.z[:] = z
+        yield cur.z, False
+        t, blocks = 0, _block_lengths(2)
+        while t < max_iter:
+            self.halve(quantized_halvings(t))
+            for _ in range(min(next(blocks), max_iter - t)):
+                nxt = self._next(i)
+                i, t = 1 - i, t + 1
+                halted = np.array_equal(nxt.flows, cur.flows)
+                yield nxt.z, halted
+                if halted:
+                    return
+                cur = nxt
 
 
 def _quantized_states(
     inst: ReliefInstance, p: int, max_iter: int
 ) -> Iterator[tuple[np.ndarray, bool]]:
-    """The packed all-ones state, then each iterate paired with whether its q
-    counts equal its predecessor's (the halting condition of the membrane
-    system).  Stops after the first such iterate or after max_iter iterates."""
+    """``_QuantizedStep.run`` from the packed all-ones state: every flow at
+    10^p counts, every multiplier at 0.  Each state lives in a buffer that
+    the step after next overwrites (see ``run``)."""
     step = _QuantizedStep(fixed_point_constants(inst, p))
-    mn = step.mn
-    z = step.pack([10**p] * mn + [0] * (step.m + 2 * step.n))
-    yield z, False
-    for t in range(max_iter):
-        nxt = step(z, quantized_halvings(t))
-        halted = bool((nxt[:mn] == z[:mn]).all())
-        yield nxt, halted
-        if halted:
-            return
-        z = nxt
+    return step.run([10**p] * step.mn + [0] * (step.m + 2 * step.n), max_iter)
 
 
 def quantized_trajectory(
@@ -592,21 +733,7 @@ def solve(
             raise ValueError("tol must be finite")
         p = None  # the float iteration has no precision exponent
         step = _FloatStep(inst, variant)
-        cur, nxt = step.empty(), step.empty()
-        cur.z[:] = 0.0
-        cur.q[...] = 1.0
-        dq = np.empty((inst.m, inst.n))
-        converged = False
-        caps = t = 0
-        while t < max_iter:
-            caps += step.advance(cur, nxt, step_size(t))
-            t += 1
-            np.subtract(nxt.q, cur.q, out=dq)
-            np.abs(dq, out=dq)
-            cur, nxt = nxt, cur
-            if dq.max() < tol:
-                converged = True
-                break
+        cur, t, converged, caps = step.run(tol, max_iter)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -16,6 +17,8 @@ class ErrorStats:
     from the aggregates and reported in ``excluded_zero_reference`` instead of
     being silently dropped.  The reference is always the denominator, so the
     comparison is not symmetric in value (it is symmetric in shape checking).
+    A percent error or aggregate that leaves the float range is a
+    ``ValueError``, never an infinite or NaN figure.
     """
 
     per_cell: np.ndarray
@@ -29,6 +32,7 @@ class ErrorStats:
         return int(np.count_nonzero(~np.isnan(self.per_cell)))
 
 
+@np.errstate(over="ignore")  # an overflow is reported as ValueError below
 def compare(candidate: np.ndarray, reference: np.ndarray) -> ErrorStats:
     candidate = np.asarray(candidate, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -45,14 +49,21 @@ def compare(candidate: np.ndarray, reference: np.ndarray) -> ErrorStats:
             excluded.append(tuple(int(i) for i in idx))
             continue
         err = abs(candidate[idx] - ref) / abs(ref) * 100.0
+        if not math.isfinite(err):
+            cell = ", ".join(f"{name}={i + 1}" for name, i in zip("kl", idx))
+            raise ValueError(f"percent error of cell {cell} is not finite")
         per_cell[idx] = err
         values.append(err)
     if not values:
         raise ValueError("no scorable cells: every reference value is zero")
-    return ErrorStats(
+    result = ErrorStats(
         per_cell=per_cell,
         average=float(sum(values) / len(values)),
         median=float(statistics.median(values)),
         max=float(max(values)),
         excluded_zero_reference=excluded,
     )
+    for name in ("average", "median"):
+        if not math.isfinite(getattr(result, name)):
+            raise ValueError(f"{name} percent error is not finite")
+    return result

@@ -208,6 +208,20 @@ class TestCompare:
             f"error: {paths[side]}:{line}:1: value '{value}' is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_percent_error_is_input_error(self, tmp_path, capsys, fmt):
+        # both tables are finite, but |1e300 - 1e-300| / 1e-300 is not
+        paths = {name: tmp_path / f"{name}.csv" for name in ("candidate", "reference")}
+        paths["candidate"].write_text("k,l,value\n1,1,1e300\n1,2,2\n")
+        paths["reference"].write_text("k,l,value\n1,1,1e-300\n1,2,2\n")
+        out = tmp_path / "stats.out"
+        code = main(["compare", "--candidate", str(paths["candidate"]),
+                     "--reference", str(paths["reference"]), "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: percent error of cell k=1, l=1 is not finite\n"
+        assert not out.exists()
+
     def test_table_without_cells_is_positioned_input_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("k,l,value\n")

@@ -440,12 +440,19 @@ def demo_2x2() -> ReliefInstance:
     return ReliefInstance.from_dict(json.loads(path.read_text()))
 
 
+def assert_same_bytes(got: np.ndarray, want: np.ndarray, name: str):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and one NaN
+    payload from another."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
+
+
 def assert_same_report(got: EquilibriumReport, want: EquilibriumReport):
     for name in ("q_star", "lam", "lam1", "lam2", "stationarity_residuals"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_same_bytes(getattr(got, name), getattr(want, name), name)
     assert got.feasibility_residuals.keys() == want.feasibility_residuals.keys()
     for name, arr in want.feasibility_residuals.items():
-        assert np.array_equal(got.feasibility_residuals[name], arr), name
+        assert_same_bytes(got.feasibility_residuals[name], arr, name)
     assert (got.iterations, got.converged, got.visibility_cap_events) == (
         want.iterations, want.converged, want.visibility_cap_events)
 
@@ -475,6 +482,16 @@ class TestReferenceSteps:
             assert_same_report(got, reference_solve(inst, variant, tol=1e-5, max_iter=1100))
             caps += got.visibility_cap_events
         assert (caps > 0) is (variant == FULL)
+
+    @pytest.mark.parametrize("variant", [FULL, pytest.param(SIMPLIFIED, marks=pytest.mark.slow)])
+    def test_float_solve_equals_reference_past_schedule_blocks(self, variant):
+        # no tolerance is met: the run steps through the blocks that end at
+        # 10,240 and 11,264 and past t = 12,288 (the integer one's end)
+        inst = katrina_shaped(random.Random(1), 4, 4)
+        got = solve(inst, variant, tol=1e-300, max_iter=12300)
+        assert (got.iterations, got.converged) == (12300, False)
+        assert step_size(12299) == 0.1 / 2**11
+        assert_same_report(got, reference_solve(inst, variant, tol=1e-300, max_iter=12300))
 
     @pytest.mark.parametrize("p", [1, 3, 12, 30])
     def test_quantized_step_equals_reference(self, p):
@@ -576,6 +593,25 @@ class TestReferenceSteps:
         # so the switch to Python ints is checked where it happens
         dtypes = [z.dtype for z, _ in relief._quantized_states(inst, p, steps)]
         assert dtypes == [np.int64] * crossing + [object] * (steps + 1 - crossing)
+
+
+    @pytest.mark.parametrize("make, halts_at", [
+        (lambda: katrina_shaped(random.Random(1), 4, 4), 12289),
+        pytest.param(crossing_instance, 16385, marks=pytest.mark.slow),
+    ], ids=["katrina_4x4", "crossing"])
+    def test_quantized_solve_equals_reference_chain_past_schedule_blocks(self, make, halts_at):
+        # p=5 halts past the blocks that end at 10,240 and 12,288 (and, for
+        # crossing_instance, 16,384), all in int64
+        inst, p = make(), 5
+        cons = fixed_point_constants(inst, p)
+        prev, state = None, count_start(inst, p)
+        while prev is None or state.q != prev.q:
+            prev, state = state, reference_quantized_step(state, inst, cons)
+        assert state.t == halts_at and quantized_halvings(halts_at - 1) > quantized_halvings(12287)
+        report = solve(inst, QUANTIZED, max_iter=20000, p=p)
+        assert (report.iterations, report.converged) == (halts_at, True)
+        packed = np.concatenate([report.q_star.ravel(), report.lam, report.lam1, report.lam2])
+        assert packed.tolist() == [c / 10**p for c in flat(state)]
 
 
 class TestPythonIntCounts:

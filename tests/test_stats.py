@@ -74,3 +74,16 @@ def test_reference_is_denominator_not_symmetric():
 def test_all_zero_reference_is_error():
     with pytest.raises(ValueError, match="no scorable cells"):
         compare(np.ones((1, 1)), np.zeros((1, 1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cell_error_past_the_float_range_is_error():
+    with pytest.raises(ValueError, match=r"^percent error of cell k=2, l=1 is not finite$"):
+        compare(np.array([[1.0], [1e300]]), np.array([[1.0], [1e-300]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_aggregate_past_the_float_range_is_error():
+    # each cell error is 1e308, finite; their sum is not
+    with pytest.raises(ValueError, match=r"^average percent error is not finite$"):
+        compare(np.array([[1e306, 1e306]]), np.array([[1.0, 1.0]]))
