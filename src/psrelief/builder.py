@@ -414,7 +414,6 @@ def build(params: BuildParams) -> GeneratedSystem:
                   NEG, N, aux={symbol("y12"): 1})
     for g in gate_rules:
         e.prio(g, r3_5)
-    r3_12 = None
     for k, l in kl:
         sfx = f"k{k}_l{l}"
         e.rule("3.6", sfx, RuleKind.SEND_OUT, "COMP", {symbol("o1", k, l): 1}, {symbol("o2", k, l): 1}, N)
@@ -443,7 +442,6 @@ def build(params: BuildParams) -> GeneratedSystem:
                {symbol("o3", k, l): 1}, {symbol("o4", k, l): 1}, N)
     e.rule("3.17", "", RuleKind.SEND_IN, "OUTPUT", {symbol("stop"): 1}, {symbol("stop"): 1}, N, NEG)
     e.rule("3.18", "", RuleKind.SEND_IN, "INIT", {symbol("y14"): 1}, {symbol("y15"): 1}, N, NEG)
-    r3_21 = None
     for k, l in kl:
         sfx = f"k{k}_l{l}"
         r19 = e.rule("3.19", sfx, RuleKind.SEND_IN, "OUTPUT",

@@ -132,7 +132,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.max_steps < 1:  # before --out is opened and truncated
+    # every check before --out is opened and truncated
+    if args.psys is not None and args.instance is not None:
+        raise ValueError("trace takes --psys FILE or --instance FILE, not both")
+    if args.p is not None and args.instance is None:
+        raise ValueError("trace takes --p only with --instance FILE")
+    if args.max_steps < 1:
         raise ValueError("max_steps must be positive")
     if args.psys:
         parsed = dsl.parse(dsl.SourceDocument(text=pio.read_text(args.psys), origin=args.psys))

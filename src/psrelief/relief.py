@@ -48,9 +48,13 @@ column), the constants broadcast to (m, n), and two vectors ``ahead = (row
 sums, lower bounds, column sums)`` and ``behind = (supplies, column sums,
 upper bounds)`` whose one difference is the multiplier part of D.  Each
 operation of an iteration is then one ufunc call that writes into a bound
-buffer.  The loops walk the schedule one block at a time
-(``_block_lengths``): the step factor a_t, and on the integer route the
-halving count w, is a vector refilled at the start of each block.
+buffer.  Both routes run one loop, ``_PreparedStep.run``, from any state
+and iteration.  It walks the schedule one block at a time (``_blocks``):
+the step factor a_t, and on the integer route the halving count w, is a
+vector refilled at the start of each block.  It has one stop rule: no flow
+moved by ``tol`` or more, ``max |dq| < tol``, three ufunc calls per
+iteration.  On counts tol is 1, so the rule is exact equality, the halting
+condition of the membrane system.
 
 The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as
 arrays and evaluates the formula above term by term on the same operands in
@@ -96,7 +100,8 @@ at 10x30 and from p = 7 at 4x4 and 8x8; a 10x30 run at p = 5 stays in int64
 throughout.
 
 Schedule ceiling.  The float route steps by ``step_size`` (exponent
-``schedule_exponent``), the oracle and the engine by ``quantized_halvings``.
+``schedule_exponent``, ``_blocks`` of stretch 1), the oracle and the engine
+by ``quantized_halvings`` (stretch 2).
 The two agree up to t = 11,263 and first differ at t = 11,264, where the
 float block of w = 10 ends after 1,024 copies and the integer one runs on to
 2,048.  The first ten blocks (w = 0..9, 1,024 copies each) give Sum a_t =
@@ -241,28 +246,24 @@ def validate(inst: ReliefInstance) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _block_lengths(stretch: int) -> Iterator[int]:
-    """The lengths of the blocks w = 0, 1, ... of a halving schedule:
-    max(1024, stretch * 2**w) iterations each."""
-    w = 0
-    while True:
-        yield max(1024, stretch << w)
-        w += 1
-
-
-def _block_of(t: int, stretch: int) -> int:
-    """The block w that holds iteration t of the schedule ``stretch``."""
+def _blocks(stretch: int, t: int) -> Iterator[tuple[int, int]]:
+    """The blocks w = 0, 1, ... of a halving schedule, max(1024, stretch *
+    2**w) iterations each, from iteration t on: the block that holds t and
+    every later one, each with the number of its iterations from t on."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    for w, copies in enumerate(_block_lengths(stretch)):
-        if t < copies:
-            return w
-        t -= copies
+    w, end = 0, 0
+    while True:
+        end += max(1024, stretch << w)
+        if t < end:
+            yield w, end - t
+            t = end
+        w += 1
 
 
 def schedule_exponent(t: int) -> int:
     """Block exponent w of a_t = 0.1 / 2**w: blocks of max(1024, 2**w) copies."""
-    return _block_of(t, 1)
+    return next(_blocks(1, t))[0]
 
 
 def step_size(t: int) -> float:
@@ -278,7 +279,7 @@ def quantized_halvings(t: int) -> int:
     agrees with ``schedule_exponent`` up to iteration 11263 and first differs
     at 11264.
     """
-    return _block_of(t, 2)
+    return next(_blocks(2, t))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,35 +319,86 @@ def _multiplier_operands(m: int, n: int, row_cap, col_lo, col_hi, dtype):
     return ahead, behind, ahead[:m], ahead[m + n:], behind[m:m + n]
 
 
-class _FloatStep:
+class _PreparedStep:
+    """The loop of both prepared steps.  A step binds the list ``states`` of
+    two packed state buffers, which the iterations alternate, a buffer
+    ``dq`` for the flow change, its schedule ``stretch`` (see ``_blocks``)
+    and its stop tolerance ``tol``, and two operations: ``_block(w)`` sets
+    the step factor of schedule block w, and ``_advance(i)`` steps from
+    ``states[i]`` into the other buffer.  A step that rebinds its buffers
+    mid-run replaces them inside the list and sets a new ``dq``."""
+
+    def _load(self, z) -> None:
+        self.states[0].z[:] = z
+
+    def run(self, z, t: int, max_iter: int) -> Iterator[tuple[int, _Packed, bool]]:
+        """From the packed state z at iteration t, yield (t, state, settled)
+        for each iterate, walking the schedule one block at a time.  An
+        iterate is settled when no flow moved by ``tol`` or more (max |dq| <
+        tol).  Stops after the first settled iterate or at iteration
+        max_iter.
+
+        A yielded state is one of the two buffers: the step after next
+        overwrites it, so a caller reads or copies each state before it
+        takes the next but one."""
+        self._load(z)
+        i, tol, states, advance = 0, self.tol, self.states, self._advance
+        subtract, absolute, max_reduce = np.subtract, np.absolute, np.maximum.reduce
+        for w, left in _blocks(self.stretch, t):
+            if t >= max_iter:
+                return
+            self._block(w)
+            for _ in range(min(left, max_iter - t)):
+                advance(i)
+                i, t = 1 - i, t + 1
+                new, dq = states[i], self.dq
+                subtract(new.flows, states[1 - i].flows, out=dq)
+                absolute(dq, out=dq)
+                if max_reduce(dq) < tol:
+                    yield t, new, True
+                    return
+                yield t, new, False
+
+
+class _FloatStep(_PreparedStep):
     """The projected step of one (instance, variant) on packed states,
     prepared once: every constant, buffer and view is bound when the step is
     built, and each operation of an iteration is one ufunc call into a bound
     buffer (see "Cost" above).  The drift at a state goes into ``d``, and
     the visibility caps it hits are added to the per-column counts
-    ``caps``."""
+    ``caps``.  ``run`` settles at max |dq| < tol; the default 0 never
+    settles."""
 
-    def __init__(self, inst: ReliefInstance, variant: str):
+    stretch = 1
+
+    def __init__(self, inst: ReliefInstance, variant: str, tol: float = 0.0):
         m, n = self.m, self.n = inst.m, inst.n
         self.full = variant == FULL
+        self.tol = tol
         self.d = self.empty()
         self.caps = np.zeros(n, np.int64)
         #: the step factor a_t, one copy per entry of z
         self.a = np.empty(m * n + m + 2 * n)
+        states = self.states = [self.empty(), self.empty()]
+        self.dq = np.empty(m * n)
         self._drift = self._bind_drift(inst)
         d, a, zero = self.d.z, self.a, np.zeros_like(self.a)
         drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
 
-        def step(x: _Packed, out: _Packed) -> None:
+        def advance(i: int) -> None:
+            x, out = states[i], states[1 - i]
             drift(x)
             multiply(d, a, out=d)
             add(x.z, d, out=out.z)
             maximum(zero, out.z, out=out.z)
 
-        self._step = step
+        self._advance = advance
 
     def empty(self) -> _Packed:
         return _packed(np.empty(self.m * self.n + self.m + 2 * self.n), self.m, self.n)
+
+    def _block(self, w: int) -> None:
+        self.a.fill(0.1 / (1 << w))
 
     def _bind_drift(self, inst: ReliefInstance):
         """The drift x -> d, with the formula's constants and buffers bound."""
@@ -393,38 +445,6 @@ class _FloatStep:
         self.caps.fill(0)
         self._drift(x)
         return int(np.add.reduce(self.caps))
-
-    def advance(self, x: _Packed, out: _Packed, a: float) -> int:
-        """out = max(0, x + a * drift(x)); the visibility caps hit at x."""
-        self.caps.fill(0)
-        self.a.fill(a)
-        self._step(x, out)
-        return int(np.add.reduce(self.caps))
-
-    def run(self, tol: float, max_iter: int) -> tuple[_Packed, int, bool, int]:
-        """Step from q = 1 and zero multipliers until max |dq| < tol or
-        max_iter steps, one schedule block at a time: the last state, the
-        iterations taken, whether max |dq| fell below tol, and the
-        visibility caps hit on the way."""
-        cur, nxt = self.empty(), self.empty()
-        cur.z.fill(0.0)
-        cur.q.fill(1.0)
-        self.caps.fill(0)
-        dq = np.empty(self.m * self.n)
-        step, subtract, absolute, max_reduce = self._step, np.subtract, np.absolute, np.maximum.reduce
-        t, converged, blocks = 0, False, _block_lengths(1)
-        while t < max_iter and not converged:
-            self.a.fill(step_size(t))
-            for _ in range(min(next(blocks), max_iter - t)):
-                step(cur, nxt)
-                subtract(nxt.flows, cur.flows, out=dq)
-                absolute(dq, out=dq)
-                cur, nxt = nxt, cur
-                t += 1
-                if max_reduce(dq) < tol:
-                    converged = True
-                    break
-        return cur, t, converged, int(np.add.reduce(self.caps))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +528,7 @@ def scaled_emission(magnitude: int, w: int) -> int:
 _INT64_SAFE = 1 << 31
 
 
-class _QuantizedStep:
+class _QuantizedStep(_PreparedStep):
     """The integer iteration for one set of fixed-point constants on packed
     count vectors z = (q row-major, lam, lam1, lam2): one drift vector, then
     one emission-and-cancellation pass over it.  Prepared like
@@ -516,7 +536,10 @@ class _QuantizedStep:
     alternate, the drift and the scratch vectors are bound for one dtype,
     int64 until a constant or count reaches ``_INT64_SAFE`` and Python ints
     (object arrays through the same ufuncs) from then on (see "Cost"
-    above)."""
+    above).  ``run`` settles when no count of q moved (max |dq| < 1), the
+    halting condition of the membrane system."""
+
+    stretch, tol = 2, 1
 
     def __init__(self, k: FixedPointConstants):
         if any(d <= 0 for d in k.den):
@@ -527,12 +550,15 @@ class _QuantizedStep:
         self.m, self.n = len(k.den), len(k.dlo)
         self.mn = self.m * self.n
         self.w = 0
+        self.states: list[_Packed] = []
         flat = [c for table in (k.k0, k.k1, k.slope) for row in table for c in row]
         flat += k.den + k.half + k.supply + k.dlo + k.dhi
         self._use(np.int64 if all(0 <= c < _INT64_SAFE for c in flat) else object)
 
     def _use(self, dtype) -> None:
-        """Bind the constants, the buffers and the step for ``dtype``."""
+        """Bind the constants, the buffers and the step for ``dtype``; the
+        new state buffers take the counts and the places in ``states`` of
+        the old ones."""
         k, m, n = self.k, self.m, self.n
         self.dtype = dtype
         size = self.mn + m + 2 * n
@@ -542,7 +568,11 @@ class _QuantizedStep:
         dh = den - np.array(k.half, dtype)[:, None]
         ahead, behind, rows, cols, cols_behind = _multiplier_operands(
             m, n, k.supply, k.dlo, k.dhi, dtype)
-        self.states = [_packed(np.empty(size, dtype), m, n) for _ in range(2)]
+        states = [_packed(np.empty(size, dtype), m, n) for _ in range(2)]
+        for new, old in zip(states, self.states):
+            new.z[:] = old.z
+        self.states[:] = states
+        self.dq = np.empty(self.mn, dtype)
         self.halvings = np.full(size, self.w, dtype)
         d = _packed(np.empty(size, dtype), m, n)
         dq, mag, negative_at = d.q, np.empty(size, dtype), np.empty(size, bool)
@@ -575,71 +605,31 @@ class _QuantizedStep:
 
         self._step = step
 
-    def halve(self, w: int) -> None:
-        """Apply w halvings in the step factor from the next step on."""
+    def _load(self, z) -> None:
+        """Load the start counts; Python ints from here on if one lies
+        outside the int64 bound."""
+        if self.dtype is not object and not all(0 <= c < _INT64_SAFE for c in z):
+            self._use(object)
+        self.states[0].z[:] = z
+
+    def _block(self, w: int) -> None:
         self.w = w
         self.halvings.fill(w)
 
-    def pack(self, counts: list[int]) -> np.ndarray:
-        """Counts in the packed order (q row-major, lam, lam1, lam2) as one
-        vector; Python ints from here on if one lies outside the int64 bound."""
-        if not all(0 <= c < _INT64_SAFE for c in counts):
-            self._use(object)
-        return np.array(counts, self.dtype)
-
-    def _next(self, i: int) -> _Packed:
-        """Step from state buffer i into the other one and return it; from
-        the first count that reaches ``_INT64_SAFE`` on, in Python ints."""
+    def _advance(self, i: int) -> None:
+        """Step from state buffer i into the other one; from the first count
+        that reaches ``_INT64_SAFE`` on, in Python ints."""
         out = self.states[1 - i]
         self._step(self.states[i], out)
         # an int64 step yields no negative count, so the maximum is the bound's test
         if self.dtype is not object and np.maximum.reduce(out.z) >= _INT64_SAFE:
             self._use(object)
-            self.states[1 - i].z[:] = out.z
-            out = self.states[1 - i]
-        return out
-
-    def __call__(self, z: np.ndarray, w: int) -> np.ndarray:
-        """The next packed state after z, with w halvings in the step factor,
-        as a new vector."""
-        self.states[0].z[:] = z
-        self.halve(w)
-        return self._next(0).z.copy()
-
-    def run(self, counts: list[int], max_iter: int) -> Iterator[tuple[np.ndarray, bool]]:
-        """The packed counts, then each iterate paired with whether its q
-        counts equal its predecessor's (the halting condition of the membrane
-        system), one ``quantized_halvings`` block at a time.  Stops after the
-        first such iterate or after max_iter iterates.
-
-        Each yielded vector is one of the two state buffers, which the steps
-        alternate: the step after next overwrites it.  A caller reads or
-        copies each state before it takes the next but one."""
-        z = self.pack(counts)
-        i, cur = 0, self.states[0]
-        cur.z[:] = z
-        yield cur.z, False
-        t, blocks = 0, _block_lengths(2)
-        while t < max_iter:
-            self.halve(quantized_halvings(t))
-            for _ in range(min(next(blocks), max_iter - t)):
-                nxt = self._next(i)
-                i, t = 1 - i, t + 1
-                halted = np.array_equal(nxt.flows, cur.flows)
-                yield nxt.z, halted
-                if halted:
-                    return
-                cur = nxt
 
 
-def _quantized_states(
-    inst: ReliefInstance, p: int, max_iter: int
-) -> Iterator[tuple[np.ndarray, bool]]:
-    """``_QuantizedStep.run`` from the packed all-ones state: every flow at
-    10^p counts, every multiplier at 0.  Each state lives in a buffer that
-    the step after next overwrites (see ``run``)."""
-    step = _QuantizedStep(fixed_point_constants(inst, p))
-    return step.run([10**p] * step.mn + [0] * (step.m + 2 * step.n), max_iter)
+def _start(inst: ReliefInstance, one) -> list:
+    """The packed start state of the membrane system: every flow at ``one``
+    (1.0, or 10^p counts), every multiplier at 0."""
+    return [one] * (inst.m * inst.n) + [0] * (inst.m + 2 * inst.n)
 
 
 def quantized_trajectory(
@@ -649,11 +639,11 @@ def quantized_trajectory(
     exact q equality between consecutive iterations (the halting condition of
     the membrane system) or at max_iter.  Returns (trajectory, converged);
     the trajectory includes the initial counts."""
-    m, n = inst.m, inst.n
-    traj: list[list[list[int]]] = []
+    step = _QuantizedStep(fixed_point_constants(inst, p))
+    traj = [[[10**p] * inst.n for _ in range(inst.m)]]
     converged = False
-    for z, converged in _quantized_states(inst, p, max_iter):
-        traj.append(z[:m * n].reshape(m, n).tolist())
+    for _, state, converged in step.run(_start(inst, 10**p), 0, max_iter):
+        traj.append(state.q.tolist())
     return traj, converged
 
 
@@ -698,13 +688,15 @@ def solve(
 ) -> EquilibriumReport:
     """Iterate the chosen step until convergence or the iteration budget.
 
-    Convergence is measured on q only: max |q^{t+1} - q^t| < tol for the
-    float variants, exact count equality for the quantized variant.  ``tol``
-    applies to the float variants only: the quantized variant neither checks
-    nor reports it (its report's ``tol`` is None, as a float report's ``p``
-    is).  The start point mirrors the membrane system: every flow at 1.0,
-    every multiplier at 0.  A run whose iterate, count / 10^p or residuals
-    leave the float range raises ``ValueError``.
+    One stop rule covers every variant: the run converges at the first
+    iteration that moves no flow by ``tol`` or more, max |q^{t+1} - q^t| <
+    tol, with tol 1 on the quantized variant's counts, which is exact count
+    equality.  The ``tol`` argument applies to the float variants only: the
+    quantized variant neither checks nor reports it (its report's ``tol`` is
+    None, as a float report's ``p`` is).  The start point mirrors the
+    membrane system: every flow at 1.0, every multiplier at 0.  A run whose
+    iterate, count / 10^p or residuals leave the float range raises
+    ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -715,27 +707,28 @@ def solve(
     if variant == QUANTIZED:
         if p is None:
             raise ValueError("quantized variant needs a precision exponent p")
-        # keep only the last state: the trajectory is never held in memory
-        t, (z, converged) = deque(enumerate(_quantized_states(inst, p, max_iter)), maxlen=1)[0]
-        step = _FloatStep(inst, SIMPLIFIED)
-        cur = step.empty()
-        P = 10**p
-        try:
-            cur.z[:] = [c / P for c in z.tolist()]
-        except OverflowError:  # a count does not fit a float
-            cur.z[:] = math.inf
         tol = None  # the quantized iteration has no tolerance
-        caps = 0
+        route, one = _QuantizedStep(fixed_point_constants(inst, p)), 10**p
     elif variant in (SIMPLIFIED, FULL):
         if tol <= 0:
             raise ValueError("tol must be positive")
         if not tol < math.inf:  # also false for nan
             raise ValueError("tol must be finite")
         p = None  # the float iteration has no precision exponent
-        step = _FloatStep(inst, variant)
-        cur, t, converged, caps = step.run(tol, max_iter)
+        route, one = _FloatStep(inst, variant, tol), 1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # keep only the last iterate: the trajectory is never held in memory
+    t, cur, converged = deque(route.run(_start(inst, one), 0, max_iter), maxlen=1)[0]
+    if variant == QUANTIZED:
+        step, counts, caps = _FloatStep(inst, SIMPLIFIED), cur.z.tolist(), 0
+        cur = step.states[0]
+        try:
+            cur.z[:] = [c / one for c in counts]
+        except OverflowError:  # a count does not fit a float
+            cur.z[:] = math.inf
+    else:
+        step, caps = route, int(np.add.reduce(route.caps))
 
     overflow = f"the {variant} solve leaves the float range within {t} iterations"
     if not np.isfinite(cur.z).all():

@@ -429,20 +429,23 @@ def float_drift(step: relief._FloatStep, state: State) -> tuple[np.ndarray, int]
 
 
 def float_step(step: relief._FloatStep, state: State) -> tuple[State, int]:
-    """The prepared float step from state, and the visibility caps it hit."""
-    x, out = step.empty(), step.empty()
-    x.z[:] = flat(state)
-    capped = step.advance(x, out, relief.step_size(state.t))
-    return State(out.q, out.lam, out.lam1, out.lam2, state.t + 1), capped
+    """One iterate of the prepared float step's ``run`` from state, as new
+    arrays, and the visibility caps it hit."""
+    step.caps.fill(0)
+    t, out, _ = next(step.run(flat(state), state.t, state.t + 1))
+    nxt = State(out.q.copy(), out.lam.copy(), out.lam1.copy(), out.lam2.copy(), t)
+    return nxt, int(step.caps.sum())
 
 
 def count_step(step: relief._QuantizedStep, state: State) -> State:
-    """The prepared integer step from state, as lists of Python ints."""
-    c = step(step.pack(flat(state)), relief.quantized_halvings(state.t)).tolist()
+    """One iterate of the prepared integer step's ``run`` from state, as
+    lists of Python ints."""
+    t, out, _ = next(step.run(flat(state), state.t, state.t + 1))
+    c = out.z.tolist()
     m, n = step.m, step.n
     mn = m * n
     return State([c[i * n:(i + 1) * n] for i in range(m)], c[mn:mn + m], c[mn + m:mn + m + n],
-                 c[mn + m + n:], state.t + 1)
+                 c[mn + m + n:], t)
 
 
 def reference_gradient_pack(inst: relief.ReliefInstance, state: State, variant: str):

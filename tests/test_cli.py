@@ -274,6 +274,24 @@ class TestTrace:
     def test_trace_requires_some_input(self, capsys):
         assert main(["trace"]) == 2
 
+    BOTH = "trace takes --psys FILE or --instance FILE, not both"
+    P_ALONE = "trace takes --p only with --instance FILE"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--psys", "PSYS", "--instance", "/nonexistent.json", "--p", "7"], BOTH),
+        (["--psys", "PSYS", "--instance", DERIVED], BOTH),
+        (["--psys", "PSYS", "--p", "7"], P_ALONE),
+        (["--p", "7"], P_ALONE),
+    ], ids=["psys-instance-p", "psys-instance", "psys-p", "p"])
+    def test_flags_that_would_be_ignored_are_rejected(self, tmp_path, capsys, flags, message):
+        psys, out = tmp_path / "sys.psys", tmp_path / "trace.txt"
+        psys.write_text("membrane 1\ninit 1: a\nrule r1: [a -> b]'0 @ 1\n")
+        out.write_bytes(b"keep me\n")
+        argv = ["trace", "--out", str(out)] + [str(psys) if f == "PSYS" else f for f in flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out.read_bytes() == b"keep me\n"
+
     def test_non_positive_max_steps_leaves_out_file_alone(self, tmp_path, capsys):
         out = tmp_path / "trace.txt"
         out.write_bytes(b"keep me\n")

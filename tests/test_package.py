@@ -1,5 +1,6 @@
-"""The package's export list, the command line's options, and what the test
-references may take from the package."""
+"""The package's export list, the command line's options, what the test
+references may take from the package, and the one loop of the relief
+solvers."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import ast
 from pathlib import Path
 
 import psrelief
-from psrelief import cli
+from psrelief import cli, relief
 
 #: The public names: the engine's whole-run entry points, the relief driver,
 #: and the builder.
@@ -81,3 +82,13 @@ def test_parse_reference_takes_no_private_name_of_the_reader():
         "from psrelief import dsl as d\nimport psrelief.dsl\nimport psrelief.dsl as e\n"
         "d._column(x, 1), psrelief.dsl._TOKEN_RE, e._multiset, d.parse, other._word\n"
     ) == {"_Bail", "_column", "_TOKEN_RE", "_multiset"}
+
+
+def test_relief_steps_share_one_loop_and_no_single_step_entry():
+    """Both prepared relief steps iterate through the one ``run`` that
+    ``solve`` uses, so a second loop or a step entry point that only tests
+    call is a reviewed change here."""
+    assert relief._FloatStep.run is relief._QuantizedStep.run
+    for step in (relief._FloatStep, relief._QuantizedStep):
+        own = {name for cls in step.__mro__[:-1] for name in vars(cls)}
+        assert own & {"advance", "__call__", "halve", "pack"} == set(), step

@@ -21,6 +21,7 @@ from helpers import (
     float_drift,
     float_step,
     reference_gradient_pack,
+    reference_projected_step,
     reference_quantized_step,
     reference_solve,
 )
@@ -190,6 +191,30 @@ class TestSchedule:
         assert quantized_halvings(12288) == 11
         assert quantized_halvings(12288 + 4096 - 1) == 11
         assert quantized_halvings(12288 + 4096) == 12
+
+    @pytest.mark.parametrize("stretch", [1, 2])
+    def test_blocks_from_any_iteration_match_a_block_table(self, stretch):
+        # brute force: the block of every iteration past 2^16, block by block
+        table = []
+        while len(table) <= 2**16:
+            w = table[-1] + 1 if table else 0
+            table += [w] * max(1024, stretch * 2**w)
+        left = [1] * len(table)   # iterations of its block from t on
+        for t in range(len(table) - 2, -1, -1):
+            if table[t] == table[t + 1]:
+                left[t] = left[t + 1] + 1
+        edges = {t for t in range(1, 2**16 + 1) if table[t] != table[t - 1]}
+        assert ({10240, 11264} if stretch == 1 else {10240, 12288, 16384}) <= edges
+        starts = {0, 2**16} | edges | {11264, 12288, 16384}
+        starts |= {t - 1 for t in starts if t}
+        for t in sorted(starts | set(random.Random(stretch).sample(range(2**16), 200))):
+            want, u = [], t
+            while u < len(table) and len(want) < 3:
+                want.append((table[u], left[u]))
+                u += left[u]
+            walk = relief._blocks(stretch, t)
+            assert [next(walk) for _ in want] == want, t
+            assert (schedule_exponent if stretch == 1 else quantized_halvings)(t) == table[t]
 
 
 def at_zero_multipliers(q: np.ndarray) -> State:
@@ -591,8 +616,9 @@ class TestReferenceSteps:
         assert crossing == 872
         # the dtype rule itself: no run reaches int64 overflow in test time,
         # so the switch to Python ints is checked where it happens
-        dtypes = [z.dtype for z, _ in relief._quantized_states(inst, p, steps)]
-        assert dtypes == [np.int64] * crossing + [object] * (steps + 1 - crossing)
+        run = _QuantizedStep(cons).run(flat(count_start(inst, p)), 0, steps)
+        dtypes = [x.z.dtype for _, x, _ in run]
+        assert dtypes == [np.int64] * (crossing - 1) + [object] * (steps + 1 - crossing)
 
 
     @pytest.mark.parametrize("make, halts_at", [
@@ -612,6 +638,30 @@ class TestReferenceSteps:
         assert (report.iterations, report.converged) == (halts_at, True)
         packed = np.concatenate([report.q_star.ravel(), report.lam, report.lam1, report.lam2])
         assert packed.tolist() == [c / 10**p for c in flat(state)]
+
+    def test_float_run_from_mid_block_equals_reference_chain(self):
+        # from iteration 10,230 across the block ends at 10,240 and 11,264
+        inst = katrina_shaped(random.Random(1), 4, 4)
+        step, caps = _FloatStep(inst, FULL), 0
+        state = at_zero_multipliers(np.ones((4, 4)))._replace(t=10230)
+        for t, x, settled in step.run(flat(state), state.t, 11270):
+            state, capped = reference_projected_step(state, inst, FULL)
+            caps += capped
+            assert (t, settled) == (state.t, False)
+            for name in ("q", "lam", "lam1", "lam2"):
+                assert_same_bytes(getattr(x, name), getattr(state, name), name)
+        assert state.t == 11270 and int(step.caps.sum()) == caps
+
+    def test_quantized_run_from_mid_block_equals_reference_chain(self):
+        # from iteration 10,230 across the block ends at 10,240 and 12,288
+        inst, p = katrina_shaped(random.Random(1), 4, 4), 5
+        cons = fixed_point_constants(inst, p)
+        state = count_start(inst, p)._replace(t=10230)
+        for t, x, settled in _QuantizedStep(cons).run(flat(state), state.t, 12300):
+            prev, state = state, reference_quantized_step(state, inst, cons)
+            assert (t, settled) == (state.t, state.q == prev.q)
+            assert x.z.tolist() == flat(state)
+        assert state.t == 12300
 
 
 class TestPythonIntCounts:
@@ -702,7 +752,9 @@ class TestSolve:
     def test_quantized_report_is_the_last_counts_across_int64_bound(self, max_iter):
         # the last state is int64 at 871 iterations and Python ints at 1000
         inst, p = crossing_instance(), 9
-        *_, (z, _) = relief._quantized_states(inst, p, max_iter)
+        step = _QuantizedStep(fixed_point_constants(inst, p))
+        *_, (_, last, _) = step.run(flat(count_start(inst, p)), 0, max_iter)
+        z = last.z
         assert z.dtype == (np.int64 if max_iter < 872 else object)
         traj, _ = quantized_trajectory(inst, p, max_iter)
         report = solve(inst, QUANTIZED, max_iter=max_iter, p=p)
