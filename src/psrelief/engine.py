@@ -49,20 +49,21 @@ greedy passes walk only the candidates: a deterministic walk over all rules
 would meet them in the same order and skip the rest, so the plan is the
 same.  A candidate leaves the passes once it fires, once its pool runs dry or
 once a pending polarization rules it out; priority-blocked candidates stay.
-A step costs the symbols present in the regions plus the candidates, not
-every rule, under either policy.
+The plan is filled as rules fire, so its keys are in firing order.  A step
+costs the symbols present in the regions plus the candidates, not every
+rule, under either policy.
 
 Commit
 ------
 
 The greedy consumes from pools: raw count dicts, one per region the step
-reads, each copied once from the snapshot.  When the passes end, the pools
-hold the snapshot minus the plan's consumption, so the commit only adds the
-products (copying a region that only receives products once), sets the
-polarizations, drops the counts that reached 0 and wraps each written region
-into a ``Multiset`` once.  ``apply_step`` builds the same pools from a given
-plan, checking it against the snapshot (a plan cannot consume what it
-produces), and commits them the same way.
+reads, each copied once from the snapshot, that never hold a count of 0 (a
+count that reaches 0 is deleted).  When the passes end, the pools hold the
+snapshot minus the plan's consumption, so the commit only adds the products
+(copying a region that only receives products once), sets the polarizations
+and wraps each written pool into a ``Multiset`` as it is.  ``apply_step``
+builds the same pools from a given plan, checking it against the snapshot (a
+plan cannot consume what it produces), and commits them the same way.
 
 Runs
 ----
@@ -216,7 +217,7 @@ def _order(policy: str, seed: int) -> random.Random | None:
 
 
 # region -> residual counts (see "Commit" above); a region without a pool
-# still holds its snapshot contents, and a pool may hold counts of 0
+# still holds its snapshot contents, and a pool never holds a count of 0
 _Pools = dict[str, dict[str, int]]
 _Fired = list[tuple[_CRule, int]]
 
@@ -248,6 +249,7 @@ def _select(
 
     pools: _Pools = {}
     fired: _Fired = []
+    counts: dict[str, int] = {}
     pending_beta: dict[str, Polarization] = {}
 
     # Greedy to a fixed point: a later consumption can strip a higher-priority
@@ -292,20 +294,24 @@ def _select(
                 blocked_rules.append(cr)
                 continue
             for sym, need in cr.lhs:
-                p[sym] -= need * k
+                left = p[sym] - need * k
+                if left:
+                    p[sym] = left
+                else:
+                    del p[sym]
             fired.append((cr, k))
+            counts[cr.rule.id] = k
             if cr.charging:
                 pending_beta[cr.membrane] = cr.rule.beta
             progress = True
         candidates = blocked_rules
-    return FiringPlan(counts={cr.rule.id: k for cr, k in fired}), pools, fired
+    return FiringPlan(counts=counts), pools, fired
 
 
 def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuration:
     """The configuration after ``fired``, whose consumption ``pools`` already
-    holds.  The pools become the written regions: a region that only receives
-    products is copied from the snapshot once, and counts that reached 0 are
-    dropped, so every region is canonical."""
+    holds.  The pools, which hold no count of 0, become the written regions
+    as they are; a region that only receives products is copied once."""
     new_pols = dict(config.polarizations)
     for cr, k in fired:
         for dest, products in cr.effects:
@@ -318,14 +324,8 @@ def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuratio
             new_pols[cr.membrane] = cr.rule.beta
 
     new_contents = dict(config.contents)
-    new_env = config.environment
-    for label, counts in pools.items():
-        if 0 in counts.values():
-            counts = {sym: cnt for sym, cnt in counts.items() if cnt}
-        if label == ENVIRONMENT_LABEL:
-            new_env = Multiset.adopt(counts)
-        else:
-            new_contents[label] = Multiset.adopt(counts)
+    new_contents.update((label, Multiset.adopt(counts)) for label, counts in pools.items())
+    new_env = new_contents.pop(ENVIRONMENT_LABEL, config.environment)  # no membrane has its label
     return Configuration(
         contents=new_contents,
         polarizations=new_pols,
@@ -370,7 +370,10 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
             if take > have:
                 raise EngineError(
                     f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
-            pool[sym] = have - take
+            if take < have:
+                pool[sym] = have - take
+            else:
+                del pool[sym]
         if cr.charging:
             prev = changed_to.get(cr.membrane)
             if prev is not None and prev is not cr.rule.beta:

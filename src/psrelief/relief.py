@@ -66,8 +66,10 @@ BLAS sum would each change bits.  An iteration is then one ``z + a_t D``
 and one ``max(0, .)``.  The visibility caps are counted per column into an
 int vector and summed once per run.
 
-The integer step inlines the two gadgets with two identities that are exact
-on integers:
+The integer step inlines the two gadgets, rounding division by the beta
+denominator and emission under the step factor, with two identities that are
+exact on integers (``tests/helpers.py`` keeps the gadgets as written, the
+reference the integer step is checked against):
 
     div_round_half(r, den, half) == (r + den - half) // den   if 1 <= half <= den
     scaled_emission(m, w)        == ((m >> w) + 5) // 10      if m >= 0
@@ -507,20 +509,6 @@ def _min_precision(beta: Fraction) -> int:
     while math.floor(beta * 10**p) < 1:
         p += 1
     return p
-
-
-def div_round_half(raw: int, den: int, half: int) -> int:
-    """floor(raw/den), plus one when the remainder reaches the half mark."""
-    if den <= 0:
-        raise ValueError("division constant must be positive")
-    return raw // den + (1 if raw % den >= half else 0)
-
-
-def scaled_emission(magnitude: int, w: int) -> int:
-    """Apply the step factor a_t = 0.1/2^w to a count: w floor-halvings (one
-    right shift), then division by ten rounding half up."""
-    magnitude >>= w
-    return magnitude // 10 + (1 if magnitude % 10 >= 5 else 0)
 
 
 #: Below this bound on every constant and count the packed integer step runs

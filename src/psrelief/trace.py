@@ -76,8 +76,11 @@ class GeneratedRun:
 class _Recorder:
     def __init__(self, gen: GeneratedSystem):
         self.boundary_rules = set(gen.rule_index["3.26"])
-        # rule id -> position of its stage in _STAGES; stageless rules left out
-        self._stage_rank = {rid: _STAGES.index(stage) for rid, stage in gen.stage_of.items() if stage is not None}
+        # stage -> ids of its rules, in _STAGES order; stageless rules left out
+        self._stage_rules: dict[str, set[str]] = {stage: set() for stage in _STAGES}
+        for rid, stage in gen.stage_of.items():
+            if stage is not None:
+                self._stage_rules[stage].add(rid)
         self.q_trajectory: list[list[list[int]]] = []
         self.profiles: list[IterationProfile] = []
         self._current = IterationProfile(index=0)
@@ -87,9 +90,10 @@ class _Recorder:
     def _step_stage(self, plan: FiringPlan) -> str | None:
         """Earliest stage among the fired rules; rules that belong to no
         stage (counter plumbing, cleanup) never define the stage of a step."""
-        rank = self._stage_rank
-        first = min((rank[rid] for rid in plan.counts if rid in rank), default=None)
-        return None if first is None else _STAGES[first]
+        for stage, rules in self._stage_rules.items():
+            if not rules.isdisjoint(plan.counts):
+                return stage
+        return None
 
     def __call__(self, plan: FiringPlan, config: Configuration) -> bool:
         """Record one committed step; true when it ends an iteration."""

@@ -8,8 +8,10 @@ against.
   enumerator of maximal firing plans, the reference selector that scans every
   rule on every greedy pass, and the reference commit.
 * Reference solver steps that evaluate the update formulas array by array
-  (float) and cell by cell (integer) on a ``State`` of their own, and adapters
-  that drive relief's prepared steps on such a state.
+  (float) and cell by cell (integer, through the scalar gadgets
+  ``div_round_half`` and ``scaled_emission`` that relief's integer step
+  inlines) on a ``State`` of their own, and adapters that drive relief's
+  prepared steps on such a state.
 * A reference ``.psys`` reader written from docs/psys-format.md; it takes
   only the result types from ``psrelief.dsl``.
 """
@@ -512,10 +514,24 @@ def reference_solve(inst: relief.ReliefInstance, variant: str, tol: float,
     )
 
 
+def div_round_half(raw: int, den: int, half: int) -> int:
+    """floor(raw/den), plus one when the remainder reaches the half mark."""
+    if den <= 0:
+        raise ValueError("division constant must be positive")
+    return raw // den + (1 if raw % den >= half else 0)
+
+
+def scaled_emission(magnitude: int, w: int) -> int:
+    """Apply the step factor a_t = 0.1/2^w to a count: w floor-halvings (one
+    right shift), then division by ten rounding half up."""
+    magnitude >>= w
+    return magnitude // 10 + (1 if magnitude % 10 >= 5 else 0)
+
+
 def _reference_project(retained: int, drift: int, w: int) -> int:
     """New count from a retained count and a signed drift (both in raw scale):
     emit the scaled magnitude, then cancel against the retained objects."""
-    delta = relief.scaled_emission(abs(drift), w)
+    delta = scaled_emission(abs(drift), w)
     if drift >= 0:
         return retained + delta
     return max(0, retained - delta)
@@ -539,7 +555,7 @@ def reference_quantized_step(state: State, inst: relief.ReliefInstance,
                     k.k1[i][j]
                     + state.lam[i]
                     + state.lam2[j]
-                    + relief.div_round_half(state.q[i][j] * k.slope[i][j], k.den[i], k.half[i])
+                    + div_round_half(state.q[i][j] * k.slope[i][j], k.den[i], k.half[i])
                 ),
                 w,
             )

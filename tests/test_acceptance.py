@@ -22,6 +22,7 @@ from psrelief.psystem import Configuration
 from psrelief.relief import (
     QUANTIZED,
     SIMPLIFIED,
+    ReliefInstance,
     _FloatStep,
     _QuantizedStep,
     fixed_point_constants,
@@ -98,6 +99,39 @@ def test_case_study_scale_runs_to_halt_count_for_count(p, policy, seed):
         assert got == want, f"iteration {it}"
 
 
+def slow_oscillator() -> ReliefInstance:
+    """A 1x1 instance whose quantized iteration oscillates for a long time."""
+    return ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],
+                          gamma=[[1.074]], omega=[3.747], beta=[0.285],
+                          cost_a=[[3.931]], cost_b=[[0.371]], vis_k=[1.2])
+
+
+def random_draw(seed: int, index: int) -> ReliefInstance:
+    """Draw ``index`` (from 0) of 1x1 ``random_instance`` calls on one seeded stream."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        random_instance(rng, 1, 1)
+    return random_instance(rng, 1, 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("make, p, iterations", [(slow_oscillator, 6, 10_293),
+                                                 (lambda: random_draw(7, 186), 7, 13_006)],
+                         ids=["oscillator-p6", "draw186-p7"])
+def test_engine_runs_past_the_schedule_blocks_count_for_count(make, p, iterations):
+    """Runs to halt that cross t = 10,240 (the counter's doubling blocks),
+    11,264 and 12,288 (where the float and integer schedules part): every
+    iteration's counts equal the quantized iteration's."""
+    inst = make()
+    oracle, conv = quantized_trajectory(inst, p=p, max_iter=100_000)
+    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000)
+    assert conv and len(oracle) == iterations + 1
+    assert res.halted == conv
+    assert len(res.q_trajectory) == len(oracle)
+    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
+        assert got == want, f"iteration {it}"
+
+
 def test_criterion_3_derived_equilibrium():
     """q* = 0.5 within 1e-3 from both the float solver and the membrane
     system at p = 5."""
@@ -141,11 +175,7 @@ def test_criterion_5_stage_step_counts():
     assert (last.initialization, last.update, last.comparison) == (3, 9, 7)
 
     # a slow oscillator crosses the 1024-iteration boundary
-    from psrelief.relief import ReliefInstance
-
-    slow = ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],
-                          gamma=[[1.074]], omega=[3.747], beta=[0.285],
-                          cost_a=[[3.931]], cost_b=[[0.371]], vis_k=[1.2])
+    slow = slow_oscillator()
     oracle, conv = quantized_trajectory(slow, p=3, max_iter=1040)
     assert not conv
     res2 = run_generated(build(BuildParams(instance=slow, p=3)), max_iterations=1040)

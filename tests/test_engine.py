@@ -664,6 +664,30 @@ class TestSteps:
                 assert got == self._public_chain(d, policy, seed, 4), (checked, policy)
             checked += 1
 
+    def test_configurations_hold_no_zero_count(self):
+        # The greedy deletes a count that reaches 0 and the commit wraps its
+        # pools as they are, so every configuration it yields is canonical.
+        def zero_free(cfg):
+            regions = [*cfg.contents.values(), cfg.environment]
+            return all(0 not in region._counts.values() for region in regions)
+
+        gen = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3))
+        boundary = set(gen.rule_index["3.26"])
+        for policy, seed in (("deterministic", 0), (SEEDED_RANDOM, 1)):
+            iterations = 0
+            for plan, cfg in engine.steps(gen.definition, policy, seed):
+                assert zero_free(cfg), (policy, cfg.step_index)
+                iterations += not boundary.isdisjoint(plan.counts)
+                if iterations == 5:
+                    break
+            assert iterations == 5
+        rng = random.Random(4242)
+        for draw in range(50):
+            d = random_small_system(rng)
+            for policy, seed in (("deterministic", 0), (SEEDED_RANDOM, draw)):
+                for _, cfg in itertools.islice(engine.steps(d, policy, seed), 4):
+                    assert zero_free(cfg), (draw, policy, cfg.step_index)
+
     def test_earlier_configurations_survive_later_steps(self):
         # Membrane 2 holds objects no rule touches: every configuration of the
         # run shares the definition's multiset for it, and no later step can

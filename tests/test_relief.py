@@ -17,6 +17,7 @@ from helpers import (
     State,
     count_start,
     count_step,
+    div_round_half,
     flat,
     float_drift,
     float_step,
@@ -24,6 +25,7 @@ from helpers import (
     reference_projected_step,
     reference_quantized_step,
     reference_solve,
+    scaled_emission,
 )
 from psrelief import relief
 from psrelief.relief import (
@@ -35,11 +37,9 @@ from psrelief.relief import (
     ReliefInstance,
     _FloatStep,
     _QuantizedStep,
-    div_round_half,
     fixed_point_constants,
     quantized_halvings,
     quantized_trajectory,
-    scaled_emission,
     schedule_exponent,
     solve,
     step_size,

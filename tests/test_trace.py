@@ -13,7 +13,7 @@ from psrelief.builder import BuildParams, build
 from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
 from psrelief.io import load_instance
 from psrelief.psystem import Configuration
-from psrelief.trace import TraceWriter, run_generated
+from psrelief.trace import _STAGES, TraceWriter, _Recorder, run_generated
 
 from helpers import reference_apply, reference_select
 from test_relief import derived_1x1
@@ -79,6 +79,21 @@ def test_extra_observer_sees_every_counted_step(max_iterations, halts):
     res = run_generated(gen, max_iterations, extra_observer=lambda step, plan, config: seen.append(step))
     assert res.halted is halts
     assert seen == list(range(1, res.report.steps + 1))
+
+
+def test_step_stage_is_the_earliest_stage_among_fired_rules():
+    # Reference from ``stage_of`` alone: the first stage in step order that
+    # some fired rule belongs to, or None when every fired rule is stageless.
+    gen = build(BuildParams(instance=derived_1x1(), p=3))
+    recorder = _Recorder(gen)
+    got, want = [], []
+    for plan, _ in steps(gen.definition):
+        fired = {gen.stage_of[rid] for rid in plan.counts}
+        want.append(next((stage for stage in _STAGES if stage in fired), None))
+        got.append(recorder._step_stage(plan))
+    assert len(got) == 451
+    assert got == want
+    assert want[-1] is None and set(want) == {*_STAGES, None}
 
 
 DEMO_2X2 = Path(__file__).resolve().parent.parent / "instances" / "demo_2x2.json"
