@@ -137,6 +137,8 @@ def cmd_trace(args) -> int:
         raise ValueError("trace takes --psys FILE or --instance FILE, not both")
     if args.p is not None and args.instance is None:
         raise ValueError("trace takes --p only with --instance FILE")
+    if args.seed is not None and args.policy != SEEDED_RANDOM:
+        raise ValueError(f"trace takes --seed only with --policy {SEEDED_RANDOM}")
     if args.max_steps < 1:
         raise ValueError("max_steps must be positive")
     if args.psys:
@@ -155,7 +157,7 @@ def cmd_trace(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = ptrace.TraceWriter(definition, out)
-        report = run(definition, policy=args.policy, seed=args.seed,
+        report = run(definition, policy=args.policy, seed=args.seed or 0,
                      max_steps=args.max_steps, observer=writer)
     finally:
         if args.out:
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="engine run with observer dump")
     p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help=f"seed of --policy {SEEDED_RANDOM} (default 0)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--psys", help="trace a .psys system instead of a built instance")

@@ -2,11 +2,20 @@
 against.
 
 * Tiny system constructors and random small systems.
+* The instances the tests draw: ``katrina_shaped``, whose recipe is
+  ``bench/gen.py``'s (loaded from its file, so tests and benchmark draw the
+  same instances from one copy), ``random_instance``, ``derived_1x1``, and
+  the shipped benchmark tables.
 * The rule semantics, one helper per idea: the guard, the region a rule
   consumes from, writable pools of every region, how many times a pool covers
   a left-hand side, and the residual of a plan.  They serve the brute-force
   enumerator of maximal firing plans, the reference selector that scans every
-  rule on every greedy pass, and the reference commit.
+  rule on every greedy pass, and the reference commit.  The reference commit
+  asserts that each plan it commits fits its snapshot, which the engine's
+  commit does not check, so any plan a test builds can be committed through
+  it.
+* ``select``, the engine's selection under either policy from any
+  configuration and seed, through the compiled form ``engine.steps`` uses.
 * Reference solver steps that evaluate the update formulas array by array
   (float) and cell by cell (integer, through the scalar gadgets
   ``div_round_half`` and ``scaled_emission`` that relief's integer step
@@ -19,16 +28,20 @@ against.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import random
 import re
+from importlib import resources
+from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from psrelief import relief
 from psrelief.dsl import ParseDiagnostic, ParseResult, SourceDocument
-from psrelief.engine import EngineError, FiringPlan
+from psrelief.engine import FiringPlan, _Compiled, _order, _select
+from psrelief.io import parse_matrix_csv
 from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
     ENVIRONMENT_LABEL,
@@ -82,6 +95,65 @@ def single_membrane_example() -> PSystemDef:
         priorities=[("r1", "r2")],
         output="environment",
     )
+
+
+# ---------------------------------------------------------------------------
+# Instances
+# ---------------------------------------------------------------------------
+
+
+def _load_bench_gen():
+    """bench/gen.py as a module of its own, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_psrelief_bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_bench_gen = _load_bench_gen()
+
+
+def katrina_shaped(rng: random.Random, m: int, n: int) -> relief.ReliefInstance:
+    """Well-conditioned instance with an interior-leaning equilibrium in the
+    hundreds of items, the regime of the published case study: the benchmark
+    ladder's recipe."""
+    inst = relief.ReliefInstance.from_dict(_bench_gen.katrina_shaped(rng, m, n))
+    assert not relief.validate(inst)
+    return inst
+
+
+def derived_1x1() -> relief.ReliefInstance:
+    return relief.ReliefInstance(
+        m=1, n=1, s=[1000.0], d_lo=[0.0], d_hi=[1000.0],
+        gamma=[[1.0]], omega=[1.0], beta=[1.0],
+        cost_a=[[1.0]], cost_b=[[0.0]], vis_k=[1.0],
+    )
+
+
+def random_instance(rng: random.Random, m: int, n: int, lo=0.25, hi=4.0) -> relief.ReliefInstance:
+    while True:
+        d_lo = [round(rng.uniform(lo, min(hi, 3.5 / n)), 3) for _ in range(n)]
+        d_hi = [round(rng.uniform(d, hi), 3) for d in d_lo]
+        inst = relief.ReliefInstance(
+            m=m, n=n,
+            s=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
+            d_lo=d_lo, d_hi=d_hi,
+            gamma=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
+            omega=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
+            beta=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
+            cost_a=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
+            cost_b=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
+            vis_k=[round(rng.uniform(lo, hi), 3) for _ in range(n)],
+        )
+        if not relief.validate(inst):
+            return inst
+
+
+def load_table(name: str) -> np.ndarray:
+    """A table shipped in ``psrelief/data``."""
+    text = resources.files("psrelief").joinpath("data", name).read_text(encoding="utf-8")
+    return parse_matrix_csv(text, origin=name)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +345,18 @@ def random_small_system(rng: random.Random) -> PSystemDef:
 
 
 # ---------------------------------------------------------------------------
+# The engine's selection from any configuration, under either policy
+# ---------------------------------------------------------------------------
+
+
+def select(definition: PSystemDef, config: Configuration, policy: str, seed: int) -> FiringPlan:
+    """The engine's plan for ``config`` under ``policy``; seeded-random
+    shuffles the candidates with ``random.Random(seed)``, as each step of
+    ``engine.steps`` does with its own seed."""
+    return _select(_Compiled(definition), config, _order(policy, seed))[0]
+
+
+# ---------------------------------------------------------------------------
 # Reference selector and commit: candidates come from a scan of every rule,
 # and the commit works on copies of every region
 # ---------------------------------------------------------------------------
@@ -354,31 +438,25 @@ def _reference_effects(definition: PSystemDef, rule: Rule) -> list[tuple[str, Mu
 def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringPlan) -> Configuration:
     """The engine's commit on copies of every region: the whole plan's
     consumption first, then its products, so no rule consumes what another
-    produces in the same step.  ``apply_step`` must return an equal
-    configuration and raise the same ``EngineError`` messages for the same
-    arguments."""
+    produces in the same step.  A plan that names an unknown rule, holds a
+    count below 1, consumes more than the snapshot holds or sets two
+    polarizations on one membrane fails an assertion.  ``apply_step`` must
+    return an equal configuration for a plan ``select_firing`` returned."""
     rules = rules_by_id(definition)
     pools = _pools(config)
     new_pols = dict(config.polarizations)
     changed_to: dict[str, Polarization] = {}
     for rid, count in plan.counts.items():
         rule = rules.get(rid)
-        if rule is None:
-            raise EngineError(f"plan names unknown rule {rid!r}")
-        if count <= 0:
-            raise EngineError(f"plan has non-positive count for {rid!r}")
+        assert rule is not None and count > 0, (rid, count)
         pool = pools[_consume_label(definition, rule)]
         for sym, need in rule.lhs.items():
             have, take = pool.get(sym, 0), need * count
-            if take > have:
-                raise EngineError(
-                    f"infeasible plan at rule {rid!r}: cannot remove {take} x {sym!r}, only {have} present")
+            assert take <= have, f"infeasible plan at rule {rid!r}: {take} x {sym!r}, only {have} present"
             pool[sym] = have - take
         h = rule.membrane
         if rule.changes_polarization:
-            prev = changed_to.get(h)
-            if prev is not None and prev is not rule.beta:
-                raise EngineError(f"incompatible polarization targets for membrane {h!r}")
+            assert changed_to.get(h, rule.beta) is rule.beta, f"two polarizations for membrane {h!r}"
             changed_to[h] = rule.beta
             new_pols[h] = rule.beta
     for rid, count in plan.counts.items():

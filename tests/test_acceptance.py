@@ -34,10 +34,8 @@ from psrelief.relief import (
 from psrelief.stats import compare
 from psrelief.trace import run_generated
 
-from helpers import (State, count_step, enumerate_maximal_plans, float_step, random_small_system, ms,
-                     rules_by_id)
-from test_relief import derived_1x1, katrina_shaped, random_instance
-from test_stats import load_table
+from helpers import (State, count_step, derived_1x1, enumerate_maximal_plans, float_step, katrina_shaped,
+                     load_table, ms, random_instance, random_small_system, rules_by_id)
 
 
 def announce(criterion: int, detail: str) -> None:

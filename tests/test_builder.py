@@ -27,8 +27,7 @@ from psrelief.io import load_instance
 from psrelief.psystem import Configuration, problems
 from psrelief.relief import ReliefInstance
 
-from helpers import parts, rules_by_id
-from test_relief import derived_1x1, katrina_shaped
+from helpers import derived_1x1, katrina_shaped, parts, rules_by_id
 
 
 def small_instance(m: int, n: int, beta: float = 1.0) -> ReliefInstance:

@@ -276,13 +276,16 @@ class TestTrace:
 
     BOTH = "trace takes --psys FILE or --instance FILE, not both"
     P_ALONE = "trace takes --p only with --instance FILE"
+    SEED_ALONE = "trace takes --seed only with --policy seeded-random"
 
     @pytest.mark.parametrize("flags, message", [
         (["--psys", "PSYS", "--instance", "/nonexistent.json", "--p", "7"], BOTH),
         (["--psys", "PSYS", "--instance", DERIVED], BOTH),
         (["--psys", "PSYS", "--p", "7"], P_ALONE),
         (["--p", "7"], P_ALONE),
-    ], ids=["psys-instance-p", "psys-instance", "psys-p", "p"])
+        (["--psys", "PSYS", "--seed", "5"], SEED_ALONE),
+        (["--psys", "PSYS", "--policy", "deterministic", "--seed", "0"], SEED_ALONE),
+    ], ids=["psys-instance-p", "psys-instance", "psys-p", "p", "seed", "deterministic-seed"])
     def test_flags_that_would_be_ignored_are_rejected(self, tmp_path, capsys, flags, message):
         psys, out = tmp_path / "sys.psys", tmp_path / "trace.txt"
         psys.write_text("membrane 1\ninit 1: a\nrule r1: [a -> b]'0 @ 1\n")

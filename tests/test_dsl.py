@@ -17,8 +17,7 @@ from psrelief.engine import run
 from psrelief.multiset import Multiset
 from psrelief.psystem import DefinitionError, Polarization, PSystemDef, Rule, RuleKind, problems
 
-from helpers import ms, parts, random_small_system, reference_parse, single_membrane_example
-from test_relief import katrina_shaped
+from helpers import katrina_shaped, ms, parts, random_small_system, reference_parse, single_membrane_example
 
 WORKED_EXAMPLE = """\
 # single membrane, three rewrite rules, one priority

@@ -10,7 +10,7 @@ from psrelief.builder import BuildParams, build, decode_output
 from psrelief.relief import QUANTIZED, quantized_trajectory, solve
 from psrelief.trace import run_generated
 
-from test_relief import derived_1x1, katrina_shaped, random_instance
+from helpers import derived_1x1, katrina_shaped, random_instance
 
 
 class TestTrajectoryEquivalence:

@@ -1,15 +1,17 @@
 """The package's export list, the command line's options, what the test
-references may take from the package, and the one loop of the relief
-solvers."""
+references may take from the package, the one loop of the relief solvers,
+the engine's per-call functions, and test modules that import only from
+``helpers``."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import psrelief
-from psrelief import cli, relief
+from psrelief import cli, engine, relief
 
 #: The public names: the engine's whole-run entry points, the relief driver,
 #: and the builder.
@@ -92,3 +94,37 @@ def test_relief_steps_share_one_loop_and_no_single_step_entry():
     for step in (relief._FloatStep, relief._QuantizedStep):
         own = {name for cls in step.__mro__[:-1] for name in vars(cls)}
         assert own & {"advance", "__call__", "halve", "pack"} == set(), step
+
+
+def test_engine_per_call_functions_take_only_what_the_benchmark_passes():
+    """``select_firing`` and ``apply_step`` are the benchmark replay's
+    calls: always deterministic, and committing the plan unchecked."""
+    assert list(inspect.signature(engine.select_firing).parameters) == ["definition", "config"]
+    assert list(inspect.signature(engine.apply_step).parameters) == ["definition", "config", "plan"]
+    assert not hasattr(engine, "EngineError")
+
+
+def imported_test_modules(source: str) -> set[str]:
+    """The ``test_`` modules that ``source`` imports or imports from."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name for name in names if name.split(".")[0].startswith("test_")}
+    return found
+
+
+def test_test_modules_import_no_other_test_module():
+    """What several test modules share lives in tests/helpers.py."""
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert len(tests) > 10
+    assert {path.name: imported_test_modules(path.read_text()) for path in tests} == \
+        {path.name: set() for path in tests}
+    assert imported_test_modules(
+        "from test_relief import katrina_shaped\nimport test_stats as t\nimport os, test_dsl.x\n"
+        "from helpers import ms\nfrom . import test_cli\n"
+    ) == {"test_relief", "test_stats", "test_dsl.x", "test_cli"}

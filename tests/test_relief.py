@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -17,10 +18,13 @@ from helpers import (
     State,
     count_start,
     count_step,
+    derived_1x1,
     div_round_half,
     flat,
     float_drift,
     float_step,
+    katrina_shaped,
+    random_instance,
     reference_gradient_pack,
     reference_projected_step,
     reference_quantized_step,
@@ -47,55 +51,19 @@ from psrelief.relief import (
 )
 
 
-def derived_1x1() -> ReliefInstance:
-    return ReliefInstance(
-        m=1, n=1, s=[1000.0], d_lo=[0.0], d_hi=[1000.0],
-        gamma=[[1.0]], omega=[1.0], beta=[1.0],
-        cost_a=[[1.0]], cost_b=[[0.0]], vis_k=[1.0],
-    )
+#: sha256 of the ``katrina_shaped`` draws below, taken from the recipe's
+#: earlier copy in this module: every pinned trajectory and digest rests on
+#: these draws.
+KATRINA_DRAWS_SHA256 = "5512d0d180d31289188f7531f0547acd44bb521fbd19eb95a863e98024219941"
 
 
-def random_instance(rng: random.Random, m: int, n: int, lo=0.25, hi=4.0) -> ReliefInstance:
-    while True:
-        d_lo = [round(rng.uniform(lo, min(hi, 3.5 / n)), 3) for _ in range(n)]
-        d_hi = [round(rng.uniform(d, hi), 3) for d in d_lo]
-        inst = ReliefInstance(
-            m=m, n=n,
-            s=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
-            d_lo=d_lo, d_hi=d_hi,
-            gamma=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
-            omega=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
-            beta=[round(rng.uniform(lo, hi), 3) for _ in range(m)],
-            cost_a=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
-            cost_b=[[round(rng.uniform(lo, hi), 3) for _ in range(n)] for _ in range(m)],
-            vis_k=[round(rng.uniform(lo, hi), 3) for _ in range(n)],
-        )
-        if not validate(inst):
-            return inst
-
-
-def katrina_shaped(rng: random.Random, m: int, n: int) -> ReliefInstance:
-    """Well-conditioned instance with an interior-leaning equilibrium in the
-    hundreds of items, the regime of the published case study."""
-    gamma = [[round(rng.uniform(1.0, 3.0), 3) for _ in range(n)] for _ in range(m)]
-    omega = [round(rng.uniform(1.0, 2.5), 3) for _ in range(m)]
-    beta = [round(rng.uniform(0.4, 1.0), 3) for _ in range(m)]
-    cost_a = [[round(rng.uniform(0.08, 0.2), 3) for _ in range(n)] for _ in range(m)]
-    cost_b = [[round(rng.uniform(0.2, 1.5), 3) for _ in range(n)] for _ in range(m)]
-    qf = [[(omega[i] * gamma[i][j] - 2 * cost_a[i][j] * cost_b[i][j]) / (2 * cost_a[i][j] ** 2)
-           for j in range(n)] for i in range(m)]
-    col = [sum(qf[i][j] for i in range(m)) for j in range(n)]
-    row = [sum(qf[i][j] for j in range(n)) for i in range(m)]
-    inst = ReliefInstance(
-        m=m, n=n,
-        s=[round(row[i] * rng.uniform(1.1, 1.6), 1) for i in range(m)],
-        d_lo=[round(col[j] * rng.uniform(0.2, 0.6), 1) for j in range(n)],
-        d_hi=[round(col[j] * rng.uniform(1.2, 1.8), 1) for j in range(n)],
-        gamma=gamma, omega=omega, beta=beta, cost_a=cost_a, cost_b=cost_b,
-        vis_k=[round(rng.uniform(0.5, 2.0), 3) for _ in range(n)],
-    )
-    assert not validate(inst)
-    return inst
+def test_katrina_shaped_draws_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for m, n in [(1, 1), (2, 2), (3, 10), (4, 4), (8, 8), (10, 30)]:
+            inst = katrina_shaped(random.Random(seed), m, n)
+            digest.update(json.dumps(inst.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == KATRINA_DRAWS_SHA256
 
 
 class TestValidate:

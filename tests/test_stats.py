@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 import pytest
 
-from psrelief.io import parse_matrix_csv
+from helpers import load_table
 from psrelief.stats import compare
-
-
-def data_text(name: str) -> str:
-    return resources.files("psrelief").joinpath("data", name).read_text(encoding="utf-8")
-
-
-def load_table(name: str) -> np.ndarray:
-    return parse_matrix_csv(data_text(name), origin=name)
 
 
 def test_single_cell_error():

@@ -15,8 +15,7 @@ from psrelief.io import load_instance
 from psrelief.psystem import Configuration
 from psrelief.trace import _STAGES, TraceWriter, _Recorder, run_generated
 
-from helpers import reference_apply, reference_select
-from test_relief import derived_1x1
+from helpers import derived_1x1, reference_apply, reference_select
 
 GOLDEN_SYSTEM = """\
 membrane 1
