@@ -85,7 +85,7 @@ class GeneratedSystem:
 def symbol(role: str, *idx: int) -> str:
     """Name of the object of ``role`` at indices ``idx``: ``x_2_3`` for role
     ``x`` at (2, 3), ``y0`` for role ``y0`` with no index."""
-    return "_".join(map(str, (role, *idx)))
+    return f"{role}_{'_'.join(map(str, idx))}" if idx else role
 
 
 def count_reader(gen: GeneratedSystem, role: str) -> Callable[[Multiset], list[list[int]]]:
@@ -107,6 +107,15 @@ class _Emitter:
         self.priorities: list[tuple[str, str]] = []
         #: stage recorded for the rules emitted next
         self.stage: str | None = None
+        #: one multiset per distinct sequence of (symbol, count) pairs
+        self.multisets: dict[tuple[tuple[str, int], ...], Multiset] = {(): EMPTY}
+
+    def multiset(self, counts: dict[str, int]) -> Multiset:
+        key = tuple(counts.items())
+        found = self.multisets.get(key)
+        if found is None:
+            found = self.multisets[key] = Multiset(counts)
+        return found
 
     def rule(
         self,
@@ -120,10 +129,9 @@ class _Emitter:
         beta: Polarization | None = None,
         aux: dict[str, int] | None = None,
     ) -> str:
-        rid = "s" + family.replace(".", "_") + (f"__{suffix}" if suffix else "")
-        self.rules.append(Rule(
-            id=rid, kind=kind, membrane=membrane, lhs=Multiset(lhs), rhs=Multiset(rhs) if rhs else EMPTY,
-            alpha=alpha, beta=beta, rhs_aux=Multiset(aux) if aux else EMPTY))
+        rid = f"s{family.replace('.', '_')}__{suffix}" if suffix else f"s{family.replace('.', '_')}"
+        self.rules.append(Rule(rid, kind, membrane, self.multiset(lhs), self.multiset(rhs), alpha, beta,
+                               self.multiset(aux) if aux else EMPTY))
         self.rule_index.setdefault(family, []).append(rid)
         self.stage_of[rid] = self.stage
         return rid
@@ -477,7 +485,7 @@ def build(params: BuildParams) -> GeneratedSystem:
                    {symbol("rem"): 1}, {}, pol)
 
     initial = {
-        "skin": Multiset({symbol("y0"): 1}),
+        "skin": e.multiset({symbol("y0"): 1}),
         "INIT": Multiset({symbol("x", k, l): P for k, l in kl}),
     }
     definition = PSystemDef(

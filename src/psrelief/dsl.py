@@ -21,11 +21,25 @@ normalizes whitespace, and preserves rule declaration order (declaration
 order is semantically relevant to the deterministic policy).
 See docs/psys-format.md for the full grammar.
 
+How a line is read: a ``rule`` or ``prio`` line is first matched whole
+against one grammar pattern for its directive (``_RULE_LINE``,
+``_PRIO_LINE``), chosen by the line's first four characters; the pattern
+captures the ids, the label, the polarizations and each multiset's text.
+Every other line, and every line its pattern rejects, goes through the token
+walk: ``_LINE_RE`` finds the longest prefix that lexes, ``_TOKEN_RE`` splits
+it into tokens, and the directive's reader walks them.  The token walk places
+every diagnostic of a line, so a line whose pattern matches but which has a
+fault all the same (a count of 0 or with too many digits, a duplicate rule
+id) is read again by the token walk, which reports it.
+
 A parsed definition shares its parts: a multiset is a value that never
 changes, so one parse gives every recurring run of atoms one ``Multiset``
 object, and every mention of a membrane label or rule id one ``str``
-object.  The tables that do this belong to the one call of ``parse``; two
-parses share nothing.
+object.  A multiset text that a pattern captured is looked up as text first;
+a text not seen before is split into its run of tokens and read by the token
+walk's ``_multiset``, so it gets the run's object and every count check.
+The tables that do this belong to the one call of ``parse``; two parses share
+nothing.
 """
 
 from __future__ import annotations
@@ -83,6 +97,30 @@ _TOKEN_RE = re.compile(r"'[0+\-]|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\]:@>^]")
 # only and the match takes time linear in its length.
 _FREE = r"[\s0-9A-Za-z_\[\]:@>^]"
 _LINE_RE = re.compile(rf"{_FREE}*(?:(?:'[0+\-]|->){_FREE}*)*")
+# The grammar patterns of rule and prio lines.  Each run of whitespace can be
+# taken by one quantifier only, and an identifier cannot end where another
+# identifier character follows, so a line matches in one way only and a
+# rejected line is rejected in time linear in its length.  (No atomic group
+# or possessive quantifier: the package supports Python 3.10.)
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL = rf"(?:{_ID}|[0-9]+)"
+_ATOM = rf"{_ID}(?![A-Za-z0-9_])(?:\s*\^\s*[0-9]+)?"
+_RUN = rf"({_ATOM}(?:\s*{_ATOM})*)"
+# A multiset and the whitespace after it; its group is None when it is empty.
+_MS = rf"(?:{_RUN}\s*)?"
+_POL = r"('[0+\-])"
+# What follows the guard of a communication rule: outer, inner, beta.
+_TAIL = rf"\s*->\s*{_MS}\[\s*{_MS}\]\s*{_POL}"
+# The membrane label closing a rule, and the rest of the line.
+_AT = rf"\s*@\s*({_LABEL})\s*(?:#.*)?"
+#: Groups: id; evolution and send-out lhs; evolution rhs and alpha; send-out
+#: alpha, outer, inner and beta; send-in lhs, alpha, outer, inner and beta;
+#: the membrane label.
+_RULE_LINE = re.compile(
+    rf"rule\s+({_ID})\s*:\s*(?:\[\s*{_MS}(?:->\s*{_MS}\]\s*{_POL}|\]\s*{_POL}{_TAIL})"
+    rf"|{_RUN}\s*\[\s*\]\s*{_POL}{_TAIL}){_AT}", re.S)
+#: Groups: the higher id, the lower id, the membrane label or None.
+_PRIO_LINE = re.compile(rf"prio\s+({_ID})\s*>\s*({_ID})(?:\s*@\s*({_LABEL}))?\s*(?:#.*)?", re.S)
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _LABEL_START = _IDENT_START | frozenset("0123456789")
 _POLARIZATIONS = {"'" + pol.value: pol for pol in Polarization}
@@ -183,6 +221,47 @@ def _multiset(toks: list[str], i: int, stop: tuple[str, ...],
     return found, i
 
 
+class _Texts(dict):
+    """Multiset of each multiset text a grammar pattern captured in one
+    parse; the key ``None`` (no text) maps to the empty multiset.  A text
+    not seen before is read by ``_multiset`` with the parse's ``shared``
+    table, which raises ``_Bail`` where the token walk would; a text that
+    fails is not stored."""
+
+    __slots__ = ("shared",)
+
+    def __init__(self, shared: dict[tuple[str, ...], Multiset]):
+        super().__init__({None: EMPTY})
+        self.shared = shared
+
+    def __missing__(self, text: str) -> Multiset:
+        toks = _TOKEN_RE.findall(text)
+        toks.append(_END)
+        self[text] = found = _multiset(toks, 0, _TO_END, self.shared)[0]
+        return found
+
+
+def _matched_rule(raw: str, texts: _Texts, names: dict[str, str]) -> Rule | None:
+    """The rule of a line that ``_RULE_LINE`` matches and whose counts
+    ``_multiset`` accepts; ``None`` sends the line to the token walk."""
+    m = _RULE_LINE.fullmatch(raw)
+    if m is None:
+        return None
+    (rid, lhs, rhs, alpha, out_alpha, out_outer, out_inner, out_beta,
+     in_lhs, in_alpha, in_outer, in_inner, in_beta, membrane) = m.groups()
+    rid, membrane = names.setdefault(rid, rid), names.setdefault(membrane, membrane)
+    try:
+        if alpha is not None:
+            return Rule(rid, RuleKind.EVOLUTION, membrane, texts[lhs], texts[rhs], _POLARIZATIONS[alpha])
+        if out_alpha is not None:
+            return Rule(rid, RuleKind.SEND_OUT, membrane, texts[lhs], texts[out_outer],
+                        _POLARIZATIONS[out_alpha], _POLARIZATIONS[out_beta], texts[out_inner])
+        return Rule(rid, RuleKind.SEND_IN, membrane, texts[in_lhs], texts[in_inner],
+                    _POLARIZATIONS[in_alpha], _POLARIZATIONS[in_beta], texts[in_outer])
+    except _Bail:
+        return None
+
+
 @_gc_paused()
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse a system description; on failure the result carries at least one
@@ -197,6 +276,7 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     diags: list[ParseDiagnostic] = []
     # One object per distinct run of multiset tokens and per name.
     shared: dict[tuple[str, ...], Multiset] = {}
+    texts = _Texts(shared)
     names: dict[str, str] = {}
     parent: dict[str, str | None] = {}
     membrane_at: dict[str, tuple[int, str]] = {}
@@ -210,6 +290,21 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     output_at: tuple[int, str] | None = None
 
     for line_no, raw in enumerate(doc.text.splitlines(), start=1):
+        head = raw[:4]
+        if head == "rule":
+            rule = _matched_rule(raw, texts, names)
+            if rule is not None and rule.id not in rule_line:
+                rules.append(rule)
+                rule_line[rule.id] = line_no
+                continue
+        elif head == "prio":
+            m = _PRIO_LINE.fullmatch(raw)
+            if m is not None:
+                hi, lo, at_label = m.groups()
+                priorities.append((names.setdefault(hi, hi), names.setdefault(lo, lo)))
+                prio_lines.append((line_no, raw, at_label))
+                continue
+        # the token walk
         end = _LINE_RE.match(raw).end()
         if end < len(raw) and raw[end] != "#":
             diags.append(ParseDiagnostic("error", f"unexpected character {raw[end]!r}", line_no, end + 1))
@@ -387,21 +482,44 @@ def _format_ms(ms: Multiset, where: str, written: set[str]) -> str:
     return " ".join(atoms)
 
 
-def _format_rule(rule: Rule, written: set[str]) -> str:
-    a, b = rule.alpha.value, rule.beta.value
-    where = f"rule {rule.id!r}"
-    if not _writable(rule.id):
-        raise DefinitionError(f"id of {where} is not a name the .psys format can write")
-    lhs = _format_ms(rule.lhs, where, written)
-    if rule.kind is RuleKind.EVOLUTION:
-        body = f"[{lhs} -> {_format_ms(rule.rhs, where, written)}]'{a}"
-    else:
-        out = rule.kind is RuleKind.SEND_OUT
-        outer = _format_ms(rule.rhs if out else rule.rhs_aux, where, written)
-        inner = _format_ms(rule.rhs_aux if out else rule.rhs, where, written)
-        head = f"[{lhs}]'{a}" if out else f"{lhs} []'{a}"
-        body = f"{head} -> {outer}{' ' if outer else ''}[{inner}]'{b}"
-    return f"rule {rule.id}: {body} @ {rule.membrane}"
+class _Writer:
+    """The text of each multiset object of one ``serialize`` call, formatted
+    once: ``formatted`` is keyed by the object's id, which stays fixed while
+    the definition holding the object is written.  ``written`` holds the
+    symbols checked so far."""
+
+    __slots__ = ("formatted", "written")
+
+    def __init__(self):
+        self.formatted: dict[int, str] = {}
+        self.written: set[str] = set()
+
+    def atoms(self, ms: Multiset, owner: Rule | str) -> str:
+        """The text of ``ms``, held by ``owner``: a rule, or the label of the
+        membrane whose initial contents it is."""
+        text = self.formatted.get(id(ms))
+        if text is None:
+            where = f"rule {owner.id!r}" if isinstance(owner, Rule) else f"the initial contents of {owner!r}"
+            text = self.formatted[id(ms)] = _format_ms(ms, where, self.written)
+        return text
+
+    def rule(self, rule: Rule) -> str:
+        if not _writable(rule.id):
+            raise DefinitionError(f"id of rule {rule.id!r} is not a name the .psys format can write")
+        # the members' values read directly: ``.value`` is a descriptor and a
+        # dict keyed by member calls ``Enum.__hash__``, both Python code that
+        # cost about a tenth of ``serialize`` at case-study scale
+        a, b = rule.alpha._value_, rule.beta._value_
+        lhs = self.atoms(rule.lhs, rule)
+        if rule.kind is RuleKind.EVOLUTION:
+            body = f"[{lhs} -> {self.atoms(rule.rhs, rule)}]'{a}"
+        else:
+            out = rule.kind is RuleKind.SEND_OUT
+            outer = self.atoms(rule.rhs if out else rule.rhs_aux, rule)
+            inner = self.atoms(rule.rhs_aux if out else rule.rhs, rule)
+            head = f"[{lhs}]'{a}" if out else f"{lhs} []'{a}"
+            body = f"{head} -> {outer}{' ' if outer else ''}[{inner}]'{b}"
+        return f"rule {rule.id}: {body} @ {rule.membrane}"
 
 
 def serialize(definition: PSystemDef) -> str:
@@ -412,7 +530,7 @@ def serialize(definition: PSystemDef) -> str:
     for lab in definition.parent:
         if not _writable(lab, label=True):
             raise DefinitionError(f"label of membrane {lab!r} is not a name the .psys format can write")
-    written: set[str] = set()
+    writer = _Writer()
     lines = ["# psys 1"]
     skin = next(lab for lab, par in definition.parent.items() if par is None)
     lines.append(f"membrane {skin}")
@@ -424,9 +542,8 @@ def serialize(definition: PSystemDef) -> str:
     for lab in sorted(definition.initial):
         ms = definition.initial[lab]
         if ms:
-            lines.append(f"init {lab}: {_format_ms(ms, f'the initial contents of {lab!r}', written)}")
-    for rule in definition.rules:
-        lines.append(_format_rule(rule, written))
+            lines.append(f"init {lab}: {writer.atoms(ms, lab)}")
+    lines += map(writer.rule, definition.rules)
     for hi, lo in sorted(definition.priorities):
         lines.append(f"prio {hi} > {lo}")
     return "\n".join(lines) + "\n"

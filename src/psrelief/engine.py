@@ -37,14 +37,20 @@ Selection cost
 
 A rule whose guard or left-hand side fails on the snapshot cannot fire later
 in the step: guards read the snapshot, and the pools the plan draws on only
-shrink.  Compiling a definition indexes its rules by the region they consume
-from, then by one key symbol of their left-hand side (the first), each list
-in deterministic order.  A rule whose key symbol is absent from the snapshot
-cannot be covered, so each step visits every region that has consumers once
-and looks up the rules keyed by each symbol the region holds.  A rule found
-this way is a candidate when its membrane's polarization matches its guard
-and the snapshot covers its full left-hand side; the candidates are sorted
-into deterministic order, then shuffled under the seeded-random policy.  The
+shrink.  Compiling a definition ranks its rules in deterministic order.  When
+every priority pair's higher rule is declared before its lower one, as in
+every generated system, declaration order is a topological order that no
+other precedes by declaration index, so a rule's rank is its declaration
+index; any other relation is ranked by Kahn's algorithm, taking the smallest
+declaration index among the ready rules first.  Compiling then indexes the
+rules by the region they consume from, then by one key symbol of their
+left-hand side (the first), each list in rank order.  A rule whose key
+symbol is absent from the snapshot cannot be covered, so each step visits
+every region that has consumers once and looks up the rules keyed by each
+symbol the region holds.  A rule found this way is a candidate when its
+membrane's polarization matches its guard and the snapshot covers its full
+left-hand side; the candidates are sorted into deterministic order, then
+shuffled under the seeded-random policy.  The
 greedy passes walk only the candidates: a deterministic walk over all rules
 would meet them in the same order and skip the rest, so the plan is the
 same.  A candidate leaves the passes once it fires, once its pool runs dry or
@@ -173,35 +179,47 @@ class _Compiled:
     def __init__(self, definition: PSystemDef):
         crules = [_CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)]
         self.by_id = by_id = {cr.rule.id: cr for cr in crules}
-        successors: defaultdict[int, list[int]] = defaultdict(list)
-        n_preds = [0] * len(crules)
+        forward = True  # every pair's higher rule declared before its lower one
         for hi, lo in definition.priorities:
             higher, lower = by_id[hi], by_id[lo]
             if not lower.higher:
                 lower.higher = []
             lower.higher.append(higher)
-            successors[higher.index].append(lower.index)
-            n_preds[lower.index] += 1
+            if higher.index > lower.index:
+                forward = False
         # consumed region -> key symbol -> rules in deterministic order (a
         # topological order of the priority relation, smallest declaration
         # index first); the key symbol is the first on the lhs
         index: defaultdict[str, defaultdict[str, list[_CRule]]] = defaultdict(lambda: defaultdict(list))
-        ready = [i for i, n in enumerate(n_preds) if n == 0]
-        heapq.heapify(ready)
-        rank = 0
-        while ready:
-            i = heapq.heappop(ready)
-            cr = crules[i]
+        for rank, cr in enumerate(crules if forward else _kahn_order(crules, definition.priorities, by_id)):
             cr.rank = rank
-            rank += 1
             index[cr.consume][next(iter(cr.lhs))[0]].append(cr)
-            for j in successors.get(i, ()):
-                n_preds[j] -= 1
-                if n_preds[j] == 0:
-                    heapq.heappush(ready, j)
         # plain dicts of tuples: a tuple holds one rule in less memory than a list
         self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {
             region: {key: tuple(rules) for key, rules in keyed.items()} for region, keyed in index.items()}
+
+
+def _kahn_order(crules: list[_CRule], priorities: tuple[tuple[str, str], ...],
+                by_id: dict[str, _CRule]) -> list[_CRule]:
+    """The topological order of the priority relation that takes the
+    smallest declaration index among the ready rules first."""
+    successors: defaultdict[int, list[int]] = defaultdict(list)
+    n_preds = [0] * len(crules)
+    for hi, lo in priorities:
+        lower = by_id[lo].index
+        successors[by_id[hi].index].append(lower)
+        n_preds[lower] += 1
+    ready = [i for i, n in enumerate(n_preds) if n == 0]
+    heapq.heapify(ready)
+    order: list[_CRule] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(crules[i])
+        for j in successors.get(i, ()):
+            n_preds[j] -= 1
+            if n_preds[j] == 0:
+                heapq.heappush(ready, j)
+    return order
 
 
 def _order(policy: str, seed: int) -> random.Random | None:

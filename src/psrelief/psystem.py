@@ -157,7 +157,14 @@ def problems(
     output: str,
 ) -> list[Problem]:
     """All structural violations of a definition with these parts; an empty
-    list means they make a valid definition."""
+    list means they make a valid definition.
+
+    When every priority pair names declared rules and each pair that
+    relates two rules has its higher rule declared before its lower one,
+    declaration order is a topological order of the relation, which is
+    therefore acyclic, and ``_priority_cycles`` is not run: the generated
+    systems declare every pair that way.  Any other relation gets the full
+    cycle search."""
     out: list[Problem] = []
     roots = [lab for lab, par in parent.items() if par is None]
     if len(roots) != 1:
@@ -179,12 +186,12 @@ def problems(
     for lab in initial:
         if lab not in parent:
             out.append(Problem(f"initial contents given for unknown membrane {lab!r}", "init", lab))
-    seen_ids: set[str] = set()
+    position: dict[str, int] = {}  # rule id -> declaration index
     skin = roots[0] if len(roots) == 1 else None
     for i, r in enumerate(rules):
-        if r.id in seen_ids:
+        if r.id in position:
             out.append(Problem(f"duplicate rule id {r.id!r}", "rule", i))
-        seen_ids.add(r.id)
+        position[r.id] = i
         if r.membrane not in parent:
             out.append(Problem(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}", "rule", i))
             continue
@@ -197,13 +204,18 @@ def problems(
                 out.append(Problem(f"evolution rule {r.id!r} cannot carry outer products", "rule", i))
         if r.kind is RuleKind.SEND_IN and r.membrane == skin:
             out.append(Problem(f"send-in rule {r.id!r} targets the skin membrane", "rule", i))
+    forward = True
     for i, (hi, lo) in enumerate(priorities):
         for rid in (hi, lo):
-            if rid not in seen_ids:
+            if rid not in position:
                 out.append(Problem(f"priority pair references unknown rule {rid!r}", "priority", i))
+                forward = False
         if hi == lo:
             out.append(Problem(f"priority pair relates rule {hi!r} to itself", "priority", i))
-    out.extend(Problem(msg, "priorities") for msg in _priority_cycles(priorities))
+        elif forward and position[hi] > position[lo]:
+            forward = False
+    if not forward:
+        out.extend(Problem(msg, "priorities") for msg in _priority_cycles(priorities))
     return out
 
 

@@ -123,6 +123,19 @@ class TestStructure:
             want = 5 * mn + 13 * reducers + 3 * m + 6 * n + 12 * mn + m + 2 * n
             assert len(gen.definition.priorities) == want
 
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 4)])
+    def test_priority_pairs_follow_declaration_order(self, m, n):
+        # declaration order is then a topological order of the relation,
+        # which compiling and psystem.problems take without a search
+        d = build(BuildParams(instance=katrina_shaped(random.Random(1), m, n), p=3)).definition
+        position = {r.id: i for i, r in enumerate(d.rules)}
+        assert d.priorities and all(position[hi] < position[lo] for hi, lo in d.priorities)
+
+    def test_one_object_per_multiset_value(self):
+        d = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3)).definition
+        multisets = list(d.initial.values()) + [ms for r in d.rules for ms in (r.lhs, r.rhs, r.rhs_aux)]
+        assert len({id(ms) for ms in multisets}) == len(set(multisets)) < len(multisets)
+
     def test_definition_validates(self):
         gen = build(BuildParams(instance=small_instance(2, 2), p=3))
         assert problems(*parts(gen.definition)) == []

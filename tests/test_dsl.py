@@ -7,17 +7,26 @@ import functools
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psrelief import dsl, psystem
 from psrelief.builder import BuildParams, build
-from psrelief.engine import run
+from psrelief.engine import _Compiled, run
 from psrelief.multiset import Multiset
 from psrelief.psystem import DefinitionError, Polarization, PSystemDef, Rule, RuleKind, problems
 
-from helpers import katrina_shaped, ms, parts, random_small_system, reference_parse, single_membrane_example
+from helpers import (
+    _reference_order,
+    katrina_shaped,
+    ms,
+    parts,
+    random_small_system,
+    reference_parse,
+    single_membrane_example,
+)
 
 WORKED_EXAMPLE = """\
 # single membrane, three rewrite rules, one priority
@@ -50,6 +59,29 @@ def _shape(res: dsl.ParseResult) -> tuple:
 
 def assert_parses_like_reference(text: str) -> None:
     assert _shape(dsl.parse(text)) == _shape(reference_parse(text))
+
+
+_LINE_RE = dsl._LINE_RE
+
+
+class _Recording:
+    """Stands in for ``dsl._LINE_RE`` and keeps every line it is asked to
+    match: the lines that reach the token walk."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def match(self, raw: str):
+        self.lines.append(raw)
+        return _LINE_RE.match(raw)
+
+
+def _parse_walked(text: str) -> tuple[dsl.ParseResult, list[str]]:
+    """``dsl.parse(text)``, and the lines it read by the token walk."""
+    recording = _Recording()
+    with mock.patch.object(dsl, "_LINE_RE", recording):
+        res = dsl.parse(text)
+    return res, recording.lines
 
 
 class TestParse:
@@ -100,6 +132,22 @@ class TestParse:
         res = dsl.parse(text)
         assert not res.ok
         assert [str(d) for d in res.diagnostics] == ["4:1: error: priority relation is cyclic: r1 > r2 > r1"]
+        assert_parses_like_reference(text)
+
+    def test_cycle_through_forward_and_backward_pairs(self):
+        # r3 > r1 runs against declaration order; the cycle it closes is
+        # one diagnostic at the first prio line
+        text = (
+            "membrane 1\n"
+            "rule r1: [a -> b]'0 @ 1\n"
+            "rule r2: [b -> c]'0 @ 1\n"
+            "rule r3: [c -> a]'0 @ 1\n"
+            "prio r1 > r2\n"
+            "prio r2 > r3\n"
+            "prio r3 > r1\n"
+        )
+        res = dsl.parse(text)
+        assert [str(d) for d in res.diagnostics] == ["5:1: error: priority relation is cyclic: r3 > r1 > r2 > r3"]
         assert_parses_like_reference(text)
 
     def test_tree_cycles_are_reported_at_the_start(self):
@@ -287,6 +335,15 @@ class TestParse:
         assert dsl.serialize(res.definition) == text
 
 
+    def test_generated_rule_and_prio_lines_skip_the_token_walk(self):
+        # Each rule and prio line of a generated system is read by its
+        # grammar pattern; a pattern that stopped matching would leave the
+        # result the same and only show here.
+        res, walked = _parse_walked(_generated_text(4, 4, 3))
+        assert res.ok
+        assert walked and not [line for line in walked if line.startswith(("rule", "prio"))]
+
+
 @functools.cache
 def _generated_text(m: int, n: int, p: int) -> str:
     return dsl.serialize(build(BuildParams(instance=katrina_shaped(random.Random(1), m, n), p=p)).definition)
@@ -373,6 +430,21 @@ class TestSerialize:
             assert dsl.serialize(back.definition) == text
             checked += 1
 
+    def test_each_multiset_object_is_formatted_once(self, monkeypatch):
+        d = build(BuildParams(instance=katrina_shaped(random.Random(1), 4, 4), p=3)).definition
+        written = [ms for ms in d.initial.values() if ms] + [
+            ms for r in d.rules for ms in (r.lhs, r.rhs) + ((r.rhs_aux,) if r.kind is not RuleKind.EVOLUTION else ())]
+        calls = []
+        real = dsl._format_ms
+
+        def counted(ms, *args):
+            calls.append(ms)
+            return real(ms, *args)
+
+        monkeypatch.setattr(dsl, "_format_ms", counted)
+        assert dsl.serialize(d) == _generated_text(4, 4, 3)
+        assert len(calls) == len({id(ms) for ms in calls}) == len({id(ms) for ms in written}) < len(written)
+
     @pytest.mark.parametrize("place, message", [
         ("init", "count of 'x' in the initial contents of '1' has more than 4300 digits"),
         ("rule", "count of 'x' in rule 'r' has more than 4300 digits"),
@@ -428,7 +500,8 @@ POLARIZATIONS = st.sampled_from(list(Polarization))
 @st.composite
 def systems(draw) -> PSystemDef:
     """Valid definitions: a membrane tree, rules of every kind and
-    polarization pair, priorities that follow declaration order."""
+    polarization pair, and any acyclic priority relation, whose pairs may
+    run against declaration order."""
     labels = draw(st.permutations(LABELS))[: draw(st.integers(1, len(LABELS)))]
     parent = {labels[0]: None}
     for i, lab in enumerate(labels[1:], start=1):
@@ -449,7 +522,8 @@ def systems(draw) -> PSystemDef:
             alpha=alpha, beta=alpha if evolution else draw(POLARIZATIONS),
             rhs_aux=Multiset() if evolution else draw(MULTISETS),
         ))
-    pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    order = draw(st.permutations(ids))  # a topological order of the relation
+    pairs = [(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order))]
     priorities = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     initial = {lab: draw(MULTISETS) for lab in labels if draw(st.booleans())}
     output = draw(st.sampled_from(labels + ["environment"]))
@@ -468,6 +542,82 @@ def test_round_trip_of_drawn_systems(d):
     assert problems(*parts(back.definition)) == []
     assert dsl.serialize(back.definition) == text
     assert_parses_like_reference(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=systems())
+def test_compiled_ranks_follow_the_min_heap_order(d):
+    compiled = _Compiled(d)
+    order = _reference_order(d)
+    assert [compiled.by_id[d.rules[i].id].rank for i in order] == list(range(len(d.rules)))
+    for keyed in compiled.index.values():
+        for rules in keyed.values():
+            assert [cr.rank for cr in rules] == sorted(cr.rank for cr in rules)
+
+
+_LEX = re.compile(r"'[0+\-]|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\]:@>^]")
+_GAPS = ["", "", " ", "\t", "   ", " \t  "]
+_COMMENTS = ["", "", " # note", "#", "\t# [a -> b]'x @ \u00e9"]
+
+
+def _respaced(text: str, rng: random.Random, labels: list[str]) -> str:
+    """``text`` with the tokens of each line re-spaced: no whitespace where
+    two tokens still lex apart without it (``a^2b``, ``]'0->``), tabs and
+    runs of spaces elsewhere, some lines indented, some with a trailing
+    comment.  Counts get leading zeros, and a ``prio`` line may name a
+    membrane of ``labels`` (``prio A > B @ LABEL``)."""
+    lines = []
+    for line in text.splitlines():
+        toks = _LEX.findall(line.partition("#")[0])
+        if not toks:
+            lines.append(line)
+            continue
+        if toks[0] == "prio" and rng.random() < 0.5:
+            toks += ["@", rng.choice(labels)]
+        toks = [("0" * rng.randrange(3) + tok) if prev == "^" else tok for prev, tok in zip([""] + toks, toks)]
+        out = rng.choice(["", "", "", " ", "\t"]) + toks[0]
+        for left, right in zip(toks, toks[1:]):
+            gap = rng.choice(_GAPS)
+            if not gap and _LEX.findall(left + right) != [left, right]:
+                gap = " "
+            out += gap + right
+        out += rng.choice(_GAPS) + rng.choice(_COMMENTS)
+        assert _LEX.findall(out.partition("#")[0]) == toks
+        lines.append(out)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=systems(), rng=st.randoms(use_true_random=False))
+def test_respaced_text_reads_like_the_reference(d, rng):
+    text = _respaced(dsl.serialize(d), rng, list(d.parent))
+    assert_parses_like_reference(text)
+    res, walked = _parse_walked(text)
+    assert res.ok, [str(x) for x in res.diagnostics] + [text]
+    assert res.definition.structurally_equal(d)
+    # a rule or prio line that starts at column 1 is read by its pattern
+    assert not [line for line in walked if line.startswith(("rule", "prio"))]
+
+
+def _opcodes(node, parser) -> set[str]:
+    """The names of the operations of a parsed regular expression."""
+    found: set[str] = set()
+    if isinstance(node, parser.SubPattern):
+        for op, arg in node.data:
+            found |= {str(op)} | _opcodes(arg, parser)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            found |= _opcodes(item, parser)
+    return found
+
+
+def test_grammar_patterns_need_nothing_past_python_3_10():
+    """Atomic groups and possessive quantifiers came with Python 3.11."""
+    parser = getattr(re, "_parser", None) or __import__("sre_parse")
+    for pattern in (dsl._RULE_LINE, dsl._PRIO_LINE):
+        ops = _opcodes(parser.parse(pattern.pattern, pattern.flags), parser)
+        assert "MAX_REPEAT" in ops
+        assert not ops & {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
 
 
 _RUN = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?[ \t]*)+")
