@@ -24,9 +24,10 @@ A firing plan must satisfy four conditions:
   the above.
 
 Non-determinism that survives these constraints is resolved by policy.  The
-deterministic policy processes rules in a topological order of the priority
-relation, tie-broken by declaration order, firing each rule to maximality on
-the remaining objects.  The seeded-random policy takes the step's candidates
+deterministic policy processes rules in the deterministic order, the
+topological order of the priority relation that docs/psys-format.md
+("Semantics of priorities") defines, firing each rule to maximality on the
+remaining objects.  The seeded-random policy takes the step's candidates
 (see below) in that order and shuffles them with the step's generator; the
 greedy checks weak priority itself, so any order yields a valid maximal plan,
 and a shuffle reaches every order of the candidates.  It reproducibly
@@ -37,27 +38,22 @@ Selection cost
 
 A rule whose guard or left-hand side fails on the snapshot cannot fire later
 in the step: guards read the snapshot, and the pools the plan draws on only
-shrink.  Compiling a definition ranks its rules in deterministic order.  When
-every priority pair's higher rule is declared before its lower one, as in
-every generated system, declaration order is a topological order that no
-other precedes by declaration index, so a rule's rank is its declaration
-index; any other relation is ranked by Kahn's algorithm, taking the smallest
-declaration index among the ready rules first.  Compiling then indexes the
-rules by the region they consume from, then by one key symbol of their
-left-hand side (the first), each list in rank order.  A rule whose key
-symbol is absent from the snapshot cannot be covered, so each step visits
-every region that has consumers once and looks up the rules keyed by each
-symbol the region holds.  A rule found this way is a candidate when its
-membrane's polarization matches its guard and the snapshot covers its full
-left-hand side; the candidates are sorted into deterministic order, then
-shuffled under the seeded-random policy.  The
-greedy passes walk only the candidates: a deterministic walk over all rules
-would meet them in the same order and skip the rest, so the plan is the
-same.  A candidate leaves the passes once it fires, once its pool runs dry or
-once a pending polarization rules it out; priority-blocked candidates stay.
-The plan is filled as rules fire, so its keys are in firing order.  A step
-costs the symbols present in the regions plus the candidates, not every
-rule, under either policy.
+shrink.  Compiling a definition ranks its rules in deterministic order, as
+``psystem._priority_order`` gives it, and indexes them by the region they
+consume from, then by one key symbol of their left-hand side (the first),
+each list in rank order.  A rule whose key symbol is absent from the
+snapshot cannot be covered, so each step visits every region that has
+consumers once and looks up the rules keyed by each symbol the region holds.
+A rule found this way is a candidate when its membrane's polarization
+matches its guard and the snapshot covers its full left-hand side; the
+candidates are sorted into deterministic order, then shuffled under the
+seeded-random policy.  The greedy passes walk only the candidates: a
+deterministic walk over all rules would meet them in the same order and
+skip the rest, so the plan is the same.  A candidate leaves the passes once
+it fires, once its pool runs dry or once a pending polarization rules it
+out; priority-blocked candidates stay.  The plan is filled as rules fire, so
+its keys are in firing order.  A step costs the symbols present in the
+regions plus the candidates, not every rule, under either policy.
 
 Commit
 ------
@@ -87,7 +83,6 @@ it was made and cannot change since.
 
 from __future__ import annotations
 
-import heapq
 import operator
 import random
 from collections import defaultdict
@@ -103,6 +98,7 @@ from psrelief.psystem import (
     Rule,
     RuleKind,
     _gc_paused,
+    _priority_order,
 )
 
 DETERMINISTIC = "deterministic"
@@ -142,11 +138,10 @@ Observer = Callable[[int, FiringPlan, Configuration], None]
 
 
 class _CRule:
-    __slots__ = ("rule", "index", "membrane", "alpha", "consume", "lhs", "charging", "higher", "rank", "effects")
+    __slots__ = ("rule", "membrane", "alpha", "consume", "lhs", "charging", "higher", "rank", "effects")
 
-    def __init__(self, rule: Rule, index: int, parent: str | None):
+    def __init__(self, rule: Rule, parent: str | None):
         self.rule = rule
-        self.index = index
         self.membrane = h = rule.membrane
         self.alpha = rule.alpha
         self.lhs = rule.lhs._counts.items()  # (symbol, need) pairs
@@ -177,49 +172,23 @@ _rank = operator.attrgetter("rank")
 class _Compiled:
     @_gc_paused()
     def __init__(self, definition: PSystemDef):
-        crules = [_CRule(rule, i, definition.parent[rule.membrane]) for i, rule in enumerate(definition.rules)]
-        self.by_id = by_id = {cr.rule.id: cr for cr in crules}
-        forward = True  # every pair's higher rule declared before its lower one
+        self.rules = crules = [_CRule(rule, definition.parent[rule.membrane]) for rule in definition.rules]
+        self.position = position = {rule.id: i for i, rule in enumerate(definition.rules)}
         for hi, lo in definition.priorities:
-            higher, lower = by_id[hi], by_id[lo]
+            lower = crules[position[lo]]
             if not lower.higher:
                 lower.higher = []
-            lower.higher.append(higher)
-            if higher.index > lower.index:
-                forward = False
-        # consumed region -> key symbol -> rules in deterministic order (a
-        # topological order of the priority relation, smallest declaration
-        # index first); the key symbol is the first on the lhs
+            lower.higher.append(crules[position[hi]])
+        # consumed region -> key symbol -> rules in deterministic order; the
+        # key symbol is the first on the lhs
         index: defaultdict[str, defaultdict[str, list[_CRule]]] = defaultdict(lambda: defaultdict(list))
-        for rank, cr in enumerate(crules if forward else _kahn_order(crules, definition.priorities, by_id)):
+        for rank, i in enumerate(_priority_order(position, definition.priorities)[0]):
+            cr = crules[i]
             cr.rank = rank
             index[cr.consume][next(iter(cr.lhs))[0]].append(cr)
         # plain dicts of tuples: a tuple holds one rule in less memory than a list
         self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {
             region: {key: tuple(rules) for key, rules in keyed.items()} for region, keyed in index.items()}
-
-
-def _kahn_order(crules: list[_CRule], priorities: tuple[tuple[str, str], ...],
-                by_id: dict[str, _CRule]) -> list[_CRule]:
-    """The topological order of the priority relation that takes the
-    smallest declaration index among the ready rules first."""
-    successors: defaultdict[int, list[int]] = defaultdict(list)
-    n_preds = [0] * len(crules)
-    for hi, lo in priorities:
-        lower = by_id[lo].index
-        successors[by_id[hi].index].append(lower)
-        n_preds[lower] += 1
-    ready = [i for i, n in enumerate(n_preds) if n == 0]
-    heapq.heapify(ready)
-    order: list[_CRule] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(crules[i])
-        for j in successors.get(i, ()):
-            n_preds[j] -= 1
-            if n_preds[j] == 0:
-                heapq.heappush(ready, j)
-    return order
 
 
 def _order(policy: str, seed: int) -> random.Random | None:
@@ -365,11 +334,11 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
     for ``config``, as ``select_firing`` returns it; any other plan is
     outside the contract and is not checked.  Compiles ``definition``, as
     ``select_firing`` does."""
-    by_id = _Compiled(definition).by_id
+    compiled = _Compiled(definition)
     pools: _Pools = {}
     fired: _Fired = []
     for rid, count in plan.counts.items():
-        cr = by_id[rid]
+        cr = compiled.rules[compiled.position[rid]]
         pool = pools.get(cr.consume)
         if pool is None:
             pool = pools[cr.consume] = dict(config.region(cr.consume)._counts)

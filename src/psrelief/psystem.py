@@ -31,6 +31,8 @@ import enum
 import functools
 import gc
 import hashlib
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -157,14 +159,8 @@ def problems(
     output: str,
 ) -> list[Problem]:
     """All structural violations of a definition with these parts; an empty
-    list means they make a valid definition.
-
-    When every priority pair names declared rules and each pair that
-    relates two rules has its higher rule declared before its lower one,
-    declaration order is a topological order of the relation, which is
-    therefore acyclic, and ``_priority_cycles`` is not run: the generated
-    systems declare every pair that way.  Any other relation gets the full
-    cycle search."""
+    list means they make a valid definition.  ``_priority_order`` checks
+    the priority relation for a cycle."""
     out: list[Problem] = []
     roots = [lab for lab, par in parent.items() if par is None]
     if len(roots) != 1:
@@ -204,54 +200,70 @@ def problems(
                 out.append(Problem(f"evolution rule {r.id!r} cannot carry outer products", "rule", i))
         if r.kind is RuleKind.SEND_IN and r.membrane == skin:
             out.append(Problem(f"send-in rule {r.id!r} targets the skin membrane", "rule", i))
-    forward = True
     for i, (hi, lo) in enumerate(priorities):
         for rid in (hi, lo):
             if rid not in position:
                 out.append(Problem(f"priority pair references unknown rule {rid!r}", "priority", i))
-                forward = False
         if hi == lo:
             out.append(Problem(f"priority pair relates rule {hi!r} to itself", "priority", i))
-        elif forward and position[hi] > position[lo]:
-            forward = False
-    if not forward:
-        out.extend(Problem(msg, "priorities") for msg in _priority_cycles(priorities))
+    cycle = _priority_order(position, priorities)[1]
+    if cycle is not None:
+        out.append(Problem(cycle, "priorities"))
     return out
 
 
-def _priority_cycles(priorities: Sequence[tuple[str, str]]) -> list[str]:
-    """One message naming a cycle of the priority relation, if it has one.
-
-    Kahn's algorithm strips every rule that is not on a cycle or downstream
-    of one; each rule left over has a predecessor that is also left over, so
-    walking predecessors from any of them must revisit a rule, and the walk
-    from that rule back to itself is a cycle.  A pair relating a rule to
-    itself is a fault of its own, not a cycle.
-    """
-    priorities = [(hi, lo) for hi, lo in priorities if hi != lo]
-    succ: dict[str, list[str]] = {}
-    n_preds: dict[str, int] = {}
+def _priority_order(position: Mapping[str, int], priorities: Sequence[tuple[str, str]]
+                    ) -> tuple[Sequence[int], str | None]:
+    """The deterministic order of the rules, as the declaration indices that
+    ``position`` maps their ids to, and a message naming one cycle of the
+    priority relation, or ``None``.  The order is the topological order of the
+    relation that takes the smallest declaration index among the ready rules
+    first.  When every pair relates two declared rules and declares its
+    higher rule first, as every generated system does, that is declaration
+    order and nothing is searched.  Otherwise Kahn's algorithm runs with a
+    min-heap.  An id that names no rule becomes a node after the rules; a
+    pair relating a rule to itself is a fault of its own, not a cycle, and is
+    left out.  Each node left over has a predecessor that is also left over,
+    so walking predecessors from any of them revisits a node, and the walk
+    from that node back to itself is a cycle."""
     for hi, lo in priorities:
-        succ.setdefault(hi, []).append(lo)
-        n_preds[lo] = n_preds.get(lo, 0) + 1
-    ready = [node for node in succ if node not in n_preds]
+        higher, lower = position.get(hi), position.get(lo)
+        if higher is None or lower is None or higher > lower:
+            break
+    else:
+        return range(len(position)), None
+    node = dict(position)
+    size = max(position.values(), default=-1) + 1  # past every rule, duplicate ids too
+    for rid in itertools.chain.from_iterable(priorities):
+        if rid not in node:
+            node[rid], size = size, size + 1
+    pairs = [(hi, lo) for hi, lo in priorities if hi != lo]
+    successors: list[list[int]] = [[] for _ in range(size)]
+    n_preds = [0] * size
+    for hi, lo in pairs:
+        successors[node[hi]].append(node[lo])
+        n_preds[node[lo]] += 1
+    ready = [i for i, n in enumerate(n_preds) if not n]  # ascending, so a heap
+    order: list[int] = []
     while ready:
-        for nxt in succ.get(ready.pop(), ()):
-            n_preds[nxt] -= 1
-            if n_preds[nxt] == 0:
-                ready.append(nxt)
-    left = {node for node, count in n_preds.items() if count}
-    if not left:
-        return []
-    preds: dict[str, str] = {lo: hi for hi, lo in priorities if hi in left and lo in left}
-    node = next(iter(preds))
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in successors[i]:
+            n_preds[j] -= 1
+            if not n_preds[j]:
+                heapq.heappush(ready, j)
+    if len(order) == size:
+        return order, None
+    left = {rid for rid, i in node.items() if n_preds[i]}
+    preds = {lo: hi for hi, lo in pairs if hi in left and lo in left}
+    rid = next(iter(preds))
     walk: dict[str, int] = {}
-    while node not in walk:
-        walk[node] = len(walk)
-        node = preds[node]
-    cycle = list(walk)[walk[node]:]
+    while rid not in walk:
+        walk[rid] = len(walk)
+        rid = preds[rid]
+    cycle = list(walk)[walk[rid]:]
     cycle.reverse()
-    return ["priority relation is cyclic: " + " > ".join(cycle + [cycle[0]])]
+    return order, "priority relation is cyclic: " + " > ".join(cycle + [cycle[0]])
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,9 @@ class TestParse:
         ("membrane 1\nrule r: [a -> b]'0 @ 1\nprio r > r\n", [("priority pair relates rule 'r' to itself", 3, 6)]),
         ("membrane 1\nrule r: [a -> b]'0 @ 1\nrule q: [b -> a]'0 @ 1\nprio r > q\nprio q > r\n",
          [("priority relation is cyclic: r > q > r", 4, 1)]),
+        ("membrane s\nrule a: [x -> y]'0 @ s\nrule b: [y -> x]'0 @ s\nprio b > a\nprio a > zz\nprio zz > b\n",
+         [("priority pair references unknown rule 'zz'", 5, 6), ("priority pair references unknown rule 'zz'", 6, 6),
+          ("priority relation is cyclic: zz > b > a > zz", 4, 1)]),
         # a line with its own fault declares nothing (membrane 2 of 1 above too)
         ("membrane 1\noutput 2 x\n", [("unexpected trailing input", 2, 10)]),
         ("membrane 1\nmembrane 2 of 1\nrule r: [a -> b]'0 @ 2\n",
@@ -549,7 +552,7 @@ def test_round_trip_of_drawn_systems(d):
 def test_compiled_ranks_follow_the_min_heap_order(d):
     compiled = _Compiled(d)
     order = _reference_order(d)
-    assert [compiled.by_id[d.rules[i].id].rank for i in order] == list(range(len(d.rules)))
+    assert [compiled.rules[i].rank for i in order] == list(range(len(d.rules)))
     for keyed in compiled.index.values():
         for rules in keyed.values():
             assert [cr.rank for cr in rules] == sorted(cr.rank for cr in rules)

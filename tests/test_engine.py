@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -461,6 +462,26 @@ class TestReferenceSelector:
                 if not plan:
                     break
                 cfg = apply_step(d, cfg, plan)
+
+    def test_random_small_systems_with_every_pair_backward(self):
+        # The drawn pairs run from an earlier rule to a later one; declaring
+        # the rules in reverse turns every pair backward, so the engine's
+        # ranks come from the min-heap pass instead of declaration order.
+        rng = random.Random(5151)
+        related = 0
+        for _ in range(200):
+            drawn = random_small_system(rng)
+            d = dataclasses.replace(drawn, rules=drawn.rules[::-1])
+            related += bool(d.priorities)
+            cfg = Configuration.initial(d)
+            for _ in range(3):
+                self._assert_same_plans(d, cfg)
+                plan = select_firing(d, cfg)
+                assert plan_is_maximal(d, cfg, dict(plan.counts))
+                if not plan:
+                    break
+                cfg = apply_step(d, cfg, plan)
+        assert related >= 50  # draws that reach the min-heap pass
 
 
 class TestReferenceApply:

@@ -1,7 +1,7 @@
 """The package's export list, the command line's options, what the test
 references may take from the package, the one loop of the relief solvers,
-the engine's per-call functions, and test modules that import only from
-``helpers``."""
+the engine's per-call functions, the one owner of the priority order, and
+test modules that import only from ``helpers``."""
 
 from __future__ import annotations
 
@@ -104,18 +104,33 @@ def test_engine_per_call_functions_take_only_what_the_benchmark_passes():
     assert not hasattr(engine, "EngineError")
 
 
-def imported_test_modules(source: str) -> set[str]:
-    """The ``test_`` modules that ``source`` imports or imports from."""
+def imported_modules(source: str) -> set[str]:
+    """The modules that ``source`` imports or imports from."""
     found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        found |= {name for name in names if name.split(".")[0].startswith("test_")}
+            found |= {alias.name for alias in node.names}
     return found
+
+
+def imported_test_modules(source: str) -> set[str]:
+    """The ``test_`` modules that ``source`` imports or imports from."""
+    return {name for name in imported_modules(source) if name.split(".")[0].startswith("test_")}
+
+
+def test_psystem_alone_orders_the_priority_relation():
+    """``psystem._priority_order`` is the one topological pass: it gives
+    both the cycle check and the engine's ranks.  A second pass elsewhere
+    in the package would take a heap of its own, and the engine's compiled
+    rules keep no declaration index to sort by."""
+    package = Path(psrelief.__file__).parent
+    heaps = sorted(path.name for path in package.glob("*.py") if "heapq" in imported_modules(path.read_text()))
+    assert heaps == ["psystem.py"]
+    assert "index" not in engine._CRule.__slots__
+    assert imported_modules("import heapq as h\nfrom heapq import heappush\nfrom . import x\n") == \
+        {"heapq", "x"}
 
 
 def test_test_modules_import_no_other_test_module():
