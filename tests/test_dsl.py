@@ -230,9 +230,6 @@ class TestParse:
         ("membrane 1\nrule r: [a -> b]'0 @ 1\nprio r > r\n", [("priority pair relates rule 'r' to itself", 3, 6)]),
         ("membrane 1\nrule r: [a -> b]'0 @ 1\nrule q: [b -> a]'0 @ 1\nprio r > q\nprio q > r\n",
          [("priority relation is cyclic: r > q > r", 4, 1)]),
-        ("membrane s\nrule a: [x -> y]'0 @ s\nrule b: [y -> x]'0 @ s\nprio b > a\nprio a > zz\nprio zz > b\n",
-         [("priority pair references unknown rule 'zz'", 5, 6), ("priority pair references unknown rule 'zz'", 6, 6),
-          ("priority relation is cyclic: zz > b > a > zz", 4, 1)]),
         # a line with its own fault declares nothing (membrane 2 of 1 above too)
         ("membrane 1\noutput 2 x\n", [("unexpected trailing input", 2, 10)]),
         ("membrane 1\nmembrane 2 of 1\nrule r: [a -> b]'0 @ 2\n",
@@ -241,6 +238,10 @@ class TestParse:
         ("membrane 1\nrule r: [x^0 -> a]'0 @ 1\nrule q: [x^0 -> a]'0 @ 1\ninit 1: a x^0\n",
          [("multiplicity must be positive", 2, 12), ("multiplicity must be positive", 3, 12),
           ("multiplicity must be positive", 4, 13)]),
+        # an unknown rule in two pairs, and the cycle the known pairs close
+        ("membrane s\nrule a: [x -> y]'0 @ s\nrule b: [y -> x]'0 @ s\nprio b > a\nprio a > zz\nprio zz > b\n",
+         [("priority pair references unknown rule 'zz'", 5, 6), ("priority pair references unknown rule 'zz'", 6, 6),
+          ("priority relation is cyclic: zz > b > a > zz", 4, 1)]),
     ])
     def test_declaration_diagnostics(self, text, diagnostics):
         res = dsl.parse(text)
