@@ -38,36 +38,45 @@ Selection cost
 
 A rule whose guard or left-hand side fails on the snapshot cannot fire later
 in the step: guards read the snapshot, and the pools the plan draws on only
-shrink.  Compiling a definition ranks its rules in deterministic order, as
-``psystem._priority_order`` gives it, and indexes them by the region they
-consume from, then by one key symbol of their left-hand side (the first),
-each list in rank order.  A rule whose key symbol is absent from the
-snapshot cannot be covered, so each step visits every region that has
-consumers once and looks up the rules keyed by each symbol the region holds.
-A rule found this way is a candidate when its membrane's polarization
-matches its guard and the snapshot covers its full left-hand side; the
+shrink.  Compiling a definition turns each rule into the record the step
+reads (``_CRule``): its id, membrane, guard, consumed region and products,
+its polarization target (``None`` for a rule that keeps its polarization),
+and its left-hand side split into the key pair ``(key, need)``, the first
+symbol and its count, and ``rest``, the other pairs, empty for the nine in
+ten generated rules with a one-symbol left-hand side.  Compiling ranks the
+rules in deterministic order, as ``psystem._priority_order`` gives it, and
+indexes them by the region they consume from, then by their key, each list
+in rank order.  A rule whose key is absent from the snapshot cannot be
+covered, so each step visits every region that has consumers once and looks
+up the rules keyed by each symbol the region holds, with its count.  A rule
+found this way is a candidate when its membrane's polarization matches its
+guard, the key's count covers ``need`` and the snapshot covers ``rest``; the
 candidates are sorted into deterministic order, then shuffled under the
 seeded-random policy.  The greedy passes walk only the candidates: a
 deterministic walk over all rules would meet them in the same order and
-skip the rest, so the plan is the same.  A candidate leaves the passes once
-it fires, once its pool runs dry or once a pending polarization rules it
-out; priority-blocked candidates stay.  The plan is filled as rules fire, so
-its keys are in firing order.  A step costs the symbols present in the
-regions plus the candidates, not every rule, under either policy.
+skip the rest, so the plan is the same.  A candidate fires as often as the
+key and then ``rest`` allow; it checks the priority relation only when it
+has higher rules.  It leaves the passes once it fires, once its pool runs
+dry or once a pending polarization rules it out; priority-blocked
+candidates stay.  The plan is filled as rules fire, so its keys are in
+firing order.  A step costs the symbols present in the regions plus the
+candidates, not every rule, under either policy.
 
 Commit
 ------
 
 The greedy consumes from pools: raw count dicts, one per region the step
 reads, each copied once from the snapshot, that never hold a count of 0 (a
-count that reaches 0 is deleted).  When the passes end, the pools hold the
-snapshot minus the plan's consumption, so the commit only adds the products
-(copying a region that only receives products once), sets the polarizations
-and wraps each written pool into a ``Multiset`` as it is.  ``apply_step``
-builds the same pools from a plan that ``select_firing`` returned, without
-checking it, and commits them the same way.  The package never calls these
-two per-call functions, which compile the definition on every call; the
-benchmark's select/apply replay times them.
+count that reaches 0 is deleted).  A fired rule consumes its key, then
+``rest``.  When the passes end, the pools hold the snapshot minus the plan's
+consumption, so the commit only adds the products (copying a region that
+only receives products once), sets the polarization targets of the fired
+rules that have one and wraps each written pool into a ``Multiset`` as it
+is.  ``apply_step`` builds the same pools from a plan that
+``select_firing`` returned, without checking it, consuming each rule's key
+and then ``rest``, and commits them the same way.  The package never calls
+these two per-call functions, which compile the definition on every call;
+the benchmark's select/apply replay times them.
 
 Runs
 ----
@@ -137,29 +146,45 @@ Observer = Callable[[int, FiringPlan, Configuration], None]
 # ---------------------------------------------------------------------------
 
 
-class _CRule:
-    __slots__ = ("rule", "membrane", "alpha", "consume", "lhs", "charging", "higher", "rank", "effects")
+# read once: reading a member off its Enum class costs about ten global reads
+_EVOLUTION, _SEND_OUT = RuleKind.EVOLUTION, RuleKind.SEND_OUT
 
-    def __init__(self, rule: Rule, parent: str | None):
-        self.rule = rule
-        self.membrane = h = rule.membrane
-        self.alpha = rule.alpha
-        self.lhs = rule.lhs._counts.items()  # (symbol, need) pairs
-        self.charging = rule.changes_polarization
+
+class _CRule:
+    """A rule in the form the step reads: ``beta`` is the new polarization,
+    or ``None`` when the rule keeps its own; ``(key, need)`` is the first
+    (symbol, need) pair of the left-hand side, the one the index is keyed
+    by, and ``rest`` holds the others (``()`` for a one-symbol side)."""
+
+    __slots__ = ("id", "membrane", "alpha", "beta", "consume", "key", "need", "rest", "higher", "rank",
+                 "effects")
+
+    def __init__(self, rule: Rule, outer: str):
+        """``outer`` is the region around the rule's membrane."""
+        rid, kind, h, lhs, rhs, alpha, beta, aux, changes = rule
+        self.id = rid
+        self.membrane = h
+        self.alpha = alpha
+        self.beta = beta if changes else None
+        lhs = lhs._counts
+        if len(lhs) == 1:
+            (self.key, self.need), = lhs.items()
+            self.rest = ()
+        else:
+            pairs = tuple(lhs.items())
+            (self.key, self.need), self.rest = pairs[0], pairs[1:]
         self.higher: list["_CRule"] | tuple[()] = ()  # a list only where priorities exist
-        outer = ENVIRONMENT_LABEL if parent is None else parent
-        if rule.kind is RuleKind.EVOLUTION:
+        if kind is _EVOLUTION:
             self.consume = h  # region whose objects the rule consumes
             primary, secondary = h, None  # evolution rules carry no outer products
-        elif rule.kind is RuleKind.SEND_OUT:
+        elif kind is _SEND_OUT:
             self.consume = h
             primary, secondary = outer, h
-        else:
-            assert parent is not None  # a definition holds no skin send-in
-            self.consume = parent
+        else:  # send-in; a definition holds none on the skin
+            self.consume = outer
             primary, secondary = h, outer
         # (destination region, products) pairs; empty products are left out
-        rhs, aux = rule.rhs._counts, rule.rhs_aux._counts
+        rhs, aux = rhs._counts, aux._counts
         self.effects = ((primary, rhs),) if rhs else ()
         if aux:
             self.effects += ((secondary, aux),)
@@ -172,20 +197,21 @@ _rank = operator.attrgetter("rank")
 class _Compiled:
     @_gc_paused()
     def __init__(self, definition: PSystemDef):
-        self.rules = crules = [_CRule(rule, definition.parent[rule.membrane]) for rule in definition.rules]
+        outer = {label: ENVIRONMENT_LABEL if parent is None else parent
+                 for label, parent in definition.parent.items()}
+        self.rules = crules = [_CRule(rule, outer[rule.membrane]) for rule in definition.rules]
         self.position = position = {rule.id: i for i, rule in enumerate(definition.rules)}
         for hi, lo in definition.priorities:
             lower = crules[position[lo]]
             if not lower.higher:
                 lower.higher = []
             lower.higher.append(crules[position[hi]])
-        # consumed region -> key symbol -> rules in deterministic order; the
-        # key symbol is the first on the lhs
+        # consumed region -> key symbol -> rules in deterministic order
         index: defaultdict[str, defaultdict[str, list[_CRule]]] = defaultdict(lambda: defaultdict(list))
         for rank, i in enumerate(_priority_order(position, definition.priorities)[0]):
             cr = crules[i]
             cr.rank = rank
-            index[cr.consume][next(iter(cr.lhs))[0]].append(cr)
+            index[cr.consume][cr.key].append(cr)
         # plain dicts of tuples: a tuple holds one rule in less memory than a list
         self.index: dict[str, dict[str, tuple[_CRule, ...]]] = {
             region: {key: tuple(rules) for key, rules in keyed.items()} for region, keyed in index.items()}
@@ -219,11 +245,11 @@ def _select(
     candidates: list[_CRule] = []
     for region, index in compiled.index.items():
         have = contents[region]._counts
-        for key in have:
+        for key, cnt in have.items():
             for cr in index.get(key, ()):
-                if polarizations[cr.membrane] is not cr.alpha:
+                if polarizations[cr.membrane] is not cr.alpha or cnt < cr.need:
                     continue
-                for sym, need in cr.lhs:
+                for sym, need in cr.rest:
                     if have.get(sym, 0) < need:
                         break
                 else:
@@ -248,46 +274,56 @@ def _select(
         progress = False
         blocked_rules: list[_CRule] = []
         for cr in candidates:
-            if cr.charging:
+            beta = cr.beta
+            if beta is not None:
                 pend = pending_beta.get(cr.membrane)
-                if pend is not None and pend is not cr.rule.beta:
+                if pend is not None and pend is not beta:
                     continue
             p = pools.get(cr.consume)
             if p is None:
                 p = pools[cr.consume] = dict(contents[cr.consume]._counts)
-            k = None  # the most applications the pool allows
-            for sym, need in cr.lhs:
+            key = cr.key
+            k = p.get(key, 0) // cr.need  # the most applications the pool allows
+            for sym, need in cr.rest:
                 avail = p.get(sym, 0) // need
-                if k is None or avail < k:
+                if avail < k:
                     k = avail
             if not k:
                 continue
-            blocked = False
-            for hi in cr.higher:  # blocked while a higher rule could still fire
-                if polarizations[hi.membrane] is not hi.alpha:
-                    continue
-                hp = pools.get(hi.consume)
-                if hp is None:
-                    hp = contents[hi.consume]._counts
-                for sym, need in hi.lhs:
-                    if hp.get(sym, 0) < need:
+            if cr.higher:
+                blocked = False
+                for hi in cr.higher:  # blocked while a higher rule could still fire
+                    if polarizations[hi.membrane] is not hi.alpha:
+                        continue
+                    hp = pools.get(hi.consume)
+                    if hp is None:
+                        hp = contents[hi.consume]._counts
+                    if hp.get(hi.key, 0) < hi.need:
+                        continue
+                    for sym, need in hi.rest:
+                        if hp.get(sym, 0) < need:
+                            break
+                    else:
+                        blocked = True
                         break
-                else:
-                    blocked = True
-                    break
-            if blocked:
-                blocked_rules.append(cr)
-                continue
-            for sym, need in cr.lhs:
+                if blocked:
+                    blocked_rules.append(cr)
+                    continue
+            left = p[key] - cr.need * k
+            if left:
+                p[key] = left
+            else:
+                del p[key]
+            for sym, need in cr.rest:
                 left = p[sym] - need * k
                 if left:
                     p[sym] = left
                 else:
                     del p[sym]
             fired.append((cr, k))
-            counts[cr.rule.id] = k
-            if cr.charging:
-                pending_beta[cr.membrane] = cr.rule.beta
+            counts[cr.id] = k
+            if beta is not None:
+                pending_beta[cr.membrane] = beta
             progress = True
         candidates = blocked_rules
     return FiringPlan(counts=counts), pools, fired
@@ -305,11 +341,13 @@ def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuratio
                 region = pools[dest] = dict(config.region(dest)._counts)
             for sym, cnt in products.items():
                 region[sym] = region.get(sym, 0) + cnt * k
-        if cr.charging:
-            new_pols[cr.membrane] = cr.rule.beta
+        if cr.beta is not None:
+            new_pols[cr.membrane] = cr.beta
 
     new_contents = dict(config.contents)
-    new_contents.update((label, Multiset.adopt(counts)) for label, counts in pools.items())
+    adopt = Multiset.adopt
+    for label, counts in pools.items():
+        new_contents[label] = adopt(counts)
     new_env = new_contents.pop(ENVIRONMENT_LABEL, config.environment)  # no membrane has its label
     return Configuration(
         contents=new_contents,
@@ -342,7 +380,7 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
         pool = pools.get(cr.consume)
         if pool is None:
             pool = pools[cr.consume] = dict(config.region(cr.consume)._counts)
-        for sym, need in cr.lhs:
+        for sym, need in ((cr.key, cr.need), *cr.rest):
             left = pool[sym] - need * count
             if left:
                 pool[sym] = left

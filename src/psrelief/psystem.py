@@ -184,22 +184,23 @@ def problems(
             out.append(Problem(f"initial contents given for unknown membrane {lab!r}", "init", lab))
     position: dict[str, int] = {}  # rule id -> declaration index
     skin = roots[0] if len(roots) == 1 else None
-    for i, r in enumerate(rules):
-        if r.id in position:
-            out.append(Problem(f"duplicate rule id {r.id!r}", "rule", i))
-        position[r.id] = i
-        if r.membrane not in parent:
-            out.append(Problem(f"rule {r.id!r} attached to unknown membrane {r.membrane!r}", "rule", i))
+    evolution, send_in = RuleKind.EVOLUTION, RuleKind.SEND_IN  # an Enum member read is slow
+    for i, (rid, kind, membrane, lhs, _, alpha, beta, aux, _) in enumerate(rules):
+        if rid in position:
+            out.append(Problem(f"duplicate rule id {rid!r}", "rule", i))
+        position[rid] = i
+        if membrane not in parent:
+            out.append(Problem(f"rule {rid!r} attached to unknown membrane {membrane!r}", "rule", i))
             continue
-        if not r.lhs:
-            out.append(Problem(f"rule {r.id!r} has an empty left-hand side", "rule", i))
-        if r.kind is RuleKind.EVOLUTION:
-            if r.beta is not r.alpha:
-                out.append(Problem(f"evolution rule {r.id!r} cannot change polarization", "rule", i))
-            if r.rhs_aux:
-                out.append(Problem(f"evolution rule {r.id!r} cannot carry outer products", "rule", i))
-        if r.kind is RuleKind.SEND_IN and r.membrane == skin:
-            out.append(Problem(f"send-in rule {r.id!r} targets the skin membrane", "rule", i))
+        if not lhs._counts:
+            out.append(Problem(f"rule {rid!r} has an empty left-hand side", "rule", i))
+        if kind is evolution:
+            if beta is not alpha:
+                out.append(Problem(f"evolution rule {rid!r} cannot change polarization", "rule", i))
+            if aux._counts:
+                out.append(Problem(f"evolution rule {rid!r} cannot carry outer products", "rule", i))
+        elif kind is send_in and membrane == skin:
+            out.append(Problem(f"send-in rule {rid!r} targets the skin membrane", "rule", i))
     for i, (hi, lo) in enumerate(priorities):
         for rid in (hi, lo):
             if rid not in position:

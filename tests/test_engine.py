@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from psrelief import engine
 from psrelief.builder import BuildParams, build
 from psrelief.engine import SEEDED_RANDOM, FiringPlan, apply_step, run, select_firing
+from psrelief.io import load_instance
 from psrelief.multiset import Multiset
 from psrelief.psystem import Configuration, DefinitionError, Polarization, PSystemDef
 from psrelief.trace import run_generated
@@ -19,6 +22,8 @@ from helpers import (
     M,
     N,
     P,
+    _consume_label,
+    _reference_effects,
     enumerate_maximal_plans,
     evolution,
     katrina_shaped,
@@ -37,6 +42,8 @@ from helpers import (
 
 #: The policies the engine's plans are compared with the reference's under.
 POLICIES = [("deterministic", 0)] + [(SEEDED_RANDOM, seed) for seed in range(5)]
+
+DEMO_2X2 = Path(__file__).resolve().parent.parent / "instances" / "demo_2x2.json"
 
 
 class TestApplicable:
@@ -205,6 +212,48 @@ class TestApply:
         before = dict(cfg.contents["1"].counts())
         apply_step(d, cfg, select_firing(d, cfg))
         assert cfg.contents["1"].counts() == before
+
+
+class TestCompiled:
+    """Each compiled rule states its rule in the form the step reads: the
+    left-hand side split into the index key and the rest, a polarization
+    target only where the rule changes it, and the region it consumes from
+    and the products it writes, by kind."""
+
+    @staticmethod
+    def _assert_compiled_states_its_rules(d):
+        compiled = engine._Compiled(d)
+        higher: dict[str, list[str]] = {}
+        for hi, lo in d.priorities:
+            higher.setdefault(lo, []).append(hi)
+        assert len(compiled.rules) == len(d.rules)
+        for rule, cr in zip(d.rules, compiled.rules):
+            assert (cr.id, cr.membrane, cr.alpha) == (rule.id, rule.membrane, rule.alpha)
+            assert ((cr.key, cr.need),) + cr.rest == tuple(rule.lhs.items()), rule.id
+            assert type(cr.rest) is tuple
+            if rule.changes_polarization:
+                assert cr.beta is rule.beta, rule.id
+            else:
+                assert cr.beta is None, rule.id
+            assert cr.consume == _consume_label(d, rule), rule.id
+            want = tuple((dest, products._counts) for dest, products in _reference_effects(d, rule) if products)
+            assert cr.effects == want, rule.id
+            assert [hi.id for hi in cr.higher] == higher.get(rule.id, []), rule.id
+            assert cr in compiled.index[cr.consume][cr.key]
+
+    @pytest.mark.parametrize("system", ["demo_2x2", "katrina_4x4"])
+    def test_generated_systems(self, system):
+        inst = load_instance(DEMO_2X2) if system == "demo_2x2" else katrina_shaped(random.Random(1), 4, 4)
+        d = build(BuildParams(instance=inst, p=3)).definition
+        kinds = {rule.kind for rule in d.rules}
+        assert len(kinds) == 3 and any(rule.changes_polarization for rule in d.rules)
+        assert any(len(rule.lhs) > 1 for rule in d.rules)
+        self._assert_compiled_states_its_rules(d)
+
+    def test_random_small_systems(self):
+        rng = random.Random(3030)
+        for _ in range(200):
+            self._assert_compiled_states_its_rules(random_small_system(rng))
 
 
 class TestRun:
@@ -557,6 +606,30 @@ class TestSteps:
             if iterations == 5:
                 break
         assert iterations == 5
+
+    @pytest.mark.parametrize("system,policy,seed,limit,steps,sha", [
+        ("demo_2x2", "deterministic", 0, None, 1603,
+         "854f5d08e8d700b2ba710db0ad51c714e560d56fddd6cbf8c203ec2acbd1bf76"),
+        ("demo_2x2", SEEDED_RANDOM, 1, None, 1603,
+         "ca488d4f8d67c089dafeefafc47dd3757f791e3d181256494f8fe6f92100d35a"),
+        ("katrina_8x8", "deterministic", 0, 540, 540,
+         "c32de8c8b508084fd2c334f15f6a2b666b80e583176070dae644359651e52bfb"),
+    ], ids=["demo_2x2-deterministic", "demo_2x2-seeded-1", "8x8-deterministic"])
+    def test_generated_chain_is_pinned(self, system, policy, seed, limit, steps, sha):
+        # sha256 over every step of its plan, key order included, and its
+        # configuration's digest: demo_2x2 p=5 to halt and the first 30
+        # iterations of the 8x8 p=3 run that the benchmark's simulate_8x8
+        # replays.  Any change to rule order, plan order or commit shows.
+        if system == "demo_2x2":
+            d = build(BuildParams(instance=load_instance(DEMO_2X2), p=5)).definition
+        else:
+            d = build(BuildParams(instance=katrina_shaped(random.Random(1), 8, 8), p=3)).definition
+        h, n = hashlib.sha256(), 0
+        for plan, cfg in itertools.islice(engine.steps(d, policy, seed), limit):
+            h.update(repr(list(plan.counts.items())).encode())
+            h.update(cfg.digest().encode())
+            n += 1
+        assert (n, h.hexdigest()) == (steps, sha)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_4x4_seeded_steps_commit_the_deterministic_configuration(self, seed):

@@ -168,6 +168,36 @@ def test_problems_name_the_part_they_concern():
     assert [(p, p.part, p.key) for p in back.problems] == want
 
 
+def test_problems_lists_every_rule_fault_in_declaration_order():
+    # A rule on an unknown membrane is reported for that alone; a rule with
+    # several faults lists them in the order the checks run.
+    rules = [
+        evolution("r", "1", ms(a=1), ms(b=1)),
+        evolution("r", "2", ms(a=1), ms(b=1)),
+        evolution("g", "ghost", Multiset(), ms(b=1)),
+        evolution("e", "1", Multiset(), ms(b=1)),
+        Rule(id="c", kind=RuleKind.EVOLUTION, membrane="2", lhs=ms(a=1), rhs=ms(b=1), alpha=N, beta=P),
+        Rule(id="o", kind=RuleKind.EVOLUTION, membrane="1", lhs=ms(a=1), rhs=EMPTY, rhs_aux=ms(c=1)),
+        send_in("s", "1", ms(a=1), ms(b=1)),
+        send_in("ok", "2", ms(a=1), ms(b=1), beta=M),
+        Rule(id="all", kind=RuleKind.EVOLUTION, membrane="2", lhs=Multiset(), rhs=ms(b=1),
+             alpha=M, beta=N, rhs_aux=ms(c=1)),
+    ]
+    want = [
+        ("duplicate rule id 'r'", "rule", 1),
+        ("rule 'g' attached to unknown membrane 'ghost'", "rule", 2),
+        ("rule 'e' has an empty left-hand side", "rule", 3),
+        ("evolution rule 'c' cannot change polarization", "rule", 4),
+        ("evolution rule 'o' cannot carry outer products", "rule", 5),
+        ("send-in rule 's' targets the skin membrane", "rule", 6),
+        ("rule 'all' has an empty left-hand side", "rule", 8),
+        ("evolution rule 'all' cannot change polarization", "rule", 8),
+        ("evolution rule 'all' cannot carry outer products", "rule", 8),
+    ]
+    got = problems({"1": None, "2": "1"}, {}, rules, [], "environment")
+    assert [(p, p.part, p.key) for p in got] == want
+
+
 @pytest.mark.parametrize("parent, rule", [
     # a root: its rule fired twice a step and the run never halted
     ({"environment": None}, evolution("r", "environment", ms(a=1), ms(b=1))),
