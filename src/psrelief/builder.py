@@ -47,6 +47,7 @@ COMPARE_STAGE = "comparison"
 N = Polarization.NEUTRAL
 POS = Polarization.POSITIVE
 NEG = Polarization.NEGATIVE
+EVOLUTION, SEND_IN, SEND_OUT = RuleKind.EVOLUTION, RuleKind.SEND_IN, RuleKind.SEND_OUT
 
 #: Depth of the halving-counter rule family; block lengths double per level,
 #: so 24 levels cover more iterations than any run can reach.
@@ -187,7 +188,7 @@ def build(params: BuildParams) -> GeneratedSystem:
     # ---- stage 1: seeding -------------------------------------------------
     e.stage = INIT_STAGE
     for k, l in kl:
-        e.rule("1.1", f"k{k}_l{l}", RuleKind.SEND_OUT, "INIT",
+        e.rule("1.1", f"k{k}_l{l}", SEND_OUT, "INIT",
                {symbol("x", k, l): 1},
                {symbol("x", k, l): 1, symbol("xt", k, l): 1, symbol("xl0", k, l): 1,
                 symbol("xl1", k, l): 1, symbol("xl2", k, l): 1},
@@ -195,15 +196,15 @@ def build(params: BuildParams) -> GeneratedSystem:
     for k in ks:
         rhs = {symbol("laq0", k, l): 1 for l in ls}
         rhs[symbol("la0", k)] = 1
-        e.rule("1.2", f"k{k}", RuleKind.SEND_OUT, "INIT", {symbol("la", k): 1}, rhs, N)
+        e.rule("1.2", f"k{k}", SEND_OUT, "INIT", {symbol("la", k): 1}, rhs, N)
     for l in ls:
         rhs = {symbol("laq1", k, l): 1 for k in ks}
         rhs[symbol("la1", l)] = 1
-        e.rule("1.3", f"l{l}", RuleKind.SEND_OUT, "INIT", {symbol("la1", l): 1}, rhs, N)
+        e.rule("1.3", f"l{l}", SEND_OUT, "INIT", {symbol("la1", l): 1}, rhs, N)
     for l in ls:
         rhs = {symbol("laq2", k, l): 1 for k in ks}
         rhs[symbol("la2", l)] = 1
-        e.rule("1.4", f"l{l}", RuleKind.SEND_OUT, "INIT", {symbol("la2", l): 1}, rhs, N)
+        e.rule("1.4", f"l{l}", SEND_OUT, "INIT", {symbol("la2", l): 1}, rhs, N)
     seeds: dict[str, int] = {}
     for k, l in kl:
         seeds[symbol("y0", k, l)] = 1
@@ -212,7 +213,7 @@ def build(params: BuildParams) -> GeneratedSystem:
     for l in ls:
         seeds[symbol("ylam1", l)] = 1
         seeds[symbol("ylam2", l)] = 1
-    e.rule("1.5", "", RuleKind.EVOLUTION, "skin", {symbol("y0"): 1}, seeds, N)
+    e.rule("1.5", "", EVOLUTION, "skin", {symbol("y0"): 1}, seeds, N)
     for k, l in kl:
         i, j = k - 1, l - 1
         rhs = {symbol("y0"): 1}
@@ -220,49 +221,49 @@ def build(params: BuildParams) -> GeneratedSystem:
             rhs[symbol("p0")] = cons.k0[i][j]
         if cons.k1[i][j]:
             rhs[symbol("ct0")] = cons.k1[i][j]
-        e.rule("1.6", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("1.6", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("y0", k, l): 1}, rhs, N, NEG)
     for k in ks:
         rhs = {symbol("y0"): 1}
         if cons.supply[k - 1]:
             rhs[symbol("n0")] = cons.supply[k - 1]
-        e.rule("1.7", f"k{k}", RuleKind.SEND_IN, lamb[k], {symbol("ylam", k): 1}, rhs, N, NEG)
+        e.rule("1.7", f"k{k}", SEND_IN, lamb[k], {symbol("ylam", k): 1}, rhs, N, NEG)
     for l in ls:
         rhs = {symbol("y0"): 1}
         if cons.dlo[l - 1]:
             rhs[symbol("p0")] = cons.dlo[l - 1]
-        e.rule("1.8", f"l{l}", RuleKind.SEND_IN, lamb1[l], {symbol("ylam1", l): 1}, rhs, N, NEG)
+        e.rule("1.8", f"l{l}", SEND_IN, lamb1[l], {symbol("ylam1", l): 1}, rhs, N, NEG)
     for l in ls:
         rhs = {symbol("y0"): 1}
         if cons.dhi[l - 1]:
             rhs[symbol("n0")] = cons.dhi[l - 1]
-        e.rule("1.9", f"l{l}", RuleKind.SEND_IN, lamb2[l], {symbol("ylam2", l): 1}, rhs, N, NEG)
+        e.rule("1.9", f"l{l}", SEND_IN, lamb2[l], {symbol("ylam2", l): 1}, rhs, N, NEG)
     for k, l in kl:
-        e.rule("1.10", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("1.10", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("x", k, l): 1}, {symbol("p"): 1, symbol("c0"): 1}, NEG, NEG)
-        e.rule("1.11", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("1.11", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("laq0", k, l): 1}, {symbol("n0"): 1}, NEG, NEG)
-        e.rule("1.12", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("1.12", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("laq1", k, l): 1}, {symbol("p0"): 1}, NEG, NEG)
-        e.rule("1.13", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("1.13", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("laq2", k, l): 1}, {symbol("n0"): 1}, NEG, NEG)
     for k, l in kl:
-        e.rule("1.14", f"k{k}_l{l}", RuleKind.SEND_IN, lamb[k],
+        e.rule("1.14", f"k{k}_l{l}", SEND_IN, lamb[k],
                {symbol("xl0", k, l): 1}, {symbol("p0"): 1}, NEG, NEG)
     for k in ks:
-        e.rule("1.15", f"k{k}", RuleKind.SEND_IN, lamb[k],
+        e.rule("1.15", f"k{k}", SEND_IN, lamb[k],
                {symbol("la0", k): 1}, {symbol("p"): 1}, NEG, NEG)
     for k, l in kl:
-        e.rule("1.16", f"k{k}_l{l}", RuleKind.SEND_IN, lamb1[l],
+        e.rule("1.16", f"k{k}_l{l}", SEND_IN, lamb1[l],
                {symbol("xl1", k, l): 1}, {symbol("n0"): 1}, NEG, NEG)
     for l in ls:
-        e.rule("1.17", f"l{l}", RuleKind.SEND_IN, lamb1[l],
+        e.rule("1.17", f"l{l}", SEND_IN, lamb1[l],
                {symbol("la1", l): 1}, {symbol("p"): 1}, NEG, NEG)
     for k, l in kl:
-        e.rule("1.18", f"k{k}_l{l}", RuleKind.SEND_IN, lamb2[l],
+        e.rule("1.18", f"k{k}_l{l}", SEND_IN, lamb2[l],
                {symbol("xl2", k, l): 1}, {symbol("p0"): 1}, NEG, NEG)
     for l in ls:
-        e.rule("1.19", f"l{l}", RuleKind.SEND_IN, lamb2[l],
+        e.rule("1.19", f"l{l}", SEND_IN, lamb2[l],
                {symbol("la2", l): 1}, {symbol("p"): 1}, NEG, NEG)
 
     # ---- stage 2: flow update chain in Q ----------------------------------
@@ -271,90 +272,90 @@ def build(params: BuildParams) -> GeneratedSystem:
         i, j = k - 1, l - 1
         q = q_lab[(k, l)]
         sfx = f"k{k}_l{l}"
-        e.rule("2.1", sfx, RuleKind.EVOLUTION, q, {symbol("ct0"): 1}, {symbol("ct1"): 1}, NEG)
-        e.rule("2.2", sfx, RuleKind.EVOLUTION, q, {symbol("y0"): 1}, {symbol("y1"): 1}, NEG)
-        e.rule("2.3", sfx, RuleKind.EVOLUTION, q, {symbol("c0"): 1},
+        e.rule("2.1", sfx, EVOLUTION, q, {symbol("ct0"): 1}, {symbol("ct1"): 1}, NEG)
+        e.rule("2.2", sfx, EVOLUTION, q, {symbol("y0"): 1}, {symbol("y1"): 1}, NEG)
+        e.rule("2.3", sfx, EVOLUTION, q, {symbol("c0"): 1},
                {symbol("c1"): cons.slope[i][j]} if cons.slope[i][j] else {}, NEG)
-        e.rule("2.4", sfx, RuleKind.EVOLUTION, q, {symbol("ct1"): 1}, {symbol("ct2"): 1}, NEG)
-        e.rule("2.5", sfx, RuleKind.EVOLUTION, q, {symbol("y1"): 1}, {symbol("y2"): 1}, NEG)
-        r6 = e.rule("2.6", sfx, RuleKind.EVOLUTION, q, {symbol("c1"): cons.den[i]}, {symbol("n0"): 1}, NEG)
-        r7 = e.rule("2.7", sfx, RuleKind.EVOLUTION, q, {symbol("c1"): cons.half[i]}, {symbol("n0"): 1}, NEG)
-        r8 = e.rule("2.8", sfx, RuleKind.EVOLUTION, q, {symbol("c1"): 1}, {}, NEG)
+        e.rule("2.4", sfx, EVOLUTION, q, {symbol("ct1"): 1}, {symbol("ct2"): 1}, NEG)
+        e.rule("2.5", sfx, EVOLUTION, q, {symbol("y1"): 1}, {symbol("y2"): 1}, NEG)
+        r6 = e.rule("2.6", sfx, EVOLUTION, q, {symbol("c1"): cons.den[i]}, {symbol("n0"): 1}, NEG)
+        r7 = e.rule("2.7", sfx, EVOLUTION, q, {symbol("c1"): cons.half[i]}, {symbol("n0"): 1}, NEG)
+        r8 = e.rule("2.8", sfx, EVOLUTION, q, {symbol("c1"): 1}, {}, NEG)
         e.prio(r6, r7)
         e.prio(r7, r8)
-        e.rule("2.9", sfx, RuleKind.EVOLUTION, q, {symbol("ct2"): 1}, {symbol("n0"): 1}, NEG)
-        e.rule("2.10", sfx, RuleKind.EVOLUTION, q, {symbol("y2"): 1}, {symbol("y3"): 1}, NEG)
+        e.rule("2.9", sfx, EVOLUTION, q, {symbol("ct2"): 1}, {symbol("n0"): 1}, NEG)
+        e.rule("2.10", sfx, EVOLUTION, q, {symbol("y2"): 1}, {symbol("y3"): 1}, NEG)
 
     # ---- stage 2: shared REDUCE machinery ----------------------------------
     for red, host in reduces:
         sfx = red.lower()
-        e.rule("2.11", sfx, RuleKind.SEND_IN, red, {symbol("y3"): 1}, {symbol("y4"): 1}, N, NEG)
-        e.rule("2.12", sfx, RuleKind.SEND_IN, red, {symbol("p0"): 1}, {symbol("p0"): 1}, NEG, NEG)
-        e.rule("2.13", sfx, RuleKind.SEND_IN, red, {symbol("n0"): 1}, {symbol("n0"): 1}, NEG, NEG)
-        e.rule("2.14", sfx, RuleKind.EVOLUTION, red, {symbol("y4"): 1}, {symbol("y5"): 1}, NEG)
-        r15 = e.rule("2.15", sfx, RuleKind.EVOLUTION, red, {symbol("p0"): 1, symbol("n0"): 1}, {}, NEG)
-        r16 = e.rule("2.16", sfx, RuleKind.EVOLUTION, red, {symbol("p0"): 1}, {symbol("p"): 1}, NEG)
-        r17 = e.rule("2.17", sfx, RuleKind.EVOLUTION, red, {symbol("n0"): 1}, {symbol("n"): 1}, NEG)
+        e.rule("2.11", sfx, SEND_IN, red, {symbol("y3"): 1}, {symbol("y4"): 1}, N, NEG)
+        e.rule("2.12", sfx, SEND_IN, red, {symbol("p0"): 1}, {symbol("p0"): 1}, NEG, NEG)
+        e.rule("2.13", sfx, SEND_IN, red, {symbol("n0"): 1}, {symbol("n0"): 1}, NEG, NEG)
+        e.rule("2.14", sfx, EVOLUTION, red, {symbol("y4"): 1}, {symbol("y5"): 1}, NEG)
+        r15 = e.rule("2.15", sfx, EVOLUTION, red, {symbol("p0"): 1, symbol("n0"): 1}, {}, NEG)
+        r16 = e.rule("2.16", sfx, EVOLUTION, red, {symbol("p0"): 1}, {symbol("p"): 1}, NEG)
+        r17 = e.rule("2.17", sfx, EVOLUTION, red, {symbol("n0"): 1}, {symbol("n"): 1}, NEG)
         e.prio(r15, r16)
         e.prio(r15, r17)
-        r18 = e.rule("2.18", sfx, RuleKind.EVOLUTION, red, {symbol("p"): 2}, {symbol("p"): 1}, NEG)
-        r19 = e.rule("2.19", sfx, RuleKind.EVOLUTION, red, {symbol("p"): 1}, {}, NEG)
+        r18 = e.rule("2.18", sfx, EVOLUTION, red, {symbol("p"): 2}, {symbol("p"): 1}, NEG)
+        r19 = e.rule("2.19", sfx, EVOLUTION, red, {symbol("p"): 1}, {}, NEG)
         e.prio(r18, r19)
-        r20 = e.rule("2.20", sfx, RuleKind.EVOLUTION, red, {symbol("n"): 2}, {symbol("n"): 1}, NEG)
-        r21 = e.rule("2.21", sfx, RuleKind.EVOLUTION, red, {symbol("n"): 1}, {}, NEG)
+        r20 = e.rule("2.20", sfx, EVOLUTION, red, {symbol("n"): 2}, {symbol("n"): 1}, NEG)
+        r21 = e.rule("2.21", sfx, EVOLUTION, red, {symbol("n"): 1}, {}, NEG)
         e.prio(r20, r21)
-        r22 = e.rule("2.22", sfx, RuleKind.EVOLUTION, red,
+        r22 = e.rule("2.22", sfx, EVOLUTION, red,
                      {symbol("s"): 1, symbol("y5"): 1}, {symbol("s0"): 1, symbol("y5"): 1}, NEG)
         for higher in (r16, r17, r19, r21):
             e.prio(higher, r22)
-        r23 = e.rule("2.23", sfx, RuleKind.SEND_OUT, red, {symbol("y5"): 1}, {symbol("y6"): 1}, NEG, POS)
+        r23 = e.rule("2.23", sfx, SEND_OUT, red, {symbol("y5"): 1}, {symbol("y6"): 1}, NEG, POS)
         e.prio(r22, r23)
-        r24 = e.rule("2.24", sfx, RuleKind.SEND_OUT, red, {symbol("p"): 10}, {symbol("p"): 1}, POS, POS)
-        r25 = e.rule("2.25", sfx, RuleKind.SEND_OUT, red, {symbol("p"): 5}, {symbol("p"): 1}, POS, POS)
+        r24 = e.rule("2.24", sfx, SEND_OUT, red, {symbol("p"): 10}, {symbol("p"): 1}, POS, POS)
+        r25 = e.rule("2.25", sfx, SEND_OUT, red, {symbol("p"): 5}, {symbol("p"): 1}, POS, POS)
         e.prio(r24, r25)
-        r26 = e.rule("2.26", sfx, RuleKind.SEND_OUT, red, {symbol("n"): 10}, {symbol("n"): 1}, POS, POS)
-        r27 = e.rule("2.27", sfx, RuleKind.SEND_OUT, red, {symbol("n"): 5}, {symbol("n"): 1}, POS, POS)
+        r26 = e.rule("2.26", sfx, SEND_OUT, red, {symbol("n"): 10}, {symbol("n"): 1}, POS, POS)
+        r27 = e.rule("2.27", sfx, SEND_OUT, red, {symbol("n"): 5}, {symbol("n"): 1}, POS, POS)
         e.prio(r26, r27)
-        r28 = e.rule("2.28", sfx, RuleKind.SEND_IN, red, {symbol("y6"): 1}, {symbol("rem"): 1},
+        r28 = e.rule("2.28", sfx, SEND_IN, red, {symbol("y6"): 1}, {symbol("rem"): 1},
                      POS, N, aux={symbol("y7"): 1})
         e.prio(r25, r28)
         e.prio(r27, r28)
-        e.rule("2.29", sfx, RuleKind.EVOLUTION, red, {symbol("p"): 1}, {}, N)
-        e.rule("2.30", sfx, RuleKind.EVOLUTION, red, {symbol("n"): 1}, {}, N)
-        e.rule("2.31", sfx, RuleKind.EVOLUTION, red, {symbol("s0"): 1}, {symbol("s"): 1}, N)
+        e.rule("2.29", sfx, EVOLUTION, red, {symbol("p"): 1}, {}, N)
+        e.rule("2.30", sfx, EVOLUTION, red, {symbol("n"): 1}, {}, N)
+        e.rule("2.31", sfx, EVOLUTION, red, {symbol("s0"): 1}, {symbol("s"): 1}, N)
 
     # ---- stage 2: folding the scaled drift into each worker ---------------
     for k, l in kl:
         q = q_lab[(k, l)]
         sfx = f"k{k}_l{l}"
-        e.rule("2.32", sfx, RuleKind.SEND_OUT, q, {symbol("y7"): 1}, {symbol("y8", k, l): 1}, NEG, POS)
-        r33 = e.rule("2.33", sfx, RuleKind.EVOLUTION, q, {symbol("p"): 1, symbol("n"): 1}, {}, POS)
-        r34 = e.rule("2.34", sfx, RuleKind.EVOLUTION, q, {symbol("p"): 1}, {symbol("o"): 1}, POS)
-        r35 = e.rule("2.35", sfx, RuleKind.EVOLUTION, q, {symbol("n"): 1}, {}, POS)
+        e.rule("2.32", sfx, SEND_OUT, q, {symbol("y7"): 1}, {symbol("y8", k, l): 1}, NEG, POS)
+        r33 = e.rule("2.33", sfx, EVOLUTION, q, {symbol("p"): 1, symbol("n"): 1}, {}, POS)
+        r34 = e.rule("2.34", sfx, EVOLUTION, q, {symbol("p"): 1}, {symbol("o"): 1}, POS)
+        r35 = e.rule("2.35", sfx, EVOLUTION, q, {symbol("n"): 1}, {}, POS)
         e.prio(r33, r34)
         e.prio(r33, r35)
-        e.rule("2.36", sfx, RuleKind.EVOLUTION, "skin",
+        e.rule("2.36", sfx, EVOLUTION, "skin",
                {symbol("y8", k, l): 1}, {symbol("y9", k, l): 1}, N)
-        r37 = e.rule("2.37", sfx, RuleKind.SEND_OUT, q, {symbol("o"): 1},
+        r37 = e.rule("2.37", sfx, SEND_OUT, q, {symbol("o"): 1},
                      {symbol("o0", k, l): 1, symbol("i", k, l): 1, symbol("xt1", k, l): 1}, POS, POS)
-        r38 = e.rule("2.38", sfx, RuleKind.SEND_IN, q, {symbol("y9", k, l): 1},
+        r38 = e.rule("2.38", sfx, SEND_IN, q, {symbol("y9", k, l): 1},
                      {symbol("rem"): 1}, POS, N, aux={symbol("y10"): 1})
         e.prio(r37, r38)
 
     # ---- stage 2: multiplier workers ---------------------------------------
     def lamb_block(host: str, fam: tuple[str, ...], sfx: str, out8: str, out9: str, lao: str):
-        e.rule(fam[0], sfx, RuleKind.EVOLUTION, host, {symbol("y0"): 1}, {symbol("y1"): 1}, NEG)
-        e.rule(fam[1], sfx, RuleKind.EVOLUTION, host, {symbol("y1"): 1}, {symbol("y2"): 1}, NEG)
-        e.rule(fam[2], sfx, RuleKind.EVOLUTION, host, {symbol("y2"): 1}, {symbol("y3"): 1}, NEG)
-        e.rule(fam[3], sfx, RuleKind.SEND_OUT, host, {symbol("y7"): 1}, {out8: 1}, NEG, POS)
-        rc = e.rule(fam[4], sfx, RuleKind.EVOLUTION, host, {symbol("p"): 1, symbol("n"): 1}, {}, POS)
-        rp = e.rule(fam[5], sfx, RuleKind.EVOLUTION, host, {symbol("p"): 1}, {symbol("o"): 1}, POS)
-        rn = e.rule(fam[6], sfx, RuleKind.EVOLUTION, host, {symbol("n"): 1}, {}, POS)
+        e.rule(fam[0], sfx, EVOLUTION, host, {symbol("y0"): 1}, {symbol("y1"): 1}, NEG)
+        e.rule(fam[1], sfx, EVOLUTION, host, {symbol("y1"): 1}, {symbol("y2"): 1}, NEG)
+        e.rule(fam[2], sfx, EVOLUTION, host, {symbol("y2"): 1}, {symbol("y3"): 1}, NEG)
+        e.rule(fam[3], sfx, SEND_OUT, host, {symbol("y7"): 1}, {out8: 1}, NEG, POS)
+        rc = e.rule(fam[4], sfx, EVOLUTION, host, {symbol("p"): 1, symbol("n"): 1}, {}, POS)
+        rp = e.rule(fam[5], sfx, EVOLUTION, host, {symbol("p"): 1}, {symbol("o"): 1}, POS)
+        rn = e.rule(fam[6], sfx, EVOLUTION, host, {symbol("n"): 1}, {}, POS)
         e.prio(rc, rp)
         e.prio(rc, rn)
-        e.rule(fam[7], sfx, RuleKind.EVOLUTION, "skin", {out8: 1}, {out9: 1}, N)
-        ro = e.rule(fam[8], sfx, RuleKind.SEND_OUT, host, {symbol("o"): 1}, {lao: 1}, POS, POS)
-        rf = e.rule(fam[9], sfx, RuleKind.SEND_IN, host, {out9: 1}, {symbol("rem"): 1}, POS, N)
+        e.rule(fam[7], sfx, EVOLUTION, "skin", {out8: 1}, {out9: 1}, N)
+        ro = e.rule(fam[8], sfx, SEND_OUT, host, {symbol("o"): 1}, {lao: 1}, POS, POS)
+        rf = e.rule(fam[9], sfx, SEND_IN, host, {out9: 1}, {symbol("rem"): 1}, POS, N)
         e.prio(ro, rf)
 
     for k in ks:
@@ -369,7 +370,7 @@ def build(params: BuildParams) -> GeneratedSystem:
 
     # ---- stage 2: step-size counter (runs alongside the stages) -----------
     e.stage = None
-    e.rule("2.68", "", RuleKind.EVOLUTION, "INIT",
+    e.rule("2.68", "", EVOLUTION, "INIT",
            {symbol("count", 0): 1024}, {symbol("u", 0): 1, symbol("s"): 1}, N)
     couriers: dict[str, int] = {}
     for k, l in kl:
@@ -379,99 +380,99 @@ def build(params: BuildParams) -> GeneratedSystem:
     for l in ls:
         couriers[symbol("slam1", l)] = 1
         couriers[symbol("slam2", l)] = 1
-    e.rule("2.69", "", RuleKind.SEND_OUT, "INIT", {symbol("s"): 1}, couriers, N)
+    e.rule("2.69", "", SEND_OUT, "INIT", {symbol("s"): 1}, couriers, N)
     for k, l in kl:
-        e.rule("2.70", f"k{k}_l{l}", RuleKind.SEND_IN, q_lab[(k, l)],
+        e.rule("2.70", f"k{k}_l{l}", SEND_IN, q_lab[(k, l)],
                {symbol("sq", k, l): 1}, {symbol("s"): 1}, NEG, NEG)
     for k in ks:
-        e.rule("2.71", f"k{k}", RuleKind.SEND_IN, lamb[k], {symbol("slam", k): 1}, {symbol("s"): 1}, NEG, NEG)
+        e.rule("2.71", f"k{k}", SEND_IN, lamb[k], {symbol("slam", k): 1}, {symbol("s"): 1}, NEG, NEG)
     for l in ls:
-        e.rule("2.72", f"l{l}", RuleKind.SEND_IN, lamb1[l],
+        e.rule("2.72", f"l{l}", SEND_IN, lamb1[l],
                {symbol("slam1", l): 1}, {symbol("s"): 1}, NEG, NEG)
-        e.rule("2.73", f"l{l}", RuleKind.SEND_IN, lamb2[l],
+        e.rule("2.73", f"l{l}", SEND_IN, lamb2[l],
                {symbol("slam2", l): 1}, {symbol("s"): 1}, NEG, NEG)
     for red, host in reduces:
-        e.rule("2.74", red.lower(), RuleKind.SEND_IN, red, {symbol("s"): 1}, {symbol("s"): 1}, N, N)
-    e.rule("2.75", "", RuleKind.EVOLUTION, "INIT", {symbol("u", 0): 10}, {symbol("max", 0): 1}, N)
+        e.rule("2.74", red.lower(), SEND_IN, red, {symbol("s"): 1}, {symbol("s"): 1}, N, N)
+    e.rule("2.75", "", EVOLUTION, "INIT", {symbol("u", 0): 10}, {symbol("max", 0): 1}, N)
     # the first counter promotion must accept max_0, otherwise the chain
     # of block doublings never engages
     for i in range(COUNTER_DEPTH):
-        e.rule("2.76", f"n{i}", RuleKind.EVOLUTION, "INIT",
+        e.rule("2.76", f"n{i}", EVOLUTION, "INIT",
                {symbol("max", i): 1, symbol("count", 0): 1},
                {symbol("max", i): 1, symbol("count", i + 1): 1}, N)
     for i in range(1, COUNTER_DEPTH + 1):
-        e.rule("2.77", f"n{i}", RuleKind.EVOLUTION, "INIT",
+        e.rule("2.77", f"n{i}", EVOLUTION, "INIT",
                {symbol("count", i): 1 << (10 + i)}, {symbol("u", i): 1, symbol("s"): 1}, N)
     for i in range(1, COUNTER_DEPTH + 1):
-        e.rule("2.78", f"n{i}", RuleKind.EVOLUTION, "INIT",
+        e.rule("2.78", f"n{i}", EVOLUTION, "INIT",
                {symbol("u", i): 1, symbol("max", i - 1): 1}, {symbol("max", i): 1}, N)
 
     # ---- stage 3: comparison ------------------------------------------------
     e.stage = COMPARE_STAGE
-    r3_1 = e.rule("3.1", "", RuleKind.SEND_IN, "COMP", {symbol("y10"): m * n}, {symbol("y11"): 1}, N, NEG)
+    r3_1 = e.rule("3.1", "", SEND_IN, "COMP", {symbol("y10"): m * n}, {symbol("y11"): 1}, N, NEG)
     gate_rules = []
     for k, l in kl:
         sfx = f"k{k}_l{l}"
-        gate_rules.append(e.rule("3.2", sfx, RuleKind.SEND_IN, "COMP",
+        gate_rules.append(e.rule("3.2", sfx, SEND_IN, "COMP",
                                  {symbol("o0", k, l): 1}, {symbol("o1", k, l): 1}, NEG, NEG))
-        gate_rules.append(e.rule("3.3", sfx, RuleKind.SEND_IN, "COMP",
+        gate_rules.append(e.rule("3.3", sfx, SEND_IN, "COMP",
                                  {symbol("xt", k, l): 1}, {symbol("xt", k, l): 1}, NEG, NEG))
-        gate_rules.append(e.rule("3.4", sfx, RuleKind.SEND_IN, "COMP",
+        gate_rules.append(e.rule("3.4", sfx, SEND_IN, "COMP",
                                  {symbol("xt1", k, l): 1}, {symbol("xt1", k, l): 1}, NEG, NEG))
-    r3_5 = e.rule("3.5", "", RuleKind.SEND_OUT, "COMP", {symbol("y11"): 1}, {symbol("rem"): 1},
+    r3_5 = e.rule("3.5", "", SEND_OUT, "COMP", {symbol("y11"): 1}, {symbol("rem"): 1},
                   NEG, N, aux={symbol("y12"): 1})
     for g in gate_rules:
         e.prio(g, r3_5)
     for k, l in kl:
         sfx = f"k{k}_l{l}"
-        e.rule("3.6", sfx, RuleKind.SEND_OUT, "COMP", {symbol("o1", k, l): 1}, {symbol("o2", k, l): 1}, N)
-        r7 = e.rule("3.7", sfx, RuleKind.EVOLUTION, "COMP",
+        e.rule("3.6", sfx, SEND_OUT, "COMP", {symbol("o1", k, l): 1}, {symbol("o2", k, l): 1}, N)
+        r7 = e.rule("3.7", sfx, EVOLUTION, "COMP",
                     {symbol("xt", k, l): 1, symbol("xt1", k, l): 1}, {}, N)
-        r8 = e.rule("3.8", sfx, RuleKind.EVOLUTION, "COMP",
+        r8 = e.rule("3.8", sfx, EVOLUTION, "COMP",
                     {symbol("xt", k, l): 1, symbol("y12"): 1}, {symbol("y13"): 1}, N)
-        r9 = e.rule("3.9", sfx, RuleKind.EVOLUTION, "COMP",
+        r9 = e.rule("3.9", sfx, EVOLUTION, "COMP",
                     {symbol("xt1", k, l): 1, symbol("y12"): 1}, {symbol("y13"): 1}, N)
-        r10 = e.rule("3.10", sfx, RuleKind.EVOLUTION, "COMP", {symbol("xt", k, l): 1}, {}, N)
-        r11 = e.rule("3.11", sfx, RuleKind.EVOLUTION, "COMP", {symbol("xt1", k, l): 1}, {}, N)
+        r10 = e.rule("3.10", sfx, EVOLUTION, "COMP", {symbol("xt", k, l): 1}, {}, N)
+        r11 = e.rule("3.11", sfx, EVOLUTION, "COMP", {symbol("xt1", k, l): 1}, {}, N)
         e.prio(r7, r8)
         e.prio(r7, r9)
         e.prio(r8, r10)
         e.prio(r9, r11)
-    r3_12 = e.rule("3.12", "", RuleKind.EVOLUTION, "COMP", {symbol("y12"): 1}, {symbol("stop"): 1}, N)
+    r3_12 = e.rule("3.12", "", EVOLUTION, "COMP", {symbol("y12"): 1}, {symbol("stop"): 1}, N)
     for rid in e.rule_index["3.8"] + e.rule_index["3.9"]:
         e.prio(rid, r3_12)
     for k, l in kl:
-        e.rule("3.13", f"k{k}_l{l}", RuleKind.EVOLUTION, "skin",
+        e.rule("3.13", f"k{k}_l{l}", EVOLUTION, "skin",
                {symbol("o2", k, l): 1}, {symbol("o3", k, l): 1}, N)
-    e.rule("3.14", "", RuleKind.SEND_OUT, "COMP", {symbol("stop"): 1}, {symbol("stop"): 1}, N)
-    e.rule("3.15", "", RuleKind.SEND_OUT, "COMP", {symbol("y13"): 1}, {symbol("y14"): 1}, N)
+    e.rule("3.14", "", SEND_OUT, "COMP", {symbol("stop"): 1}, {symbol("stop"): 1}, N)
+    e.rule("3.15", "", SEND_OUT, "COMP", {symbol("y13"): 1}, {symbol("y14"): 1}, N)
     for k, l in kl:
-        e.rule("3.16", f"k{k}_l{l}", RuleKind.EVOLUTION, "skin",
+        e.rule("3.16", f"k{k}_l{l}", EVOLUTION, "skin",
                {symbol("o3", k, l): 1}, {symbol("o4", k, l): 1}, N)
-    e.rule("3.17", "", RuleKind.SEND_IN, "OUTPUT", {symbol("stop"): 1}, {symbol("stop"): 1}, N, NEG)
-    e.rule("3.18", "", RuleKind.SEND_IN, "INIT", {symbol("y14"): 1}, {symbol("y15"): 1}, N, NEG)
+    e.rule("3.17", "", SEND_IN, "OUTPUT", {symbol("stop"): 1}, {symbol("stop"): 1}, N, NEG)
+    e.rule("3.18", "", SEND_IN, "INIT", {symbol("y14"): 1}, {symbol("y15"): 1}, N, NEG)
     for k, l in kl:
         sfx = f"k{k}_l{l}"
-        r19 = e.rule("3.19", sfx, RuleKind.SEND_IN, "OUTPUT",
+        r19 = e.rule("3.19", sfx, SEND_IN, "OUTPUT",
                      {symbol("o4", k, l): 1}, {symbol("o", k, l): 1}, NEG, NEG)
-        r20 = e.rule("3.20", sfx, RuleKind.EVOLUTION, "skin", {symbol("o4", k, l): 1}, {}, N)
+        r20 = e.rule("3.20", sfx, EVOLUTION, "skin", {symbol("o4", k, l): 1}, {}, N)
         e.prio(r19, r20)
-    r3_21 = e.rule("3.21", "", RuleKind.SEND_OUT, "OUTPUT", {symbol("stop"): 1}, {symbol("rem"): 1}, NEG, N)
+    r3_21 = e.rule("3.21", "", SEND_OUT, "OUTPUT", {symbol("stop"): 1}, {symbol("rem"): 1}, NEG, N)
     for rid in e.rule_index["3.19"]:
         e.prio(rid, r3_21)
     restock = []
     for k, l in kl:
-        restock.append(e.rule("3.22", f"k{k}_l{l}", RuleKind.SEND_IN, "INIT",
+        restock.append(e.rule("3.22", f"k{k}_l{l}", SEND_IN, "INIT",
                               {symbol("i", k, l): 1}, {symbol("x", k, l): 1}, NEG, NEG))
     for k in ks:
-        restock.append(e.rule("3.23", f"k{k}", RuleKind.SEND_IN, "INIT",
+        restock.append(e.rule("3.23", f"k{k}", SEND_IN, "INIT",
                               {symbol("lao0", k): 1}, {symbol("la", k): 1}, NEG, NEG))
     for l in ls:
-        restock.append(e.rule("3.24", f"l{l}", RuleKind.SEND_IN, "INIT",
+        restock.append(e.rule("3.24", f"l{l}", SEND_IN, "INIT",
                               {symbol("lao1", l): 1}, {symbol("la1", l): 1}, NEG, NEG))
-        restock.append(e.rule("3.25", f"l{l}", RuleKind.SEND_IN, "INIT",
+        restock.append(e.rule("3.25", f"l{l}", SEND_IN, "INIT",
                               {symbol("lao2", l): 1}, {symbol("la2", l): 1}, NEG, NEG))
-    r3_26 = e.rule("3.26", "", RuleKind.SEND_OUT, "INIT", {symbol("y15"): 1}, {symbol("y0"): 1},
+    r3_26 = e.rule("3.26", "", SEND_OUT, "INIT", {symbol("y15"): 1}, {symbol("y0"): 1},
                    NEG, N, aux={symbol("count", 0): 1})
     for rid in restock:
         e.prio(rid, r3_26)
@@ -481,7 +482,7 @@ def build(params: BuildParams) -> GeneratedSystem:
     polcode = {N: "0", POS: "p", NEG: "m"}
     for lab in parent:
         for pol in (N, POS, NEG):
-            e.rule("4.1", f"{lab.lower()}_{polcode[pol]}", RuleKind.EVOLUTION, lab,
+            e.rule("4.1", f"{lab.lower()}_{polcode[pol]}", EVOLUTION, lab,
                    {symbol("rem"): 1}, {}, pol)
 
     initial = {

@@ -124,6 +124,8 @@ _PRIO_LINE = re.compile(rf"prio\s+({_ID})\s*>\s*({_ID})(?:\s*@\s*({_LABEL}))?\s*
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _LABEL_START = _IDENT_START | frozenset("0123456789")
 _POLARIZATIONS = {"'" + pol.value: pol for pol in Polarization}
+# bound once: an Enum member read off its class is slow
+_EVOLUTION, _SEND_IN, _SEND_OUT = RuleKind.EVOLUTION, RuleKind.SEND_IN, RuleKind.SEND_OUT
 #: Closes every token list, so a read one past the last token needs no bounds
 #: check; no token equals it.
 _END = "\n"
@@ -252,11 +254,11 @@ def _matched_rule(raw: str, texts: _Texts, names: dict[str, str]) -> Rule | None
     rid, membrane = names.setdefault(rid, rid), names.setdefault(membrane, membrane)
     try:
         if alpha is not None:
-            return Rule(rid, RuleKind.EVOLUTION, membrane, texts[lhs], texts[rhs], _POLARIZATIONS[alpha])
+            return Rule(rid, _EVOLUTION, membrane, texts[lhs], texts[rhs], _POLARIZATIONS[alpha])
         if out_alpha is not None:
-            return Rule(rid, RuleKind.SEND_OUT, membrane, texts[lhs], texts[out_outer],
+            return Rule(rid, _SEND_OUT, membrane, texts[lhs], texts[out_outer],
                         _POLARIZATIONS[out_alpha], _POLARIZATIONS[out_beta], texts[out_inner])
-        return Rule(rid, RuleKind.SEND_IN, membrane, texts[in_lhs], texts[in_inner],
+        return Rule(rid, _SEND_IN, membrane, texts[in_lhs], texts[in_inner],
                     _POLARIZATIONS[in_alpha], _POLARIZATIONS[in_beta], texts[in_outer])
     except _Bail:
         return None
@@ -419,14 +421,14 @@ def _rule_body(toks: list[str], i: int, rid: str,
             i = _expect(toks, i, "]")
             alpha = _polarization(toks, i)
             membrane = _rule_at(toks, i + 1, names)
-            return Rule(id=rid, kind=RuleKind.EVOLUTION, membrane=membrane,
+            return Rule(id=rid, kind=_EVOLUTION, membrane=membrane,
                         lhs=lhs, rhs=rhs, alpha=alpha)
         # send-out: [lhs]'a -> outer [inner]'b
-        kind = RuleKind.SEND_OUT
+        kind = _SEND_OUT
         i = _expect(toks, i, "]")
     else:
         # send-in: lhs []'a -> outer [inner]'b
-        kind = RuleKind.SEND_IN
+        kind = _SEND_IN
         lhs, i = _multiset(toks, i, _TO_OPEN, shared)
         i = _expect(toks, _expect(toks, i, "["), "]")
     alpha = _polarization(toks, i)
@@ -437,7 +439,7 @@ def _rule_body(toks: list[str], i: int, rid: str,
     i = _expect(toks, i, "]")
     beta = _polarization(toks, i)
     membrane = _rule_at(toks, i + 1, names)
-    rhs, aux = (outer, inner) if kind is RuleKind.SEND_OUT else (inner, outer)
+    rhs, aux = (outer, inner) if kind is _SEND_OUT else (inner, outer)
     return Rule(id=rid, kind=kind, membrane=membrane, lhs=lhs, rhs=rhs, rhs_aux=aux, alpha=alpha, beta=beta)
 
 
@@ -511,10 +513,10 @@ class _Writer:
         # cost about a tenth of ``serialize`` at case-study scale
         a, b = rule.alpha._value_, rule.beta._value_
         lhs = self.atoms(rule.lhs, rule)
-        if rule.kind is RuleKind.EVOLUTION:
+        if rule.kind is _EVOLUTION:
             body = f"[{lhs} -> {self.atoms(rule.rhs, rule)}]'{a}"
         else:
-            out = rule.kind is RuleKind.SEND_OUT
+            out = rule.kind is _SEND_OUT
             outer = self.atoms(rule.rhs if out else rule.rhs_aux, rule)
             inner = self.atoms(rule.rhs_aux if out else rule.rhs, rule)
             head = f"[{lhs}]'{a}" if out else f"{lhs} []'{a}"

@@ -114,6 +114,8 @@ class RuleKind(enum.Enum):
     SEND_IN = "send_in"
 
 
+_EVOLUTION = RuleKind.EVOLUTION  # bound once: an Enum member read off its class is slow
+
 _RuleFields = NamedTuple("_RuleFields", [
     ("id", str), ("kind", RuleKind), ("membrane", str), ("lhs", Multiset), ("rhs", Multiset),
     ("alpha", Polarization), ("beta", Polarization), ("rhs_aux", Multiset), ("changes_polarization", bool)])
@@ -137,7 +139,7 @@ class Rule(_RuleFields):
                 rhs_aux: Multiset = EMPTY) -> "Rule":
         if beta is None:
             beta = alpha
-        changes = kind is not RuleKind.EVOLUTION and beta is not alpha
+        changes = kind is not _EVOLUTION and beta is not alpha
         return tuple.__new__(cls, (id, kind, membrane, lhs, rhs, alpha, beta, rhs_aux, changes))
 
     @classmethod

@@ -41,20 +41,28 @@ projection is pairwise cancellation with surplus deletion.
 
 Cost.  Each route builds its step once per run, and no public function builds
 one per call.  A step binds, when it is built, every constant, buffer and
-view an iteration reads or writes: two state vectors z = (q row-major, lam,
-lam1, lam2) that the iterations alternate and a drift vector D of the same
-layout, each with its views (the four families, q flat, lam as an (m, 1)
-column), the constants broadcast to (m, n), and two vectors ``ahead = (row
-sums, lower bounds, column sums)`` and ``behind = (supplies, column sums,
-upper bounds)`` whose one difference is the multiplier part of D.  Each
-operation of an iteration is then one ufunc call that writes into a bound
-buffer.  Both routes run one loop, ``_PreparedStep.run``, from any state
-and iteration.  It walks the schedule one block at a time (``_blocks``):
-the step factor a_t, and on the integer route the halving count w, is a
-vector refilled at the start of each block.  It has one stop rule: no flow
-moved by ``tol`` or more, ``max |dq| < tol``, three ufunc calls per
-iteration.  On counts tol is 1, so the rule is exact equality, the halting
-condition of the membrane system.
+view an iteration reads or writes: a ring of ``_CHUNK + 1`` state vectors z
+= (q row-major, lam, lam1, lam2), the rows of one array, and a drift vector
+D of the same layout, each with its views (the four families, q flat, lam
+as an (m, 1) column), the constants broadcast to (m, n), and two vectors
+``ahead = (row sums, lower bounds, column sums)`` and ``behind = (supplies,
+column sums, upper bounds)`` whose one difference is the multiplier part of
+D.  Each operation of an iteration is then one ufunc call that writes into a
+bound buffer.  A scalar operand (the step factor a_t, the halving count w,
+and the constants of the formulas) is a 0-d array, not a filled vector: an
+int64 ``floor_divide`` of 370 counts by a 0-d 10 takes 0.60 us against 1.55
+us by a vector of tens (numpy 2.4 on a shared Xeon VM; a float ``multiply``
+costs the same either way).  Both routes run one loop,
+``_PreparedStep.run``, from any state and iteration.  It walks the schedule
+one block at a time (``_blocks``), setting a_t, and on the integer route w,
+at the start of each block, and each block in chunks of up to ``_CHUNK`` =
+32 iterates, ring row r stepping into row r + 1.  It has one stop rule: no
+flow moved by ``tol`` or more, ``max |dq| < tol``.  The rule is tested once
+per chunk, on all of its iterates with three ufunc calls over the (k, m n)
+block of flow changes, and the run stops at the first settled iterate: the
+at most 31 iterates its chunk computed past it are discarded.  On counts
+tol is 1, so the rule is exact equality, the halting condition of the
+membrane system.
 
 The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as
 arrays and evaluates the formula above term by term on the same operands in
@@ -63,8 +71,10 @@ the same order (``2 a^2 q``, ``+ 2 a b``, ``/ beta``, subtracted from
 visibility derivative), so every float is the formula's; regrouping the
 multipliers, dividing by a precomputed quotient, a fused multiply-add or a
 BLAS sum would each change bits.  An iteration is then one ``z + a_t D``
-and one ``max(0, .)``.  The visibility caps are counted per column into an
-int vector and summed once per run.
+and one ``max(0, .)``.  The ``full`` drift marks the columns it caps in one
+row of a (``_CHUNK``, n) bool array; the rows of the iterates a chunk
+yields, and only those, are counted into a per-column int vector, which is
+summed once per run.
 
 The integer step inlines the two gadgets, rounding division by the beta
 denominator and emission under the step factor, with two identities that are
@@ -97,8 +107,11 @@ any max(m, n) < 2^31.  Hence ``|D|``, ``mag + 5``, ``z - mag`` and ``z +
 mag``, which lie in (-2^63, 2^31 + |D|), all stay inside int64.  A run that
 starts in int64 converts z once, when ``z.max()`` reaches 2^31, and stays in
 Python ints, because products of counts grow as P^2 and p has no upper
-bound.  On the katrina-shaped ladder instances the supplies and demand caps pass the bound from p = 6
-at 10x30 and from p = 7 at 4x4 and 8x8; a 10x30 run at p = 5 stays in int64
+bound.  The bound is tested after every step, since the argument above holds
+for one step only; a crossing ends its chunk, so the iterates before it
+leave as int64 and the crossing one as Python ints.  On the katrina-shaped
+ladder instances the supplies and demand caps pass the bound from p = 6 at
+10x30 and from p = 7 at 4x4 and 8x8; a 10x30 run at p = 5 stays in int64
 throughout.
 
 Schedule ceiling.  The float route steps by ``step_size`` (exponent
@@ -321,45 +334,75 @@ def _multiplier_operands(m: int, n: int, row_cap, col_lo, col_hi, dtype):
     return ahead, behind, ahead[:m], ahead[m + n:], behind[m:m + n]
 
 
+#: Iterates per chunk of ``_PreparedStep.run``: the stop rule is tested once
+#: per chunk, for every iterate in it.
+_CHUNK = 32
+
+
 class _PreparedStep:
-    """The loop of both prepared steps.  A step binds the list ``states`` of
-    two packed state buffers, which the iterations alternate, a buffer
-    ``dq`` for the flow change, its schedule ``stretch`` (see ``_blocks``)
-    and its stop tolerance ``tol``, and two operations: ``_block(w)`` sets
-    the step factor of schedule block w, and ``_advance(i)`` steps from
-    ``states[i]`` into the other buffer.  A step that rebinds its buffers
-    mid-run replaces them inside the list and sets a new ``dq``."""
+    """The loop of both prepared steps.  A step binds a ring of ``_CHUNK +
+    1`` packed states, the rows of one array with a ``_Packed`` view per row
+    in the list ``states``, the ring's flow columns ``flows``, a ``(_CHUNK, m
+    n)`` buffer ``dq`` for the flow changes, its schedule ``stretch`` (see
+    ``_blocks``) and its stop tolerance ``tol``, and these operations:
+    ``_block(w)`` sets the step factor of schedule block w, ``_advance(k)``
+    steps ``states[0]`` into ``states[1]`` and on, k times or fewer, and
+    returns how many it took, ``_count(j)`` adds what the first j of them
+    hit (on ``full``, the visibility caps) to the run's counts, and
+    ``_carry(j)`` moves ``states[j]`` into ``states[0]``.  A step that rebinds its ring mid-run does so in
+    ``_carry``."""
+
+    def _bind_ring(self, dtype) -> None:
+        m, n = self.m, self.n
+        ring = np.empty((_CHUNK + 1, m * n + m + 2 * n), dtype)
+        self.states = [_packed(z, m, n) for z in ring]
+        self.flows = ring[:, :m * n]
+        self.dq = np.empty((_CHUNK, m * n), dtype)
 
     def _load(self, z) -> None:
         self.states[0].z[:] = z
 
+    def _count(self, j: int) -> None:
+        pass
+
+    def _carry(self, j: int) -> None:
+        self.states[0].z[:] = self.states[j].z
+
     def run(self, z, t: int, max_iter: int) -> Iterator[tuple[int, _Packed, bool]]:
         """From the packed state z at iteration t, yield (t, state, settled)
-        for each iterate, walking the schedule one block at a time.  An
-        iterate is settled when no flow moved by ``tol`` or more (max |dq| <
-        tol).  Stops after the first settled iterate or at iteration
-        max_iter.
+        for each iterate, walking the schedule one block at a time and each
+        block in chunks of up to ``_CHUNK`` iterates.  An iterate is settled
+        when no flow moved by ``tol`` or more (max |dq| < tol).  The rule is
+        tested once per chunk, on all of its iterates at once; the run stops
+        after the first settled iterate or at iteration max_iter.  The
+        iterates a chunk computed past the settled one are discarded: they
+        are neither yielded nor counted by ``_count``.
 
-        A yielded state is one of the two buffers: the step after next
-        overwrites it, so a caller reads or copies each state before it
-        takes the next but one."""
+        A yielded state is a row of the ring, which the step may overwrite
+        once the caller takes the next iterate, so a caller reads or copies
+        each state before it takes the next."""
         self._load(z)
-        i, tol, states, advance = 0, self.tol, self.states, self._advance
-        subtract, absolute, max_reduce = np.subtract, np.absolute, np.maximum.reduce
+        tol, subtract, absolute, max_reduce = self.tol, np.subtract, np.absolute, np.maximum.reduce
         for w, left in _blocks(self.stretch, t):
             if t >= max_iter:
                 return
             self._block(w)
-            for _ in range(min(left, max_iter - t)):
-                advance(i)
-                i, t = 1 - i, t + 1
-                new, dq = states[i], self.dq
-                subtract(new.flows, states[1 - i].flows, out=dq)
+            left = min(left, max_iter - t)
+            while left:
+                k = self._advance(min(_CHUNK, left))
+                states, flows, dq = self.states, self.flows, self.dq[:k]
+                subtract(flows[1:k + 1], flows[:k], out=dq)
                 absolute(dq, out=dq)
-                if max_reduce(dq) < tol:
-                    yield t, new, True
+                settled = np.flatnonzero(max_reduce(dq, 1) < tol)
+                last = int(settled[0]) + 1 if settled.size else k
+                self._count(last)
+                self._carry(last)
+                for j in range(1, last):
+                    yield t + j, states[j], False
+                yield t + last, self.states[0], bool(settled.size)
+                if settled.size:
                     return
-                yield t, new, False
+                t, left = t + k, left - k
 
 
 class _FloatStep(_PreparedStep):
@@ -367,9 +410,9 @@ class _FloatStep(_PreparedStep):
     prepared once: every constant, buffer and view is bound when the step is
     built, and each operation of an iteration is one ufunc call into a bound
     buffer (see "Cost" above).  The drift at a state goes into ``d``, and
-    the visibility caps it hits are added to the per-column counts
-    ``caps``.  ``run`` settles at max |dq| < tol; the default 0 never
-    settles."""
+    which columns it capped into a row of ``below``; ``run`` adds the rows of
+    the iterates it yields to the per-column counts ``caps``.  ``run``
+    settles at max |dq| < tol; the default 0 never settles."""
 
     stretch = 1
 
@@ -379,20 +422,22 @@ class _FloatStep(_PreparedStep):
         self.tol = tol
         self.d = self.empty()
         self.caps = np.zeros(n, np.int64)
-        #: the step factor a_t, one copy per entry of z
-        self.a = np.empty(m * n + m + 2 * n)
-        states = self.states = [self.empty(), self.empty()]
-        self.dq = np.empty(m * n)
+        #: per step of a chunk, the columns whose visibility derivative it capped
+        self.below = np.zeros((_CHUNK, n), bool)
+        #: the step factor a_t
+        self.a = np.empty(())
+        self._bind_ring(float)
         self._drift = self._bind_drift(inst)
-        d, a, zero = self.d.z, self.a, np.zeros_like(self.a)
+        d, a, zero, states, below = self.d.z, self.a, np.zeros(()), self.states, list(self.below)
         drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
 
-        def advance(i: int) -> None:
-            x, out = states[i], states[1 - i]
-            drift(x)
-            multiply(d, a, out=d)
-            add(x.z, d, out=out.z)
-            maximum(zero, out.z, out=out.z)
+        def advance(k: int) -> int:
+            for x, out, capped in zip(states, states[1:k + 1], below):
+                drift(x, capped)
+                multiply(d, a, out=d)
+                add(x.z, d, out=out.z)
+                maximum(zero, out.z, out=out.z)
+            return k
 
         self._advance = advance
 
@@ -401,6 +446,10 @@ class _FloatStep(_PreparedStep):
 
     def _block(self, w: int) -> None:
         self.a.fill(0.1 / (1 << w))
+
+    def _count(self, j: int) -> None:
+        if self.full:
+            self.caps += np.count_nonzero(self.below[:j], 0)
 
     def _bind_drift(self, inst: ReliefInstance):
         """The drift x -> d, with the formula's constants and buffers bound."""
@@ -411,13 +460,12 @@ class _FloatStep(_PreparedStep):
         g, multipliers = self.d.q, self.d.multipliers
         ahead, behind, rows, cols, cols_behind = _multiplier_operands(
             m, n, inst.s, inst.d_lo, inst.d_hi, float)
-        full, caps, vis_k = self.full, self.caps, inst.vis_k
-        below, vis = np.empty(n, bool), np.empty(n)
-        floor, two = np.full(n, VISIBILITY_FLOOR), np.full(n, 2.0)
+        full, vis_k, vis = self.full, inst.vis_k, np.empty(n)
+        floor, two = np.array(VISIBILITY_FLOOR), np.array(2.0)
         multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
         add_reduce, copyto, less, maximum, sqrt = np.add.reduce, np.copyto, np.less, np.maximum, np.sqrt
 
-        def drift(x: _Packed) -> None:
+        def drift(x: _Packed, below: np.ndarray) -> None:
             multiply(c2, x.q, out=g)
             add(g, c1, out=g)
             divide(g, beta, out=g)
@@ -431,7 +479,6 @@ class _FloatStep(_PreparedStep):
             subtract(ahead, behind, out=multipliers)
             if full:
                 less(cols, floor, out=below)
-                add(caps, below, out=caps)
                 maximum(cols, floor, out=vis)
                 sqrt(vis, out=vis)
                 multiply(two, vis, out=vis)
@@ -444,9 +491,9 @@ class _FloatStep(_PreparedStep):
         """Write the drift of each family at x, before scaling by a_t, into
         ``self.d``; return the number of visibility derivatives capped at a
         column sum below ``VISIBILITY_FLOOR``."""
-        self.caps.fill(0)
-        self._drift(x)
-        return int(np.add.reduce(self.caps))
+        below = self.below[0]
+        self._drift(x, below)
+        return int(np.count_nonzero(below)) if self.full else 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +567,8 @@ class _QuantizedStep(_PreparedStep):
     """The integer iteration for one set of fixed-point constants on packed
     count vectors z = (q row-major, lam, lam1, lam2): one drift vector, then
     one emission-and-cancellation pass over it.  Prepared like
-    ``_FloatStep``: the constants, two state buffers that the steps
-    alternate, the drift and the scratch vectors are bound for one dtype,
+    ``_FloatStep``: the constants, the ring of states, the drift and the
+    scratch vectors are bound for one dtype,
     int64 until a constant or count reaches ``_INT64_SAFE`` and Python ints
     (object arrays through the same ufuncs) from then on (see "Cost"
     above).  ``run`` settles when no count of q moved (max |dq| < 1), the
@@ -538,15 +585,12 @@ class _QuantizedStep(_PreparedStep):
         self.m, self.n = len(k.den), len(k.dlo)
         self.mn = self.m * self.n
         self.w = 0
-        self.states: list[_Packed] = []
         flat = [c for table in (k.k0, k.k1, k.slope) for row in table for c in row]
         flat += k.den + k.half + k.supply + k.dlo + k.dhi
         self._use(np.int64 if all(0 <= c < _INT64_SAFE for c in flat) else object)
 
     def _use(self, dtype) -> None:
-        """Bind the constants, the buffers and the step for ``dtype``; the
-        new state buffers take the counts and the places in ``states`` of
-        the old ones."""
+        """Bind the constants, a new ring and the step for ``dtype``."""
         k, m, n = self.k, self.m, self.n
         self.dtype = dtype
         size = self.mn + m + 2 * n
@@ -556,15 +600,11 @@ class _QuantizedStep(_PreparedStep):
         dh = den - np.array(k.half, dtype)[:, None]
         ahead, behind, rows, cols, cols_behind = _multiplier_operands(
             m, n, k.supply, k.dlo, k.dhi, dtype)
-        states = [_packed(np.empty(size, dtype), m, n) for _ in range(2)]
-        for new, old in zip(states, self.states):
-            new.z[:] = old.z
-        self.states[:] = states
-        self.dq = np.empty(self.mn, dtype)
-        self.halvings = np.full(size, self.w, dtype)
+        self._bind_ring(dtype)
+        self.halvings = np.array(self.w, dtype)
         d = _packed(np.empty(size, dtype), m, n)
         dq, mag, negative_at = d.q, np.empty(size, dtype), np.empty(size, bool)
-        zero, five, ten = (np.full(size, c, dtype) for c in (0, 5, 10))
+        zero, five, ten = (np.array(c, dtype) for c in (0, 5, 10))
         halvings = self.halvings
         multiply, add, subtract, floor_divide = np.multiply, np.add, np.subtract, np.floor_divide
         add_reduce, copyto, absolute, right_shift = np.add.reduce, np.copyto, np.absolute, np.right_shift
@@ -604,14 +644,26 @@ class _QuantizedStep(_PreparedStep):
         self.w = w
         self.halvings.fill(w)
 
-    def _advance(self, i: int) -> None:
-        """Step from state buffer i into the other one; from the first count
-        that reaches ``_INT64_SAFE`` on, in Python ints."""
-        out = self.states[1 - i]
-        self._step(self.states[i], out)
-        # an int64 step yields no negative count, so the maximum is the bound's test
-        if self.dtype is not object and np.maximum.reduce(out.z) >= _INT64_SAFE:
+    def _advance(self, k: int) -> int:
+        """Step ``states[0]`` on k times, or up to the first state with a
+        count that reaches ``_INT64_SAFE`` (``_carry`` takes it to Python
+        ints)."""
+        step, states, max_reduce = self._step, self.states, np.maximum.reduce
+        bounded = self.dtype is not object
+        for j in range(1, k + 1):
+            step(states[j - 1], states[j])
+            # an int64 step yields no negative count, so the maximum is the bound's test
+            if bounded and max_reduce(states[j].z) >= _INT64_SAFE:
+                return j
+        return k
+
+    def _carry(self, j: int) -> None:
+        """Move ``states[j]`` into ``states[0]``, of a new ring in Python
+        ints if one of its counts reaches ``_INT64_SAFE``."""
+        z = self.states[j].z
+        if self.dtype is not object and np.maximum.reduce(z) >= _INT64_SAFE:
             self._use(object)
+        self.states[0].z[:] = z
 
 
 def _start(inst: ReliefInstance, one) -> list:

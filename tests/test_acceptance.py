@@ -97,6 +97,20 @@ def test_case_study_scale_runs_to_halt_count_for_count(p, policy, seed):
         assert got == want, f"iteration {it}"
 
 
+@pytest.mark.slow
+def test_case_study_10x30_runs_to_halt_count_for_count():
+    """The case study's 10x30 shape at p=3, run to halt on the engine under
+    the deterministic policy: all 5,121 iterations' counts equal the
+    quantized iteration's."""
+    inst = katrina_shaped(random.Random(1), 10, 30)
+    oracle, conv = quantized_trajectory(inst, p=3, max_iter=100_000)
+    res = run_generated(build(BuildParams(instance=inst, p=3)), max_iterations=100_000)
+    assert conv and res.halted
+    assert len(res.q_trajectory) == len(oracle) == 5122
+    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
+        assert got == want, f"iteration {it}"
+
+
 def slow_oscillator() -> ReliefInstance:
     """A 1x1 instance whose quantized iteration oscillates for a long time."""
     return ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],

@@ -620,6 +620,32 @@ class TestReferenceSteps:
                 assert_same_bytes(getattr(x, name), getattr(state, name), name)
         assert state.t == 11270 and int(step.caps.sum()) == caps
 
+    @pytest.mark.parametrize("route", [FULL, QUANTIZED])
+    def test_run_cut_mid_chunk_yields_each_iterate_to_max_iter(self, route):
+        # from iteration 1,000 to 1,101: chunks of 24 (to the block end at
+        # 1,024), 32, 32 and a last one of 13 that max_iter cuts short
+        inst, t, max_iter = katrina_shaped(random.Random(1), 4, 4), 1000, 1101
+        assert (max_iter - t) % relief._CHUNK and max_iter not in (1024, 2048)
+        if route == FULL:
+            step, state = _FloatStep(inst, FULL), at_zero_multipliers(np.ones((4, 4)))
+
+            def reference(s):
+                return reference_projected_step(s, inst, FULL)[0]
+        else:
+            cons = fixed_point_constants(inst, 5)
+            step, state = _QuantizedStep(cons), count_start(inst, 5)
+
+            def reference(s):
+                return reference_quantized_step(s, inst, cons)
+        state = state._replace(t=t)
+        seen = []
+        for got_t, x, settled in step.run(flat(state), t, max_iter):
+            state = reference(state)
+            seen.append(got_t)
+            assert not settled
+            assert x.z.tobytes() == np.array(flat(state), x.z.dtype).tobytes()
+        assert seen == list(range(t + 1, max_iter + 1))
+
     def test_quantized_run_from_mid_block_equals_reference_chain(self):
         # from iteration 10,230 across the block ends at 10,240 and 12,288
         inst, p = katrina_shaped(random.Random(1), 4, 4), 5
