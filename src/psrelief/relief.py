@@ -417,13 +417,13 @@ class _FloatStep(_PreparedStep):
     stretch = 1
 
     def __init__(self, inst: ReliefInstance, variant: str, tol: float = 0.0):
-        m, n = self.m, self.n = inst.m, inst.n
+        self.m, self.n = inst.m, inst.n
         self.full = variant == FULL
         self.tol = tol
         self.d = self.empty()
-        self.caps = np.zeros(n, np.int64)
+        self.caps = np.zeros(self.n, np.int64)
         #: per step of a chunk, the columns whose visibility derivative it capped
-        self.below = np.zeros((_CHUNK, n), bool)
+        self.below = np.zeros((_CHUNK, self.n), bool)
         #: the step factor a_t
         self.a = np.empty(())
         self._bind_ring(float)
@@ -568,11 +568,11 @@ class _QuantizedStep(_PreparedStep):
     count vectors z = (q row-major, lam, lam1, lam2): one drift vector, then
     one emission-and-cancellation pass over it.  Prepared like
     ``_FloatStep``: the constants, the ring of states, the drift and the
-    scratch vectors are bound for one dtype,
-    int64 until a constant or count reaches ``_INT64_SAFE`` and Python ints
-    (object arrays through the same ufuncs) from then on (see "Cost"
-    above).  ``run`` settles when no count of q moved (max |dq| < 1), the
-    halting condition of the membrane system."""
+    scratch vectors are bound for one dtype, int64 until a constant or count
+    reaches ``_INT64_SAFE`` and Python ints (object arrays through the same
+    ufuncs) from then on (see "Cost" above).  ``run`` settles when no count
+    of q moved (max |dq| < 1), the halting condition of the membrane
+    system."""
 
     stretch, tol = 2, 1
 
