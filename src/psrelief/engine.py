@@ -55,24 +55,32 @@ candidates are sorted into deterministic order, then shuffled under the
 seeded-random policy.  The greedy passes walk only the candidates: a
 deterministic walk over all rules would meet them in the same order and
 skip the rest, so the plan is the same.  A candidate fires as often as the
-key and then ``rest`` allow; it checks the priority relation only when it
-has higher rules.  It leaves the passes once it fires, once its pool runs
-dry or once a pending polarization rules it out; priority-blocked
-candidates stay.  The plan is filled as rules fire, so its keys are in
-firing order.  A step costs the symbols present in the regions plus the
-candidates, not every rule, under either policy.
+key and then ``rest`` allow; the key's pool count is read once, and a
+candidate whose key is gone from its pool is passed over at once, since a
+pool holds no count of 0.  It checks the priority relation only when it has
+higher rules.  It leaves the passes once it fires, once its pool runs dry or
+once a pending polarization rules it out; priority-blocked candidates stay.
+The gather and the greedy walk ``rest`` only where it is non-empty.  The
+plan is filled as rules fire, so its keys are in firing order.  A step
+costs the symbols present in the regions plus the candidates, not every
+rule, under either policy.
 
 Commit
 ------
 
 The greedy consumes from pools: raw count dicts, one per region the step
 reads, each copied once from the snapshot, that never hold a count of 0 (a
-count that reaches 0 is deleted).  A fired rule consumes its key, then
-``rest``.  When the passes end, the pools hold the snapshot minus the plan's
-consumption, so the commit only adds the products (copying a region that
-only receives products once), sets the polarization targets of the fired
-rules that have one and wraps each written pool into a ``Multiset`` as it
-is.  ``apply_step`` builds the same pools from a plan that
+count that reaches 0 is deleted).  A fired rule consumes its key, from the
+count it read, then ``rest``.  The greedy also keeps the step's charges, a
+map from membrane to the polarization its fired rules set; every fired rule
+that charges a membrane sets the same one.  When the passes end, the pools
+hold the snapshot minus the plan's consumption, so the commit only adds the
+products (copying a region that only receives products once), applies the
+charges to a copy of the polarization map with one ``update`` and wraps the
+written pools into ``Multiset`` values with one ``Multiset.adopt_all``
+call.  A step that charges no membrane shares its predecessor's
+polarization map: a configuration is a value, never changed once made.
+``apply_step`` builds the same pools and charges from a plan that
 ``select_firing`` returned, without checking it, consuming each rule's key
 and then ``rest``, and commits them the same way.  The package never calls
 these two per-call functions, which compile the definition on every call;
@@ -231,12 +239,15 @@ def _order(policy: str, seed: int) -> random.Random | None:
 # still holds its snapshot contents, and a pool never holds a count of 0
 _Pools = dict[str, dict[str, int]]
 _Fired = list[tuple[_CRule, int]]
+# membrane -> the polarization that the step's fired rules give it
+_Charges = dict[str, Polarization]
 
 
 def _select(
     compiled: _Compiled, config: Configuration, rng: random.Random | None
-) -> tuple[FiringPlan, _Pools, _Fired]:
-    """The step's plan, the pools it leaves and its ``(rule, count)`` list."""
+) -> tuple[FiringPlan, _Pools, _Fired, _Charges]:
+    """The step's plan, the pools it leaves, its ``(rule, count)`` list and
+    its polarization changes."""
     # Candidates: rules whose guard and left-hand side pass on the snapshot,
     # gathered through the present symbols of each occupied region (see
     # "Selection cost" above).
@@ -249,9 +260,12 @@ def _select(
             for cr in index.get(key, ()):
                 if polarizations[cr.membrane] is not cr.alpha or cnt < cr.need:
                     continue
-                for sym, need in cr.rest:
-                    if have.get(sym, 0) < need:
-                        break
+                if cr.rest:
+                    for sym, need in cr.rest:
+                        if have.get(sym, 0) < need:
+                            break
+                    else:
+                        candidates.append(cr)
                 else:
                     candidates.append(cr)
     candidates.sort(key=_rank)
@@ -261,7 +275,7 @@ def _select(
     pools: _Pools = {}
     fired: _Fired = []
     counts: dict[str, int] = {}
-    pending_beta: dict[str, Polarization] = {}
+    pending_beta: _Charges = {}
 
     # Greedy to a fixed point: a later consumption can strip a higher-priority
     # rule of its resources and thereby unblock a lower one, so passes repeat
@@ -283,11 +297,17 @@ def _select(
             if p is None:
                 p = pools[cr.consume] = dict(contents[cr.consume]._counts)
             key = cr.key
-            k = p.get(key, 0) // cr.need  # the most applications the pool allows
-            for sym, need in cr.rest:
-                avail = p.get(sym, 0) // need
-                if avail < k:
-                    k = avail
+            have = p.get(key)
+            if have is None:  # a pool holds no count of 0
+                continue
+            need = cr.need
+            k = have // need  # the most applications the pool allows
+            rest = cr.rest
+            if rest:
+                for sym, n in rest:
+                    avail = p.get(sym, 0) // n
+                    if avail < k:
+                        k = avail
             if not k:
                 continue
             if cr.higher:
@@ -300,8 +320,8 @@ def _select(
                         hp = contents[hi.consume]._counts
                     if hp.get(hi.key, 0) < hi.need:
                         continue
-                    for sym, need in hi.rest:
-                        if hp.get(sym, 0) < need:
+                    for sym, n in hi.rest:
+                        if hp.get(sym, 0) < n:
                             break
                     else:
                         blocked = True
@@ -309,31 +329,36 @@ def _select(
                 if blocked:
                     blocked_rules.append(cr)
                     continue
-            left = p[key] - cr.need * k
+            left = have - need * k
             if left:
                 p[key] = left
             else:
                 del p[key]
-            for sym, need in cr.rest:
-                left = p[sym] - need * k
-                if left:
-                    p[sym] = left
-                else:
-                    del p[sym]
+            if rest:
+                for sym, n in rest:
+                    left = p[sym] - n * k
+                    if left:
+                        p[sym] = left
+                    else:
+                        del p[sym]
             fired.append((cr, k))
             counts[cr.id] = k
             if beta is not None:
                 pending_beta[cr.membrane] = beta
             progress = True
         candidates = blocked_rules
-    return FiringPlan(counts=counts), pools, fired
+    return FiringPlan(counts=counts), pools, fired, pending_beta
 
 
-def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuration:
+def _commit(config: Configuration, pools: _Pools, fired: _Fired, charges: _Charges) -> Configuration:
     """The configuration after ``fired``, whose consumption ``pools`` already
-    holds.  The pools, which hold no count of 0, become the written regions
-    as they are; a region that only receives products is copied once."""
-    new_pols = dict(config.polarizations)
+    holds and whose polarization changes ``charges`` holds.  The pools, which
+    hold no count of 0, become the written regions as they are; a region that
+    only receives products is copied once."""
+    pols = config.polarizations
+    if charges:
+        pols = dict(pols)
+        pols.update(charges)
     for cr, k in fired:
         for dest, products in cr.effects:
             region = pools.get(dest)
@@ -341,17 +366,13 @@ def _commit(config: Configuration, pools: _Pools, fired: _Fired) -> Configuratio
                 region = pools[dest] = dict(config.region(dest)._counts)
             for sym, cnt in products.items():
                 region[sym] = region.get(sym, 0) + cnt * k
-        if cr.beta is not None:
-            new_pols[cr.membrane] = cr.beta
 
     new_contents = dict(config.contents)
-    adopt = Multiset.adopt
-    for label, counts in pools.items():
-        new_contents[label] = adopt(counts)
+    Multiset.adopt_all(pools, new_contents)
     new_env = new_contents.pop(ENVIRONMENT_LABEL, config.environment)  # no membrane has its label
     return Configuration(
         contents=new_contents,
-        polarizations=new_pols,
+        polarizations=pols,
         environment=new_env,
         step_index=config.step_index + 1,
     )
@@ -375,6 +396,7 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
     compiled = _Compiled(definition)
     pools: _Pools = {}
     fired: _Fired = []
+    charges: _Charges = {}
     for rid, count in plan.counts.items():
         cr = compiled.rules[compiled.position[rid]]
         pool = pools.get(cr.consume)
@@ -387,7 +409,9 @@ def apply_step(definition: PSystemDef, config: Configuration, plan: FiringPlan) 
             else:
                 del pool[sym]
         fired.append((cr, count))
-    return _commit(config, pools, fired)
+        if cr.beta is not None:
+            charges[cr.membrane] = cr.beta
+    return _commit(config, pools, fired, charges)
 
 
 def steps(
@@ -406,10 +430,10 @@ def steps(
     compiled = _Compiled(definition)
     config = Configuration.initial(definition)
     while True:
-        plan, pools, fired = _select(compiled, config, _order(policy, (seed << 20) ^ config.step_index))
+        plan, pools, fired, charges = _select(compiled, config, _order(policy, (seed << 20) ^ config.step_index))
         if not plan:
             return
-        config = _commit(config, pools, fired)
+        config = _commit(config, pools, fired, charges)
         yield plan, config
 
 

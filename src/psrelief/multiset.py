@@ -19,7 +19,10 @@ class Multiset:
     Because a multiset is a value, configurations and rules share them freely.
     ``counts()`` is a read-only view; the engine's step and
     ``builder.count_reader`` read the backing dict ``_counts`` itself, and
-    never write it.
+    never write it.  ``adopt`` and ``adopt_all`` wrap count dicts without
+    the constructor's checks (the engine's commit wraps every region a step
+    wrote with one ``adopt_all`` call); this module is the only one that
+    builds a multiset that way.
     """
 
     __slots__ = ("_counts",)
@@ -44,6 +47,15 @@ class Multiset:
         out = object.__new__(cls)
         out._counts = counts
         return out
+
+    @classmethod
+    def adopt_all(cls, counts: dict[str, dict[str, int]], into: dict[str, "Multiset"]) -> None:
+        """Set ``into[key]`` to a multiset that adopts ``counts[key]`` (see
+        ``adopt``) for every key of ``counts``, in its order."""
+        new = object.__new__
+        for key, own in counts.items():
+            into[key] = out = new(cls)
+            out._counts = own
 
     def count(self, sym: str) -> int:
         return self._counts.get(sym, 0)

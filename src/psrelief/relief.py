@@ -40,8 +40,9 @@ realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
 
 Cost.  Each route builds its step once per run, and no public function builds
-one per call.  A step binds, when it is built, every constant, buffer and
-view an iteration reads or writes: a ring of ``_CHUNK + 1`` state vectors z
+one per call.  A step binds every constant, buffer and view an iteration
+reads or writes once, when it is built (the float step's ring and chunk
+buffers when it first runs): a ring of ``_CHUNK + 1`` state vectors z
 = (q row-major, lam, lam1, lam2), the rows of one array, and a drift vector
 D of the same layout, each with its views (the four families, q flat, lam
 as an (m, 1) column), the constants broadcast to (m, n), and two vectors
@@ -408,13 +409,18 @@ class _PreparedStep:
 class _FloatStep(_PreparedStep):
     """The projected step of one (instance, variant) on packed states,
     prepared once: every constant, buffer and view is bound when the step is
-    built, and each operation of an iteration is one ufunc call into a bound
-    buffer (see "Cost" above).  The drift at a state goes into ``d``, and
-    which columns it capped into a row of ``below``; ``run`` adds the rows of
-    the iterates it yields to the per-column counts ``caps``.  ``run``
-    settles at max |dq| < tol; the default 0 never settles."""
+    built, apart from the ring and the chunk's buffers, which the first
+    ``run`` binds, and each operation of an iteration is one ufunc call into
+    a bound buffer (see "Cost" above).  The drift at a state goes into ``d``,
+    and which columns it capped into a row of ``below``; ``run`` adds the
+    rows of the iterates it yields to the per-column counts ``caps``.
+    ``solve``'s report tail builds a step only to call ``drift``, so that
+    step binds no ring.  ``run`` settles at max |dq| < tol; the default 0
+    never settles."""
 
     stretch = 1
+    #: the ring is bound by the first ``run``
+    states = None
 
     def __init__(self, inst: ReliefInstance, variant: str, tol: float = 0.0):
         self.m, self.n = inst.m, inst.n
@@ -422,27 +428,33 @@ class _FloatStep(_PreparedStep):
         self.tol = tol
         self.d = self.empty()
         self.caps = np.zeros(self.n, np.int64)
-        #: per step of a chunk, the columns whose visibility derivative it capped
-        self.below = np.zeros((_CHUNK, self.n), bool)
         #: the step factor a_t
         self.a = np.empty(())
-        self._bind_ring(float)
         self._drift = self._bind_drift(inst)
-        d, a, zero, states, below = self.d.z, self.a, np.zeros(()), self.states, list(self.below)
-        drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
-
-        def advance(k: int) -> int:
-            for x, out, capped in zip(states, states[1:k + 1], below):
-                drift(x, capped)
-                multiply(d, a, out=d)
-                add(x.z, d, out=out.z)
-                maximum(zero, out.z, out=out.z)
-            return k
-
-        self._advance = advance
 
     def empty(self) -> _Packed:
         return _packed(np.empty(self.m * self.n + self.m + 2 * self.n), self.m, self.n)
+
+    def _load(self, z) -> None:
+        """Load z, binding the ring and the chunk's buffers on the first
+        run: a step built only to evaluate ``drift`` binds none of them."""
+        if self.states is None:
+            self._bind_ring(float)
+            #: per step of a chunk, the columns whose visibility derivative it capped
+            self.below = np.zeros((_CHUNK, self.n), bool)
+            d, a, zero, states, below = self.d.z, self.a, np.zeros(()), self.states, list(self.below)
+            drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
+
+            def advance(k: int) -> int:
+                for x, out, capped in zip(states, states[1:k + 1], below):
+                    drift(x, capped)
+                    multiply(d, a, out=d)
+                    add(x.z, d, out=out.z)
+                    maximum(zero, out.z, out=out.z)
+                return k
+
+            self._advance = advance
+        super()._load(z)
 
     def _block(self, w: int) -> None:
         self.a.fill(0.1 / (1 << w))
@@ -491,7 +503,7 @@ class _FloatStep(_PreparedStep):
         """Write the drift of each family at x, before scaling by a_t, into
         ``self.d``; return the number of visibility derivatives capped at a
         column sum below ``VISIBILITY_FLOOR``."""
-        below = self.below[0]
+        below = np.empty(self.n, bool)
         self._drift(x, below)
         return int(np.count_nonzero(below)) if self.full else 0
 
@@ -762,7 +774,7 @@ def solve(
     t, cur, converged = deque(route.run(_start(inst, one), 0, max_iter), maxlen=1)[0]
     if variant == QUANTIZED:
         step, counts, caps = _FloatStep(inst, SIMPLIFIED), cur.z.tolist(), 0
-        cur = step.states[0]
+        cur = step.empty()
         try:
             cur.z[:] = [c / one for c in counts]
         except OverflowError:  # a count does not fit a float

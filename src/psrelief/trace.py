@@ -25,7 +25,14 @@ _STAGES = (INIT_STAGE, UPDATE_STAGE, COMPARE_STAGE)  # in step order
 
 
 class TraceWriter:
-    """Observer that appends trace records for every applied step."""
+    """Observer that appends trace records for every applied step.
+
+    A step's records go to the sink in one ``write``.  The polarization
+    lines come from a walk over the membrane labels, made only when the
+    step's polarization map differs from the last one written: the engine
+    keeps a configuration's map when no rule of the step charges a membrane
+    (configurations are values), so such a step skips the walk with one
+    identity test."""
 
     def __init__(self, definition: PSystemDef, sink: IO[str]):
         self._sink = sink
@@ -39,14 +46,14 @@ class TraceWriter:
 
     def __call__(self, step: int, plan: FiringPlan, config: Configuration) -> None:
         counts, position, membrane_at = plan.counts, self._position, self._membrane_at
-        for i, rid in sorted((position[rid], rid) for rid in counts):
-            self._sink.write(f"step={step} membrane={membrane_at[i]} rule={rid} count={counts[rid]}\n")
+        out = [f"step={step} membrane={membrane_at[i]} rule={rid} count={counts[rid]}\n"
+               for i, rid in sorted((position[rid], rid) for rid in counts)]
         pols, last = config.polarizations, self._last_pols
-        for lab in self._labels:
-            pol = pols[lab]
-            if pol is not last[lab]:
-                self._sink.write(f"polarization {lab} {pol.value}\n")
-                last[lab] = pol
+        if pols is not last and pols != last:
+            out += [f"polarization {lab} {pols[lab].value}\n" for lab in self._labels
+                    if pols[lab] is not last[lab]]
+            self._last_pols = pols
+        self._sink.write("".join(out))
 
 
 @dataclass
@@ -75,7 +82,8 @@ class GeneratedRun:
 
 class _Recorder:
     def __init__(self, gen: GeneratedSystem):
-        self.boundary_rules = set(gen.rule_index["3.26"])
+        # the one rule of family 3.26, which fires only at an iteration boundary
+        [self.boundary_id] = gen.rule_index["3.26"]
         # stage -> ids of its rules, in _STAGES order; stageless rules left out
         self._stage_rules: dict[str, set[str]] = {stage: set() for stage in _STAGES}
         for rid, stage in gen.stage_of.items():
@@ -113,7 +121,7 @@ class _Recorder:
                 self._current.update += 1
             elif self._current.initialization:
                 self._current.initialization += 1
-        if self.boundary_rules.isdisjoint(plan.counts):
+        if self.boundary_id not in plan.counts:
             return False
         self.q_trajectory.append(self.read_flows(config.contents["INIT"]))
         self.profiles.append(self._current)

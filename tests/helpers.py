@@ -16,6 +16,8 @@ against.
   it.
 * ``select``, the engine's selection under either policy from any
   configuration and seed, through the compiled form ``engine.steps`` uses.
+* ``ReferenceTraceWriter``, the trace writer as a per-line loop: one
+  ``write`` per record, and a walk over every membrane label on every step.
 * Reference solver steps that evaluate the update formulas array by array
   (float) and cell by cell (integer, through the scalar gadgets
   ``div_round_half`` and ``scaled_emission`` that relief's integer step
@@ -34,7 +36,7 @@ import random
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import IO, Any, NamedTuple
 
 import numpy as np
 
@@ -470,6 +472,35 @@ def reference_apply(definition: PSystemDef, config: Configuration, plan: FiringP
         environment=Multiset(pools[ENVIRONMENT_LABEL]),
         step_index=config.step_index + 1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference trace writer
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTraceWriter:
+    """The trace format of docs/trace-format.md, one record at a time:
+    ``trace.TraceWriter`` must write the same bytes for the same steps."""
+
+    def __init__(self, definition: PSystemDef, sink: IO[str]):
+        self._sink = sink
+        lines = sorted(definition.rules, key=lambda r: r.membrane)  # stable: declaration order within
+        self._position = {r.id: i for i, r in enumerate(lines)}
+        self._membrane_at = [r.membrane for r in lines]
+        self._labels = sorted(definition.parent)
+        self._last_pols = Configuration.initial(definition).polarizations
+
+    def __call__(self, step: int, plan: FiringPlan, config: Configuration) -> None:
+        counts, position, membrane_at = plan.counts, self._position, self._membrane_at
+        for i, rid in sorted((position[rid], rid) for rid in counts):
+            self._sink.write(f"step={step} membrane={membrane_at[i]} rule={rid} count={counts[rid]}\n")
+        pols, last = config.polarizations, self._last_pols
+        for lab in self._labels:
+            pol = pols[lab]
+            if pol is not last[lab]:
+                self._sink.write(f"polarization {lab} {pol.value}\n")
+                last[lab] = pol
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package's export list, the command line's options, what the test
 references may take from the package, the one loop of the relief solvers,
-the engine's per-call functions, the one owner of the priority order, and
-test modules that import only from ``helpers``."""
+the engine's per-call functions, the one owner of the priority order, the
+one module that builds multisets unchecked, and test modules that import
+only from ``helpers``."""
 
 from __future__ import annotations
 
@@ -131,6 +132,36 @@ def test_psystem_alone_orders_the_priority_relation():
     assert "index" not in engine._CRule.__slots__
     assert imported_modules("import heapq as h\nfrom heapq import heappush\nfrom . import x\n") == \
         {"heapq", "x"}
+
+
+def unchecked_multiset_builds(source: str) -> list[str]:
+    """The statements of ``source`` that set a ``_counts`` attribute or call
+    ``object.__new__`` on ``Multiset``, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "_counts"
+                   for target in targets for t in ast.walk(target)):
+                found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+              and node.args and ast.unparse(node.args[0]) in ("Multiset", "cls", "multiset.Multiset")):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_multiset_module_alone_builds_multisets_unchecked():
+    """A multiset whose counts skip the constructor's checks is made only
+    by ``Multiset.adopt`` and ``Multiset.adopt_all``, so the rule that such
+    counts are positive and never change afterwards is stated in one
+    module."""
+    package = Path(psrelief.__file__).parent
+    builds = {path.name: unchecked_multiset_builds(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name for name, found in builds.items() if found} == {"multiset.py"}
+    assert sorted(unchecked_multiset_builds(
+        "m = object.__new__(Multiset)\nm._counts = c\nx._counts[k] += 1\na, b._counts = 1, {}\n"
+        "object.__new__(Other)\ny.counts = {}\nself._count = 0\nz = w._counts\n"
+    )) == ["a, b._counts = (1, {})", "m._counts = c", "object.__new__(Multiset)", "x._counts[k] += 1"]
 
 
 def test_test_modules_import_no_other_test_module():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,11 @@ from psrelief import cli, dsl
 from psrelief.builder import BuildParams, build
 from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
 from psrelief.io import load_instance
-from psrelief.psystem import Configuration
+from psrelief.multiset import Multiset
+from psrelief.psystem import Configuration, PSystemDef
 from psrelief.trace import _STAGES, TraceWriter, _Recorder, run_generated
 
-from helpers import derived_1x1, reference_apply, reference_select
+from helpers import ReferenceTraceWriter, derived_1x1, random_small_system, reference_apply, reference_select
 
 GOLDEN_SYSTEM = """\
 membrane 1
@@ -147,6 +149,56 @@ def test_seeded_pin_is_the_reference_chain():
         writer(config.step_index, plan, config)
     assert config.step_index == 199
     assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == SEEDED_DIGEST
+
+
+def _both_traces(definition, policy: str, seed: int, max_steps: int | None = None):
+    """The trace of ``steps(definition, policy, seed)`` from ``TraceWriter``
+    and from the per-line reference, and how many membranes each step
+    charged."""
+    got, want = io.StringIO(), io.StringIO()
+    writers = TraceWriter(definition, got), ReferenceTraceWriter(definition, want)
+    charged, last = [], Configuration.initial(definition).polarizations
+    for plan, config in steps(definition, policy, seed):
+        charged.append(sum(config.polarizations[lab] is not last[lab] for lab in last))
+        last = config.polarizations
+        for writer in writers:
+            writer(config.step_index, plan, config)
+        if config.step_index == max_steps:
+            break
+    return got.getvalue(), want.getvalue(), charged
+
+
+@pytest.mark.parametrize("policy, seed", [(DETERMINISTIC, 0), (SEEDED_RANDOM, 5)])
+def test_writer_equals_reference_writer_on_demo_2x2_to_halt(policy, seed):
+    definition = build(BuildParams(instance=load_instance(DEMO_2X2), p=5)).definition
+    got, want, charged = _both_traces(definition, policy, seed)
+    assert len(charged) == 1603
+    assert got == want
+
+
+def test_writer_equals_reference_writer_on_random_systems():
+    """Random small systems whose polarization-changing rules sit on two
+    membranes or more, each region seeded with up to 30 of every consumed
+    symbol so that the runs go on: steps that charge no membrane, one, and
+    several all occur."""
+    rng = random.Random(32)
+    kinds = {0: 0, 1: 0, 2: 0}
+    draws = 0
+    while draws < 60:
+        d = random_small_system(rng)
+        if len({r.membrane for r in d.rules if r.changes_polarization}) < 2:
+            continue
+        draws += 1
+        symbols = sorted({sym for r in d.rules for sym in r.lhs})
+        d = PSystemDef(parent=d.parent, rules=d.rules, priorities=d.priorities, output=d.output,
+                       initial={lab: Multiset({sym: rng.randint(0, 30) for sym in symbols})
+                                for lab in d.parent})
+        for policy, seed in ((DETERMINISTIC, 0), (SEEDED_RANDOM, draws)):
+            got, want, charged = _both_traces(d, policy, seed, max_steps=10)
+            assert got == want, (draws, policy)
+            for c in charged:
+                kinds[min(c, 2)] += 1
+    assert all(kinds.values()), kinds
 
 
 @pytest.mark.parametrize("max_iterations", [0, -5])
