@@ -24,9 +24,9 @@ sequence 0.1/2^w.
 Rule family ids follow a stage.index catalog ("1.6", "2.24", ...); every
 family is instantiated for all applicable (k, l) indices and recorded in
 ``GeneratedSystem.rule_index`` so audits can confirm full coverage.
-``GeneratedSystem.stage_of`` records the stage each rule belongs to; the
-step-size counter and the cleanup rules run alongside the stages and belong
-to none.
+``GeneratedSystem.stages`` records the stage of each family, shared by all
+its rules; the step-size counter and the cleanup families run alongside the
+stages and belong to none.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class BuildParams:
 class GeneratedSystem:
     definition: PSystemDef
     rule_index: dict[str, list[str]]
-    stage_of: dict[str, str | None]
+    stages: dict[str, str | None]  # family -> stage
     m: int
     n: int
     p: int
@@ -104,9 +104,9 @@ class _Emitter:
     def __init__(self):
         self.rules: list[Rule] = []
         self.rule_index: dict[str, list[str]] = {}
-        self.stage_of: dict[str, str | None] = {}
+        self.stages: dict[str, str | None] = {}
         self.priorities: list[tuple[str, str]] = []
-        #: stage recorded for the rules emitted next
+        #: stage recorded for the families whose first rule is emitted next
         self.stage: str | None = None
         #: one multiset per distinct sequence of (symbol, count) pairs
         self.multisets: dict[tuple[tuple[str, int], ...], Multiset] = {(): EMPTY}
@@ -134,7 +134,7 @@ class _Emitter:
         self.rules.append(Rule(rid, kind, membrane, self.multiset(lhs), self.multiset(rhs), alpha, beta,
                                self.multiset(aux) if aux else EMPTY))
         self.rule_index.setdefault(family, []).append(rid)
-        self.stage_of[rid] = self.stage
+        self.stages.setdefault(family, self.stage)
         return rid
 
     def prio(self, hi: str, lo: str) -> None:
@@ -499,7 +499,7 @@ def build(params: BuildParams) -> GeneratedSystem:
     return GeneratedSystem(
         definition=definition,
         rule_index=e.rule_index,
-        stage_of=e.stage_of,
+        stages=e.stages,
         m=m,
         n=n,
         p=p,

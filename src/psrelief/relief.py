@@ -44,8 +44,8 @@ one per call.  A step binds every constant, buffer and view an iteration
 reads or writes once, when it is built (the float step's ring and chunk
 buffers when it first runs): a ring of ``_CHUNK + 1`` state vectors z
 = (q row-major, lam, lam1, lam2), the rows of one array, and a drift vector
-D of the same layout, each with its views (the four families, q flat, lam
-as an (m, 1) column), the constants broadcast to (m, n), and two vectors
+D of the same layout, each with its views (the four families, lam as an
+(m, 1) column), the ring's q columns, the (m, n) constants, and two vectors
 ``ahead = (row sums, lower bounds, column sums)`` and ``behind = (supplies,
 column sums, upper bounds)`` whose one difference is the multiplier part of
 D.  Each operation of an iteration is then one ufunc call that writes into a
@@ -313,7 +313,6 @@ class _Packed(NamedTuple):
     lam: np.ndarray        # (m,)
     lam1: np.ndarray       # (n,)
     lam2: np.ndarray       # (n,)
-    flows: np.ndarray      # (m n,): q row-major
     lam_col: np.ndarray    # (m, 1): lam as a column
     multipliers: np.ndarray  # (m + 2 n,): lam, lam1, lam2
 
@@ -322,7 +321,7 @@ def _packed(z: np.ndarray, m: int, n: int) -> _Packed:
     """The views of a packed vector z of an m x n instance."""
     mn = m * n
     return _Packed(z, z[:mn].reshape(m, n), z[mn:mn + m], z[mn + m:mn + m + n],
-                   z[mn + m + n:], z[:mn], z[mn:mn + m].reshape(m, 1), z[mn:])
+                   z[mn + m + n:], z[mn:mn + m].reshape(m, 1), z[mn:])
 
 
 def _multiplier_operands(m: int, n: int, row_cap, col_lo, col_hi, dtype):

@@ -63,9 +63,6 @@ class IterationProfile:
     update: int = 0
     comparison: int = 0
 
-    def total(self) -> int:
-        return self.initialization + self.update + self.comparison
-
 
 @dataclass
 class GeneratedRun:
@@ -80,61 +77,6 @@ class GeneratedRun:
         return self.report.halted
 
 
-class _Recorder:
-    def __init__(self, gen: GeneratedSystem):
-        # the one rule of family 3.26, which fires only at an iteration boundary
-        [self.boundary_id] = gen.rule_index["3.26"]
-        # stage -> ids of its rules, in _STAGES order; stageless rules left out
-        self._stage_rules: dict[str, set[str]] = {stage: set() for stage in _STAGES}
-        for rid, stage in gen.stage_of.items():
-            if stage is not None:
-                self._stage_rules[stage].add(rid)
-        self.q_trajectory: list[list[list[int]]] = []
-        self.profiles: list[IterationProfile] = []
-        self._current = IterationProfile(index=0)
-        self.read_flows = count_reader(gen, "x")
-        self._read_outputs = count_reader(gen, "o")
-
-    def _step_stage(self, plan: FiringPlan) -> str | None:
-        """Earliest stage among the fired rules; rules that belong to no
-        stage (counter plumbing, cleanup) never define the stage of a step."""
-        for stage, rules in self._stage_rules.items():
-            if not rules.isdisjoint(plan.counts):
-                return stage
-        return None
-
-    def __call__(self, plan: FiringPlan, config: Configuration) -> bool:
-        """Record one committed step; true when it ends an iteration."""
-        stage = self._step_stage(plan)
-        if stage == INIT_STAGE:
-            self._current.initialization += 1
-        elif stage == UPDATE_STAGE:
-            self._current.update += 1
-        elif stage == COMPARE_STAGE:
-            self._current.comparison += 1
-        else:
-            # counter or cleanup activity only; attribute to the stage the
-            # iteration is currently in (trailing cleanup is comparison)
-            if self._current.comparison:
-                self._current.comparison += 1
-            elif self._current.update:
-                self._current.update += 1
-            elif self._current.initialization:
-                self._current.initialization += 1
-        if self.boundary_id not in plan.counts:
-            return False
-        self.q_trajectory.append(self.read_flows(config.contents["INIT"]))
-        self.profiles.append(self._current)
-        self._current = IterationProfile(index=self._current.index + 1)
-        return True
-
-    def finish(self, report: RunReport) -> None:
-        if report.halted:
-            self.q_trajectory.append(self._read_outputs(report.final.contents["OUTPUT"]))
-            if self._current.total():
-                self.profiles.append(self._current)
-
-
 def run_generated(
     gen: GeneratedSystem,
     max_iterations: int,
@@ -143,31 +85,58 @@ def run_generated(
     seed: int = 0,
 ) -> GeneratedRun:
     """Run a generated system for at most ``max_iterations`` rounds of the
-    seed/update/compare loop, recording the per-iteration flow counts.
+    seed/update/compare loop, recording the per-iteration flow counts and
+    stage profiles.
 
     The returned trajectory starts with the initial counts and, when the run
     halts, ends with the counts decoded from OUTPUT.  A run cut off at the
     iteration limit reports ``halted=False``.  ``extra_observer`` is called
     like an engine observer on every step the report counts.
+
+    A step counts toward the earliest stage among its fired rules.  A step
+    that fires only stageless rules (counter plumbing, cleanup) counts toward
+    the stage of the iteration's last staged step (trailing cleanup is
+    comparison), or toward none before the iteration's first staged step.
     """
     if max_iterations <= 0:
         raise ValueError("max_iterations must be positive")
-    recorder = _Recorder(gen)
+    # the one rule of family 3.26, which fires only at an iteration boundary
+    [boundary_id] = gen.rule_index["3.26"]
+    # ids of each stage's rules, in _STAGES order; stageless rules left out
+    stage_rules = [{rid for family, of in gen.stages.items() if of == stage
+                    for rid in gen.rule_index[family]} for stage in _STAGES]
+    read_flows = count_reader(gen, "x")
     config = Configuration.initial(gen.definition)
-    start = recorder.read_flows(config.contents["INIT"])
+    trajectory = [read_flows(config.contents["INIT"])]
+    profiles: list[IterationProfile] = []
+    counts = [0, 0, 0]  # steps of the current iteration, in _STAGES order
+    stage = None  # position in _STAGES of the iteration's last staged step
     # an iteration takes 3 + (9 + halvings) + 6 steps (7 on the last one),
     # plus a short tail; the budget bounds a run that stops reaching the
     # iteration boundary
     budget = max_iterations * (19 + quantized_halvings(max_iterations)) + 100
     halted = True
     for plan, config in steps(gen.definition, policy, seed):
-        at_boundary = recorder(plan, config)
+        fired = plan.counts
+        for i, rules in enumerate(stage_rules):
+            if not rules.isdisjoint(fired):
+                stage = i
+                break
+        if stage is not None:
+            counts[stage] += 1
+        at_boundary = boundary_id in fired
+        if at_boundary:
+            trajectory.append(read_flows(config.contents["INIT"]))
+            profiles.append(IterationProfile(len(profiles), *counts))
+            counts, stage = [0, 0, 0], None
         if extra_observer is not None:
             extra_observer(config.step_index, plan, config)
-        if (at_boundary and len(recorder.q_trajectory) >= max_iterations) or config.step_index >= budget:
+        if (at_boundary and len(profiles) >= max_iterations) or config.step_index >= budget:
             halted = False
             break
     report = RunReport.ending_at(gen.definition, config, halted)
-    recorder.finish(report)
-    trajectory = [start] + recorder.q_trajectory
-    return GeneratedRun(report=report, q_trajectory=trajectory, profiles=recorder.profiles)
+    if halted:
+        trajectory.append(count_reader(gen, "o")(report.final.contents["OUTPUT"]))
+        if any(counts):
+            profiles.append(IterationProfile(len(profiles), *counts))
+    return GeneratedRun(report=report, q_trajectory=trajectory, profiles=profiles)

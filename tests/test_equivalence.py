@@ -44,13 +44,15 @@ class TestTrajectoryEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_katrina_shaped_4x4_seeded_random(self, seed):
         # the generated system is confluent: whichever maximal plans the
-        # seeded steps fire, every iteration's counts are the oracle's
+        # seeded steps fire, every iteration's counts are the oracle's, and
+        # every iteration's stage profile is the deterministic run's
         inst = katrina_shaped(random.Random(1), 4, 4)
         oracle, conv = quantized_trajectory(inst, p=3, max_iter=12)
-        res = run_generated(build(BuildParams(instance=inst, p=3)), max_iterations=12,
-                            policy="seeded-random", seed=seed)
+        gen = build(BuildParams(instance=inst, p=3))
+        res = run_generated(gen, max_iterations=12, policy="seeded-random", seed=seed)
         assert res.q_trajectory == oracle
         assert res.halted == conv
+        assert res.profiles == run_generated(gen, max_iterations=12).profiles
 
     def test_halting_iff_oracle_convergence(self):
         rng = random.Random(99)

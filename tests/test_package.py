@@ -1,13 +1,14 @@
-"""The package's export list, the command line's options, what the test
-references may take from the package, the one loop of the relief solvers,
-the engine's per-call functions, the one owner of the priority order, the
-one module that builds multisets unchecked, and test modules that import
-only from ``helpers``."""
+"""The package's export list, the command line's options, the fields of a
+generated system, what the test references may take from the package, the
+one loop of the relief solvers, the engine's per-call functions, the one
+owner of the priority order, the one module that builds multisets
+unchecked, and test modules that import only from ``helpers``."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -35,6 +36,10 @@ OPTIONS = {
     "trace": ["--instance", "--max-steps", "--out", "--p", "--policy", "--psys", "--seed"],
 }
 
+#: The fields of ``GeneratedSystem``: its rule tables are per family, so that
+#: adding a per-rule table back is a reviewed change here.
+GENERATED_SYSTEM_FIELDS = ["definition", "rule_index", "stages", "m", "n", "p"]
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in psrelief.__all__ if not hasattr(psrelief, name)]
@@ -43,6 +48,10 @@ def test_every_exported_name_resolves():
 
 def test_export_list_is_pinned():
     assert sorted(psrelief.__all__) == EXPORTS
+
+
+def test_generated_system_fields_are_pinned():
+    assert [field.name for field in dataclasses.fields(psrelief.GeneratedSystem)] == GENERATED_SYSTEM_FIELDS
 
 
 def test_subcommand_options_are_pinned():

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from psrelief import cli, dsl
-from psrelief.builder import BuildParams, build
+from psrelief.builder import COMPARE_STAGE, INIT_STAGE, BuildParams, GeneratedSystem, build, count_reader
 from psrelief.engine import DETERMINISTIC, SEEDED_RANDOM, run, steps
 from psrelief.io import load_instance
 from psrelief.multiset import Multiset
 from psrelief.psystem import Configuration, PSystemDef
-from psrelief.trace import _STAGES, TraceWriter, _Recorder, run_generated
+from psrelief.trace import _STAGES, TraceWriter, run_generated
 
 from helpers import ReferenceTraceWriter, derived_1x1, random_small_system, reference_apply, reference_select
 
@@ -82,22 +82,76 @@ def test_extra_observer_sees_every_counted_step(max_iterations, halts):
     assert seen == list(range(1, res.report.steps + 1))
 
 
-def test_step_stage_is_the_earliest_stage_among_fired_rules():
-    # Reference from ``stage_of`` alone: the first stage in step order that
-    # some fired rule belongs to, or None when every fired rule is stageless.
-    gen = build(BuildParams(instance=derived_1x1(), p=3))
-    recorder = _Recorder(gen)
-    got, want = [], []
-    for plan, _ in steps(gen.definition):
-        fired = {gen.stage_of[rid] for rid in plan.counts}
-        want.append(next((stage for stage in _STAGES if stage in fired), None))
-        got.append(recorder._step_stage(plan))
-    assert len(got) == 451
-    assert got == want
-    assert want[-1] is None and set(want) == {*_STAGES, None}
-
-
 DEMO_2X2 = Path(__file__).resolve().parent.parent / "instances" / "demo_2x2.json"
+
+
+def reference_recording(gen, max_iterations: int, policy: str, seed: int):
+    """The trajectory, profiles and halt flag of a run, recorded by the rule
+    that ``run_generated``'s running stage must agree with: a step counts
+    toward the earliest stage among its fired rules; a step that fires only
+    stageless rules counts toward the latest stage of the iteration with a
+    non-zero count, or toward none."""
+    stage_of = {rid: stage for family, stage in gen.stages.items() for rid in gen.rule_index[family]}
+    [boundary] = gen.rule_index["3.26"]
+    read_flows, read_outputs = count_reader(gen, "x"), count_reader(gen, "o")
+    config = Configuration.initial(gen.definition)
+    trajectory, profiles, current = [read_flows(config.contents["INIT"])], [], [0, 0, 0]
+    for plan, config in steps(gen.definition, policy, seed):
+        fired = {stage_of[rid] for rid in plan.counts}
+        staged = [i for i, stage in enumerate(_STAGES) if stage in fired]
+        nonzero = [i for i, count in enumerate(current) if count]
+        if staged or nonzero:
+            current[staged[0] if staged else nonzero[-1]] += 1
+        if boundary in plan.counts:
+            trajectory.append(read_flows(config.contents["INIT"]))
+            profiles.append((len(profiles), *current))
+            current = [0, 0, 0]
+            if len(profiles) == max_iterations:
+                return trajectory, profiles, False
+    trajectory.append(read_outputs(config.contents["OUTPUT"]))
+    if any(current):
+        profiles.append((len(profiles), *current))
+    return trajectory, profiles, True
+
+
+def _rows(profiles):
+    return [(prof.index, prof.initialization, prof.update, prof.comparison) for prof in profiles]
+
+
+@pytest.mark.parametrize("instance, p, max_iterations, policy, seed", [
+    ("derived_1x1", 3, 200, DETERMINISTIC, 0),
+    ("derived_1x1", 3, 7, DETERMINISTIC, 0),
+    ("demo_2x2", 5, 200, DETERMINISTIC, 0),
+    ("demo_2x2", 5, 200, SEEDED_RANDOM, 5),
+])
+def test_run_generated_records_like_the_reference(instance, p, max_iterations, policy, seed):
+    inst = derived_1x1() if instance == "derived_1x1" else load_instance(DEMO_2X2)
+    gen = build(BuildParams(instance=inst, p=p))
+    res = run_generated(gen, max_iterations, policy=policy, seed=seed)
+    trajectory, profiles, halted = reference_recording(gen, max_iterations, policy, seed)
+    assert res.halted is halted is (max_iterations == 200)
+    assert res.q_trajectory == trajectory
+    assert _rows(res.profiles) == profiles
+
+
+def test_run_generated_places_stageless_steps():
+    # A hand-made system whose iterations take a stageless step after their
+    # first staged step, which counts toward that stage, and open with one
+    # (no iteration of the generated systems these tests run does), which
+    # counts toward none.
+    parsed = dsl.parse(
+        "membrane skin\nmembrane INIT in skin\noutput environment\ninit INIT: a\n"
+        "rule s1_1: [a -> b]'0 @ INIT\nrule s4_1__b: [b -> e]'0 @ INIT\n"
+        "rule s3_26: [e -> c]'0 @ INIT\nrule s4_1__c: [c -> a]'0 @ INIT\n"
+    )
+    gen = GeneratedSystem(parsed.definition,
+                          rule_index={"1.1": ["s1_1"], "4.1": ["s4_1__b", "s4_1__c"], "3.26": ["s3_26"]},
+                          stages={"1.1": INIT_STAGE, "4.1": None, "3.26": COMPARE_STAGE}, m=1, n=1, p=0)
+    want = [(0, 2, 0, 1), (1, 2, 0, 1)]
+    assert reference_recording(gen, 2, DETERMINISTIC, 0)[1] == want
+    res = run_generated(gen, 2)
+    assert res.report.steps == 7 and not res.halted
+    assert _rows(res.profiles) == want
 
 
 # sha256 of ``trace --instance instances/demo_2x2.json --p 2`` output.  The
