@@ -38,7 +38,7 @@ import numpy as np
 
 from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import Configuration, Polarization, PSystemDef, Rule, RuleKind, _gc_paused
-from psrelief.relief import ReliefInstance, fixed_point_constants, validate
+from psrelief.relief import ReliefInstance, _reject_invalid, fixed_point_constants
 
 INIT_STAGE = "initialization"
 UPDATE_STAGE = "update"
@@ -54,10 +54,6 @@ EVOLUTION, SEND_IN, SEND_OUT = RuleKind.EVOLUTION, RuleKind.SEND_IN, RuleKind.SE
 COUNTER_DEPTH = 24
 
 
-class BuildError(ValueError):
-    pass
-
-
 class DecodeError(ValueError):
     pass
 
@@ -66,11 +62,6 @@ class DecodeError(ValueError):
 class BuildParams:
     instance: ReliefInstance
     p: int
-
-    def validate(self) -> None:
-        violations = validate(self.instance)
-        if violations:
-            raise BuildError("invalid instance: " + "; ".join(violations))
 
 
 @dataclass
@@ -143,13 +134,10 @@ class _Emitter:
 
 @_gc_paused()
 def build(params: BuildParams) -> GeneratedSystem:
-    params.validate()
     inst, p = params.instance, params.p
+    _reject_invalid(inst)
     m, n, P = inst.m, inst.n, 10**p
-    try:
-        cons = fixed_point_constants(inst, p)
-    except ValueError as exc:
-        raise BuildError(str(exc)) from exc
+    cons = fixed_point_constants(inst, p)
 
     ks = range(1, m + 1)
     ls = range(1, n + 1)

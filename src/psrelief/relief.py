@@ -26,12 +26,13 @@ projection on the nonnegative orthant and diminishing steps ``a_t``:
 
 all four families evaluated on the time-t state (Jacobi style).
 
-``solve`` has one path for every variant: each prepares one ``_FloatStep``
-and ends with a packed float vector, the float loop's iterate or, for
-``quantized``, the final counts divided by 10^p in a ``simplified`` step's
-vector.  One tail evaluates that step's drift there (the stationarity
-residual), checks that every array is finite and builds the only
-``EquilibriumReport``.
+``solve`` has one path for every variant: each prepares one step and ends
+with a packed float vector, the float loop's iterate or, for ``quantized``,
+the final counts divided by 10^p.  One tail evaluates a float drift there
+(the stationarity residual), checks that every array is finite and builds the
+only ``EquilibriumReport``.  A float variant's tail reuses its step's drift;
+the quantized tail calls ``_float_drift`` for a ``simplified`` drift, which
+binds no ring, and builds no ``_FloatStep``.
 
 The quantized solver mirrors, bit for bit, the integer arithmetic of the
 generated membrane system at scale P = 10^p: values live as object counts,
@@ -39,31 +40,30 @@ division by the beta denominator rounds half-up, the step factor a_t is
 realized as w floor-halvings followed by a half-up division by ten, and the
 projection is pairwise cancellation with surplus deletion.
 
-Cost.  Each route builds its step once per run, and no public function builds
-one per call.  A step binds every constant, buffer and view an iteration
-reads or writes once, when it is built (the float step's ring and chunk
-buffers when it first runs): a ring of ``_CHUNK + 1`` state vectors z
-= (q row-major, lam, lam1, lam2), the rows of one array, and a drift vector
-D of the same layout, each with its views (the four families, lam as an
-(m, 1) column), the ring's q columns, the (m, n) constants, and two vectors
-``ahead = (row sums, lower bounds, column sums)`` and ``behind = (supplies,
-column sums, upper bounds)`` whose one difference is the multiplier part of
-D.  Each operation of an iteration is then one ufunc call that writes into a
-bound buffer.  A scalar operand (the step factor a_t, the halving count w,
-and the constants of the formulas) is a 0-d array, not a filled vector: an
-int64 ``floor_divide`` of 370 counts by a 0-d 10 takes 0.60 us against 1.55
-us by a vector of tens (numpy 2.4 on a shared Xeon VM; a float ``multiply``
-costs the same either way).  Both routes run one loop,
-``_PreparedStep.run``, from any state and iteration.  It walks the schedule
-one block at a time (``_blocks``), setting a_t, and on the integer route w,
-at the start of each block, and each block in chunks of up to ``_CHUNK`` =
-32 iterates, ring row r stepping into row r + 1.  It has one stop rule: no
-flow moved by ``tol`` or more, ``max |dq| < tol``.  The rule is tested once
-per chunk, on all of its iterates with three ufunc calls over the (k, m n)
-block of flow changes, and the run stops at the first settled iterate: the
-at most 31 iterates its chunk computed past it are discarded.  On counts
-tol is 1, so the rule is exact equality, the halting condition of the
-membrane system.
+Cost.  Each route builds its step once per run, and no public function
+builds one per call.  A step binds every constant, buffer and view an
+iteration reads or writes once, when it is built, the ring and the chunk's
+buffers too: a ring of ``_CHUNK + 1`` state vectors z = (q row-major, lam,
+lam1, lam2), the rows of one array, and a drift vector D of the same layout,
+each with its views (the four families, lam as an (m, 1) column), the ring's
+q columns, the (m, n) constants, and two vectors ``ahead = (row sums, lower
+bounds, column sums)`` and ``behind = (supplies, column sums, upper
+bounds)`` whose one difference is the multiplier part of D.  Each operation
+of an iteration is then one ufunc call that writes into a bound buffer.  A
+scalar operand (the step factor a_t, the halving count w, and the constants
+of the formulas) is a 0-d array, not a filled vector: an int64
+``floor_divide`` of 370 counts by a 0-d 10 takes 0.60 us against 1.55 us by
+a vector of tens (numpy 2.4 on a shared Xeon VM; a float ``multiply`` costs
+the same either way).  Both routes run one loop, ``_PreparedStep.run``, from
+any state and iteration.  It walks the schedule one block at a time
+(``_blocks``), setting a_t, and on the integer route w, at the start of each
+block, and each block in chunks of up to ``_CHUNK`` = 32 iterates, ring row
+r stepping into row r + 1.  It has one stop rule: no flow moved by ``tol``
+or more, ``max |dq| < tol``.  The rule is tested once per chunk, on all of
+its iterates with three ufunc calls over the (k, m n) block of flow changes,
+and the run stops at the first settled iterate: the at most 31 iterates its
+chunk computed past it are discarded.  On counts tol is 1, so the rule is
+exact equality, the halting condition of the membrane system.
 
 The float step holds ``omega gamma / beta``, ``2 a^2`` and ``2 a b`` as
 arrays and evaluates the formula above term by term on the same operands in
@@ -138,7 +138,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -257,6 +257,13 @@ def validate(inst: ReliefInstance) -> list[str]:
     return out
 
 
+def _reject_invalid(inst: ReliefInstance) -> None:
+    """Raise ``ValueError`` naming every violation of an invalid instance."""
+    violations = validate(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(violations))
+
+
 # ---------------------------------------------------------------------------
 # Diminishing step schedule
 # ---------------------------------------------------------------------------
@@ -345,12 +352,13 @@ class _PreparedStep:
     in the list ``states``, the ring's flow columns ``flows``, a ``(_CHUNK, m
     n)`` buffer ``dq`` for the flow changes, its schedule ``stretch`` (see
     ``_blocks``) and its stop tolerance ``tol``, and these operations:
-    ``_block(w)`` sets the step factor of schedule block w, ``_advance(k)``
-    steps ``states[0]`` into ``states[1]`` and on, k times or fewer, and
-    returns how many it took, ``_count(j)`` adds what the first j of them
-    hit (on ``full``, the visibility caps) to the run's counts, and
-    ``_carry(j)`` moves ``states[j]`` into ``states[0]``.  A step that rebinds its ring mid-run does so in
-    ``_carry``."""
+    ``_load(z)`` copies z into ``states[0]``, ``_block(w)`` sets the step
+    factor of schedule block w, ``_advance(k)`` steps ``states[0]`` into
+    ``states[1]`` and on, k times or fewer, and returns how many it took, and
+    ``_count(j)`` adds what the first j of them hit (on ``full``, the
+    visibility caps) to the run's counts.  ``run`` loads the start state and,
+    at the end of each chunk, its last iterate, so a step that changes its
+    dtype mid-run does so in ``_load``."""
 
     def _bind_ring(self, dtype) -> None:
         m, n = self.m, self.n
@@ -364,9 +372,6 @@ class _PreparedStep:
 
     def _count(self, j: int) -> None:
         pass
-
-    def _carry(self, j: int) -> None:
-        self.states[0].z[:] = self.states[j].z
 
     def run(self, z, t: int, max_iter: int) -> Iterator[tuple[int, _Packed, bool]]:
         """From the packed state z at iteration t, yield (t, state, settled)
@@ -396,7 +401,7 @@ class _PreparedStep:
                 settled = np.flatnonzero(max_reduce(dq, 1) < tol)
                 last = int(settled[0]) + 1 if settled.size else k
                 self._count(last)
-                self._carry(last)
+                self._load(states[last].z)
                 for j in range(1, last):
                     yield t + j, states[j], False
                 yield t + last, self.states[0], bool(settled.size)
@@ -405,106 +410,91 @@ class _PreparedStep:
                 t, left = t + k, left - k
 
 
+def _float_drift(inst: ReliefInstance, full: bool) -> tuple[_Packed, Callable]:
+    """The drift of an (instance, variant) with the formula's constants and
+    buffers bound, and no ring: a packed vector ``d`` and ``drift(x,
+    below)``, which writes the drift of each family at the packed state x,
+    before scaling by a_t, into ``d`` and, on ``full``, which columns had
+    their visibility derivative capped at a column sum below
+    ``VISIBILITY_FLOOR`` into the bool vector ``below``."""
+    m, n = inst.m, inst.n
+    c = _float_constants(inst)
+    gain, c2, c1 = c["omega*gamma/beta"], c["2*cost_a**2"], c["2*cost_a*cost_b"]
+    beta = np.broadcast_to(inst.beta[:, None], (m, n)).copy()
+    d = _packed(np.empty(m * n + m + 2 * n), m, n)
+    g, multipliers = d.q, d.multipliers
+    ahead, behind, rows, cols, cols_behind = _multiplier_operands(
+        m, n, inst.s, inst.d_lo, inst.d_hi, float)
+    vis_k, vis = inst.vis_k, np.empty(n)
+    floor, two = np.array(VISIBILITY_FLOOR), np.array(2.0)
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    add_reduce, copyto, less, maximum, sqrt = np.add.reduce, np.copyto, np.less, np.maximum, np.sqrt
+
+    def drift(x: _Packed, below: np.ndarray) -> None:
+        multiply(c2, x.q, out=g)
+        add(g, c1, out=g)
+        divide(g, beta, out=g)
+        subtract(gain, g, out=g)
+        subtract(g, x.lam_col, out=g)
+        add(g, x.lam1, out=g)
+        subtract(g, x.lam2, out=g)
+        add_reduce(x.q, 1, out=rows)
+        add_reduce(x.q, 0, out=cols)
+        copyto(cols_behind, cols)
+        subtract(ahead, behind, out=multipliers)
+        if full:
+            less(cols, floor, out=below)
+            maximum(cols, floor, out=vis)
+            sqrt(vis, out=vis)
+            multiply(two, vis, out=vis)
+            divide(vis_k, vis, out=vis)
+            add(g, vis, out=g)
+
+    return d, drift
+
+
 class _FloatStep(_PreparedStep):
     """The projected step of one (instance, variant) on packed states,
-    prepared once: every constant, buffer and view is bound when the step is
-    built, apart from the ring and the chunk's buffers, which the first
-    ``run`` binds, and each operation of an iteration is one ufunc call into
-    a bound buffer (see "Cost" above).  The drift at a state goes into ``d``,
-    and which columns it capped into a row of ``below``; ``run`` adds the
-    rows of the iterates it yields to the per-column counts ``caps``.
-    ``solve``'s report tail builds a step only to call ``drift``, so that
-    step binds no ring.  ``run`` settles at max |dq| < tol; the default 0
-    never settles."""
+    prepared once: every constant, buffer and view, the ring and the chunk's
+    buffers too, is bound when the step is built, and each operation of an
+    iteration is one ufunc call into a bound buffer (see "Cost" above).  The
+    drift (``_float_drift``) at a state goes into ``d``, and which columns it
+    capped into a row of ``below``; ``run`` adds the rows of the iterates it
+    yields to the per-column counts ``caps``.  ``run`` settles at max |dq| <
+    tol; the default 0 never settles."""
 
     stretch = 1
-    #: the ring is bound by the first ``run``
-    states = None
 
     def __init__(self, inst: ReliefInstance, variant: str, tol: float = 0.0):
         self.m, self.n = inst.m, inst.n
         self.full = variant == FULL
         self.tol = tol
-        self.d = self.empty()
+        self.d, self._drift = _float_drift(inst, self.full)
         self.caps = np.zeros(self.n, np.int64)
         #: the step factor a_t
         self.a = np.empty(())
-        self._drift = self._bind_drift(inst)
-
-    def empty(self) -> _Packed:
-        return _packed(np.empty(self.m * self.n + self.m + 2 * self.n), self.m, self.n)
-
-    def _load(self, z) -> None:
-        """Load z, binding the ring and the chunk's buffers on the first
-        run: a step built only to evaluate ``drift`` binds none of them."""
-        if self.states is None:
-            self._bind_ring(float)
-            #: per step of a chunk, the columns whose visibility derivative it capped
-            self.below = np.zeros((_CHUNK, self.n), bool)
-            d, a, zero, states, below = self.d.z, self.a, np.zeros(()), self.states, list(self.below)
-            drift, multiply, add, maximum = self._drift, np.multiply, np.add, np.maximum
-
-            def advance(k: int) -> int:
-                for x, out, capped in zip(states, states[1:k + 1], below):
-                    drift(x, capped)
-                    multiply(d, a, out=d)
-                    add(x.z, d, out=out.z)
-                    maximum(zero, out.z, out=out.z)
-                return k
-
-            self._advance = advance
-        super()._load(z)
+        self._zero = np.zeros(())
+        self._bind_ring(float)
+        #: per step of a chunk, the columns whose visibility derivative it capped
+        self.below = np.zeros((_CHUNK, self.n), bool)
+        self._below_rows = list(self.below)
 
     def _block(self, w: int) -> None:
         self.a.fill(0.1 / (1 << w))
 
+    def _advance(self, k: int) -> int:
+        drift, d, a, zero, states = self._drift, self.d.z, self.a, self._zero, self.states
+        multiply, add, maximum = np.multiply, np.add, np.maximum
+        for x, out, capped in zip(states, states[1:k + 1], self._below_rows):
+            drift(x, capped)
+            multiply(d, a, out=d)
+            add(x.z, d, out=out.z)
+            maximum(zero, out.z, out=out.z)
+        return k
+
     def _count(self, j: int) -> None:
         if self.full:
             self.caps += np.count_nonzero(self.below[:j], 0)
-
-    def _bind_drift(self, inst: ReliefInstance):
-        """The drift x -> d, with the formula's constants and buffers bound."""
-        m, n = self.m, self.n
-        c = _float_constants(inst)
-        gain, c2, c1 = c["omega*gamma/beta"], c["2*cost_a**2"], c["2*cost_a*cost_b"]
-        beta = np.broadcast_to(inst.beta[:, None], (m, n)).copy()
-        g, multipliers = self.d.q, self.d.multipliers
-        ahead, behind, rows, cols, cols_behind = _multiplier_operands(
-            m, n, inst.s, inst.d_lo, inst.d_hi, float)
-        full, vis_k, vis = self.full, inst.vis_k, np.empty(n)
-        floor, two = np.array(VISIBILITY_FLOOR), np.array(2.0)
-        multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
-        add_reduce, copyto, less, maximum, sqrt = np.add.reduce, np.copyto, np.less, np.maximum, np.sqrt
-
-        def drift(x: _Packed, below: np.ndarray) -> None:
-            multiply(c2, x.q, out=g)
-            add(g, c1, out=g)
-            divide(g, beta, out=g)
-            subtract(gain, g, out=g)
-            subtract(g, x.lam_col, out=g)
-            add(g, x.lam1, out=g)
-            subtract(g, x.lam2, out=g)
-            add_reduce(x.q, 1, out=rows)
-            add_reduce(x.q, 0, out=cols)
-            copyto(cols_behind, cols)
-            subtract(ahead, behind, out=multipliers)
-            if full:
-                less(cols, floor, out=below)
-                maximum(cols, floor, out=vis)
-                sqrt(vis, out=vis)
-                multiply(two, vis, out=vis)
-                divide(vis_k, vis, out=vis)
-                add(g, vis, out=g)
-
-        return drift
-
-    def drift(self, x: _Packed) -> int:
-        """Write the drift of each family at x, before scaling by a_t, into
-        ``self.d``; return the number of visibility derivatives capped at a
-        column sum below ``VISIBILITY_FLOOR``."""
-        below = np.empty(self.n, bool)
-        self._drift(x, below)
-        return int(np.count_nonzero(below)) if self.full else 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +511,6 @@ class FixedPointConstants:
     and the generated membrane system.
     """
 
-    p: int
-    P: int
     k0: list[list[int]]      # floor(P omega_k gamma_kl / beta_k)
     k1: list[list[int]]      # floor(2 P a_kl b_kl / beta_k)
     slope: list[list[int]]   # floor(2 P a_kl^2)
@@ -556,10 +544,8 @@ def fixed_point_constants(inst: ReliefInstance, p: int) -> FixedPointConstants:
     supply = [math.floor(_exact(x) * P) for x in inst.s]
     dlo = [math.floor(_exact(x) * P) for x in inst.d_lo]
     dhi = [math.floor(_exact(x) * P) for x in inst.d_hi]
-    return FixedPointConstants(
-        p=p, P=P, k0=k0, k1=k1, slope=slope, den=den, half=half,
-        supply=supply, dlo=dlo, dhi=dhi,
-    )
+    return FixedPointConstants(k0=k0, k1=k1, slope=slope, den=den, half=half,
+                               supply=supply, dlo=dlo, dhi=dhi)
 
 
 def _min_precision(beta: Fraction) -> int:
@@ -645,10 +631,14 @@ class _QuantizedStep(_PreparedStep):
         self._step = step
 
     def _load(self, z) -> None:
-        """Load the start counts; Python ints from here on if one lies
-        outside the int64 bound."""
-        if self.dtype is not object and not all(0 <= c < _INT64_SAFE for c in z):
-            self._use(object)
+        """Load counts into ``states[0]``, of a new ring in Python ints from
+        here on if one lies outside the int64 bound (an object array always
+        counts as outside: its values may be any size)."""
+        if self.dtype is not object:
+            # by value: numpy reads [2**63] as uint64 and [-1, 2**63] as float64
+            a = np.asarray(z)
+            if a.dtype == object or np.minimum.reduce(a) < 0 or np.maximum.reduce(a) >= _INT64_SAFE:
+                self._use(object)
         self.states[0].z[:] = z
 
     def _block(self, w: int) -> None:
@@ -657,7 +647,7 @@ class _QuantizedStep(_PreparedStep):
 
     def _advance(self, k: int) -> int:
         """Step ``states[0]`` on k times, or up to the first state with a
-        count that reaches ``_INT64_SAFE`` (``_carry`` takes it to Python
+        count that reaches ``_INT64_SAFE`` (``_load`` takes it to Python
         ints)."""
         step, states, max_reduce = self._step, self.states, np.maximum.reduce
         bounded = self.dtype is not object
@@ -667,14 +657,6 @@ class _QuantizedStep(_PreparedStep):
             if bounded and max_reduce(states[j].z) >= _INT64_SAFE:
                 return j
         return k
-
-    def _carry(self, j: int) -> None:
-        """Move ``states[j]`` into ``states[0]``, of a new ring in Python
-        ints if one of its counts reaches ``_INT64_SAFE``."""
-        z = self.states[j].z
-        if self.dtype is not object and np.maximum.reduce(z) >= _INT64_SAFE:
-            self._use(object)
-        self.states[0].z[:] = z
 
 
 def _start(inst: ReliefInstance, one) -> list:
@@ -751,9 +733,7 @@ def solve(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    violations = validate(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
+    _reject_invalid(inst)
 
     if variant == QUANTIZED:
         if p is None:
@@ -772,21 +752,21 @@ def solve(
     # keep only the last iterate: the trajectory is never held in memory
     t, cur, converged = deque(route.run(_start(inst, one), 0, max_iter), maxlen=1)[0]
     if variant == QUANTIZED:
-        step, counts, caps = _FloatStep(inst, SIMPLIFIED), cur.z.tolist(), 0
-        cur = step.empty()
+        (d, drift), counts, caps = _float_drift(inst, False), cur.z.tolist(), 0
+        cur = _packed(np.empty(len(counts)), inst.m, inst.n)
         try:
             cur.z[:] = [c / one for c in counts]
         except OverflowError:  # a count does not fit a float
             cur.z[:] = math.inf
     else:
-        step, caps = route, int(np.add.reduce(route.caps))
+        d, drift, caps = route.d, route._drift, int(np.add.reduce(route.caps))
 
     overflow = f"the {variant} solve leaves the float range within {t} iterations"
     if not np.isfinite(cur.z).all():
         raise ValueError(overflow)
-    step.drift(cur)
+    drift(cur, np.empty(inst.n, bool))
     residuals = feasibility_residuals(inst, cur.q)
-    if not (np.isfinite(step.d.q).all() and all(np.isfinite(r).all() for r in residuals.values())):
+    if not (np.isfinite(d.q).all() and all(np.isfinite(r).all() for r in residuals.values())):
         raise ValueError(overflow)
     return EquilibriumReport(
         q_star=cur.q,
@@ -798,7 +778,7 @@ def solve(
         variant=variant,
         tol=tol,
         feasibility_residuals=residuals,
-        stationarity_residuals=step.d.q,
+        stationarity_residuals=d.q,
         p=p,
         visibility_cap_events=caps,
     )

@@ -133,6 +133,14 @@ def derived_1x1() -> relief.ReliefInstance:
     )
 
 
+def slow_oscillator() -> relief.ReliefInstance:
+    """1x1: a tug-of-war of the multipliers keeps its quantized iteration
+    oscillating for thousands of rounds."""
+    return relief.ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],
+                                 gamma=[[1.074]], omega=[3.747], beta=[0.285],
+                                 cost_a=[[3.931]], cost_b=[[0.371]], vis_k=[1.2])
+
+
 def random_instance(rng: random.Random, m: int, n: int, lo=0.25, hi=4.0) -> relief.ReliefInstance:
     while True:
         d_lo = [round(rng.uniform(lo, min(hi, 3.5 / n)), 3) for _ in range(n)]
@@ -530,13 +538,13 @@ def count_start(inst: relief.ReliefInstance, p: int) -> State:
                  [0] * inst.n)
 
 
-def float_drift(step: relief._FloatStep, state: State) -> tuple[np.ndarray, int]:
-    """A copy of the prepared float step's q drift at state, and its
-    visibility cap count."""
-    x = step.empty()
-    x.z[:] = flat(state)
-    capped = step.drift(x)
-    return step.d.q.copy(), capped
+def float_drift(inst: relief.ReliefInstance, variant: str, state: State) -> tuple[np.ndarray, int]:
+    """The float drift's q part at state, and how many visibility
+    derivatives it capped (none on ``simplified``)."""
+    d, drift = relief._float_drift(inst, variant == relief.FULL)
+    x, below = relief._packed(np.array(flat(state), float), inst.m, inst.n), np.zeros(inst.n, bool)
+    drift(x, below)
+    return d.q, int(np.count_nonzero(below))
 
 
 def float_step(step: relief._FloatStep, state: State) -> tuple[State, int]:

@@ -35,7 +35,7 @@ from psrelief.stats import compare
 from psrelief.trace import run_generated
 
 from helpers import (State, count_step, derived_1x1, enumerate_maximal_plans, float_step, katrina_shaped,
-                     load_table, ms, random_instance, random_small_system, rules_by_id)
+                     load_table, ms, random_instance, random_small_system, rules_by_id, slow_oscillator)
 
 
 def announce(criterion: int, detail: str) -> None:
@@ -109,13 +109,6 @@ def test_case_study_10x30_runs_to_halt_count_for_count():
     assert len(res.q_trajectory) == len(oracle) == 5122
     for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
         assert got == want, f"iteration {it}"
-
-
-def slow_oscillator() -> ReliefInstance:
-    """A 1x1 instance whose quantized iteration oscillates for a long time."""
-    return ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],
-                          gamma=[[1.074]], omega=[3.747], beta=[0.285],
-                          cost_a=[[3.931]], cost_b=[[0.371]], vis_k=[1.2])
 
 
 def random_draw(seed: int, index: int) -> ReliefInstance:

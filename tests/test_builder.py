@@ -15,7 +15,6 @@ from psrelief.builder import (
     COUNTER_DEPTH,
     INIT_STAGE,
     UPDATE_STAGE,
-    BuildError,
     BuildParams,
     DecodeError,
     build,
@@ -175,17 +174,17 @@ class TestConstants:
 
     def test_beta_flooring_to_zero_is_build_error(self):
         inst = small_instance(1, 1, beta=0.05)
-        with pytest.raises(BuildError, match=r"beta\[0\].*p >= 2"):
+        with pytest.raises(ValueError, match=r"beta\[0\].*p >= 2"):
             build(BuildParams(instance=inst, p=1))
 
     def test_precision_below_one_is_build_error(self):
-        with pytest.raises(BuildError, match="^precision exponent p must be at least 1$"):
+        with pytest.raises(ValueError, match="^precision exponent p must be at least 1$"):
             build(BuildParams(instance=small_instance(1, 1), p=0))
 
     def test_invalid_instance_rejected(self):
         inst = small_instance(1, 1)
         inst.d_lo = np.array([100.0])
-        with pytest.raises(BuildError, match="invalid instance"):
+        with pytest.raises(ValueError, match="invalid instance"):
             build(BuildParams(instance=inst, p=2))
 
 

@@ -10,7 +10,7 @@ from psrelief.builder import BuildParams, build, decode_output
 from psrelief.relief import QUANTIZED, quantized_trajectory, solve
 from psrelief.trace import run_generated
 
-from helpers import derived_1x1, katrina_shaped, random_instance
+from helpers import derived_1x1, katrina_shaped, random_instance, slow_oscillator
 
 
 class TestTrajectoryEquivalence:
@@ -76,13 +76,7 @@ class TestTrajectoryEquivalence:
         assert seen_halting
 
     def test_unconverged_run_does_not_halt(self):
-        # multiplier tug-of-war keeps this instance oscillating for thousands
-        # of rounds
-        from psrelief.relief import ReliefInstance
-
-        inst = ReliefInstance(m=1, n=1, s=[2.962], d_lo=[1.339], d_hi=[3.904],
-                              gamma=[[1.074]], omega=[3.747], beta=[0.285],
-                              cost_a=[[3.931]], cost_b=[[0.371]], vis_k=[1.2])
+        inst = slow_oscillator()
         oracle, conv = quantized_trajectory(inst, p=3, max_iter=50)
         assert not conv
         gen = build(BuildParams(instance=inst, p=3))

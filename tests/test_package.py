@@ -103,7 +103,7 @@ def test_relief_steps_share_one_loop_and_no_single_step_entry():
     assert relief._FloatStep.run is relief._QuantizedStep.run
     for step in (relief._FloatStep, relief._QuantizedStep):
         own = {name for cls in step.__mro__[:-1] for name in vars(cls)}
-        assert own & {"advance", "__call__", "halve", "pack"} == set(), step
+        assert own & {"advance", "__call__", "halve", "pack", "_carry", "drift", "empty"} == set(), step
 
 
 def test_engine_per_call_functions_take_only_what_the_benchmark_passes():

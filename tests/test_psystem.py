@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from psrelief import dsl, engine, psystem
-from psrelief.builder import BuildError, BuildParams, build
+from psrelief.builder import BuildParams, build
 from psrelief.io import load_instance
 from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
@@ -340,7 +340,7 @@ def test_front_end_leaves_the_collector_as_it_found_it(collector_switch, enabled
     inst = load_instance(DEMO)
     gen = build(BuildParams(instance=inst, p=5))
     assert gc.isenabled() is enabled
-    with pytest.raises(BuildError, match="invalid instance"):
+    with pytest.raises(ValueError, match="invalid instance"):
         build(BuildParams(instance=dataclasses.replace(inst, s=[-1.0, 1.0]), p=5))
     assert gc.isenabled() is enabled
     d = dsl.parse(dsl.serialize(gen.definition)).definition

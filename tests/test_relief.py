@@ -195,8 +195,8 @@ def visibility_derivative(inst: ReliefInstance, q: np.ndarray) -> np.ndarray:
     """Visibility part of the q drift at q: the full drift less the
     simplified one."""
     state = at_zero_multipliers(q)
-    full, _ = float_drift(_FloatStep(inst, FULL), state)
-    simplified, _ = float_drift(_FloatStep(inst, SIMPLIFIED), state)
+    full, _ = float_drift(inst, FULL, state)
+    simplified, _ = float_drift(inst, SIMPLIFIED, state)
     return full - simplified
 
 
@@ -219,7 +219,7 @@ class TestVisibility:
     def test_cap_applies_below_the_floor(self, q, caps):
         # 1 - 2q from the cost, and vis/2 * VISIBILITY_FLOOR**-0.5 = 500
         inst, state = derived_1x1(), at_zero_multipliers(np.array([[q]]))
-        g, capped = float_drift(_FloatStep(inst, FULL), state)
+        g, capped = float_drift(inst, FULL, state)
         assert g[0][0] == pytest.approx(501.0) and capped == caps
         g, _, _, _, capped = reference_gradient_pack(inst, state, FULL)
         assert g[0][0] == pytest.approx(501.0) and capped == caps
@@ -679,6 +679,22 @@ class TestPythonIntCounts:
         for name in ("lam", "lam1", "lam2"):
             assert getattr(report, name).tolist() == [c / P for c in getattr(state, name)]
 
+    @pytest.mark.parametrize("count, dtype", [(2**31 - 1, np.int64), (2**31, object),
+                                              (2**63, object), (2**64, object)])
+    def test_start_counts_load_by_value(self, count, dtype):
+        # numpy reads a list holding 2**63 as uint64 and one holding 2**64 as
+        # object: the bound is tested on the values, whatever dtype numpy infers
+        inst = demo_2x2()
+        cons, state = fixed_point_constants(inst, 3), count_start(inst, 3)
+        state.q[0][0] = count
+        step = _QuantizedStep(cons)
+        step._load(flat(state))
+        assert step.dtype is dtype
+        for t, x, _ in _QuantizedStep(cons).run(flat(state), 0, 2):
+            state = reference_quantized_step(state, inst, cons)
+            assert (t, x.z.tolist()) == (state.t, flat(state))
+        assert state.t == 2
+
 
 class TestSolve:
     def test_derived_equilibrium_simplified(self):
@@ -756,18 +772,26 @@ class TestSolve:
         packed = np.concatenate([report.q_star.ravel(), report.lam, report.lam1, report.lam2])
         assert packed.tolist() == [c / 10**p for c in z.tolist()]
 
-    @pytest.mark.parametrize("variant", [SIMPLIFIED, FULL, QUANTIZED])
-    def test_one_float_step_per_solve(self, monkeypatch, variant):
-        built = []
+    @pytest.mark.parametrize("variant, steps", [(SIMPLIFIED, 1), (FULL, 1), (QUANTIZED, 0)],
+                             ids=[SIMPLIFIED, FULL, QUANTIZED])
+    def test_one_drift_per_solve(self, monkeypatch, variant, steps):
+        # a float variant's tail reuses its step's drift; the quantized tail
+        # binds a drift and no float step
+        built, drifts, unpatched = [], [], relief._float_drift
 
         class Counting(relief._FloatStep):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
+        def counting_drift(*args):
+            drifts.append(args)
+            return unpatched(*args)
+
         monkeypatch.setattr(relief, "_FloatStep", Counting)
+        monkeypatch.setattr(relief, "_float_drift", counting_drift)
         solve(demo_2x2(), variant, max_iter=50, p=2)
-        assert len(built) == 1
+        assert (len(built), len(drifts)) == (steps, 1)
 
     @pytest.mark.parametrize("variant, iterations", [(SIMPLIFIED, 5706), (FULL, 3948), (QUANTIZED, 54)])
     def test_leaving_the_float_range_is_an_error(self, variant, iterations):
@@ -817,12 +841,22 @@ class TestStationarity:
         inst = derived_1x1()
         report = solve(inst, SIMPLIFIED, tol=1e-5, max_iter=5000)
         state = State(report.q_star, report.lam, report.lam1, report.lam2)
-        g, _ = float_drift(_FloatStep(inst, SIMPLIFIED), state)
+        g, _ = float_drift(inst, SIMPLIFIED, state)
         assert abs(g[0][0]) < 1e-3
+
+    @pytest.mark.parametrize("variant, drift", [(SIMPLIFIED, SIMPLIFIED), (FULL, FULL),
+                                                (QUANTIZED, SIMPLIFIED)])
+    def test_residual_is_the_drift_at_the_reported_state(self, variant, drift):
+        # the quantized report takes the simplified drift: the membrane
+        # system it mirrors has no visibility term
+        inst = demo_2x2()
+        report = solve(inst, variant, max_iter=200, p=3)
+        g, _ = float_drift(inst, drift, State(report.q_star, report.lam, report.lam1, report.lam2))
+        assert_same_bytes(report.stationarity_residuals, g, "stationarity_residuals")
 
     def test_boundary_cells_may_have_negative_drift(self):
         inst = ReliefInstance(m=1, n=1, s=[10.0], d_lo=[0.0], d_hi=[10.0],
                               gamma=[[1.0]], omega=[1.0], beta=[1.0],
                               cost_a=[[1.0]], cost_b=[[5.0]], vis_k=[1.0])
-        g, _ = float_drift(_FloatStep(inst, SIMPLIFIED), at_zero_multipliers(np.zeros((1, 1))))
+        g, _ = float_drift(inst, SIMPLIFIED, at_zero_multipliers(np.zeros((1, 1))))
         assert g[0][0] < 0  # 1 - 10 at the q = 0 boundary: passes
