@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -84,16 +85,17 @@ def cmd_simulate(args) -> int:
     _check_max_iter(args)
     inst = pio.load_instance(args.instance)
     gen = builder.build(builder.BuildParams(instance=inst, p=args.p))
-    result = ptrace.run_generated(gen, max_iterations=args.max_iter)
-    if not result.halted:
+    # keep only the last record: the trajectory is never held in memory
+    last = deque(ptrace.iterations(gen, args.max_iter), maxlen=1)[0]
+    if last.end != ptrace.HALT:
         sys.stderr.write(
             f"simulation did not halt within {args.max_iter} iterations\n")
         return 1
-    q = builder.decode_output(result.report.final, gen)
+    q = builder.decode_output(last.config, gen)
     payload = {
         "q": q.tolist(),
-        "iterations": len(result.q_trajectory) - 1,
-        "engine_steps": result.report.steps,
+        "iterations": last.t,
+        "engine_steps": last.config.step_index,
         "converged": True,
         "variant": "psystem",
     }

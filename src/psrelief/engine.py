@@ -92,8 +92,9 @@ Runs
 ``steps`` is the one source of steps: it compiles the definition once and
 yields the plan and the committed configuration of every step until nothing
 fires, committing the pools of each selection directly.  ``run`` and
-``trace.run_generated`` consume it and call their observers once per
-committed step, including the last step of a run cut off at its step or
+``trace.iterations``, the stream of a generated system's iterations that
+``trace.run_generated`` collects, consume it and call their observers once
+per committed step, including the last step of a run cut off at its step or
 iteration limit.  Compiling checks nothing: a ``PSystemDef`` was checked when
 it was made and cannot change since.
 """

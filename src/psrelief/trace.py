@@ -1,5 +1,6 @@
-"""Run instrumentation: stable trace records, iteration trajectories, and
-stage profiles for generated systems.
+"""Run instrumentation: stable trace records, and for generated systems the
+stream of iterations with their stage profiles and the trajectory collected
+from it.
 
 Trace format (one record per line, stable for golden tests):
 
@@ -14,7 +15,7 @@ step, sorted by label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator, NamedTuple
 
 from psrelief.builder import COMPARE_STAGE, INIT_STAGE, UPDATE_STAGE, GeneratedSystem, count_reader
 from psrelief.engine import DETERMINISTIC, FiringPlan, RunReport, steps
@@ -64,34 +65,31 @@ class IterationProfile:
     comparison: int = 0
 
 
-@dataclass
-class GeneratedRun:
-    """Result of an instrumented engine run of a generated system."""
-
-    report: RunReport
-    q_trajectory: list[list[list[int]]]  # per iteration, m x n counts (incl. start)
-    profiles: list[IterationProfile]
-
-    @property
-    def halted(self) -> bool:
-        return self.report.halted
+#: How an iteration ends: at the step that fires the boundary rule (family
+#: 3.26), at the system's halt, or cut off by the step budget before either.
+BOUNDARY, HALT, CUT = "boundary", "halt", "cut"
 
 
-def run_generated(
-    gen: GeneratedSystem,
-    max_iterations: int,
-    extra_observer=None,
-    policy: str = DETERMINISTIC,
-    seed: int = 0,
-) -> GeneratedRun:
+class Iteration(NamedTuple):
+    """The t-th iteration (from 1): the configuration that ends it, its stage
+    profile and how it ended."""
+
+    t: int
+    config: Configuration
+    profile: IterationProfile
+    end: str
+
+
+def iterations(gen: GeneratedSystem, max_iterations: int, extra_observer=None,
+               policy: str = DETERMINISTIC, seed: int = 0) -> Iterator[Iteration]:
     """Run a generated system for at most ``max_iterations`` rounds of the
-    seed/update/compare loop, recording the per-iteration flow counts and
-    stage profiles.
-
-    The returned trajectory starts with the initial counts and, when the run
-    halts, ends with the counts decoded from OUTPUT.  A run cut off at the
-    iteration limit reports ``halted=False``.  ``extra_observer`` is called
-    like an engine observer on every step the report counts.
+    seed/update/compare loop, yielding one record per iteration, never one
+    per step: one per boundary, then one for the halting iteration (its
+    configuration holds OUTPUT) or for a cut.  An iteration takes 3 + (9 +
+    halvings) + 6 steps (7 on the last one), plus a short tail; the step
+    budget bounds a run that stops reaching the boundary.  ``extra_observer``
+    is called like an engine observer on every step, before the record of
+    the iteration that the step ends.
 
     A step counts toward the earliest stage among its fired rules.  A step
     that fires only stageless rules (counter plumbing, cleanup) counts toward
@@ -105,17 +103,11 @@ def run_generated(
     # ids of each stage's rules, in _STAGES order; stageless rules left out
     stage_rules = [{rid for family, of in gen.stages.items() if of == stage
                     for rid in gen.rule_index[family]} for stage in _STAGES]
-    read_flows = count_reader(gen, "x")
     config = Configuration.initial(gen.definition)
-    trajectory = [read_flows(config.contents["INIT"])]
-    profiles: list[IterationProfile] = []
+    t = 0  # iterations ended
     counts = [0, 0, 0]  # steps of the current iteration, in _STAGES order
     stage = None  # position in _STAGES of the iteration's last staged step
-    # an iteration takes 3 + (9 + halvings) + 6 steps (7 on the last one),
-    # plus a short tail; the budget bounds a run that stops reaching the
-    # iteration boundary
     budget = max_iterations * (19 + quantized_halvings(max_iterations)) + 100
-    halted = True
     for plan, config in steps(gen.definition, policy, seed):
         fired = plan.counts
         for i, rules in enumerate(stage_rules):
@@ -124,19 +116,50 @@ def run_generated(
                 break
         if stage is not None:
             counts[stage] += 1
-        at_boundary = boundary_id in fired
-        if at_boundary:
-            trajectory.append(read_flows(config.contents["INIT"]))
-            profiles.append(IterationProfile(len(profiles), *counts))
-            counts, stage = [0, 0, 0], None
         if extra_observer is not None:
             extra_observer(config.step_index, plan, config)
-        if (at_boundary and len(profiles) >= max_iterations) or config.step_index >= budget:
-            halted = False
-            break
-    report = RunReport.ending_at(gen.definition, config, halted)
-    if halted:
-        trajectory.append(count_reader(gen, "o")(report.final.contents["OUTPUT"]))
-        if any(counts):
-            profiles.append(IterationProfile(len(profiles), *counts))
+        if boundary_id in fired:
+            t += 1
+            yield Iteration(t, config, IterationProfile(t - 1, *counts), BOUNDARY)
+            if t >= max_iterations or config.step_index >= budget:
+                return
+            counts, stage = [0, 0, 0], None
+        elif config.step_index >= budget:
+            yield Iteration(t + 1, config, IterationProfile(t, *counts), CUT)
+            return
+    yield Iteration(t + 1, config, IterationProfile(t, *counts), HALT)
+
+
+@dataclass
+class GeneratedRun:
+    """Result of an instrumented engine run of a generated system."""
+
+    report: RunReport
+    q_trajectory: list[list[list[int]]]  # per iteration, m x n counts (incl. start)
+    profiles: list[IterationProfile]
+
+    @property
+    def halted(self) -> bool:
+        return self.report.halted
+
+
+def run_generated(gen: GeneratedSystem, max_iterations: int, extra_observer=None,
+                  policy: str = DETERMINISTIC, seed: int = 0) -> GeneratedRun:
+    """Collect ``iterations`` (same arguments): the flow counts at the start
+    and at every boundary, then the counts decoded from OUTPUT if the run
+    halts, and the profiles of every iteration that ends, bar an empty last
+    one.  A run cut off by the iteration limit or the step budget reports
+    ``halted=False``."""
+    read_flows = count_reader(gen, "x")
+    trajectory = [read_flows(Configuration.initial(gen.definition).contents["INIT"])]
+    profiles: list[IterationProfile] = []
+    for _, config, profile, end in iterations(gen, max_iterations, extra_observer, policy, seed):
+        if end == BOUNDARY:
+            trajectory.append(read_flows(config.contents["INIT"]))
+            profiles.append(profile)
+        elif end == HALT:
+            trajectory.append(count_reader(gen, "o")(config.contents["OUTPUT"]))
+            if profile.initialization or profile.update or profile.comparison:
+                profiles.append(profile)
+    report = RunReport.ending_at(gen.definition, config, end == HALT)
     return GeneratedRun(report=report, q_trajectory=trajectory, profiles=profiles)

@@ -23,6 +23,8 @@ against.
   ``div_round_half`` and ``scaled_emission`` that relief's integer step
   inlines) on a ``State`` of their own, and adapters that drive relief's
   prepared steps on such a state.
+* ``assert_lockstep``, the one comparison of the engine route with the
+  integer iteration, iteration by iteration.
 * A reference ``.psys`` reader written from docs/psys-format.md; it takes
   only the result types from ``psrelief.dsl``.
 """
@@ -41,8 +43,9 @@ from typing import IO, Any, NamedTuple
 import numpy as np
 
 from psrelief import relief
+from psrelief.builder import GeneratedSystem, symbol
 from psrelief.dsl import ParseDiagnostic, ParseResult, SourceDocument
-from psrelief.engine import FiringPlan, _Compiled, _order, _select
+from psrelief.engine import DETERMINISTIC, FiringPlan, _Compiled, _order, _select
 from psrelief.io import parse_matrix_csv
 from psrelief.multiset import EMPTY, Multiset
 from psrelief.psystem import (
@@ -54,6 +57,7 @@ from psrelief.psystem import (
     RuleKind,
     problems,
 )
+from psrelief.trace import HALT, Iteration, iterations
 
 N = Polarization.NEUTRAL
 P = Polarization.POSITIVE
@@ -686,6 +690,49 @@ def reference_quantized_step(state: State, inst: relief.ReliefInstance,
     return State(q=new_q, lam=new_lam, lam1=new_lam1, lam2=new_lam2, t=state.t + 1)
 
 
+# ---------------------------------------------------------------------------
+# The engine route against the integer iteration, in lockstep
+# ---------------------------------------------------------------------------
+
+
+def assert_lockstep(inst: relief.ReliefInstance, gen: GeneratedSystem, max_iterations: int,
+                    policy: str = DETERMINISTIC, seed: int = 0, stream=iterations,
+                    profiles: list | None = None) -> Iteration:
+    """Advance ``stream`` (``trace.iterations`` or a stand-in) and the integer
+    iteration together, one iterate of each at a time.  Each boundary's INIT
+    counts of x, la, la1 and la2 (``relief._packed`` order) must equal the
+    oracle's state, the halt's OUTPUT counts of o its q; the engine halts iff
+    the oracle settles, and both end together.  The first difference fails,
+    naming the iteration, the engine step, the families fired in that
+    iteration and the differing cells.  Returns the last record; ``profiles``
+    collects every record's stage profile."""
+    ks, ls = range(1, gen.m + 1), range(1, gen.n + 1)
+    packed = ([symbol("x", k, l) for k in ks for l in ls] + [symbol("la", k) for k in ks]
+              + [symbol("la1", l) for l in ls] + [symbol("la2", l) for l in ls])
+    outputs = [symbol("o", k, l) for k in ks for l in ls]
+    plans = []  # of the current iteration, from the observer hook
+    oracle = relief._QuantizedStep(relief.fixed_point_constants(inst, gen.p)).run(
+        relief._start(inst, 10**gen.p), 0, max_iterations)
+    for record in stream(gen, max_iterations, lambda _, plan, __: plans.append(plan.counts), policy, seed):
+        halted = record.end == HALT
+        cells = outputs if halted else packed
+        got = [record.config.contents["OUTPUT" if halted else "INIT"].count(cell) for cell in cells]
+        t, state, settled = next(oracle, (None, None, None))
+        want = [] if state is None else (state.q if halted else state.z).ravel().tolist()
+        if (t, settled, got) == (record.t, halted, want):
+            plans.clear()
+            if profiles is not None:
+                profiles.append(record.profile)
+            continue
+        problem = f"engine halted={halted}, oracle iteration {t} settled={settled}; " + "; ".join(
+            f"{cell}: engine {g}, oracle {w}" for cell, g, w in zip(cells, got, want) if g != w)
+        families = [family for family, rids in gen.rule_index.items()
+                    if any(rid in counts for counts in plans for rid in rids)]
+        raise AssertionError(f"iteration {record.t}, engine step {record.config.step_index} "
+                             f"({record.end}), families {families}: {problem}")
+    assert next(oracle, None) is None, (
+        f"the engine stream ended after iteration {record.t}; the oracle goes on")
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,16 @@ from psrelief.relief import (
     _FloatStep,
     _QuantizedStep,
     fixed_point_constants,
-    quantized_trajectory,
     solve,
     step_size,
     validate,
 )
 from psrelief.stats import compare
-from psrelief.trace import run_generated
+from psrelief.trace import BOUNDARY, HALT, run_generated
 
-from helpers import (State, count_step, derived_1x1, enumerate_maximal_plans, float_step, katrina_shaped,
-                     load_table, ms, random_instance, random_small_system, rules_by_id, slow_oscillator)
+from helpers import (State, assert_lockstep, count_step, derived_1x1, enumerate_maximal_plans, float_step,
+                     katrina_shaped, load_table, ms, random_instance, random_small_system, rules_by_id,
+                     slow_oscillator)
 
 
 def announce(criterion: int, detail: str) -> None:
@@ -62,21 +62,14 @@ def test_criterion_1_semantics_conformance():
 
 def test_criterion_2_oracle_equivalence():
     """20 random instances, m,n <= 2, parameters in [0.25, 4], p = 3: the
-    engine-run generated system's per-iteration counts equal the quantized
-    iteration exactly for 200 iterations or until halt."""
+    engine-run generated system's per-iteration counts, multipliers included,
+    equal the quantized iteration exactly for 200 iterations or until halt."""
     rng = random.Random(20250810)
     shapes = [(1, 1), (2, 1), (1, 2), (2, 2), (2, 2)]
-    matched = 0
     for trial in range(20):
         m, n = shapes[trial % len(shapes)]
         inst = random_instance(rng, m, n)
-        oracle, conv = quantized_trajectory(inst, p=3, max_iter=200)
-        gen = build(BuildParams(instance=inst, p=3))
-        res = run_generated(gen, max_iterations=200)
-        assert res.q_trajectory == oracle, f"trajectory diverged on trial {trial}"
-        assert res.halted == conv
-        matched += 1
-    assert matched == 20
+        assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 200)
     announce(2, "20/20 instances: engine trajectory == quantized oracle, exactly")
 
 
@@ -85,30 +78,20 @@ def test_criterion_2_oracle_equivalence():
                                              (3, "seeded-random", 1)])
 def test_case_study_scale_runs_to_halt_count_for_count(p, policy, seed):
     """The 3x10 case-study shape, run to halt on the engine: every
-    iteration's counts equal the quantized iteration's, under either
-    selection policy."""
+    iteration's flow and multiplier counts equal the quantized iteration's,
+    under either selection policy."""
     inst = katrina_shaped(random.Random(1), 3, 10)
-    oracle, conv = quantized_trajectory(inst, p=p, max_iter=100_000)
-    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000,
-                        policy=policy, seed=seed)
-    assert conv and res.halted
-    assert len(res.q_trajectory) == len(oracle)
-    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
-        assert got == want, f"iteration {it}"
+    assert assert_lockstep(inst, build(BuildParams(instance=inst, p=p)), 100_000, policy, seed).end == HALT
 
 
 @pytest.mark.slow
 def test_case_study_10x30_runs_to_halt_count_for_count():
     """The case study's 10x30 shape at p=3, run to halt on the engine under
-    the deterministic policy: all 5,121 iterations' counts equal the
-    quantized iteration's."""
+    the deterministic policy: all 5,121 iterations' flow and multiplier
+    counts equal the quantized iteration's."""
     inst = katrina_shaped(random.Random(1), 10, 30)
-    oracle, conv = quantized_trajectory(inst, p=3, max_iter=100_000)
-    res = run_generated(build(BuildParams(instance=inst, p=3)), max_iterations=100_000)
-    assert conv and res.halted
-    assert len(res.q_trajectory) == len(oracle) == 5122
-    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
-        assert got == want, f"iteration {it}"
+    last = assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 100_000)
+    assert (last.t, last.end) == (5121, HALT)
 
 
 def random_draw(seed: int, index: int) -> ReliefInstance:
@@ -126,15 +109,10 @@ def random_draw(seed: int, index: int) -> ReliefInstance:
 def test_engine_runs_past_the_schedule_blocks_count_for_count(make, p, iterations):
     """Runs to halt that cross t = 10,240 (the counter's doubling blocks),
     11,264 and 12,288 (where the float and integer schedules part): every
-    iteration's counts equal the quantized iteration's."""
+    iteration's flow and multiplier counts equal the quantized iteration's."""
     inst = make()
-    oracle, conv = quantized_trajectory(inst, p=p, max_iter=100_000)
-    res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=100_000)
-    assert conv and len(oracle) == iterations + 1
-    assert res.halted == conv
-    assert len(res.q_trajectory) == len(oracle)
-    for it, (got, want) in enumerate(zip(res.q_trajectory, oracle)):
-        assert got == want, f"iteration {it}"
+    last = assert_lockstep(inst, build(BuildParams(instance=inst, p=p)), 100_000)
+    assert (last.t, last.end) == (iterations, HALT)
 
 
 def test_criterion_3_derived_equilibrium():
@@ -180,13 +158,9 @@ def test_criterion_5_stage_step_counts():
     assert (last.initialization, last.update, last.comparison) == (3, 9, 7)
 
     # a slow oscillator crosses the 1024-iteration boundary
-    slow = slow_oscillator()
-    oracle, conv = quantized_trajectory(slow, p=3, max_iter=1040)
-    assert not conv
-    res2 = run_generated(build(BuildParams(instance=slow, p=3)), max_iterations=1040)
-    assert res2.q_trajectory == oracle
-    profs = res2.profiles
-    assert len(profs) >= 1030
+    slow, profs = slow_oscillator(), []
+    last = assert_lockstep(slow, build(BuildParams(instance=slow, p=3)), 1040, profiles=profs)
+    assert (last.t, last.end) == (1040, BOUNDARY)
     assert {(pr.initialization, pr.update, pr.comparison) for pr in profs[:1024]} == {(3, 9, 6)}
     assert {(pr.initialization, pr.update, pr.comparison) for pr in profs[1024:1030]} == {(3, 10, 6)}
     announce(5, "stages 3/9/6 per iteration (7 on halt); update 10 from iteration 1025")

@@ -172,12 +172,12 @@ class TestConstants:
         barrier = rules_by_id(gen.definition)[gen.rule_index["3.1"][0]]
         assert barrier.lhs.count("y10") == 6
 
-    def test_beta_flooring_to_zero_is_build_error(self):
+    def test_beta_flooring_to_zero_is_rejected(self):
         inst = small_instance(1, 1, beta=0.05)
         with pytest.raises(ValueError, match=r"beta\[0\].*p >= 2"):
             build(BuildParams(instance=inst, p=1))
 
-    def test_precision_below_one_is_build_error(self):
+    def test_precision_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="^precision exponent p must be at least 1$"):
             build(BuildParams(instance=small_instance(1, 1), p=0))
 

@@ -2,44 +2,37 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from psrelief.builder import BuildParams, build, decode_output
-from psrelief.relief import QUANTIZED, quantized_trajectory, solve
-from psrelief.trace import run_generated
+from psrelief.builder import BuildParams, DecodeError, build, count_reader, decode_output
+from psrelief.engine import SEEDED_RANDOM
+from psrelief.multiset import Multiset
+from psrelief.relief import QUANTIZED, solve
+from psrelief.trace import BOUNDARY, HALT, iterations, run_generated
 
-from helpers import derived_1x1, katrina_shaped, random_instance, slow_oscillator
+from helpers import assert_lockstep, derived_1x1, katrina_shaped, random_instance, slow_oscillator
 
 
 class TestTrajectoryEquivalence:
     def test_derived_instance_exact_trajectory(self):
         inst = derived_1x1()
-        oracle, conv = quantized_trajectory(inst, p=3, max_iter=200)
-        gen = build(BuildParams(instance=inst, p=3))
-        res = run_generated(gen, max_iterations=200)
-        assert conv and res.halted
-        assert res.q_trajectory == oracle
+        assert assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 200).end == HALT
 
     def test_random_instances_exact(self):
         rng = random.Random(424242)
         for _ in range(6):
             m, n = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
             inst = random_instance(rng, m, n)
-            oracle, conv = quantized_trajectory(inst, p=3, max_iter=120)
-            gen = build(BuildParams(instance=inst, p=3))
-            res = run_generated(gen, max_iterations=120)
-            assert res.q_trajectory == oracle
-            assert res.halted == conv
+            assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 120)
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_katrina_shaped_4x4_exact(self, p):
         inst = katrina_shaped(random.Random(1), 4, 4)
-        oracle, _ = quantized_trajectory(inst, p=p, max_iter=30)
-        res = run_generated(build(BuildParams(instance=inst, p=p)), max_iterations=30)
-        assert len(oracle) == 31
-        assert res.q_trajectory == oracle
+        last = assert_lockstep(inst, build(BuildParams(instance=inst, p=p)), 30)
+        assert (last.t, last.end) == (30, BOUNDARY)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_katrina_shaped_4x4_seeded_random(self, seed):
@@ -47,42 +40,34 @@ class TestTrajectoryEquivalence:
         # seeded steps fire, every iteration's counts are the oracle's, and
         # every iteration's stage profile is the deterministic run's
         inst = katrina_shaped(random.Random(1), 4, 4)
-        oracle, conv = quantized_trajectory(inst, p=3, max_iter=12)
         gen = build(BuildParams(instance=inst, p=3))
-        res = run_generated(gen, max_iterations=12, policy="seeded-random", seed=seed)
-        assert res.q_trajectory == oracle
-        assert res.halted == conv
-        assert res.profiles == run_generated(gen, max_iterations=12).profiles
+        profiles = []
+        assert_lockstep(inst, gen, 12, SEEDED_RANDOM, seed, profiles=profiles)
+        assert profiles == run_generated(gen, max_iterations=12).profiles
 
     def test_halting_iff_oracle_convergence(self):
         rng = random.Random(99)
         seen_halting = False
         for _ in range(10):
             inst = random_instance(rng, 1, 1)
-            oracle, conv = quantized_trajectory(inst, p=3, max_iter=60)
             gen = build(BuildParams(instance=inst, p=3))
-            res = run_generated(gen, max_iterations=60)
-            assert res.halted == conv
-            seen_halting |= conv
-            if conv:
-                if any(c for row in oracle[-1] for c in row):
-                    final = decode_output(res.report.final, gen)
-                    P = 1000
-                    assert [[round(v * P) for v in row] for row in final] == oracle[-1]
-                else:
-                    # an all-zero allocation routes nothing into OUTPUT
-                    with pytest.raises(Exception):
-                        decode_output(res.report.final, gen)
+            last = assert_lockstep(inst, gen, 60)  # halts iff the oracle settles
+            if last.end == HALT:
+                seen_halting = True
+                # the oracle's last counts, by the lockstep
+                counts = count_reader(gen, "o")(last.config.contents["OUTPUT"])
+                if any(map(any, counts)):
+                    final = decode_output(last.config, gen)
+                    assert [[round(v * 10**gen.p) for v in row] for row in final] == counts
+                else:  # an all-zero allocation routes nothing into OUTPUT
+                    with pytest.raises(DecodeError, match="^OUTPUT membrane is empty"):
+                        decode_output(last.config, gen)
         assert seen_halting
 
     def test_unconverged_run_does_not_halt(self):
         inst = slow_oscillator()
-        oracle, conv = quantized_trajectory(inst, p=3, max_iter=50)
-        assert not conv
-        gen = build(BuildParams(instance=inst, p=3))
-        res = run_generated(gen, max_iterations=50)
-        assert not res.halted
-        assert res.q_trajectory == oracle
+        last = assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 50)
+        assert (last.t, last.end) == (50, BOUNDARY)
 
     def test_solver_report_matches_engine_output(self):
         inst = derived_1x1()
@@ -95,21 +80,44 @@ class TestTrajectoryEquivalence:
 
 
 class TestStageProfiles:
-    def test_constant_stage_lengths_before_first_halving(self):
-        inst = derived_1x1()
-        gen = build(BuildParams(instance=inst, p=3))
-        res = run_generated(gen, max_iterations=200)
-        assert res.halted
-        *body, last = res.profiles
-        for prof in body:
-            assert (prof.initialization, prof.update, prof.comparison) == (3, 9, 6)
-        # the halting round spends one extra step routing the result out
-        assert (last.initialization, last.update, last.comparison) == (3, 9, 7)
-
     def test_seeded_random_policy_agrees_on_confluent_system(self):
         inst = derived_1x1()
         gen = build(BuildParams(instance=inst, p=3))
-        base = run_generated(gen, max_iterations=200)
-        alt = run_generated(gen, max_iterations=200, policy="seeded-random", seed=7)
-        assert alt.q_trajectory == base.q_trajectory
-        assert alt.report.steps == base.report.steps
+        base = assert_lockstep(inst, gen, 200)
+        alt = assert_lockstep(inst, gen, 200, SEEDED_RANDOM, 7)
+        assert alt.config.step_index == base.config.step_index
+
+
+class TestLockstep:
+    """``assert_lockstep`` itself: it fails at the first difference and names it."""
+
+    @pytest.mark.parametrize("cell", ["x_1_1", "la2_1"])
+    def test_names_the_first_difference(self, cell):
+        def one_more(*args):  # iterations, with one more ``cell`` in INIT at iteration 5
+            for record in iterations(*args):
+                if record.t == 5:
+                    init = record.config.contents["INIT"]
+                    init = Multiset({**init.counts(), cell: init.count(cell) + 1})
+                    contents = {**record.config.contents, "INIT": init}
+                    record = record._replace(config=dataclasses.replace(record.config, contents=contents))
+                yield record
+
+        inst = derived_1x1()
+        gen = build(BuildParams(instance=inst, p=3))
+        fired = []
+        for record in iterations(gen, 5, lambda _, plan, __: fired.append(plan.counts)):
+            if record.t < 5:
+                fired.clear()
+        families = [f for f, rids in gen.rule_index.items() if any(r in c for c in fired for r in rids)]
+        n = record.config.contents["INIT"].count(cell)  # the oracle's count
+        with pytest.raises(AssertionError) as failure:
+            assert_lockstep(inst, gen, 10, stream=one_more)
+        assert str(failure.value) == (
+            f"iteration 5, engine step {record.config.step_index} (boundary), families {families}: "
+            f"engine halted=False, oracle iteration 5 settled=False; {cell}: engine {n + 1}, oracle {n}")
+
+    def test_fails_on_a_stream_cut_one_iteration_short(self):
+        inst = derived_1x1()
+        with pytest.raises(AssertionError, match="^the engine stream ended after iteration 9;"):
+            assert_lockstep(inst, build(BuildParams(instance=inst, p=3)), 10,
+                            stream=lambda gen, limit, *args: iterations(gen, limit - 1, *args))
